@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import families, riccati
+from . import families, riccati, schrodinger
 from .errors import ParameterViolation
 from .numerics import quad
 
@@ -80,7 +80,6 @@ def catalog_reference(entry_id, alpha, beta, m, x, gamma=math.inf, delta=None):
     am = -(2 * m + al - 1) / 2.0
     apm = (2 * m - al - 1) / 2.0
     x = float(x)
-    cmap_s = None
 
     if e.entry_id == 1:
         lam = -al * m
@@ -240,18 +239,16 @@ def compare_with_generic(entry_id, alpha, beta, m, xs, gamma=math.inf, delta=Non
     A deviation above tol is returned as a flag describing the worst point;
     callers report flags instead of reconciling them.
     """
-    from . import schrodinger
-
     fam = families.make_family(entry(entry_id).kind, alpha, beta)
     defm = riccati.make_deformation(fam, m, gamma, delta)
+    xs = np.asarray(xs, dtype=float)
+    v_gen, _, w_gen = schrodinger.potentials_and_w(defm, xs)
+    refs = [catalog_reference(entry_id, alpha, beta, m, x, gamma, delta) for x in xs]
+    v_ref, w_ref, lam_ref = np.array(refs).T
+    lam_ref = float(lam_ref[0])
+    worst_v = float(np.max(np.abs(v_ref - v_gen)))
+    worst_w = float(np.max(np.abs(w_ref - w_gen)))
     flags = []
-    worst_v = worst_w = 0.0
-    for x in np.asarray(xs, dtype=float):
-        v_ref, w_ref, lam_ref = catalog_reference(entry_id, alpha, beta, m, x, gamma, delta)
-        v_gen, _ = schrodinger.potentials(defm, float(x))
-        w_gen = schrodinger.superpotential(defm, float(x))
-        worst_v = max(worst_v, abs(v_ref - v_gen))
-        worst_w = max(worst_w, abs(w_ref - w_gen))
     if abs(lam_ref - defm.lambda_base) > tol:
         flags.append(
             f"entry {entry_id}: eigenvalue shorthand differs "

@@ -7,7 +7,8 @@ the partner-pair potentials and superpotential plus a metadata file;
 library call.
 
 Exit codes: 0 success, 1 invariant failure, 2 invalid parameters,
-3 inadmissible gamma, 4 numerical non-convergence.
+3 inadmissible gamma, 4 numerical non-convergence; a package error carries
+its own code (errors.HypersusyError.exit_code).
 """
 
 from __future__ import annotations
@@ -15,40 +16,14 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from . import catalog, families, riccati, schrodinger, verify
-from .errors import (
-    BoundaryDecayFailure,
-    ContextMismatch,
-    CutoffExceeded,
-    DegenerateDenominator,
-    GridTooCoarse,
-    IndexViolation,
-    InadmissibleGamma,
-    NoWeightPower,
-    OutOfDomain,
-    ParameterViolation,
-    QuadratureFailure,
-    RecurrenceBreakdown,
-)
-
-_PARAM_ERRORS = (
-    ParameterViolation,
-    BoundaryDecayFailure,
-    CutoffExceeded,
-    IndexViolation,
-    RecurrenceBreakdown,
-    NoWeightPower,
-    DegenerateDenominator,
-    OutOfDomain,
-    ContextMismatch,
-    ValueError,
-    KeyError,
-)
+from .errors import HypersusyError
 
 
 def _number(text):
@@ -61,14 +36,6 @@ def _number(text):
         return float(text)
 
 
-def _gamma(text):
-    if isinstance(text, (int, float)):
-        return float(text)
-    if str(text).lower() in ("inf", "infinity"):
-        return math.inf
-    return float(text)
-
-
 def _levels(text):
     if text is None:
         return []
@@ -79,6 +46,16 @@ def _levels(text):
         lo, hi = text.split(":")
         return list(range(int(lo), int(hi) + 1))
     return [int(tok) for tok in text.split(",") if tok.strip()]
+
+
+_READERS = {
+    "alpha": _number, "beta": _number, "delta": _number, "gamma": float, "levels": _levels,
+}
+
+
+def _read(key, val):
+    """A derive setting from a flag or a config file; other keys pass through."""
+    return _READERS[key](val) if key in _READERS else val
 
 
 @dataclass
@@ -104,32 +81,15 @@ class JobConfig:
         if getattr(args, "config", None):
             with open(args.config) as fh:
                 raw = json.load(fh)
-            grid = raw.pop("grid", {})
-            raw.update(grid)
+            raw.update(raw.pop("grid", {}))
             if "format" in raw:
                 raw["fmt"] = raw.pop("format")
             for key, val in raw.items():
-                if key in ("alpha", "beta", "delta"):
-                    val = _number(val)
-                elif key == "gamma":
-                    val = _gamma(val)
-                elif key == "levels":
-                    val = _levels(val)
-                setattr(cfg, key, val)
-        for key in ("kind", "m", "n", "out", "fmt", "svg", "meta", "x_min", "x_max"):
-            val = getattr(args, key, None)
+                setattr(cfg, key, _read(key, val))
+        for f in fields(cls):
+            val = getattr(args, f.name, None)
             if val is not None:
-                setattr(cfg, key, val)
-        if getattr(args, "alpha", None) is not None:
-            cfg.alpha = _number(args.alpha)
-        if getattr(args, "beta", None) is not None:
-            cfg.beta = _number(args.beta)
-        if getattr(args, "delta", None) is not None:
-            cfg.delta = _number(args.delta)
-        if getattr(args, "gamma", None) is not None:
-            cfg.gamma = _gamma(args.gamma)
-        if getattr(args, "levels", None) is not None:
-            cfg.levels = _levels(args.levels)
+                setattr(cfg, f.name, _read(f.name, val))
         return cfg
 
 
@@ -141,7 +101,7 @@ def cmd_families(args):
             "tau": "alpha*s + beta",
             "rho": families.RHO_TEXT[kind],
             "interval": list(families.Family(kind, -1, 1).interval),
-            "constraint": families.CONSTRAINT_TEXT[kind],
+            "constraint": families.CONSTRAINTS[kind][1],
         }
         for kind in families.KINDS
     ]
@@ -212,14 +172,9 @@ def cmd_derive(args):
         schrodinger.write_svg(frame, cfg.svg)
     if cfg.meta:
         lam_max = cfg.levels[-1] if cfg.levels else cfg.m + 4
-        if cfg.delta is None:
-            targets = [float(families.eigenvalue(fam, l))
-                       for l in range(cfg.m + 1, lam_max + 1)
-                       if families.below_cutoff(fam, l)]
-        else:
-            targets = [float(families.shifted_eigenvalue(fam, l, cfg.delta))
-                       for l in range(cfg.m + 1, lam_max + 1)
-                       if families.below_cutoff(fam, l + 1)]
+        shift = 0 if cfg.delta is None else 1  # a shifted level l needs l + 1 below the cutoff
+        targets = [defm.eigenvalue(l) for l in range(cfg.m + 1, lam_max + 1)
+                   if families.below_cutoff(fam, l + shift)]
         meta = {
             "deformation": defm.to_json(),
             "lambda_targets": targets,
@@ -292,21 +247,39 @@ def build_parser():
     return parser
 
 
+# a negative number, including scientific notation and -inf
+_NEGATIVE_VALUE = re.compile(r"-(\d|\.\d|inf)", re.IGNORECASE)
+
+
+def _attach_negative_values(argv):
+    """Rewrite '--gamma -1e3' as '--gamma=-1e3'.
+
+    argparse takes any token that starts with '-' for an option unless it is
+    a plain negative decimal, so '-1e3', '-1.2e-05' or '-inf' would otherwise
+    leave the preceding option without its value.
+    """
+    out = []
+    for tok in argv:
+        if out and out[-1].startswith("--") and "=" not in out[-1] and _NEGATIVE_VALUE.match(tok):
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv=None):
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_negative_values(argv))
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
         return args.func(args)
-    except InadmissibleGamma as exc:
+    except HypersusyError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (QuadratureFailure, GridTooCoarse) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except _PARAM_ERRORS as exc:
+        return exc.exit_code
+    except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -14,6 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from . import families
 from .errors import (
     ContextMismatch,
@@ -89,9 +91,6 @@ class KappaForm:
     def _sigma_prime(self):
         c0, c1, c2 = self.family.sigma_coeffs
         return Poly([c1, 2 * c2])
-
-    def _tau(self):
-        return Poly([self.family.beta, self.family.alpha])
 
     def __add__(self, other):
         out = dict(self.terms)
@@ -373,14 +372,11 @@ def recurrence_residual(fam, l, m, points):
     mid = associated_function(fam, l, m)
     low = associated_function(fam, l, m - 1)
     lam = float(families.eigenvalue(fam, l)) - float(families.eigenvalue(fam, m - 1))
-    worst = 0.0
-    for s in points:
-        s = float(s)
-        kap = float(fam.kappa(s))
-        coef = float(fam.tau(s)) / kap + 2.0 * (m - 1) * float(fam.kappa_prime(s))
-        t1 = up.eval(s).value if up is not None else 0.0
-        t2 = coef * mid.eval(s).value
-        t3 = lam * low.eval(s).value
-        scale = 1.0 + max(abs(t1), abs(t2), abs(t3))
-        worst = max(worst, abs(t1 + t2 + t3) / scale)
-    return worst
+    s = np.asarray(points, dtype=float)
+    fam.require_inside(s)
+    coef = np.asarray(fam.tau(s), dtype=float) / fam.kappa(s) + 2.0 * (m - 1) * fam.kappa_prime(s)
+    t1 = up.values(s) if up is not None else np.zeros_like(s)
+    t2 = coef * mid.values(s)
+    t3 = lam * low.values(s)
+    scale = 1.0 + np.max(np.abs([t1, t2, t3]), axis=0)
+    return float(np.max(np.abs(t1 + t2 + t3) / scale))

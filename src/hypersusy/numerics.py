@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .errors import GridTooCoarse, NoConvergence, NonFinite
 
@@ -64,6 +63,24 @@ def _transform(t, a, b):
     return x, dxdt
 
 
+def _level_nodes(a, b, level):
+    """Step h and the usable nodes and weights of one level on (a, b).
+
+    Nodes that round onto a finite endpoint, or whose weight underflows,
+    are dropped.
+    """
+    h = 1.0 / 2 ** level
+    k = np.arange(-int(_T_CUT / h), int(_T_CUT / h) + 1)
+    with np.errstate(over="ignore", under="ignore"):
+        x, dxdt = _transform(k * h, a, b)
+    keep = (dxdt > 0.0) & np.isfinite(x)
+    if a > -math.inf:
+        keep &= x > a
+    if b < math.inf:
+        keep &= x < b
+    return h, x[keep], dxdt[keep]
+
+
 def quad(f, a, b, tol=1e-12, max_level=12):
     """Integrate f over the open interval (a, b).
 
@@ -85,16 +102,7 @@ def quad(f, a, b, tol=1e-12, max_level=12):
     prev = None
     value = math.nan
     for level in range(max_level + 1):
-        h = 1.0 / 2 ** level
-        k = np.arange(-int(_T_CUT / h), int(_T_CUT / h) + 1)
-        with np.errstate(over="ignore", under="ignore"):
-            x, dxdt = _transform(k * h, a, b)
-        keep = (dxdt > 0.0) & np.isfinite(x)
-        if a > -math.inf:
-            keep &= x > a
-        if b < math.inf:
-            keep &= x < b
-        x, dxdt = x[keep], dxdt[keep]
+        h, x, dxdt = _level_nodes(a, b, level)
         fx = np.asarray(f(x), dtype=float)
         if not np.all(np.isfinite(fx)):
             raise NonFinite(f"integrand non-finite at x={x[~np.isfinite(fx)][:3]}")
@@ -117,17 +125,8 @@ def quad(f, a, b, tol=1e-12, max_level=12):
 
 def fixed_level_quad(f, a, b, level):
     """Single-level tanh-sinh value; used to probe the convergence order."""
-    h = 1.0 / 2 ** level
-    k = np.arange(-int(_T_CUT / h), int(_T_CUT / h) + 1)
-    with np.errstate(over="ignore", under="ignore"):
-        x, dxdt = _transform(k * h, a, b)
-    keep = (dxdt > 0.0) & np.isfinite(x)
-    if a > -math.inf:
-        keep &= x > a
-    if b < math.inf:
-        keep &= x < b
-    fx = np.asarray(f(x[keep]), dtype=float)
-    return h * float(np.sum(fx * dxdt[keep]))
+    h, x, dxdt = _level_nodes(a, b, level)
+    return h * float(np.sum(np.asarray(f(x), dtype=float) * dxdt))
 
 
 def derivative(f, x, order=1, h0=0.1, levels=3):
@@ -163,6 +162,8 @@ def fd_spectrum(potential, x_min, x_max, n, n_states, tol=1e-3, richardson=True)
     """
     if n < 200:
         raise ValueError("fd_spectrum needs at least 200 grid points")
+    # imported here: scipy.linalg is most of the package's import time
+    from scipy.linalg import eigh_tridiagonal
 
     def eigs(npts):
         x = np.linspace(x_min, x_max, npts)
@@ -263,18 +264,12 @@ def verify_spectrum(defm, which, n_levels, x_min, x_max, n, tol=1e-3):
     (shift-corrected when the deformation carries delta).  Extra eigenvalues
     below the target band are reported, never asserted.
     """
-    from . import families, schrodinger
+    from . import schrodinger
 
     if which not in ("upper", "partner"):
         raise ValueError("which must be 'upper' or 'partner'")
 
-    fam, m = defm.family, defm.m
-    if defm.delta is None:
-        targets = [float(families.eigenvalue(fam, l))
-                   for l in range(m + 1, m + 1 + n_levels)]
-    else:
-        targets = [float(families.shifted_eigenvalue(fam, l, defm.delta))
-                   for l in range(m + 1, m + 1 + n_levels)]
+    targets = [defm.eigenvalue(l) for l in range(defm.m + 1, defm.m + 1 + n_levels)]
 
     def potential(xs):
         vu, vp = schrodinger.potentials_grid(defm, xs)

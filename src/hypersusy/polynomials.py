@@ -110,15 +110,7 @@ class Poly:
         return Poly([Fraction(c) for c in self.coeffs])
 
     def to_json(self):
-        out = []
-        for c in self.coeffs:
-            if isinstance(c, Fraction):
-                out.append(str(c))
-            elif isinstance(c, int):
-                out.append(str(c))
-            else:
-                out.append(float(c))
-        return out
+        return [str(c) if isinstance(c, (int, Fraction)) else float(c) for c in self.coeffs]
 
     @classmethod
     def from_json(cls, items):
@@ -164,17 +156,27 @@ class AssociatedFunction:
     m: int
     poly: Poly
 
+    def derivatives(self, s_arr):
+        """f, f' and f'' on an array of interior points, all analytic.
+
+        With f = kappa^m P and r = (kappa^m)'/kappa^m = m sigma'/(2 sigma):
+        f' = kappa^m (P' + r P) and f'' = kappa^m (P'' + 2 r P' + (r^2 + r') P).
+        """
+        fam, m = self.family, self.m
+        s = np.asarray(s_arr, dtype=float)
+        fam.require_inside(s)
+        sig = np.asarray(fam.sigma(s), dtype=float)
+        sp = np.asarray(fam.sigma_prime(s), dtype=float)
+        r = m * sp / (2.0 * sig)
+        r_p = m * (2.0 * fam.sigma_lead * sig - sp * sp) / (2.0 * sig * sig)
+        q, qp, qpp = (self.poly.deriv(i).eval_array(s) for i in range(3))
+        km = sig ** (m / 2.0)
+        return km * q, km * (qp + r * q), km * (qpp + 2.0 * r * qp + (r * r + r_p) * q)
+
     def eval(self, s):
         """Value and analytic s-derivative at a point inside the interval."""
-        self.family.require_inside(s)
-        p = self.poly
-        sig = float(self.family.sigma(s))
-        km = sig ** (self.m / 2.0)
-        val = km * float(p(s))
-        der = km * float(p.deriv()(s))
-        if self.m:
-            der += km * self.m * float(self.family.sigma_prime(s)) / (2.0 * sig) * float(p(s))
-        return DifferentiableValue(val, der)
+        f, fp, _ = self.derivatives(np.array([float(s)]))
+        return DifferentiableValue(float(f[0]), float(fp[0]))
 
     def values(self, s_arr):
         """Vectorized plain values (no derivative)."""

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import families
 from .errors import CutoffExceeded, InadmissibleGamma, OutOfDomain
-from .numerics import derivative, quad
+from .numerics import quad
 from .polynomials import DifferentiableValue, associated_function
 
 _MARGIN = 1e-9
@@ -65,8 +65,7 @@ def cumulative_weight_sorted(fam, m, pts, tol=1e-13):
     pts = np.asarray(pts, dtype=float)
     s0 = base_point(fam)
     out = np.empty_like(pts)
-    anchor = float(quad(lambda t: sigma_m_rho(fam, m, t), s0, pts[0], tol=tol).value)
-    out[0] = anchor
+    out[0] = quad(lambda t: sigma_m_rho(fam, m, t), s0, pts[0], tol=tol).value
     for i in range(1, len(pts)):
         seg = quad(lambda t: sigma_m_rho(fam, m, t), pts[i - 1], pts[i], tol=tol).value
         out[i] = out[i - 1] + seg
@@ -169,12 +168,15 @@ class Deformation:
         k = families.weight_power(self.family)
         return float(self.delta) / float(2 * self.m + 2 * k + 1)
 
+    def eigenvalue(self, level):
+        """lambda_level, shift-corrected when delta is active."""
+        if self.delta is None:
+            return float(families.eigenvalue(self.family, level))
+        return float(families.shifted_eigenvalue(self.family, level, self.delta))
+
     @property
     def lambda_base(self):
-        """lambda_m, shift-corrected when delta is active."""
-        if self.delta is None:
-            return float(families.eigenvalue(self.family, self.m))
-        return float(families.shifted_eigenvalue(self.family, self.m, self.delta))
+        return self.eigenvalue(self.m)
 
     def to_json(self):
         return {
@@ -272,7 +274,7 @@ def riccati_residual(defm, points):
     p, pp, _, _ = psi_phi_arrays(defm, pts)
     sig = np.asarray(fam.sigma(pts), dtype=float)
     tau = np.asarray(fam.tau(pts), dtype=float)
-    v_next = np.array([families.potential_term(fam, m + 1, float(s)) for s in pts])
+    v_next = families.potential_term(fam, m + 1, pts)
     lam = float(families.eigenvalue(fam, m))
     res = pp + p * p + tau / sig * p - (v_next - lam) / sig
     return float(np.max(np.abs(res)))
@@ -317,38 +319,39 @@ def partner_potential(defm, s):
     return float(v)
 
 
-def partner_eigenfunction(defm, l):
-    """s -> b_plus applied to the order-(m+1) associated function.
+def _partner(defm, l):
+    """s -> (u, u') on arrays, u = kappa(-f' + psi f) + c f.
 
-    The value is analytic; the derivative is extrapolated numerically from
-    the value function.
+    f is the order-(m+1) associated function at level l; f' and f'' come
+    from its polynomial and psi' from psi_phi_arrays, so both are analytic.
     """
     fam, m = defm.family, defm.m
     if not (m < l and families.below_cutoff(fam, l)):
         raise OutOfDomain(f"partner eigenfunction needs m < l < cutoff, got l={l}")
     af = associated_function(fam, l, m + 1)
 
-    def value(s):
-        return apply_b(defm, float(s), af.eval(float(s)), "b_plus")
+    def arrays(s):
+        s = np.asarray(s, dtype=float)
+        p, pp, _, _ = psi_phi_arrays(defm, s)
+        f, fp, fpp = af.derivatives(s)
+        kap, kap_p, c = fam.kappa(s), fam.kappa_prime(s), defm.shift_constant
+        body = -fp + p * f
+        return kap * body + c * f, kap_p * body + kap * (-fpp + pp * f + p * fp) + c * fp
+
+    return arrays
+
+
+def partner_eigenfunction(defm, l):
+    """s -> b_plus applied to the order-(m+1) associated function, with its derivative."""
+    arrays = _partner(defm, l)
 
     def both(s):
-        return DifferentiableValue(value(s), derivative(value, float(s), order=1, h0=0.02))
+        u, up = arrays([float(s)])
+        return DifferentiableValue(float(u[0]), float(up[0]))
 
     return both
 
 
 def partner_eigenfunction_values(defm, l, s_arr):
-    """Vectorized values of the partner eigenfunction (no derivatives)."""
-    fam, m = defm.family, defm.m
-    af = associated_function(fam, l, m + 1)
-    s_arr = np.asarray(s_arr, dtype=float)
-    p, _, _, _ = psi_phi_arrays(defm, s_arr)
-    sig = np.asarray(fam.sigma(s_arr), dtype=float)
-    kap = np.sqrt(sig)
-    vals = af.poly.eval_array(s_arr)
-    dvals = af.poly.deriv().eval_array(s_arr)
-    km = sig ** ((m + 1) / 2.0)
-    f = km * vals
-    fp = km * (dvals + (m + 1) * np.asarray(fam.sigma_prime(s_arr), dtype=float)
-               / (2.0 * sig) * vals)
-    return kap * (-fp + p * f) + defm.shift_constant * f
+    """Vectorized values of the partner eigenfunction."""
+    return _partner(defm, l)(s_arr)[0]

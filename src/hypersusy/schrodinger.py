@@ -153,11 +153,18 @@ def potentials(defm, x):
     return float(vu[0]), float(vp[0])
 
 
-def potentials_grid(defm, xs):
+def potentials_and_w(defm, xs):
+    """(V_upper, V_partner, W) on a grid from one evaluation of W and W'."""
     w, wp = _w_core(defm, xs)
     sign = coordinate_map(defm.family.kind).sign
     lam = defm.lambda_base
-    return w * w + sign * wp + lam, w * w - sign * wp + lam
+    return w * w + sign * wp + lam, w * w - sign * wp + lam, w
+
+
+def potentials_grid(defm, xs):
+    """(V_upper, V_partner) on a grid: W^2 +/- sign*W' + the base eigenvalue."""
+    vu, vp, _ = potentials_and_w(defm, xs)
+    return vu, vp
 
 
 def apply_B(defm, x, fv, which="B"):
@@ -225,14 +232,12 @@ def grid_frame(defm, xs, levels=()):
     one per requested level l >= m+1.
     """
     xs = np.asarray(xs, dtype=float)
-    cmap = coordinate_map(defm.family.kind)
-    w, wp = _w_core(defm, xs)
-    lam = defm.lambda_base
+    v_upper, v_partner, w = potentials_and_w(defm, xs)
     frame = {
         "x": xs,
-        "s": cmap.s_of_x(xs),
-        "V_upper": w * w + cmap.sign * wp + lam,
-        "V_partner": w * w - cmap.sign * wp + lam,
+        "s": coordinate_map(defm.family.kind).s_of_x(xs),
+        "V_upper": v_upper,
+        "V_partner": v_partner,
         "W": w,
     }
     for l in levels:

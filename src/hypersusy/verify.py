@@ -240,50 +240,39 @@ def suite_catalog(tol=1e-10):
     }
 
 
-# Spectrum fixtures, explicit grids per case.
-def suite_spectrum():
-    """FD-oracle reproduction of the closed-form spectra."""
-    reports, failures = {}, []
-
-    fam1 = families.make_family(families.CONST, -2, 0)
-    d_upper = riccati.make_deformation(fam1, 0, math.inf)
-    rep = verify_spectrum(d_upper, "upper", 4, -10.0, 10.0, 4000)
-    reports["oscillator-upper"] = rep.to_json()
-    if not rep.ok or rep.max_residual > 1e-3:
-        failures.append(("oscillator-upper", rep.max_residual))
-
-    d_partner = riccati.make_deformation(fam1, 0, 2.0)
-    rep = verify_spectrum(d_partner, "partner", 4, -10.0, 10.0, 4000)
-    reports["oscillator-partner"] = rep.to_json()
-    if not rep.ok or rep.max_residual > 1e-3:
-        failures.append(("oscillator-partner", rep.max_residual))
-
+# Spectrum fixtures, explicit grids per case: (name, (kind, alpha, beta),
+# gamma, delta, which, levels, x_min, x_max, n, tol, targets in the spectrum)
+_SPECTRUM_FIXTURES = (
+    ("oscillator-upper", (families.CONST, -2, 0), math.inf, None, "upper",
+     4, -10.0, 10.0, 4000, 1e-3, True),
+    ("oscillator-partner", (families.CONST, -2, 0), 2.0, None, "partner",
+     4, -10.0, 10.0, 4000, 1e-3, True),
     # Deep hyperbolic well at the same closed-form levels l*(10-l): beta = 10
     # keeps beta > -alpha so the level functions are square-integrable.
-    fam4 = families.make_family(families.S2_MINUS_ONE, -9, 10)
-    d4 = riccati.make_deformation(fam4, 0, math.inf)
-    rep = verify_spectrum(d4, "upper", 3, 0.0, 16.0, 4000, tol=5e-3)
-    reports["deep-well-upper"] = rep.to_json()
-    if not rep.ok or rep.max_residual > 5e-3:
-        failures.append(("deep-well-upper", rep.max_residual))
-
+    ("deep-well-upper", (families.S2_MINUS_ONE, -9, 10), math.inf, None, "upper",
+     3, 0.0, 16.0, 4000, 5e-3, True),
     # With beta = 1 the order-1 functions leave L^2 and the closed-form
     # levels must be absent; the oracle has to report them missing, not
     # invent matches.
-    fam4c = families.make_family(families.S2_MINUS_ONE, -9, 1)
-    d4c = riccati.make_deformation(fam4c, 0, math.inf)
-    rep = verify_spectrum(d4c, "upper", 3, 0.0045, 17.0, 4000, tol=5e-3)
-    reports["deep-well-carrier"] = rep.to_json()
-    if rep.matched or sorted(rep.missing) != sorted(rep.targets):
-        failures.append(("deep-well-carrier", "non-normalizable levels were matched"))
+    ("deep-well-carrier", (families.S2_MINUS_ONE, -9, 1), math.inf, None, "upper",
+     3, 0.0045, 17.0, 4000, 5e-3, False),
+    ("coulomb-shifted-upper", (families.LINEAR, 0, 2), math.inf, 2, "upper",
+     2, 0.002, 120.0, 6000, 5e-3, True),
+)
 
-    fam7 = families.make_family(families.LINEAR, 0, 2)
-    d7 = riccati.make_deformation(fam7, 0, math.inf, delta=2)
-    rep = verify_spectrum(d7, "upper", 2, 0.002, 120.0, 6000, tol=5e-3)
-    reports["coulomb-shifted-upper"] = rep.to_json()
-    if not rep.ok or rep.max_residual > 5e-3:
-        failures.append(("coulomb-shifted-upper", rep.max_residual))
 
+def suite_spectrum():
+    """FD-oracle reproduction of the closed-form spectra."""
+    reports, failures = {}, []
+    for name, params, gamma, delta, which, levels, lo, hi, n, tol, present in _SPECTRUM_FIXTURES:
+        defm = riccati.make_deformation(families.make_family(*params), 0, gamma, delta)
+        rep = verify_spectrum(defm, which, levels, lo, hi, n, tol=tol)
+        reports[name] = rep.to_json()
+        if not present:
+            if rep.matched or sorted(rep.missing) != sorted(rep.targets):
+                failures.append((name, "non-normalizable levels were matched"))
+        elif not rep.ok or rep.max_residual > tol:
+            failures.append((name, rep.max_residual))
     return {"ok": not failures, "reports": reports, "failures": failures}
 
 

@@ -1,5 +1,8 @@
 import json
 
+import pytest
+
+from hypersusy import errors
 from hypersusy.cli import main
 
 
@@ -139,3 +142,76 @@ def test_numerical_failure_exit_4(tmp_path, monkeypatch, capsys):
         "--out", str(tmp_path / "x.csv"),
     ])
     assert code == 4
+
+
+def test_negative_gamma_in_scientific_notation(tmp_path):
+    # argparse alone reads '-1e3' as an option and exits 2
+    base = [
+        "derive", "--kind", "const", "--alpha", "-2", "--beta", "0",
+        "--x-min", "-6", "--x-max", "6", "--n", "51", "--out", str(tmp_path / "x.csv"),
+    ]
+    assert main(base + ["--gamma", "-1e3"]) == 0
+    assert main(base + ["--gamma", "-1.2e-05"]) == 3
+
+
+def test_negative_alpha_in_scientific_notation(tmp_path):
+    code = main([
+        "derive", "--kind", "const", "--alpha", "-2e0", "--beta", "-1.5e-01",
+        "--gamma", "inf", "--x-min", "-6", "--x-max", "6", "--n", "51",
+        "--out", str(tmp_path / "x.csv"),
+    ])
+    assert code == 0
+
+
+# the documented exit code of every package error
+EXIT_CODES = {
+    errors.HypersusyError: 1,
+    errors.InvalidParameters: 2,
+    errors.ParameterViolation: 2,
+    errors.BoundaryDecayFailure: 2,
+    errors.CutoffExceeded: 2,
+    errors.OutOfDomain: 2,
+    errors.NoWeightPower: 2,
+    errors.DegenerateDenominator: 2,
+    errors.IndexViolation: 2,
+    errors.RecurrenceBreakdown: 2,
+    errors.NotProportional: 1,
+    errors.DivisibilityFailure: 1,
+    errors.ContextMismatch: 2,
+    errors.InadmissibleGamma: 3,
+    errors.QuadratureFailure: 4,
+    errors.NoConvergence: 4,
+    errors.NonFinite: 4,
+    errors.GridTooCoarse: 4,
+}
+
+
+def _error_classes(cls=errors.HypersusyError):
+    out = {cls}
+    for sub in cls.__subclasses__():
+        out |= _error_classes(sub)
+    return out
+
+
+def test_every_error_class_has_its_documented_exit_code():
+    assert _error_classes() == set(EXIT_CODES)
+    for cls, code in EXIT_CODES.items():
+        assert cls.exit_code == code, cls.__name__
+
+
+@pytest.mark.parametrize("cls", sorted(EXIT_CODES, key=lambda c: c.__name__),
+                         ids=lambda c: c.__name__)
+def test_main_returns_the_error_exit_code(cls, tmp_path, monkeypatch, capsys):
+    from hypersusy import schrodinger
+
+    def boom(*args, **kwargs):
+        raise cls("raised inside derive")
+
+    monkeypatch.setattr(schrodinger, "grid_frame", boom)
+    code = main([
+        "derive", "--kind", "const", "--alpha", "-2", "--beta", "0",
+        "--gamma", "inf", "--x-min", "-6", "--x-max", "6",
+        "--out", str(tmp_path / "x.csv"),
+    ])
+    assert code == EXIT_CODES[cls]
+    assert "raised inside derive" in capsys.readouterr().err

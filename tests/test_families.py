@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hypersusy import families
+from hypersusy import families, riccati
 from hypersusy.errors import (
     BoundaryDecayFailure,
     CutoffExceeded,
@@ -176,16 +176,103 @@ def test_log_derivative_identity(fam):
         assert abs(lhs - rhs) <= 1e-10 * (1.0 + abs(rhs))
 
 
+def approach_points(fam, endpoint):
+    """Geometric approach: doubling toward an infinite end, halving toward a finite one."""
+    a, b = fam.interval
+    end, inward = (a, 1.0) if endpoint == "lower" else (b, -1.0)
+    if math.isinf(end):
+        start = 1.0 + max((abs(v) for v in (a, b) if math.isfinite(v)), default=0.0)
+        return -inward * start * np.exp2(np.arange(13.0))
+    return end + inward * min(1.0, (b - a) / 4.0) * np.exp2(-np.arange(50.0))
+
+
 def test_endpoint_decay_tail(fam):
+    # no family of the matrix is a pure-power carrier, so sigma*rho decays at both ends
     for endpoint in ("lower", "upper"):
-        if endpoint in families.waived_decay_endpoints(fam):
-            continue
-        pts = families._approach_points(fam, endpoint)
+        pts = approach_points(fam, endpoint)
         with np.errstate(over="ignore", under="ignore"):
             vals = np.asarray(fam.sigma(pts), dtype=float) * families.weight(fam, pts)
         tail = vals[-10:]
         assert np.all(np.diff(tail) <= 0)
         assert tail[-1] <= 1e-3 * (1.0 + np.max(vals))
+
+
+@pytest.mark.parametrize(
+    "kind,a,b",
+    [
+        ("linear", -1, 20),
+        ("linear", -1, 60),
+        ("const", -1, 30),
+        ("s2", -3, 50),
+        ("one_minus_s2", -4, Fraction(11, 3)),
+        ("one_minus_s2", -4, 3.9),
+    ],
+)
+def test_decaying_weights_with_large_peaks_accepted(kind, a, b):
+    f = families.make_family(kind, a, b)
+    if kind != "one_minus_s2":
+        rays = riccati.gamma_rays(f, 0)
+        assert math.isfinite(rays.right_start) and math.isfinite(rays.left_end)
+
+
+@pytest.mark.parametrize(
+    "kind,a,b",
+    [
+        ("const", -1, 40),              # peak exp(800) overflows
+        ("linear", -1, 200),            # peak 200^200 e^-200 overflows
+        ("const", -31.0364, -211.881),  # peak exp(723) overflows
+        ("s2", -1308.9, 850.9),         # peak underflows to 0
+    ],
+)
+def test_peak_out_of_float_range_rejected(kind, a, b):
+    with pytest.raises(BoundaryDecayFailure):
+        families.make_family(kind, a, b)
+
+
+@pytest.mark.parametrize("a,b", [(-math.inf, 1), (-1, math.inf), (math.nan, 1)])
+def test_non_finite_parameters_rejected(a, b):
+    with pytest.raises(ParameterViolation):
+        families.make_family("linear", a, b)
+
+
+@pytest.mark.parametrize(
+    "kind,a,b,s",
+    [("one_minus_s2", -1552, 571, 0.999), ("s2_plus_one", -1070, 899, 10.0)],
+)
+def test_weight_over_or_underflows_without_nan(kind, a, b, s):
+    # a product of two powers gives inf * 0 here
+    f = families.make_family(kind, a, b)
+    assert families.weight(f, s) in (0.0, math.inf)
+
+
+@st.composite
+def admissible_family_and_point(draw):
+    kind = draw(st.sampled_from(families.KINDS))
+    alpha = draw(st.floats(-2000.0, -1e-3))
+    if kind == "one_minus_s2":
+        beta = -alpha * draw(st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True))
+    elif kind in ("linear", "s2_minus_one", "s2"):
+        beta = draw(st.floats(1e-3, 2000.0))
+    else:
+        beta = draw(st.floats(-2000.0, 2000.0))
+    f = families.Family(kind, alpha, beta)
+    a, b = f.interval
+    s = draw(st.floats(
+        min_value=a if math.isfinite(a) else None,
+        max_value=b if math.isfinite(b) else None,
+        exclude_min=math.isfinite(a),
+        exclude_max=math.isfinite(b),
+        allow_nan=False,
+        allow_infinity=False,
+    ))
+    return f, s
+
+
+@settings(max_examples=300, deadline=None)
+@given(admissible_family_and_point())
+def test_weight_never_nan_inside(case):
+    f, s = case
+    assert not math.isnan(families.weight(f, s))
 
 
 def test_v0_vanishes(fam):

@@ -284,6 +284,18 @@ def test_partner_eigenfunction_value_and_vector_paths_agree():
         assert abs(v - u(float(s)).value) < 1e-11
 
 
+def test_partner_eigenfunction_derivative_matches_finite_difference():
+    for fam in matrix_families():
+        for gamma in [math.inf] + finite_gammas(fam, 0)[:1]:
+            d = riccati.make_deformation(fam, 0, gamma)
+            u = riccati.partner_eigenfunction(d, 1)
+            for s in families.sample_points(fam, 6):
+                s = float(s)
+                fd = derivative(lambda t: riccati.partner_eigenfunction_values(d, 1, [t])[0],
+                                s, order=1, h0=0.02)
+                assert abs(u(s).deriv - fd) <= 1e-8 * (1.0 + abs(fd))
+
+
 def test_partner_explicit_value_at_origin():
     # b_plus applied to the l=1, order-1 function at s=0: kappa=1, the
     # function is identically 1, so the value is psi(0) = 1/(gamma) = 1/2
