@@ -8,6 +8,13 @@ anything from the operator algebra in the rest of the package, so their
 output can certify spectra and inner products computed analytically
 elsewhere.
 
+Within the package, tanh-sinh serves the integrals that run to an interval
+end, where integrands may be singular: the endpoint limits of the cumulative
+weight behind the gamma rays, norms and Gram matrices, and the catalog's
+reference integrals.  The cumulative weight on a grid uses Gauss-Legendre
+on the gaps between grid points instead (riccati.cumulative_weight_sorted)
+and calls quad only for a gap that bisection does not settle.
+
 Integrands and potentials are called with numpy arrays and must evaluate
 elementwise.
 """

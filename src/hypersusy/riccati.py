@@ -11,23 +11,34 @@ limits of I_m; the sentinel gamma = inf recovers the undeformed operators.
 All derivatives here are analytic: I_m' = sigma^m rho needs no numeric
 differentiation.
 
-Everything is pure and cache-free (cumulative weights are re-integrated per
-call), so Deformation values can be shared across threads freely.
+I_m on a grid is one sweep (cumulative_weight_sorted): the base point
+joins the grid, every gap is integrated by Gauss-Legendre at two orders and
+bisected where they disagree, and the gaps are summed outward from the base
+point.  The endpoint limits behind the gamma rays reach the interval ends,
+where the integrand may be singular, and stay with tanh-sinh quadrature.
+
+Deformation values cache no integrals (I_m is recomputed per call; the
+only cache holds the read-only Gauss-Legendre nodes), so they can be
+shared across threads freely.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import families
-from .errors import CutoffExceeded, InadmissibleGamma, OutOfDomain
+from .errors import CutoffExceeded, InadmissibleGamma, NonFinite, OutOfDomain
 from .numerics import quad
 from .polynomials import DifferentiableValue, associated_function
 
 _MARGIN = 1e-9
+_GL_ORDERS = (10, 20)  # the two Gauss-Legendre orders compared on each gap
+_BLOCK = 512           # gaps per vectorized integrand call (bounds peak memory)
+_MAX_SPLITS = 8        # bisections of an unsettled gap before quad takes it
 
 _BASE_POINT = {
     families.CONST: 0.0,
@@ -56,20 +67,100 @@ def sigma_m_rho(fam, m, s):
 def cumulative_weight(fam, m, s, tol=1e-13):
     """I_m(s): integral of sigma^m rho from the base point to s."""
     fam.require_inside(s)
-    s0 = base_point(fam)
-    return quad(lambda t: sigma_m_rho(fam, m, t), s0, float(s), tol=tol).value
+    return float(cumulative_weight_sorted(fam, m, [float(s)], tol)[0])
+
+
+@functools.cache
+def _gauss_legendre(n):
+    """Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1].
+
+    Newton iteration on the three-term recurrence, started from the
+    Tricomi estimate; numpy.polynomial is not imported for this.
+    """
+    def legendre(x):  # P_n(x) and (1 - x^2) P_n'(x)
+        p_prev, p = np.ones_like(x), x
+        for k in range(2, n + 1):
+            p_prev, p = p, ((2 * k - 1) * x * p - (k - 1) * p_prev) / k
+        return p, n * (p_prev - x * p)
+
+    x = np.cos(math.pi * (np.arange(n) + 0.75) / (n + 0.5))
+    for _ in range(100):
+        p, q = legendre(x)
+        step = p * (1.0 - x) * (1.0 + x) / q
+        x = x - step
+        if np.max(np.abs(step)) <= 1e-15:
+            break
+    q = legendre(x)[1]
+    w = 2.0 * (1.0 - x) * (1.0 + x) / (q * q)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
+def _gauss(fam, m, lo, hi, order):
+    """order-point Gauss-Legendre value of sigma^m rho on each [lo_i, hi_i]."""
+    x, w = _gauss_legendre(order)
+    out = np.empty(lo.size)
+    for i in range(0, lo.size, _BLOCK):
+        a, b = lo[i:i + _BLOCK, None], hi[i:i + _BLOCK, None]
+        half = 0.5 * (b - a)
+        out[i:i + _BLOCK] = (half * sigma_m_rho(fam, m, a + half * (1.0 + x))) @ w
+    return out
+
+
+def _outward_sums(gaps, k):
+    """Signed sums of the gaps from the base point, which lies between gaps
+    k-1 and k, out to each gap's far edge: I_m at the grid points."""
+    return np.concatenate((-np.cumsum(gaps[:k][::-1])[::-1], np.cumsum(gaps[k:])))
+
+
+def _gap_integrals(fam, m, lo, hi, k, tol):
+    """Integral of sigma^m rho over each gap [lo_i, hi_i]; the base point
+    lies between gaps k-1 and k.
+
+    Two Gauss-Legendre orders per gap.  A gap is settled when they agree to
+    tol relative to I_m at its far edge, taken from the first estimates;
+    sigma^m rho > 0, so that is the gap's share of the value returned there
+    and no absolute floor enters.  Unsettled gaps are bisected, splitting
+    their allowance, at most _MAX_SPLITS times; quad takes what is left and
+    raises NoConvergence rather than return an unchecked value.
+    """
+    total = np.zeros(lo.size)
+    owner = np.arange(lo.size)
+    room = None
+    for depth in range(_MAX_SPLITS + 1):
+        coarse = _gauss(fam, m, lo, hi, _GL_ORDERS[0])
+        fine = _gauss(fam, m, lo, hi, _GL_ORDERS[1])
+        bad = ~np.isfinite(coarse + fine)
+        if bad.any():
+            raise NonFinite(f"sigma^m rho non-finite in the gaps starting at s={lo[bad][:3]}")
+        if room is None:
+            room = tol * np.abs(_outward_sums(fine, k))
+        done = np.abs(fine - coarse) <= room
+        np.add.at(total, owner[done], fine[done])
+        lo, hi, owner, fine, room = (v[~done] for v in (lo, hi, owner, fine, room))
+        if not lo.size or depth == _MAX_SPLITS:
+            break
+        mid = 0.5 * (lo + hi)
+        lo, hi = np.concatenate((lo, mid)), np.concatenate((mid, hi))
+        owner, room = np.tile(owner, 2), np.tile(0.5 * room, 2)
+    # quad stops at tol * max(1, |value|); scaled so that this is the allowance r
+    for a, b, i, v, r in zip(lo, hi, owner, fine, room):
+        total[i] += quad(lambda t: sigma_m_rho(fam, m, t), a, b, tol=r / max(1.0, abs(v))).value
+    return total
 
 
 def cumulative_weight_sorted(fam, m, pts, tol=1e-13):
-    """I_m at an ascending array of interior points, by prefix segments."""
+    """I_m at an ascending array of interior points, in one sweep.
+
+    The base point joins the grid as one more edge and every gap comes from
+    _gap_integrals.  Summing outward from the base point adds terms of one
+    sign, so I_m keeps its relative accuracy next to the base point, where
+    a running sum from pts[0] would cancel.
+    """
     pts = np.asarray(pts, dtype=float)
-    s0 = base_point(fam)
-    out = np.empty_like(pts)
-    out[0] = quad(lambda t: sigma_m_rho(fam, m, t), s0, pts[0], tol=tol).value
-    for i in range(1, len(pts)):
-        seg = quad(lambda t: sigma_m_rho(fam, m, t), pts[i - 1], pts[i], tol=tol).value
-        out[i] = out[i - 1] + seg
-    return out
+    k = int(np.searchsorted(pts, base_point(fam)))
+    edges = np.insert(pts, k, base_point(fam))
+    return _outward_sums(_gap_integrals(fam, m, edges[:-1], edges[1:], k, tol), k)
 
 
 def _endpoint_diverges(fam, m, endpoint):
@@ -202,6 +293,10 @@ def make_deformation(fam, m, gamma, delta=None):
         raise CutoffExceeded(f"deformation needs m+1 below the cutoff, got m={m}")
     if delta is not None:
         families.shifted_eigenvalue(fam, m, delta)  # validates the shift
+    if gamma == -math.inf:
+        raise InadmissibleGamma(
+            "gamma=-inf is not admissible; the undeformed operators are gamma=inf"
+        )
     rays = gamma_rays(fam, m)
     if not rays.contains(gamma):
         raise InadmissibleGamma(

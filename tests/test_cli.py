@@ -96,6 +96,42 @@ def test_derive_inadmissible_gamma_exit_3(tmp_path, capsys):
     assert "0.8862" in err and "-0.8862" in err
 
 
+def _strict_json(text):
+    def reject(name):
+        raise ValueError(f"non-JSON constant {name}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.parametrize("gamma", (["--gamma", "-inf"], ["--gamma=-inf"]))
+def test_derive_minus_inf_gamma_exit_3_writes_nothing(tmp_path, capsys, gamma):
+    out, meta = tmp_path / "x.csv", tmp_path / "meta.json"
+    code = main([
+        "derive", "--kind", "const", "--alpha", "-2", "--beta", "0",
+        "--x-min", "-6", "--x-max", "6", "--n", "51",
+        "--out", str(out), "--meta", str(meta),
+    ] + gamma)
+    assert code == 3
+    assert "gamma=inf" in capsys.readouterr().err
+    assert not out.exists() and not meta.exists()
+
+
+@pytest.mark.parametrize("kind,alpha,beta,gamma", (
+    ("const", "-2", "0", "-2.5"),
+    ("linear", "0", "2", "0.75"),  # one-sided rays: left_end is -inf
+))
+def test_derive_meta_is_strict_json(tmp_path, kind, alpha, beta, gamma):
+    meta = tmp_path / "meta.json"
+    code = main([
+        "derive", f"--kind={kind}", f"--alpha={alpha}", f"--beta={beta}", f"--gamma={gamma}",
+        "--x-min", "0.5", "--x-max", "3", "--n", "51",
+        "--out", str(tmp_path / "x.csv"), "--meta", str(meta),
+    ])
+    assert code == 0
+    blob = _strict_json(meta.read_text())
+    assert blob["deformation"]["gamma"] == float(gamma)
+
+
 def test_derive_bad_parameters_exit_2(tmp_path, capsys):
     code = main([
         "derive", "--kind", "one_minus_s2", "--alpha", "1", "--beta", "0",

@@ -343,3 +343,25 @@ def test_deformation_json_round_trip():
     assert back.gamma == 2.0 and back.family == f
     d_inf = riccati.make_deformation(f, 1, math.inf)
     assert d_inf.to_json()["gamma"] == "inf"
+
+
+def test_minus_inf_gamma_is_rejected():
+    with pytest.raises(InadmissibleGamma, match="gamma=inf"):
+        riccati.make_deformation(hermite_weight(), 0, -math.inf)
+    with pytest.raises(InadmissibleGamma):
+        riccati.Deformation.from_json({"family": hermite_weight().to_json(), "m": 0,
+                                       "gamma": "-inf"})
+
+
+def test_deformation_json_round_trip_is_strict_json():
+    import json
+
+    def reject(name):
+        raise ValueError(name)
+
+    for fam, m, gamma in ((hermite_weight(), 0, -2.5), (hermite_weight(), 1, math.inf),
+                          (families.make_family("linear", 0, 2), 0, 0.75)):
+        d = riccati.make_deformation(fam, m, gamma)
+        blob = json.loads(json.dumps(d.to_json()), parse_constant=reject)
+        back = riccati.Deformation.from_json(blob)
+        assert (back.family, back.m, back.gamma) == (fam, m, gamma)
