@@ -22,7 +22,13 @@ from .errors import (
     CutoffExceeded,
     DivisibilityFailure,
 )
-from .polynomials import AssociatedFunction, Poly, associated_function, poly_divmod
+from .polynomials import (
+    AssociatedFunction,
+    Poly,
+    associated_function,
+    poly_divmod,
+    poly_eigenfunction,
+)
 
 _HALF = Fraction(1, 2)
 _QUARTER = Fraction(1, 4)
@@ -112,12 +118,16 @@ class KappaForm:
 
     def d_ds(self):
         sp = self._sigma_prime()
-        out = KappaForm(self.family)
+        out = {}
+
+        def put(j, p):
+            out[j] = out[j] + p if j in out else p
+
         for j, p in self.terms.items():
-            out = out + KappaForm(self.family, {j: p.deriv()})
+            put(j, p.deriv())
             if j != 0:
-                out = out + KappaForm(self.family, {j - 2: (sp * p) * (_HALF * j)})
-        return out
+                put(j - 2, (sp * p) * (_HALF * j))
+        return KappaForm(self.family, out)
 
     def times_kappa_prime(self):
         sp = self._sigma_prime()
@@ -192,6 +202,8 @@ class KappaForm:
 def residual(lhs, rhs):
     """Relative max-coefficient deviation between two kappa forms."""
     diff = (lhs - rhs).fold_down()
+    if diff.is_zero():
+        return 0.0
     scale = max(lhs.fold_down().max_abs(), rhs.fold_down().max_abs(), 1.0)
     return diff.max_abs() / scale
 
@@ -219,7 +231,8 @@ def _apply_h(fam, m, u):
     c0, c1, c2 = fam.sigma_coeffs
     sp = Poly([c1, 2 * c2])
     tau = Poly([fam.beta, fam.alpha])
-    out = u.d_ds().d_ds().mul_poly(sig).scale(-1) - u.d_ds().mul_poly(tau)
+    du = u.d_ds()
+    out = du.d_ds().mul_poly(sig).scale(-1) - du.mul_poly(tau)
     if m:
         num = (sp * sp) * (m * (m - 2)) + (tau * sp) * (2 * m)
         out = out + u.mul_poly(num).scale(_QUARTER).shift(-2)
@@ -266,7 +279,9 @@ def check_identities(ctx, lmax):
       intertwine_h    H_m a+         vs  a+ H_{m+1}
       intertwine_a    a H_m          vs  H_{m+1} a
     Residuals are relative max-coefficient deviations (exactly 0 in
-    rational mode).
+    rational mode).  Each level builds its polynomial once, takes both
+    orders from it by differentiation, and applies every operator to a
+    given form once.
     """
     fam, m = ctx.family, ctx.m
     lam_m = families.eigenvalue(fam, m)
@@ -275,26 +290,29 @@ def check_identities(ctx, lmax):
     for l in range(m, lmax + 1):
         if not families.below_cutoff(fam, l):
             break
-        u = KappaForm.from_assoc(associated_function(fam, l, m))
-        lhs = _apply_lower(fam, m, _apply_raise(fam, m, u))
-        rhs = _apply_h(fam, m, u) - u.scale(lam_m)
+        q = poly_eigenfunction(fam, l).deriv(m)
+        u = KappaForm.from_poly(fam, m, q)
+        au, hu = _apply_raise(fam, m, u), _apply_h(fam, m, u)
+        lhs = _apply_lower(fam, m, au)
+        rhs = hu - u.scale(lam_m)
         report["factor_low"][f"l={l},m={m}"] = r = residual(lhs, rhs)
         worst = max(worst, r)
 
-        lhs = _apply_raise(fam, m, _apply_h(fam, m, u))
-        rhs = _apply_h(fam, m + 1, _apply_raise(fam, m, u))
+        lhs = _apply_raise(fam, m, hu)
+        rhs = _apply_h(fam, m + 1, au)
         report["intertwine_a"][f"l={l},m={m}"] = r = residual(lhs, rhs)
         worst = max(worst, r)
 
         if l >= m + 1:
-            w = KappaForm.from_assoc(associated_function(fam, l, m + 1))
-            lhs = _apply_raise(fam, m, _apply_lower(fam, m, w))
-            rhs = _apply_h(fam, m + 1, w) - w.scale(lam_m)
+            w = KappaForm.from_poly(fam, m + 1, q.deriv())
+            lw, hw = _apply_lower(fam, m, w), _apply_h(fam, m + 1, w)
+            lhs = _apply_raise(fam, m, lw)
+            rhs = hw - w.scale(lam_m)
             report["factor_high"][f"l={l},m={m + 1}"] = r = residual(lhs, rhs)
             worst = max(worst, r)
 
-            lhs = _apply_h(fam, m, _apply_lower(fam, m, w))
-            rhs = _apply_lower(fam, m, _apply_h(fam, m + 1, w))
+            lhs = _apply_h(fam, m, lw)
+            rhs = _apply_lower(fam, m, hw)
             report["intertwine_h"][f"l={l},m={m + 1}"] = r = residual(lhs, rhs)
             worst = max(worst, r)
     report["max_residual"] = worst

@@ -4,8 +4,9 @@ The level-l eigenfunction is built from the three-term coefficient
 recurrence of sigma*p'' + tau*p' + lambda_l*p = 0, normalized so its l-th
 derivative is exactly 1; the order-m associated function is then
 kappa^m * (m-th derivative of the polynomial) with kappa = sqrt(sigma).
-Coefficients are exact Fractions whenever the family parameters are
-int/Fraction, plain floats otherwise.
+Coefficients are exact whenever the family parameters are int/Fraction
+(integer numerators over one common denominator, read back as Fractions),
+plain floats otherwise.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 
 import numpy as np
 
@@ -26,34 +28,89 @@ from .errors import (
 from .numerics import quad
 
 
-class Poly:
-    """Dense univariate polynomial; index = power of s."""
+def _is_rational(c):
+    return isinstance(c, (int, Fraction))
 
-    __slots__ = ("coeffs",)
+
+class Poly:
+    """Dense univariate polynomial; index = power of s.
+
+    A polynomial whose coefficients are all int/Fraction is exact and is
+    stored as integer numerators ``nums`` over one positive integer
+    denominator ``den``, in lowest terms (gcd(den, *nums) == 1) and with no
+    trailing zero numerator, so each value has one representation.  Exact
+    arithmetic then runs on Python ints: a sum costs one lcm, a product is
+    an integer convolution, and each result is reduced by one gcd.  Any
+    other coefficient makes the polynomial float: ``nums`` holds the
+    coefficients as given and ``den`` is None; an exact operand meeting a
+    float one enters as its floats n/den, the same values Fraction
+    arithmetic would give.  ``coeffs`` is the read API and yields Fractions
+    for exact polynomials.
+    """
+
+    # Tuples, the argument tuple of a *-call included, are built from lists,
+    # never from generators: a tuple filled from a generator grows by
+    # resizing, and CPython then parks the freed tuples in per-size free
+    # lists that fill to their cap (about 4 MB over a long exact run).
+    __slots__ = ("nums", "den")
 
     def __init__(self, coeffs=()):
         cs = list(coeffs)
         while cs and cs[-1] == 0:
             cs.pop()
-        self.coeffs = tuple(cs)
+        if all(_is_rational(c) for c in cs):
+            # Fractions are reduced, so over the lcm the numerators share no
+            # factor with it
+            den = math.lcm(*[c.denominator for c in cs])
+            self.nums = tuple([c.numerator * (den // c.denominator) for c in cs])
+            self.den = den
+        else:
+            self.nums = tuple([float(c) if isinstance(c, Fraction) else c for c in cs])
+            self.den = None
+
+    @classmethod
+    def _exact(cls, nums, den):
+        """Canonical exact polynomial sum_i nums[i] s^i / den, den > 0."""
+        n = len(nums)
+        while n and not nums[n - 1]:
+            n -= 1
+        g = math.gcd(den, *nums[:n])
+        p = cls.__new__(cls)
+        if g == 1:
+            p.nums, p.den = tuple(nums[:n]), den
+        else:
+            p.nums, p.den = tuple([x // g for x in nums[:n]]), den // g
+        return p
 
     @classmethod
     def zero(cls):
         return cls()
 
     @property
+    def coeffs(self):
+        if self.den is None:
+            return self.nums
+        return tuple([Fraction(x, self.den) for x in self.nums])
+
+    def _floats(self):
+        if self.den is None:
+            return self.nums
+        return tuple([x / self.den for x in self.nums])
+
+    @property
     def degree(self):
-        return len(self.coeffs) - 1
+        return len(self.nums) - 1
 
     @property
     def is_zero(self):
-        return not self.coeffs
-
-    def coeff(self, i):
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
+        return not self.nums
 
     def __eq__(self, other):
-        return isinstance(other, Poly) and self.coeffs == other.coeffs
+        if not isinstance(other, Poly):
+            return False
+        if self.den is not None and other.den is not None:
+            return self.den == other.den and self.nums == other.nums
+        return self.coeffs == other.coeffs
 
     def __hash__(self):
         return hash(self.coeffs)
@@ -61,56 +118,80 @@ class Poly:
     def __repr__(self):
         return f"Poly({list(self.coeffs)})"
 
+    def _combine(self, other, sign):
+        """self + sign * other."""
+        if self.den is not None and other.den is not None:
+            den = math.lcm(self.den, other.den)
+            fa, fb = den // self.den, sign * (den // other.den)
+            pairs = zip_longest(self.nums, other.nums, fillvalue=0)
+            return Poly._exact([x * fa + y * fb for x, y in pairs], den)
+        pairs = zip_longest(self._floats(), other._floats(), fillvalue=0)
+        return Poly([x + y for x, y in pairs] if sign > 0 else [x - y for x, y in pairs])
+
     def __add__(self, other):
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly([self.coeff(i) + other.coeff(i) for i in range(n)])
+        return self._combine(other, 1)
 
     def __sub__(self, other):
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly([self.coeff(i) - other.coeff(i) for i in range(n)])
+        return self._combine(other, -1)
 
     def __neg__(self):
-        return Poly([-c for c in self.coeffs])
+        p = Poly.__new__(Poly)
+        p.nums, p.den = tuple([-x for x in self.nums]), self.den
+        return p
 
     def __mul__(self, other):
         if isinstance(other, Poly):
             if self.is_zero or other.is_zero:
                 return Poly()
-            out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-            return Poly(out)
-        return Poly([c * other for c in self.coeffs])
+            exact = self.den is not None and other.den is not None
+            a, b = (self.nums, other.nums) if exact else (self._floats(), other._floats())
+            out = [0] * (len(a) + len(b) - 1)
+            for i, x in enumerate(a):
+                for j, y in enumerate(b):
+                    out[i + j] += x * y
+            return Poly._exact(out, self.den * other.den) if exact else Poly(out)
+        if self.den is not None and _is_rational(other):
+            return Poly._exact([x * other.numerator for x in self.nums],
+                               self.den * other.denominator)
+        if isinstance(other, Fraction):
+            other = float(other)
+        return Poly([c * other for c in self._floats()])
 
     __rmul__ = __mul__
 
     def deriv(self, order=1):
         p = self
         for _ in range(order):
-            p = Poly([i * c for i, c in enumerate(p.coeffs)][1:])
+            if p.den is None:
+                p = Poly([i * c for i, c in enumerate(p.nums)][1:])
+            else:
+                p = Poly._exact([i * x for i, x in enumerate(p.nums)][1:], p.den)
         return p
 
     def __call__(self, s):
         out = 0
-        for c in reversed(self.coeffs):
+        for c in reversed(self.coeffs if _is_rational(s) else self._floats()):
             out = out * s + c
         return out
 
     def eval_array(self, x):
         out = np.zeros_like(np.asarray(x, dtype=float))
-        for c in reversed(self.coeffs):
+        for c in reversed(self._floats()):
             out = out * x + float(c)
         return out
 
     def max_abs(self):
-        return max((abs(float(c)) for c in self.coeffs), default=0.0)
+        if self.den is not None:
+            # n -> n/den is monotone, so the largest quotient is the quotient
+            # of the largest numerator
+            return max(map(abs, self.nums), default=0) / self.den
+        return max((abs(float(c)) for c in self.nums), default=0.0)
 
     def as_exact(self):
-        return Poly([Fraction(c) for c in self.coeffs])
+        return self if self.den is not None else Poly([Fraction(c) for c in self.nums])
 
     def to_json(self):
-        return [str(c) if isinstance(c, (int, Fraction)) else float(c) for c in self.coeffs]
+        return [str(c) if _is_rational(c) else float(c) for c in self.coeffs]
 
     @classmethod
     def from_json(cls, items):

@@ -262,12 +262,14 @@ def write_csv(frame, path):
 
 
 def frame_to_json(frame):
-    return {k: [float(v) for v in arr] for k, arr in frame.items()}
+    return {k: np.asarray(arr, dtype=float).tolist() for k, arr in frame.items()}
 
 
 def write_json(frame, path):
+    # json.dumps runs the C encoder; json.dump streams through the Python one
+    text = json.dumps(frame_to_json(frame))
     with open(path, "w") as fh:
-        json.dump(frame_to_json(frame), fh)
+        fh.write(text)
 
 
 _SVG_COLORS = {"V_upper": "#1f77b4", "V_partner": "#d62728", "W": "#2ca02c"}

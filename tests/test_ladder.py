@@ -160,6 +160,43 @@ def test_identities_exact_for_random_parameters(kind, alpha, beta, m):
     assert rep["max_residual"] == 0.0
 
 
+@pytest.mark.parametrize("kind,alpha,beta", [
+    ("const", -2, Fraction(1, 3)),
+    ("linear", Fraction(-3, 2), Fraction(5, 2)),
+    ("s2_minus_one", -70, 7),
+])
+def test_identities_exact_up_to_level_30(kind, alpha, beta):
+    # the exact envelope: levels 1..30 at m=1, all four identities exactly 0
+    f = families.make_family(kind, alpha, beta)
+    rep = check_identities(make_context(f, 1), 30)
+    assert rep["exact"] is True and rep["max_residual"] == 0
+    assert len(rep["factor_low"]) == 30 and len(rep["intertwine_h"]) == 29
+
+
+def test_identities_build_each_level_once(monkeypatch):
+    # one polynomial per level; H is applied to u, a u, w and a+ w only
+    calls = {"poly": [], "h": 0}
+    real_poly, real_h = ladder.poly_eigenfunction, ladder._apply_h
+
+    def counting_poly(fam, level):
+        calls["poly"].append(level)
+        return real_poly(fam, level)
+
+    def counting_h(*args):
+        calls["h"] += 1
+        return real_h(*args)
+
+    monkeypatch.setattr(ladder, "poly_eigenfunction", counting_poly)
+    monkeypatch.setattr(ladder, "_apply_h", counting_h)
+    for fam, m, lmax in ((families.make_family("const", -2, 0), 1, 7),
+                         (families.make_family("s2_minus_one", -8, 10), 0, 3)):
+        calls["poly"], calls["h"] = [], 0
+        rep = check_identities(make_context(fam, m), lmax)
+        assert calls["poly"] == list(range(m, lmax + 1))
+        assert len(rep["factor_low"]) == lmax - m + 1
+        assert calls["h"] == 2 + 4 * (lmax - m)
+
+
 def test_identities_exact_with_fraction_parameters():
     f = families.make_family("one_minus_s2", Fraction(-7, 2), Fraction(1, 2))
     rep = check_identities(make_context(f, 1), 5)

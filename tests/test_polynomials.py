@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hypersusy import families, polynomials
@@ -81,6 +81,156 @@ def test_poly_product_evaluates(a, b):
     p, q = Poly([Fraction(c) for c in a]), Poly([Fraction(c) for c in b])
     s = Fraction(3, 7)
     assert (p * q)(s) == p(s) * q(s)
+
+
+# --- exact Poly against a plain Fraction-list reference ----------------------
+
+def ref_trim(cs):
+    cs = list(cs)
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return tuple(cs)
+
+
+def ref_add(a, b, sign=1):
+    n = max(len(a), len(b))
+    a, b = list(a) + [0] * (n - len(a)), list(b) + [0] * (n - len(b))
+    return ref_trim(x + sign * y for x, y in zip(a, b))
+
+
+def ref_mul(a, b):
+    if not a or not b:
+        return ()
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return ref_trim(out)
+
+
+def ref_deriv(a):
+    return ref_trim(i * c for i, c in enumerate(a))[1:] if len(a) > 1 else ()
+
+
+def ref_divmod(a, b):
+    n, q = [Fraction(c) for c in a], [Fraction(0)] * max(len(a) - len(b) + 1, 0)
+    for i in range(len(a) - len(b), -1, -1):
+        c = n[i + len(b) - 1] / b[-1]
+        q[i] = c
+        for j, d in enumerate(b):
+            n[i + j] -= c * d
+    return ref_trim(q), ref_trim(n[: len(b) - 1])
+
+
+def ref_horner(a, s, conv=lambda c: c):
+    out = 0
+    for c in reversed(a):
+        out = out * s + conv(c)
+    return out
+
+
+def assert_canonical(p):
+    assert type(p.den) is int and p.den > 0
+    assert all(type(x) is int for x in p.nums)
+    assert math.gcd(p.den, *p.nums) == 1
+    assert not p.nums or p.nums[-1] != 0
+
+
+rationals = st.one_of(
+    st.integers(min_value=-10**6, max_value=10**6),
+    st.fractions(min_value=-1000, max_value=1000, max_denominator=10**4),
+)
+coeff_lists = st.lists(rationals, max_size=9)
+
+
+@settings(max_examples=100, deadline=None)
+@given(a=coeff_lists, b=coeff_lists, c=rationals)
+def test_exact_poly_matches_fraction_reference(a, b, c):
+    p, q = Poly(a), Poly(b)
+    ra, rb = ref_trim(a), ref_trim(b)
+    cases = [
+        (p, ra), (p + q, ref_add(ra, rb)), (p - q, ref_add(ra, rb, -1)), (-p, ref_mul(ra, (-1,))),
+        (p * q, ref_mul(ra, rb)), (p * c, ref_mul(ra, (c,))), (c * p, ref_mul(ra, (c,))),
+        (p * Fraction(c), ref_mul(ra, (c,))), (p.deriv(), ref_deriv(ra)),
+        (p.deriv(2), ref_deriv(ref_deriv(ra))),
+    ]
+    for got, want in cases:
+        assert_canonical(got)
+        assert got.coeffs == want
+        assert all(type(x) is Fraction for x in got.coeffs)
+
+
+@settings(max_examples=100, deadline=None)
+@given(a=coeff_lists, kind=st.sampled_from([k for k, _, _ in MATRIX]))
+def test_exact_divmod_by_sigma_matches_reference(a, kind):
+    fam = next(f for f in matrix_families() if f.kind == kind)
+    sig = Poly(fam.sigma_coeffs)
+    q, r = poly_divmod(Poly(a), sig)
+    assert_canonical(q)
+    assert_canonical(r)
+    if len(ref_trim(a)) < len(sig.nums):
+        assert (q.coeffs, r.coeffs) == ((), ref_trim(a))
+    else:
+        assert (q.coeffs, r.coeffs) == ref_divmod(ref_trim(a), sig.coeffs)
+    assert q * sig + r == Poly(a)
+
+
+@settings(max_examples=50, deadline=None)
+@given(a=st.lists(rationals, min_size=2, max_size=9), b=st.lists(rationals, min_size=1, max_size=4))
+def test_exact_divmod_by_any_lead_matches_reference(a, b):
+    # divisors whose leading coefficient is not +-1
+    ra, rb = ref_trim(a), ref_trim(b)
+    if not rb or len(ra) < len(rb):
+        return
+    q, r = poly_divmod(Poly(a), Poly(b))
+    assert_canonical(q)
+    assert_canonical(r)
+    assert (q.coeffs, r.coeffs) == ref_divmod(ra, rb)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    a=coeff_lists,
+    s=rationals,
+    xs=st.lists(st.floats(min_value=-30, max_value=30), min_size=1, max_size=12),
+)
+def test_exact_poly_evaluation_matches_reference(a, s, xs):
+    p, ra = Poly(a), ref_trim(a)
+    assert p(s) == ref_horner(ra, Fraction(s))
+    x = np.asarray(xs)
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = ref_horner(ra, x, float) + np.zeros_like(x)
+        got = p.eval_array(x)
+    # float(Fraction) and n/den are both the correctly rounded quotient
+    assert np.array_equal(got, want, equal_nan=True)
+    assert p(float(s)) == ref_horner(ra, float(s))
+    assert p.max_abs() == max((abs(float(c)) for c in ra), default=0.0)
+
+
+@settings(max_examples=50, deadline=None)
+@given(a=coeff_lists, k=st.integers(min_value=0, max_value=3))
+def test_exact_poly_equality_and_hash_across_input_types(a, k):
+    as_fractions = Poly([Fraction(c) for c in a] + [0] * k)
+    p = Poly(a)
+    assert p == as_fractions and hash(p) == hash(as_fractions)
+    # a float polynomial with the same values compares equal, as Fraction == float does
+    ints = [Fraction(c).numerator for c in a]
+    same = Poly([float(x) for x in ints])
+    assert Poly(ints) == same and hash(Poly(ints)) == hash(same)
+    if ref_trim(a):
+        assert p != p + Poly([1])
+
+
+@settings(max_examples=50, deadline=None)
+@given(a=coeff_lists, f=st.lists(st.floats(min_value=-10, max_value=10), min_size=1, max_size=5))
+def test_exact_times_float_is_a_float_polynomial(a, f):
+    assume(any(f))  # an all-zero list trims to the zero polynomial, which is exact
+    p, g, ra = Poly(a), Poly(f), ref_trim(a)
+    for got, want in ((p * g, ref_mul(ra, ref_trim(f))), (g * p, ref_mul(ref_trim(f), ra)),
+                      (p * f[0], ref_mul(ra, (f[0],))), (p + g, ref_add(ra, ref_trim(f)))):
+        assert got.den is None or got.is_zero
+        # Fraction op float is float(Fraction) op float
+        assert got.coeffs == tuple(map(float, want))
 
 
 # --- eigenfunction construction ---------------------------------------------
