@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import catalog, families, riccati, schrodinger, verify
-from .errors import HypersusyError
+from .errors import HypersusyError, ParameterViolation
 
 
 def _number(text):
@@ -94,24 +94,20 @@ class JobConfig:
 
 
 def cmd_families(args):
+    specs = families.SPECS.values()
     rows = [
         {
-            "kind": kind,
-            "sigma": families.SIGMA_TEXT[kind],
+            "kind": sp.kind,
+            "sigma": sp.sigma_text,
             "tau": "alpha*s + beta",
-            "rho": families.RHO_TEXT[kind],
-            "interval": list(families.Family(kind, -1, 1).interval),
-            "constraint": families.CONSTRAINTS[kind][1],
+            "rho": sp.rho_text,
+            "interval": list(sp.interval),
+            "constraint": sp.constraint_text,
         }
-        for kind in families.KINDS
+        for sp in specs
     ]
-    powers = [
-        {"kind": families.LINEAR, "tau": "beta", "k": "beta - 1"},
-        {"kind": families.ONE_MINUS_S2, "tau": "alpha*s", "k": "-alpha/2 - 1"},
-        {"kind": families.S2_MINUS_ONE, "tau": "alpha*s", "k": "alpha/2 - 1"},
-        {"kind": families.S2, "tau": "alpha*s", "k": "alpha/2 - 1"},
-        {"kind": families.S2_PLUS_ONE, "tau": "alpha*s", "k": "alpha/2 - 1"},
-    ]
+    powers = [{"kind": sp.kind, "tau": sp.power.tau, "k": sp.power.k_text}
+              for sp in specs if sp.power]
     entries = [
         {
             "id": e.entry_id,
@@ -125,9 +121,10 @@ def cmd_families(args):
     if getattr(args, "catalog", None):
         e = catalog.entry(args.catalog)
         info = entries[e.entry_id - 1]
-        info["sigma"] = families.SIGMA_TEXT[e.kind]
+        sp = families.SPECS[e.kind]
+        info["sigma"] = sp.sigma_text
         if e.tilde:
-            info["k"] = next(p["k"] for p in powers if p["kind"] == e.kind)
+            info["k"] = sp.power.k_text
         print(json.dumps(info, indent=2) if args.json else _format_entry(info))
         return 0
     if args.json:
@@ -160,9 +157,15 @@ def cmd_derive(args):
         if getattr(cfg, name) is None:
             print(f"error: missing required setting '{name}'", file=sys.stderr)
             return 2
+    x_min, x_max, n = float(cfg.x_min), float(cfg.x_max), int(cfg.n)
+    if not (math.isfinite(x_min) and math.isfinite(x_max) and x_min < x_max and n >= 2):
+        raise ParameterViolation(
+            f"the grid needs finite x_min < x_max and n >= 2, "
+            f"got x_min={x_min}, x_max={x_max}, n={n}"
+        )
     fam = families.make_family(cfg.kind, cfg.alpha, cfg.beta)
     defm = riccati.make_deformation(fam, cfg.m, cfg.gamma, cfg.delta)
-    xs = np.linspace(float(cfg.x_min), float(cfg.x_max), int(cfg.n))
+    xs = np.linspace(x_min, x_max, n)
     frame = schrodinger.grid_frame(defm, xs, cfg.levels)
     if cfg.fmt == "json":
         schrodinger.write_json(frame, cfg.out)
@@ -179,7 +182,7 @@ def cmd_derive(args):
             "deformation": defm.to_json(),
             "lambda_targets": targets,
             "gamma_rays": defm.rays.to_json(),
-            "grid": {"x_min": float(cfg.x_min), "x_max": float(cfg.x_max), "n": int(cfg.n)},
+            "grid": {"x_min": x_min, "x_max": x_max, "n": n},
             "levels": cfg.levels,
         }
         with open(cfg.meta, "w") as fh:

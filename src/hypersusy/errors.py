@@ -18,7 +18,7 @@ class InvalidParameters(HypersusyError):
 
 
 class ParameterViolation(InvalidParameters):
-    """Family parameters violate the admissible-range constraints."""
+    """Family or grid parameters violate their admissible ranges."""
 
 
 class BoundaryDecayFailure(InvalidParameters):

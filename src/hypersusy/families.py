@@ -4,7 +4,9 @@ Each family is a pair sigma(s) (degree <= 2, positive on an open interval)
 and tau(s) = alpha*s + beta, together with the weight rho that makes
 sigma*y'' + tau*y' + lambda*y self-adjoint.  Everything downstream (ladder
 operators, deformations, partner potentials) is parametrized by a Family
-value, which is immutable and safe to share.
+value, which is immutable and safe to share.  What differs between the six
+kinds is one KindSpec record each, in SPECS; other modules read it instead
+of branching on the kind.
 
 Exact mode: when alpha and beta are ints or Fractions the eigenvalues and
 polynomial machinery stay in exact rational arithmetic; floats switch the
@@ -13,7 +15,9 @@ whole chain to floating point.
 
 from __future__ import annotations
 
+import functools
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -35,70 +39,127 @@ S2_MINUS_ONE = "s2_minus_one"
 S2 = "s2"
 S2_PLUS_ONE = "s2_plus_one"
 
-KINDS = (CONST, LINEAR, ONE_MINUS_S2, S2_MINUS_ONE, S2, S2_PLUS_ONE)
 
-# sigma coefficients (c0, c1, c2) and the open interval per kind
-_SIGMA = {
-    CONST: (1, 0, 0),
-    LINEAR: (0, 1, 0),
-    ONE_MINUS_S2: (1, 0, -1),
-    S2_MINUS_ONE: (-1, 0, 1),
-    S2: (0, 0, 1),
-    S2_PLUS_ONE: (1, 0, 1),
-}
-_INTERVAL = {
-    CONST: (-math.inf, math.inf),
-    LINEAR: (0.0, math.inf),
-    ONE_MINUS_S2: (-1.0, 1.0),
-    S2_MINUS_ONE: (1.0, math.inf),
-    S2: (0.0, math.inf),
-    S2_PLUS_ONE: (-math.inf, math.inf),
-}
-# window used when drawing generic interior sample points
-_SAMPLE_WINDOW = {
-    CONST: (-4.0, 4.0),
-    LINEAR: (0.15, 8.0),
-    ONE_MINUS_S2: (-0.9, 0.9),
-    S2_MINUS_ONE: (1.1, 8.0),
-    S2: (0.2, 8.0),
-    S2_PLUS_ONE: (-4.0, 4.0),
-}
+@dataclass(frozen=True)
+class CoordinateMap:
+    """Change of variable x -> s(x) with ds/dx = sign * kappa(s(x))."""
 
-# Pretty strings for listings
-SIGMA_TEXT = {
-    CONST: "1",
-    LINEAR: "s",
-    ONE_MINUS_S2: "1-s^2",
-    S2_MINUS_ONE: "s^2-1",
-    S2: "s^2",
-    S2_PLUS_ONE: "s^2+1",
-}
-# admissible (alpha, beta) per kind: predicate and the text quoted in errors
-CONSTRAINTS = {
-    CONST: (lambda a, b: a < 0, "alpha < 0"),
-    LINEAR: (
-        lambda a, b: a <= 0 and b > 0,
-        "alpha <= 0, beta > 0 (alpha = 0 only for the pure-power weight)",
+    x_domain: tuple
+    sign: int
+    s_fn: object   # s(x) on a float array
+    ds_fn: object  # ds/dx on a float array
+
+    def s_of_x(self, x):
+        return self.s_fn(np.asarray(x, dtype=float))
+
+    def ds_dx(self, x):
+        return self.ds_fn(np.asarray(x, dtype=float))
+
+    def require_inside(self, x):
+        a, b = self.x_domain
+        arr = np.asarray(x, dtype=float)
+        if not np.all((arr > a) & (arr < b)):
+            raise OutOfDomain(f"x={x} outside the coordinate domain {self.x_domain}")
+
+
+# sigma^m rho at one end of the interval: a power |s - end|^p at a finite
+# end, |s|^p at an infinite one, p = m_coef*m + (a2*alpha + b2*beta)/2 + c,
+# times exp(e) with e -> -inf iff da*alpha + db*beta < 0 (da = db = 0: no
+# such factor).  With integers a2, b2 the float evaluation rounds only in the
+# sum, so parameters whose sum rounds onto p = -1 count as on the boundary.
+End = namedtuple("End", "m_coef a2 b2 c da db", defaults=(0, 0))
+# rho = sigma^k(alpha, beta, half) once tau degenerates to `tau`: "beta" means
+# alpha = 0, "alpha*s" means beta = 0
+WeightPower = namedtuple("WeightPower", "tau k_text k")
+
+
+@dataclass(frozen=True)
+class KindSpec:
+    """Everything that differs between the six kinds."""
+
+    kind: str
+    sigma: tuple          # (c0, c1, c2) of sigma = c0 + c1 s + c2 s^2
+    interval: tuple       # open interval where sigma > 0
+    sample_window: tuple  # generic interior sample points
+    x_window: tuple       # x-range of the catalog comparison grid
+    base_point: float     # base point of the cumulative weight I_m
+    sigma_text: str
+    rho_text: str
+    constraint_text: str  # admissible (alpha, beta), quoted in errors
+    admits: object        # (alpha, beta) -> bool
+    log_weight: object    # (s, alpha, beta) -> log rho(s), floats
+    coords: CoordinateMap
+    ends: tuple           # (lower End, upper End)
+    power: WeightPower = None
+
+
+_ALPHA_POWER = WeightPower("alpha*s", "alpha/2 - 1", lambda a, b, half: a * half - 1)
+_QUADRATIC_INFINITY = End(2, 2, 0, -2)  # sigma^m rho ~ s^(2m + alpha - 2)
+
+SPECS = {spec.kind: spec for spec in (
+    KindSpec(
+        CONST, (1, 0, 0), (-math.inf, math.inf), (-4.0, 4.0), (-3.0, 3.0), 0.0,
+        sigma_text="1", rho_text="exp(alpha*s^2/2 + beta*s)",
+        constraint_text="alpha < 0", admits=lambda a, b: a < 0,
+        # not al*s*s/2 + be*s: -inf + inf at huge s
+        log_weight=lambda s, al, be: s * (al * s / 2.0 + be),
+        coords=CoordinateMap((-math.inf, math.inf), +1, lambda x: x, np.ones_like),
+        ends=(End(0, 0, 0, 0, da=1), End(0, 0, 0, 0, da=1)),
     ),
-    ONE_MINUS_S2: (lambda a, b: a < b < -a, "alpha < beta < -alpha"),
-    S2_MINUS_ONE: (
-        lambda a, b: a < 0 and b >= 0,
-        "alpha < 0, beta >= 0 (fully normalizable when alpha + beta > 0)",
+    KindSpec(
+        LINEAR, (0, 1, 0), (0.0, math.inf), (0.15, 8.0), (0.4, 6.0), 1.0,
+        sigma_text="s", rho_text="s^(beta-1) * exp(alpha*s)",
+        constraint_text="alpha <= 0, beta > 0 (alpha = 0 only for the pure-power weight)",
+        admits=lambda a, b: a <= 0 and b > 0,
+        log_weight=lambda s, al, be: (be - 1.0) * np.log(s) + al * s,
+        coords=CoordinateMap((0.0, math.inf), +1, lambda x: x * x / 4.0, lambda x: x / 2.0),
+        ends=(End(1, 0, 2, -1), End(1, 0, 2, -1, da=1)),
+        power=WeightPower("beta", "beta - 1", lambda a, b, half: b - 1),
     ),
-    S2: (
-        lambda a, b: a < 0 and b >= 0,
-        "alpha < 0, beta >= 0 (beta = 0 only for the pure-power weight)",
+    KindSpec(
+        ONE_MINUS_S2, (1, 0, -1), (-1.0, 1.0), (-0.9, 0.9), (0.3, math.pi - 0.3), 0.0,
+        sigma_text="1-s^2",
+        rho_text="(1+s)^(-(alpha-beta)/2-1) * (1-s)^(-(alpha+beta)/2-1)",
+        constraint_text="alpha < beta < -alpha", admits=lambda a, b: a < b < -a,
+        log_weight=lambda s, al, be: ((-(al - be) / 2.0 - 1.0) * np.log1p(s)
+                                      + (-(al + be) / 2.0 - 1.0) * np.log1p(-s)),
+        coords=CoordinateMap((0.0, math.pi), -1, np.cos, lambda x: -np.sin(x)),
+        ends=(End(1, -1, 1, -1), End(1, -1, -1, -1)),
+        power=WeightPower("alpha*s", "-alpha/2 - 1", lambda a, b, half: -a * half - 1),
     ),
-    S2_PLUS_ONE: (lambda a, b: a < 0, "alpha < 0"),
-}
-RHO_TEXT = {
-    CONST: "exp(alpha*s^2/2 + beta*s)",
-    LINEAR: "s^(beta-1) * exp(alpha*s)",
-    ONE_MINUS_S2: "(1+s)^(-(alpha-beta)/2-1) * (1-s)^(-(alpha+beta)/2-1)",
-    S2_MINUS_ONE: "(s+1)^((alpha-beta)/2-1) * (s-1)^((alpha+beta)/2-1)",
-    S2: "s^(alpha-2) * exp(-beta/s)",
-    S2_PLUS_ONE: "(1+s^2)^(alpha/2-1) * exp(beta*arctan(s))",
-}
+    KindSpec(
+        S2_MINUS_ONE, (-1, 0, 1), (1.0, math.inf), (1.1, 8.0), (0.4, 5.0), 2.0,
+        sigma_text="s^2-1", rho_text="(s+1)^((alpha-beta)/2-1) * (s-1)^((alpha+beta)/2-1)",
+        constraint_text="alpha < 0, beta >= 0 (fully normalizable when alpha + beta > 0)",
+        admits=lambda a, b: a < 0 and b >= 0,
+        log_weight=lambda s, al, be: (((al - be) / 2.0 - 1.0) * np.log(s + 1.0)
+                                      + ((al + be) / 2.0 - 1.0) * np.log(s - 1.0)),
+        coords=CoordinateMap((0.0, math.inf), +1, np.cosh, np.sinh),
+        ends=(End(1, 1, 1, -1), _QUADRATIC_INFINITY),
+        power=_ALPHA_POWER,
+    ),
+    KindSpec(
+        S2, (0, 0, 1), (0.0, math.inf), (0.2, 8.0), (-2.0, 3.0), 1.0,
+        sigma_text="s^2", rho_text="s^(alpha-2) * exp(-beta/s)",
+        constraint_text="alpha < 0, beta >= 0 (beta = 0 only for the pure-power weight)",
+        admits=lambda a, b: a < 0 and b >= 0,
+        log_weight=lambda s, al, be: (al - 2.0) * np.log(s) - be / s,
+        coords=CoordinateMap((-math.inf, math.inf), +1, np.exp, np.exp),
+        ends=(End(2, 2, 0, -2, db=-1), _QUADRATIC_INFINITY),
+        power=_ALPHA_POWER,
+    ),
+    KindSpec(
+        S2_PLUS_ONE, (1, 0, 1), (-math.inf, math.inf), (-4.0, 4.0), (-3.0, 3.0), 0.0,
+        sigma_text="s^2+1", rho_text="(1+s^2)^(alpha/2-1) * exp(beta*arctan(s))",
+        constraint_text="alpha < 0", admits=lambda a, b: a < 0,
+        log_weight=lambda s, al, be: (al / 2.0 - 1.0) * np.log1p(s * s) + be * np.arctan(s),
+        coords=CoordinateMap((-math.inf, math.inf), +1, np.sinh, np.cosh),
+        ends=(_QUADRATIC_INFINITY, _QUADRATIC_INFINITY),
+        power=_ALPHA_POWER,
+    ),
+)}
+
+KINDS = tuple(SPECS)
 
 
 def _is_exact(x):
@@ -112,8 +173,12 @@ class Family:
     beta: object
 
     @property
+    def spec(self):
+        return SPECS[self.kind]
+
+    @property
     def interval(self):
-        return _INTERVAL[self.kind]
+        return self.spec.interval
 
     @property
     def exact(self):
@@ -121,19 +186,31 @@ class Family:
 
     @property
     def sigma_coeffs(self):
-        return _SIGMA[self.kind]
+        return self.spec.sigma
 
     @property
     def sigma_lead(self):
         """Coefficient of s^2 in sigma (equals sigma''/2)."""
-        return _SIGMA[self.kind][2]
+        return self.spec.sigma[2]
+
+    @functools.cached_property
+    def polys(self):
+        """(sigma, sigma', tau) as Poly, built once per instance.
+
+        Kept on the instance, not in a cache keyed by Family: an exact and a
+        float family with equal values compare and hash equal.
+        """
+        from .polynomials import Poly
+
+        _, c1, c2 = self.sigma_coeffs
+        return Poly(self.sigma_coeffs), Poly([c1, 2 * c2]), Poly([self.beta, self.alpha])
 
     def sigma(self, s):
-        c0, c1, c2 = _SIGMA[self.kind]
+        c0, c1, c2 = self.spec.sigma
         return c0 + c1 * s + c2 * s * s
 
     def sigma_prime(self, s):
-        c0, c1, c2 = _SIGMA[self.kind]
+        c0, c1, c2 = self.spec.sigma
         return c1 + 2 * c2 * s
 
     def tau(self, s):
@@ -172,18 +249,20 @@ class Family:
 
 
 def _check_constraints(kind, alpha, beta):
-    if kind not in CONSTRAINTS:
+    if kind not in SPECS:
         raise ParameterViolation(f"unknown kind {kind!r}; expected one of {KINDS}")
     if not (math.isfinite(alpha) and math.isfinite(beta)):
         raise ParameterViolation(f"alpha and beta must be finite, got alpha={alpha}, beta={beta}")
-    holds, text = CONSTRAINTS[kind]
-    if not holds(alpha, beta):
-        raise ParameterViolation(f"kind {kind} requires {text}, got alpha={alpha}, beta={beta}")
+    spec = SPECS[kind]
+    if not spec.admits(alpha, beta):
+        raise ParameterViolation(
+            f"kind {kind} requires {spec.constraint_text}, got alpha={alpha}, beta={beta}"
+        )
 
 
 def sample_points(fam, n, rng=None):
     """n interior points drawn uniformly from a moderate window."""
-    lo, hi = _SAMPLE_WINDOW[fam.kind]
+    lo, hi = fam.spec.sample_window
     if rng is None:
         return np.linspace(lo, hi, n)
     return rng.uniform(lo, hi, size=n)
@@ -209,7 +288,8 @@ def make_family(kind, alpha, beta):
         peak = -float(beta) / float(alpha)
         if fam.contains(peak):
             with np.errstate(over="ignore", under="ignore"):
-                top = float(np.exp(np.log(fam.sigma(peak)) + _log_weight(fam, peak)))
+                log_rho = fam.spec.log_weight(peak, float(alpha), float(beta))
+                top = float(np.exp(np.log(fam.sigma(peak)) + log_rho))
             if not 0.0 < top < math.inf:
                 raise BoundaryDecayFailure(
                     f"sigma*rho at its peak s={peak:.6g} is {top} in floating point "
@@ -245,24 +325,6 @@ def eigenvalue(fam, level):
     return -fam.sigma_lead * level * (level - 1) - fam.alpha * level
 
 
-def _log_weight(fam, s):
-    """log rho(s) on interior points; finite for finite parameters."""
-    al, be = float(fam.alpha), float(fam.beta)
-    if fam.kind == CONST:
-        return s * (al * s / 2.0 + be)  # not al*s*s/2 + be*s: -inf + inf at huge s
-    if fam.kind == LINEAR:
-        return (be - 1.0) * np.log(s) + al * s
-    if fam.kind == ONE_MINUS_S2:
-        p, q = -(al - be) / 2.0 - 1.0, -(al + be) / 2.0 - 1.0
-        return p * np.log1p(s) + q * np.log1p(-s)
-    if fam.kind == S2_MINUS_ONE:
-        p, q = (al - be) / 2.0 - 1.0, (al + be) / 2.0 - 1.0
-        return p * np.log(s + 1.0) + q * np.log(s - 1.0)
-    if fam.kind == S2:
-        return (al - 2.0) * np.log(s) - be / s
-    return (al / 2.0 - 1.0) * np.log1p(s * s) + be * np.arctan(s)
-
-
 def weight(fam, s):
     """Closed-form weight rho(s) = exp(log rho(s)); elementwise over arrays.
 
@@ -272,7 +334,7 @@ def weight(fam, s):
     arr = np.asarray(s, dtype=float)
     fam.require_inside(arr)
     with np.errstate(over="ignore", under="ignore"):
-        out = np.exp(_log_weight(fam, arr))
+        out = np.exp(fam.spec.log_weight(arr, float(fam.alpha), float(fam.beta)))
     return out if isinstance(s, np.ndarray) else float(out)
 
 
@@ -297,14 +359,10 @@ def weight_power(fam):
     Present exactly when tau degenerates: tau = beta for sigma = s, or
     tau = alpha*s (beta = 0) for the four quadratic sigmas.
     """
-    half = Fraction(1, 2) if fam.exact else 0.5
-    if fam.kind == LINEAR and fam.alpha == 0:
-        return fam.beta - 1
-    if fam.beta != 0 or fam.kind in (CONST, LINEAR):
+    power = fam.spec.power
+    if power is None or (fam.alpha if power.tau == "beta" else fam.beta) != 0:
         return None
-    if fam.kind == ONE_MINUS_S2:
-        return -fam.alpha * half - 1
-    return fam.alpha * half - 1
+    return power.k(fam.alpha, fam.beta, Fraction(1, 2) if fam.exact else 0.5)
 
 
 def shifted_eigenvalue(fam, m, delta):

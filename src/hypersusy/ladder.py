@@ -92,11 +92,10 @@ class KappaForm:
         return cls(family, {power: p})
 
     def _sigma(self):
-        return Poly(self.family.sigma_coeffs)
+        return self.family.polys[0]
 
     def _sigma_prime(self):
-        c0, c1, c2 = self.family.sigma_coeffs
-        return Poly([c1, 2 * c2])
+        return self.family.polys[1]
 
     def __add__(self, other):
         out = dict(self.terms)
@@ -105,7 +104,10 @@ class KappaForm:
         return KappaForm(self.family, out)
 
     def __sub__(self, other):
-        return self + other.scale(-1)
+        out = dict(self.terms)
+        for j, p in other.terms.items():
+            out[j] = out[j] - p if j in out else -p
+        return KappaForm(self.family, out)
 
     def scale(self, c):
         return KappaForm(self.family, {j: p * c for j, p in self.terms.items()})
@@ -217,7 +219,7 @@ def _apply_raise(fam, m, u):
 
 def _apply_lower(fam, m, u):
     """kappa (-d/ds - tau/sigma - (m-1) kappa'/kappa)."""
-    tau = Poly([fam.beta, fam.alpha])
+    tau = fam.polys[2]
     return (
         u.d_ds().shift(1).scale(-1)
         - u.mul_poly(tau).shift(-1)
@@ -227,16 +229,13 @@ def _apply_lower(fam, m, u):
 
 def _apply_h(fam, m, u):
     """-sigma D^2 - tau D + v_m, with v_m entering as an exact rational term."""
-    sig = Poly(fam.sigma_coeffs)
-    c0, c1, c2 = fam.sigma_coeffs
-    sp = Poly([c1, 2 * c2])
-    tau = Poly([fam.beta, fam.alpha])
+    sig, sp, tau = fam.polys
     du = u.d_ds()
     out = du.d_ds().mul_poly(sig).scale(-1) - du.mul_poly(tau)
     if m:
         num = (sp * sp) * (m * (m - 2)) + (tau * sp) * (2 * m)
         out = out + u.mul_poly(num).scale(_QUARTER).shift(-2)
-        const = m * (m - 2) * c2 + m * fam.alpha
+        const = m * (m - 2) * fam.sigma_lead + m * fam.alpha
         out = out - u.scale(const)
     return out
 

@@ -311,8 +311,7 @@ def poly_eigenfunction(fam, level):
 
 def ode_residual(fam, level, p):
     """sigma p'' + tau p' + lambda_l p as a polynomial (zero for solutions)."""
-    sig = Poly(fam.sigma_coeffs)
-    tau = Poly([fam.beta, fam.alpha])
+    sig, _, tau = fam.polys
     lam = families.eigenvalue(fam, level)
     return sig * p.deriv(2) + tau * p.deriv() + lam * p
 

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import families
-from .errors import CutoffExceeded, InadmissibleGamma, NonFinite, OutOfDomain
+from .errors import CutoffExceeded, InadmissibleGamma, IndexViolation, NonFinite, OutOfDomain
 from .numerics import quad
 from .polynomials import DifferentiableValue, associated_function
 
@@ -40,19 +40,10 @@ _GL_ORDERS = (10, 20)  # the two Gauss-Legendre orders compared on each gap
 _BLOCK = 512           # gaps per vectorized integrand call (bounds peak memory)
 _MAX_SPLITS = 8        # bisections of an unsettled gap before quad takes it
 
-_BASE_POINT = {
-    families.CONST: 0.0,
-    families.ONE_MINUS_S2: 0.0,
-    families.LINEAR: 1.0,
-    families.S2: 1.0,
-    families.S2_MINUS_ONE: 2.0,
-    families.S2_PLUS_ONE: 0.0,
-}
-
 
 def base_point(fam):
     """Fixed interior base point of the cumulative weight integral."""
-    return _BASE_POINT[fam.kind]
+    return fam.spec.base_point
 
 
 def sigma_m_rho(fam, m, s):
@@ -164,25 +155,19 @@ def cumulative_weight_sorted(fam, m, pts, tol=1e-13):
 
 
 def _endpoint_diverges(fam, m, endpoint):
-    """Closed-form test of whether the cumulative weight diverges there."""
+    """Closed-form test of whether the cumulative weight diverges there.
+
+    Unless an exponential factor decays at the end, sigma^m rho behaves as
+    |s - end|^p at a finite end and as |s|^p at an infinite one, so I_m
+    diverges for p <= -1 and p >= -1 respectively (families.End).
+    """
+    i = 0 if endpoint == "lower" else 1
+    m_coef, a2, b2, c, da, db = fam.spec.ends[i]
     al, be = float(fam.alpha), float(fam.beta)
-    if fam.kind == families.CONST:
+    if da * al + db * be < 0:
         return False
-    if fam.kind == families.LINEAR:
-        # integrand s^(m+beta-1) e^(alpha s): lower exponent > -1 always
-        return endpoint == "upper" and al == 0
-    if fam.kind == families.ONE_MINUS_S2:
-        expo = m - (al + be) / 2.0 - 1.0 if endpoint == "upper" else m - (al - be) / 2.0 - 1.0
-        return expo <= -1.0
-    if fam.kind == families.S2_MINUS_ONE:
-        if endpoint == "lower":
-            return m + (al + be) / 2.0 - 1.0 <= -1.0
-        return 2 * m + al - 2.0 >= -1.0
-    if fam.kind == families.S2:
-        if endpoint == "lower":
-            return be == 0 and 2 * m + al - 2.0 <= -1.0
-        return 2 * m + al - 2.0 >= -1.0
-    return 2 * m + al - 2.0 >= -1.0
+    p = m_coef * m + (a2 * al + b2 * be) / 2.0 + c
+    return p >= -1.0 if math.isinf(fam.interval[i]) else p <= -1.0
 
 
 def endpoint_limit(fam, m, endpoint, tol=1e-12):
@@ -288,7 +273,7 @@ class Deformation:
 def make_deformation(fam, m, gamma, delta=None):
     """Validated deformation; gamma must avoid the forbidden interval."""
     if not isinstance(m, int) or m < 0:
-        raise InadmissibleGamma(f"order must be a non-negative integer, got {m!r}")
+        raise IndexViolation(f"order must be a non-negative integer, got {m!r}")
     if not families.below_cutoff(fam, m + 1):
         raise CutoffExceeded(f"deformation needs m+1 below the cutoff, got m={m}")
     if delta is not None:
@@ -311,9 +296,9 @@ def _core_arrays(defm, s):
     """Deformation term g = sigma^m rho/(gamma+I) and dg/ds on sorted points."""
     fam, m = defm.family, defm.m
     s = np.asarray(s, dtype=float)
-    w = sigma_m_rho(fam, m, s)
     if defm.gamma == math.inf:
         return np.zeros_like(s), np.zeros_like(s)
+    w = sigma_m_rho(fam, m, s)
     order = np.argsort(s)
     i_sorted = cumulative_weight_sorted(fam, m, s[order])
     i_vals = np.empty_like(s)

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,61 +24,9 @@ from .errors import OutOfDomain
 from .polynomials import DifferentiableValue, associated_function
 
 
-@dataclass(frozen=True)
-class CoordinateMap:
-    kind: str
-    x_domain: tuple
-    sign: int
-
-    def s_of_x(self, x):
-        x = np.asarray(x, dtype=float)
-        if self.kind == families.CONST:
-            out = x
-        elif self.kind == families.LINEAR:
-            out = x * x / 4.0
-        elif self.kind == families.ONE_MINUS_S2:
-            out = np.cos(x)
-        elif self.kind == families.S2_MINUS_ONE:
-            out = np.cosh(x)
-        elif self.kind == families.S2:
-            out = np.exp(x)
-        else:
-            out = np.sinh(x)
-        return out
-
-    def ds_dx(self, x):
-        x = np.asarray(x, dtype=float)
-        if self.kind == families.CONST:
-            return np.ones_like(x)
-        if self.kind == families.LINEAR:
-            return x / 2.0
-        if self.kind == families.ONE_MINUS_S2:
-            return -np.sin(x)
-        if self.kind == families.S2_MINUS_ONE:
-            return np.sinh(x)
-        if self.kind == families.S2:
-            return np.exp(x)
-        return np.cosh(x)
-
-    def require_inside(self, x):
-        a, b = self.x_domain
-        arr = np.asarray(x, dtype=float)
-        if not np.all((arr > a) & (arr < b)):
-            raise OutOfDomain(f"x={x} outside the coordinate domain {self.x_domain}")
-
-
-_MAPS = {
-    families.CONST: CoordinateMap(families.CONST, (-math.inf, math.inf), +1),
-    families.LINEAR: CoordinateMap(families.LINEAR, (0.0, math.inf), +1),
-    families.ONE_MINUS_S2: CoordinateMap(families.ONE_MINUS_S2, (0.0, math.pi), -1),
-    families.S2_MINUS_ONE: CoordinateMap(families.S2_MINUS_ONE, (0.0, math.inf), +1),
-    families.S2: CoordinateMap(families.S2, (-math.inf, math.inf), +1),
-    families.S2_PLUS_ONE: CoordinateMap(families.S2_PLUS_ONE, (-math.inf, math.inf), +1),
-}
-
-
 def coordinate_map(kind):
-    return _MAPS[kind]
+    """The kind's fixed x -> s(x) map (families.CoordinateMap)."""
+    return families.SPECS[kind].coords
 
 
 def wavefunction(fam, l, m, x):
@@ -121,6 +68,7 @@ def _w_core(defm, xs):
     cmap.require_inside(xs)
     xs = np.asarray(xs, dtype=float)
     s = cmap.s_of_x(xs)
+    fam.require_inside(s)
     sig = np.asarray(fam.sigma(s), dtype=float)
     sp = np.asarray(fam.sigma_prime(s), dtype=float)
     spp = 2.0 * fam.sigma_lead

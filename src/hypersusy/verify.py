@@ -199,25 +199,13 @@ _CATALOG_FIXTURES = (
 )
 
 
-def _catalog_grid(kind, n=16):
-    lo, hi = {
-        families.CONST: (-3.0, 3.0),
-        families.LINEAR: (0.4, 6.0),
-        families.ONE_MINUS_S2: (0.3, math.pi - 0.3),
-        families.S2_MINUS_ONE: (0.4, 5.0),
-        families.S2: (-2.0, 3.0),
-        families.S2_PLUS_ONE: (-3.0, 3.0),
-    }[kind]
-    return np.linspace(lo, hi, n)
-
-
 def suite_catalog(tol=1e-10):
     """Generic pipeline against the ten printed closed forms."""
     failures, flags, details = [], [], {}
     worst = 0.0
     for entry_id, alpha, beta, m, gmode, delta in _CATALOG_FIXTURES:
         e = catalog.entry(entry_id)
-        xs = _catalog_grid(e.kind)
+        xs = np.linspace(*families.SPECS[e.kind].x_window, 16)
         gammas = [math.inf]
         if gmode == "both":
             fam = families.make_family(e.kind, alpha, beta)

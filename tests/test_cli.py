@@ -145,6 +145,47 @@ def test_derive_missing_required_exit_2(tmp_path, capsys):
     assert main(["derive", "--kind", "const", "--alpha", "-2"]) == 2
 
 
+@pytest.mark.parametrize("grid", [
+    ("1", "1", "3"),      # x_min == x_max: the SVG x-scale would divide by zero
+    ("2", "1", "3"),
+    ("-1", "1", "0"),     # no grid points: an empty CSV, then an IndexError in the SVG
+    ("-1", "1", "1"),
+    ("-inf", "1", "3"),
+    ("-1", "nan", "3"),
+])
+def test_derive_degenerate_grid_exit_2_writes_nothing(grid, tmp_path, capsys):
+    x_min, x_max, n = grid
+    out, svg = tmp_path / "x.csv", tmp_path / "f.svg"
+    code = main([
+        "derive", "--kind", "const", "--alpha", "-2", "--beta", "0",
+        f"--x-min={x_min}", f"--x-max={x_max}", "--n", n,
+        "--out", str(out), "--svg", str(svg),
+    ])
+    assert code == 2
+    assert "x_min < x_max and n >= 2" in capsys.readouterr().err
+    assert not out.exists() and not svg.exists()
+
+
+def test_derive_two_point_grid_is_accepted(tmp_path):
+    code = main([
+        "derive", "--kind", "const", "--alpha", "-2", "--beta", "0",
+        "--x-min", "-1", "--x-max", "1", "--n", "2",
+        "--out", str(tmp_path / "x.csv"), "--svg", str(tmp_path / "f.svg"),
+    ])
+    assert code == 0
+    assert len((tmp_path / "x.csv").read_text().splitlines()) == 3
+
+
+def test_derive_negative_order_exit_2(tmp_path, capsys):
+    # a bad order is a parameter error; exit 3 is reserved for gamma
+    code = main([
+        "derive", "--kind", "const", "--alpha", "-2", "--beta", "0", "--m", "-1",
+        "--x-min", "-1", "--x-max", "1", "--out", str(tmp_path / "x.csv"),
+    ])
+    assert code == 2
+    assert "order must be a non-negative integer" in capsys.readouterr().err
+
+
 def test_verify_algebra_suite(capsys):
     assert main(["verify", "--suite", "algebra"]) == 0
     assert "PASS" in capsys.readouterr().out

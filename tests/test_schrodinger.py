@@ -270,3 +270,13 @@ def test_svg_writer(tmp_path):
     assert text.startswith("<svg")
     assert text.count("<path") == 3
     assert "V_partner" in text
+
+
+@pytest.mark.parametrize("deformed", [False, True])
+def test_x_that_rounds_onto_the_s_boundary_is_out_of_domain(deformed):
+    # x = 1e-9 lies inside (0, inf), but cosh(1e-9) rounds to the closed end s = 1
+    f = families.make_family("s2_minus_one", -8, 10)
+    gamma = riccati.gamma_rays(f, 0).right_start + 1.0 if deformed else math.inf
+    d = riccati.make_deformation(f, 0, gamma)
+    with pytest.raises(OutOfDomain):
+        schrodinger.grid_frame(d, np.array([1e-9, 0.5, 1.0]))
