@@ -6,7 +6,9 @@ infinite endpoints through the same transformation, and a finite-difference
 eigensolver for -d^2/dx^2 + V(x) with Dirichlet walls.  Neither consumes
 anything from the operator algebra in the rest of the package, so their
 output can certify spectra and inner products computed analytically
-elsewhere.
+elsewhere.  The one bridge is verify_spectrum, which hands the solver a
+partner-pair potential from schrodinger.potentials and matches its output
+against the closed-form eigenvalues.
 
 Within the package, tanh-sinh serves the integrals that run to an interval
 end, where integrands may be singular: the endpoint limits of the cumulative
@@ -279,7 +281,7 @@ def verify_spectrum(defm, which, n_levels, x_min, x_max, n, tol=1e-3):
     targets = [defm.eigenvalue(l) for l in range(defm.m + 1, defm.m + 1 + n_levels)]
 
     def potential(xs):
-        vu, vp = schrodinger.potentials_grid(defm, xs)
+        vu, vp = schrodinger.potentials(defm, xs)
         return vu if which == "upper" else vp
 
     lams = fd_spectrum(potential, x_min, x_max, n, n_levels + 6, tol=tol)

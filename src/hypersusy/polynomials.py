@@ -222,7 +222,7 @@ def poly_divmod(num, den):
 
 @dataclass(frozen=True)
 class DifferentiableValue:
-    """Value and first derivative at a single point."""
+    """Value and first derivative at a point (elementwise at an array of points)."""
 
     value: float
     deriv: float

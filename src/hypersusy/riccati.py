@@ -17,9 +17,12 @@ bisected where they disagree, and the gaps are summed outward from the base
 point.  The endpoint limits behind the gamma rays reach the interval ends,
 where the integrand may be singular, and stay with tanh-sinh quadrature.
 
-Deformation values cache no integrals (I_m is recomputed per call; the
-only cache holds the read-only Gauss-Legendre nodes), so they can be
-shared across threads freely.
+A Deformation caches only its gamma rays, computed on first use since
+gamma = inf needs none; I_m on a grid is recomputed per call, and the one
+module cache holds the read-only Gauss-Legendre nodes.  Threads racing on
+the rays at worst compute them twice, so deformations can be shared freely.
+
+Every pointwise quantity takes points of any shape and returns that shape.
 """
 
 from __future__ import annotations
@@ -235,7 +238,11 @@ class Deformation:
     gamma: float
     s0: float
     delta: object = None
-    rays: GammaRays = None
+
+    @functools.cached_property
+    def rays(self):
+        """Admissible gamma rays, computed on first use."""
+        return gamma_rays(self.family, self.m)
 
     @property
     def shift_constant(self):
@@ -282,28 +289,28 @@ def make_deformation(fam, m, gamma, delta=None):
         raise InadmissibleGamma(
             "gamma=-inf is not admissible; the undeformed operators are gamma=inf"
         )
-    rays = gamma_rays(fam, m)
-    if not rays.contains(gamma):
+    defm = Deformation(fam, m, gamma, base_point(fam), delta)
+    if gamma != math.inf and not defm.rays.contains(gamma):
         raise InadmissibleGamma(
-            f"gamma={gamma} is not admissible; admissible rays: {rays.describe()}"
+            f"gamma={gamma} is not admissible; admissible rays: {defm.rays.describe()}"
         )
-    return Deformation(fam, m, gamma, base_point(fam), delta, rays)
+    return defm
 
 
 # --- pointwise machinery ----------------------------------------------------
 
 def _core_arrays(defm, s):
-    """Deformation term g = sigma^m rho/(gamma+I) and dg/ds on sorted points."""
+    """Deformation term g = sigma^m rho/(gamma+I) and dg/ds at points of any shape."""
     fam, m = defm.family, defm.m
     s = np.asarray(s, dtype=float)
     if defm.gamma == math.inf:
         return np.zeros_like(s), np.zeros_like(s)
     w = sigma_m_rho(fam, m, s)
-    order = np.argsort(s)
-    i_sorted = cumulative_weight_sorted(fam, m, s[order])
-    i_vals = np.empty_like(s)
-    i_vals[order] = i_sorted
-    den = defm.gamma + i_vals
+    flat = s.ravel()
+    order = np.argsort(flat)
+    i_vals = np.empty_like(flat)
+    i_vals[order] = cumulative_weight_sorted(fam, m, flat[order])
+    den = defm.gamma + i_vals.reshape(s.shape)
     if np.any(np.abs(den) < _MARGIN):
         raise InadmissibleGamma(
             f"gamma + I_m(s) vanishes within the margin near gamma={defm.gamma}"
@@ -317,7 +324,12 @@ def _core_arrays(defm, s):
 
 
 def psi_phi_arrays(defm, s):
-    """(psi, psi', phi, phi') at an array of interior points."""
+    """(psi, psi', phi, phi') at interior points of any shape.
+
+    The one derivation of the deformed first-order quantities: b, b_plus,
+    the partner potential, partner eigenfunctions and the superpotential
+    W(x) all read it.
+    """
     fam, m = defm.family, defm.m
     s = np.asarray(s, dtype=float)
     fam.require_inside(s)
@@ -337,14 +349,14 @@ def psi_phi_arrays(defm, s):
 
 def psi(defm, s):
     """General Riccati solution and its analytic derivative at s."""
-    p, pp, _, _ = psi_phi_arrays(defm, np.array([float(s)]))
-    return DifferentiableValue(float(p[0]), float(pp[0]))
+    p, pp, _, _ = psi_phi_arrays(defm, s)
+    return DifferentiableValue(p, pp)
 
 
 def phi(defm, s):
     """Companion gauge function phi = psi + tau/sigma - kappa'/kappa at s."""
-    _, _, q, qp = psi_phi_arrays(defm, np.array([float(s)]))
-    return DifferentiableValue(float(q[0]), float(qp[0]))
+    _, _, q, qp = psi_phi_arrays(defm, s)
+    return DifferentiableValue(q, qp)
 
 
 def riccati_residual(defm, points):
@@ -386,52 +398,37 @@ def partner_potential(defm, s):
     eigenvalue absorbs the c^2 delta^2 piece).
     """
     fam = defm.family
-    pts = np.array([float(s)])
-    p, _, q, qp = psi_phi_arrays(defm, pts)
-    sig = float(fam.sigma(float(s)))
-    sp = float(fam.sigma_prime(float(s)))
-    v = sig * p[0] * q[0] - sig * qp[0] - sp / 2.0 * q[0] + float(
-        families.eigenvalue(fam, defm.m)
-    )
+    s = np.asarray(s, dtype=float)
+    p, _, q, qp = psi_phi_arrays(defm, s)
+    sig = np.asarray(fam.sigma(s), dtype=float)
+    sp = np.asarray(fam.sigma_prime(s), dtype=float)
+    v = sig * p * q - sig * qp - sp / 2.0 * q + float(families.eigenvalue(fam, defm.m))
     if defm.delta is not None:
-        kap = float(fam.kappa(float(s)))
-        v += defm.shift_constant * kap * (p[0] + q[0])
-    return float(v)
+        v += defm.shift_constant * fam.kappa(s) * (p + q)
+    return v
 
 
-def _partner(defm, l):
-    """s -> (u, u') on arrays, u = kappa(-f' + psi f) + c f.
+def partner_eigenfunction(defm, l):
+    """s -> b_plus applied to the order-(m+1) associated function, with its derivative.
 
-    f is the order-(m+1) associated function at level l; f' and f'' come
-    from its polynomial and psi' from psi_phi_arrays, so both are analytic.
+    The callable returns DifferentiableValue(u, u') shaped like s, with
+    u = kappa(-f' + psi f) + c f for the order-(m+1) associated function f
+    at level l; f' and f'' come from its polynomial and psi' from
+    psi_phi_arrays, so both are analytic.
     """
     fam, m = defm.family, defm.m
     if not (m < l and families.below_cutoff(fam, l)):
         raise OutOfDomain(f"partner eigenfunction needs m < l < cutoff, got l={l}")
     af = associated_function(fam, l, m + 1)
 
-    def arrays(s):
+    def both(s):
         s = np.asarray(s, dtype=float)
         p, pp, _, _ = psi_phi_arrays(defm, s)
         f, fp, fpp = af.derivatives(s)
         kap, kap_p, c = fam.kappa(s), fam.kappa_prime(s), defm.shift_constant
         body = -fp + p * f
-        return kap * body + c * f, kap_p * body + kap * (-fpp + pp * f + p * fp) + c * fp
-
-    return arrays
-
-
-def partner_eigenfunction(defm, l):
-    """s -> b_plus applied to the order-(m+1) associated function, with its derivative."""
-    arrays = _partner(defm, l)
-
-    def both(s):
-        u, up = arrays([float(s)])
-        return DifferentiableValue(float(u[0]), float(up[0]))
+        return DifferentiableValue(
+            kap * body + c * f, kap_p * body + kap * (-fpp + pp * f + p * fp) + c * fp
+        )
 
     return both
-
-
-def partner_eigenfunction_values(defm, l, s_arr):
-    """Vectorized values of the partner eigenfunction."""
-    return _partner(defm, l)(s_arr)[0]

@@ -61,57 +61,39 @@ def wavefunction_grid(fam, l, m, xs):
     return out
 
 
-def _w_core(defm, xs):
-    """W(x) and dW/dx on a grid, all chain-rule analytic."""
-    fam, m = defm.family, defm.m
+def _w_core(defm, x):
+    """W(x) and dW/dx at x of any shape, from psi and phi at s(x).
+
+    W = kappa (psi + phi)/2 + c, and dW/dx = sign * kappa * dW/ds.
+    """
+    fam = defm.family
     cmap = coordinate_map(fam.kind)
-    cmap.require_inside(xs)
-    xs = np.asarray(xs, dtype=float)
-    s = cmap.s_of_x(xs)
-    fam.require_inside(s)
+    cmap.require_inside(x)
+    s = cmap.s_of_x(np.asarray(x, dtype=float))
+    p, pp, q, qp = riccati.psi_phi_arrays(defm, s)
     sig = np.asarray(fam.sigma(s), dtype=float)
     sp = np.asarray(fam.sigma_prime(s), dtype=float)
-    spp = 2.0 * fam.sigma_lead
-    tau = np.asarray(fam.tau(s), dtype=float)
-    al = float(fam.alpha)
-    kap = np.sqrt(sig)
-    g, gp = riccati._core_arrays(defm, s)
-    w = -tau / (2.0 * kap) - (m - 0.5) * sp / (2.0 * kap) + kap * g + defm.shift_constant
-    # dW/dx = sign * kappa * dF/ds with F the s-space profile of W
-    dfds_scaled = (
-        -al / 2.0
-        + tau * sp / (4.0 * sig)
-        - (m - 0.5) * (spp / 2.0 - sp * sp / (4.0 * sig))
-        + sp / 2.0 * g
-        + sig * gp
-    )
-    wp = cmap.sign * dfds_scaled
+    w = np.sqrt(sig) * (p + q) / 2.0 + defm.shift_constant
+    wp = cmap.sign * (sp * (p + q) / 4.0 + sig * (pp + qp) / 2.0)
     return w, wp
 
 
 def superpotential(defm, x):
     """W(x), including the constant shift when the deformation carries delta."""
-    w, _ = _w_core(defm, np.array([float(x)]))
-    return float(w[0])
+    return _w_core(defm, x)[0]
 
 
-def potentials(defm, x):
-    """(V_upper, V_partner) at x: W^2 +/- sign*W' + the base eigenvalue."""
-    vu, vp = potentials_grid(defm, np.array([float(x)]))
-    return float(vu[0]), float(vp[0])
-
-
-def potentials_and_w(defm, xs):
-    """(V_upper, V_partner, W) on a grid from one evaluation of W and W'."""
-    w, wp = _w_core(defm, xs)
+def potentials_and_w(defm, x):
+    """(V_upper, V_partner, W) at x of any shape from one evaluation of W and W'."""
+    w, wp = _w_core(defm, x)
     sign = coordinate_map(defm.family.kind).sign
     lam = defm.lambda_base
     return w * w + sign * wp + lam, w * w - sign * wp + lam, w
 
 
-def potentials_grid(defm, xs):
-    """(V_upper, V_partner) on a grid: W^2 +/- sign*W' + the base eigenvalue."""
-    vu, vp, _ = potentials_and_w(defm, xs)
+def potentials(defm, x):
+    """(V_upper, V_partner) at x of any shape: W^2 +/- sign*W' + the base eigenvalue."""
+    vu, vp, _ = potentials_and_w(defm, x)
     return vu, vp
 
 
@@ -125,52 +107,6 @@ def apply_B(defm, x, fv, which="B"):
     if which == "B_plus":
         return -cmap.sign * fv.deriv + w * fv.value
     raise ValueError("which must be 'B' or 'B_plus'")
-
-
-def default_grid(defm, n=1201, v_wall=1e6, kr_floor=1e-14):
-    """Trimmed uniform x-grid avoiding coordinate singularities.
-
-    Finite domain edges move inward to 0.05; infinite edges stop where
-    kappa*rho drops below kr_floor (wavefunction support exhausted), and
-    any edge where the partner-pair potential exceeds v_wall is trimmed
-    further.
-    """
-    cmap = coordinate_map(defm.family.kind)
-    a, b = cmap.x_domain
-    lo = a + 0.05 if math.isfinite(a) else None
-    hi = b - 0.05 if math.isfinite(b) else None
-
-    def kr(x):
-        s = float(cmap.s_of_x(x))
-        if not defm.family.contains(s):
-            return 0.0
-        with np.errstate(over="ignore", under="ignore"):
-            return float(defm.family.kappa(s)) * families.weight(defm.family, s)
-
-    if lo is None:
-        x = -1.0
-        while kr(x) > kr_floor and x > -60.0:
-            x *= 1.5
-        lo = x
-    if hi is None:
-        x = 1.0
-        while kr(x) > kr_floor and x < 60.0:
-            x *= 1.5
-        hi = x
-
-    def v_ok(x):
-        vu, vp = potentials(defm, x)
-        return max(abs(vu), abs(vp)) < v_wall
-
-    for _ in range(60):
-        if v_ok(lo):
-            break
-        lo += (hi - lo) * 0.02
-    for _ in range(60):
-        if v_ok(hi):
-            break
-        hi -= (hi - lo) * 0.02
-    return np.linspace(lo, hi, n)
 
 
 def grid_frame(defm, xs, levels=()):

@@ -186,6 +186,22 @@ def test_derive_negative_order_exit_2(tmp_path, capsys):
     assert "order must be a non-negative integer" in capsys.readouterr().err
 
 
+def test_undeformed_derive_needs_no_gamma_rays(tmp_path):
+    # the rays of s2_minus_one(-8, 8.1) at m=0 do not converge (an endpoint
+    # exponent next to -1); gamma=inf never reads them
+    out, meta = tmp_path / "x.csv", tmp_path / "meta.json"
+    argv = [
+        "derive", "--kind", "s2_minus_one", "--alpha", "-8", "--beta", "8.1",
+        "--gamma", "inf", "--x-min", "0.4", "--x-max", "3", "--n", "50", "--out", str(out),
+    ]
+    assert main(argv) == 0
+    assert len(out.read_text().splitlines()) == 51
+    # --meta reports the rays; while they fail, the run exits 4 and writes no meta
+    code = main(argv + ["--meta", str(meta)])
+    assert code in (0, 4)
+    assert meta.exists() == (code == 0)
+
+
 def test_verify_algebra_suite(capsys):
     assert main(["verify", "--suite", "algebra"]) == 0
     assert "PASS" in capsys.readouterr().out

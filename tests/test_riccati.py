@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from hypersusy import families, ladder, riccati
+from hypersusy import families, ladder, riccati, schrodinger
 from hypersusy.errors import CutoffExceeded, InadmissibleGamma
 from hypersusy.numerics import derivative, quad
 from hypersusy.polynomials import associated_function
@@ -195,6 +195,30 @@ def test_riccati_residual_deformed():
                 assert riccati.riccati_residual(d, pts) <= 1e-9
 
 
+def test_pointwise_paths_take_any_shape():
+    # a float, a 0-d array and a 2-d array give the 1-d result at the same points
+    d = riccati.make_deformation(hermite_weight(), 0, 2.0)
+    flat = np.array([-1.5, -0.2, 0.3, 0.9, 1.7, 2.4])
+    paths = (
+        lambda s: np.stack(riccati.psi_phi_arrays(d, s)),
+        lambda s: riccati.partner_potential(d, s),
+        lambda s: np.stack(schrodinger.potentials(d, s)),  # x = s for const
+    )
+    for path in paths:
+        want = path(flat)
+        for pts, ref in (
+            (float(flat[2]), want[..., 2]),
+            (np.asarray(flat[2]), want[..., 2]),
+            (flat.reshape(2, 3), want.reshape(want.shape[:-1] + (2, 3))),
+        ):
+            got = path(pts)
+            assert np.shape(got) == np.shape(ref)
+            np.testing.assert_allclose(got, ref, rtol=1e-13, atol=1e-14)
+    assert riccati.riccati_residual(d, flat.reshape(2, 3)) == riccati.riccati_residual(d, flat)
+    assert riccati.riccati_residual(d, np.asarray(0.3)) == riccati.riccati_residual(d, 0.3)
+    assert riccati.riccati_residual(d, 0.3) <= 1e-9
+
+
 def test_riccati_residual_deformed_oscillator_wide_window():
     d = riccati.make_deformation(hermite_weight(), 0, 2.0)
     assert riccati.riccati_residual(d, np.linspace(-6.0, 6.0, 64)) <= 1e-9
@@ -259,19 +283,16 @@ def test_partner_eigen_relation_pointwise():
     # H u = lambda_l u with the second derivative taken numerically
     f = hermite_weight()
     d = riccati.make_deformation(f, 0, 2.0)
+    pts = np.linspace(-3.0, 3.0, 32)
     for l in (1, 2, 3, 4):
         u = riccati.partner_eigenfunction(d, l)
         lam = float(families.eigenvalue(f, l))
-        vectorized = np.vectorize(lambda s: u(float(s)).value)
-        pts = np.linspace(-3.0, 3.0, 32)
-        scale = float(np.max(np.abs(vectorized(pts))))
-        for s in pts:
-            s = float(s)
-            upp = derivative(vectorized, s, order=2, h0=0.1, levels=3)
-            val = u(s).value
-            h_u = -float(f.sigma(s)) * upp - float(f.tau(s)) * u(s).deriv
-            h_u += riccati.partner_potential(d, s) * val
-            assert abs(h_u - lam * val) <= 1e-8 * max(1.0, scale)
+        here = u(pts)
+        scale = float(np.max(np.abs(here.value)))
+        upp = derivative(lambda s: u(s).value, pts, order=2, h0=0.1, levels=3)
+        h_u = -f.sigma(pts) * upp - f.tau(pts) * here.deriv
+        h_u += riccati.partner_potential(d, pts) * here.value
+        assert np.all(np.abs(h_u - lam * here.value) <= 1e-8 * max(1.0, scale))
 
 
 def test_partner_eigenfunction_value_and_vector_paths_agree():
@@ -279,7 +300,7 @@ def test_partner_eigenfunction_value_and_vector_paths_agree():
     d = riccati.make_deformation(f, 0, 2.0)
     u = riccati.partner_eigenfunction(d, 2)
     pts = np.linspace(-2.0, 2.0, 9)
-    vals = riccati.partner_eigenfunction_values(d, 2, pts)
+    vals = u(pts).value
     for s, v in zip(pts, vals):
         assert abs(v - u(float(s)).value) < 1e-11
 
@@ -291,8 +312,7 @@ def test_partner_eigenfunction_derivative_matches_finite_difference():
             u = riccati.partner_eigenfunction(d, 1)
             for s in families.sample_points(fam, 6):
                 s = float(s)
-                fd = derivative(lambda t: riccati.partner_eigenfunction_values(d, 1, [t])[0],
-                                s, order=1, h0=0.02)
+                fd = derivative(lambda t: u(t).value, s, order=1, h0=0.02)
                 assert abs(u(s).deriv - fd) <= 1e-8 * (1.0 + abs(fd))
 
 
@@ -311,8 +331,8 @@ def test_partner_eigenfunctions_orthogonal():
 
     def inner(l1, l2):
         def integrand(s):
-            v1 = riccati.partner_eigenfunction_values(d, l1, s)
-            v2 = riccati.partner_eigenfunction_values(d, l2, s)
+            v1 = riccati.partner_eigenfunction(d, l1)(s).value
+            v2 = riccati.partner_eigenfunction(d, l2)(s).value
             return v1 * v2 * families.weight(f, s)
 
         return quad(integrand, -8.0, 8.0, tol=1e-11).value

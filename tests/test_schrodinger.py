@@ -124,8 +124,8 @@ def test_upper_potential_is_gamma_independent():
     d_inf = riccati.make_deformation(f, 0, math.inf)
     d_fin = riccati.make_deformation(f, 0, 2.0)
     xs = np.linspace(-4, 4, 21)
-    vu_inf = schrodinger.potentials_grid(d_inf, xs)[0]
-    vu_fin = schrodinger.potentials_grid(d_fin, xs)[0]
+    vu_inf = schrodinger.potentials(d_inf, xs)[0]
+    vu_fin = schrodinger.potentials(d_fin, xs)[0]
     assert np.max(np.abs(vu_inf - vu_fin)) <= 1e-11
 
 
@@ -213,16 +213,6 @@ def test_B_plus_maps_into_partner_eigenfunction():
         upp = derivative(uv, x, order=2, h0=0.05, levels=3)
         _, vp = schrodinger.potentials(d, x)
         assert abs(-upp + vp * u(x) - lam * u(x)) <= 1e-7 * max(1.0, scale)
-
-
-def test_default_grid_respects_domain():
-    f = families.make_family("one_minus_s2", -4, 1)
-    d = riccati.make_deformation(f, 0, math.inf)
-    xs = schrodinger.default_grid(d, n=64)
-    assert xs[0] >= 0.05 and xs[-1] <= math.pi - 0.05
-    g = families.make_family("const", -2, 0)
-    xs = schrodinger.default_grid(riccati.make_deformation(g, 0, math.inf), n=64)
-    assert xs[0] < -4 and xs[-1] > 4
 
 
 # --- exports ------------------------------------------------------------------
