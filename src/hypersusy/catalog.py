@@ -27,7 +27,7 @@ class CatalogEntry:
     name: str
     kind: str
     tau_form: str  # "full" (alpha*s+beta), "beta" (tau=beta), "alpha_s" (tau=alpha*s)
-    tilde: bool
+    shifted: bool
 
 
 CATALOG = (
@@ -71,9 +71,9 @@ def catalog_reference(entry_id, alpha, beta, m, x, gamma=math.inf, delta=None):
         raise ParameterViolation(f"entry {entry_id} needs tau = beta (alpha = 0)")
     if e.tau_form == "alpha_s" and beta != 0:
         raise ParameterViolation(f"entry {entry_id} needs tau = alpha*s (beta = 0)")
-    if e.tilde and delta is None:
+    if e.shifted and delta is None:
         raise ParameterViolation(f"entry {entry_id} carries the constant shift; pass delta")
-    if not e.tilde and delta is not None:
+    if not e.shifted and delta is not None:
         raise ParameterViolation(f"entry {entry_id} does not take delta")
     fam = families.make_family(e.kind, alpha, beta)
     al, be = float(alpha), float(beta)

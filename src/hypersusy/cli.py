@@ -114,7 +114,7 @@ def cmd_families(args):
             "name": e.name,
             "kind": e.kind,
             "tau": {"full": "alpha*s + beta", "beta": "beta", "alpha_s": "alpha*s"}[e.tau_form],
-            "shifted": e.tilde,
+            "shifted": e.shifted,
         }
         for e in catalog.CATALOG
     ]
@@ -123,7 +123,7 @@ def cmd_families(args):
         info = entries[e.entry_id - 1]
         sp = families.SPECS[e.kind]
         info["sigma"] = sp.sigma_text
-        if e.tilde:
+        if e.shifted:
             info["k"] = sp.power.k_text
         print(json.dumps(info, indent=2) if args.json else _format_entry(info))
         return 0
@@ -165,15 +165,7 @@ def cmd_derive(args):
         )
     fam = families.make_family(cfg.kind, cfg.alpha, cfg.beta)
     defm = riccati.make_deformation(fam, cfg.m, cfg.gamma, cfg.delta)
-    xs = np.linspace(x_min, x_max, n)
-    frame = schrodinger.grid_frame(defm, xs, cfg.levels)
-    if cfg.fmt == "json":
-        schrodinger.write_json(frame, cfg.out)
-    else:
-        schrodinger.write_csv(frame, cfg.out)
-    if cfg.svg:
-        schrodinger.write_svg(frame, cfg.svg)
-    if cfg.meta:
+    if cfg.meta:  # built first, so that a failing record (the rays) leaves no file behind
         lam_max = cfg.levels[-1] if cfg.levels else cfg.m + 4
         shift = 0 if cfg.delta is None else 1  # a shifted level l needs l + 1 below the cutoff
         targets = [defm.eigenvalue(l) for l in range(cfg.m + 1, lam_max + 1)
@@ -185,6 +177,15 @@ def cmd_derive(args):
             "grid": {"x_min": x_min, "x_max": x_max, "n": n},
             "levels": cfg.levels,
         }
+    xs = np.linspace(x_min, x_max, n)
+    frame = schrodinger.grid_frame(defm, xs, cfg.levels)
+    if cfg.fmt == "json":
+        schrodinger.write_json(frame, cfg.out)
+    else:
+        schrodinger.write_csv(frame, cfg.out)
+    if cfg.svg:
+        schrodinger.write_svg(frame, cfg.svg)
+    if cfg.meta:
         with open(cfg.meta, "w") as fh:
             json.dump(meta, fh, indent=2)
     print(f"wrote {cfg.out}")

@@ -58,7 +58,7 @@ class DivisibilityFailure(HypersusyError):
 
 
 class ContextMismatch(InvalidParameters):
-    """Function and operator context disagree on family or order."""
+    """Function and context disagree (family, order), or a one-slot map got a shifted context."""
 
 
 class InadmissibleGamma(HypersusyError):

@@ -166,6 +166,11 @@ def _is_exact(x):
     return isinstance(x, (int, Fraction)) and not isinstance(x, bool)
 
 
+def json_number(v):
+    """A parameter for JSON: ints stay ints, Fractions and floats become floats."""
+    return v if isinstance(v, int) else float(v)
+
+
 @dataclass(frozen=True)
 class Family:
     kind: str
@@ -232,10 +237,8 @@ class Family:
             raise OutOfDomain(f"s={s} outside the open interval {self.interval}")
 
     def to_json(self):
-        def num(v):
-            return v if isinstance(v, int) else float(v)
-
-        return {"kind": self.kind, "alpha": num(self.alpha), "beta": num(self.beta)}
+        return {"kind": self.kind, "alpha": json_number(self.alpha),
+                "beta": json_number(self.beta)}
 
     @classmethod
     def from_json(cls, obj):
@@ -365,8 +368,8 @@ def weight_power(fam):
     return power.k(fam.alpha, fam.beta, Fraction(1, 2) if fam.exact else 0.5)
 
 
-def shifted_eigenvalue(fam, m, delta):
-    """Constant-shift eigenvalue lambda_m - delta^2 / (2m + 2k + 1)^2."""
+def _shift_denominator(fam, m):
+    """2m + 2k + 1 for the pure-power weight rho = sigma^k, validated."""
     k = weight_power(fam)
     if k is None:
         raise NoWeightPower(f"({fam.kind}, beta={fam.beta}) has no pure-power weight")
@@ -375,6 +378,25 @@ def shifted_eigenvalue(fam, m, delta):
     den = 2 * m + 2 * k + 1
     if den == 0 or abs(float(den)) < 1e-12:
         raise DegenerateDenominator(f"2m + 2k + 1 = 0 for m={m}, k={k}")
+    return den
+
+
+def shift_constant(fam, m, delta):
+    """c = delta / (2m + 2k + 1); exact when the family and delta are, else a float."""
+    den = _shift_denominator(fam, m)
+    if fam.exact and _is_exact(delta):
+        return Fraction(delta) / den
+    return float(delta) / float(den)
+
+
+def shifted_eigenvalue(fam, m, delta):
+    """Constant-shift eigenvalue lambda_m - delta^2 / (2m + 2k + 1)^2.
+
+    delta=None is the unshifted lambda_m.
+    """
+    if delta is None:
+        return eigenvalue(fam, m)
+    den = _shift_denominator(fam, m)
     lam = eigenvalue(fam, m)
     if fam.exact and _is_exact(delta):
         return lam - Fraction(delta) ** 2 / Fraction(den) ** 2

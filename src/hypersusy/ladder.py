@@ -11,17 +11,13 @@ a nonzero remainder is an algebra bug and raises DivisibilityFailure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 from fractions import Fraction
 
 import numpy as np
 
-from . import families
-from .errors import (
-    ContextMismatch,
-    CutoffExceeded,
-    DivisibilityFailure,
-)
+from . import families, riccati
+from .errors import ContextMismatch, DivisibilityFailure
 from .polynomials import (
     AssociatedFunction,
     Poly,
@@ -34,38 +30,12 @@ _HALF = Fraction(1, 2)
 _QUARTER = Fraction(1, 4)
 
 
-@dataclass(frozen=True)
-class TildeShift:
-    k: object
-    delta: object
-
-
-@dataclass(frozen=True)
-class LadderContext:
-    family: families.Family
-    m: int
-    tilde: TildeShift | None = None
-
-    @property
-    def shift_constant(self):
-        if self.tilde is None:
-            return 0
-        den = 2 * self.m + 2 * self.tilde.k + 1
-        if isinstance(den, Fraction) or isinstance(self.tilde.delta, (int, Fraction)):
-            return Fraction(self.tilde.delta) / Fraction(den)
-        return float(self.tilde.delta) / float(den)
-
-
 def make_context(fam, m, delta=None):
-    """Ladder context at order m; delta switches on the constant shift."""
-    if not isinstance(m, int) or m < 0:
-        raise ContextMismatch(f"order must be a non-negative integer, got {m!r}")
-    if not families.below_cutoff(fam, m + 1):
-        raise CutoffExceeded(f"ladder context needs m+1 below the cutoff, got m={m}")
-    if delta is None:
-        return LadderContext(fam, m, None)
-    families.shifted_eigenvalue(fam, m, delta)  # validates power weight + denominator
-    return LadderContext(fam, m, TildeShift(families.weight_power(fam), delta))
+    """Ladder context at order m: the undeformed (gamma = inf) Deformation.
+
+    delta switches on the constant shift of the pure-power weights.
+    """
+    return riccati.make_deformation(fam, m, math.inf, delta)
 
 
 class KappaForm:
@@ -211,24 +181,31 @@ def residual(lhs, rhs):
 
 
 # --- the operators ---------------------------------------------------------
+#
+# Each map takes the context; a shifted context (delta set) adds c*u to the
+# first-order maps and -delta*kappa'*u to H, an unshifted one builds no extra
+# term.
 
-def _apply_raise(fam, m, u):
-    """kappa (d/ds - m kappa'/kappa)."""
-    return u.d_ds().shift(1) - u.times_kappa_prime().scale(m)
+def _apply_raise(ctx, u):
+    """kappa (d/ds - m kappa'/kappa) (+ c)."""
+    out = u.d_ds().shift(1) - u.times_kappa_prime().scale(ctx.m)
+    return out if ctx.delta is None else out + u.scale(ctx.shift_constant)
 
 
-def _apply_lower(fam, m, u):
-    """kappa (-d/ds - tau/sigma - (m-1) kappa'/kappa)."""
-    tau = fam.polys[2]
-    return (
+def _apply_lower(ctx, u):
+    """kappa (-d/ds - tau/sigma - (m-1) kappa'/kappa) (+ c)."""
+    tau = ctx.family.polys[2]
+    out = (
         u.d_ds().shift(1).scale(-1)
         - u.mul_poly(tau).shift(-1)
-        - u.times_kappa_prime().scale(m - 1)
+        - u.times_kappa_prime().scale(ctx.m - 1)
     )
+    return out if ctx.delta is None else out + u.scale(ctx.shift_constant)
 
 
-def _apply_h(fam, m, u):
-    """-sigma D^2 - tau D + v_m, with v_m entering as an exact rational term."""
+def _apply_h(ctx, m, u):
+    """-sigma D^2 - tau D + v_m (- delta kappa'), v_m entering as an exact rational term."""
+    fam = ctx.family
     sig, sp, tau = fam.polys
     du = u.d_ds()
     out = du.d_ds().mul_poly(sig).scale(-1) - du.mul_poly(tau)
@@ -237,10 +214,14 @@ def _apply_h(fam, m, u):
         out = out + u.mul_poly(num).scale(_QUARTER).shift(-2)
         const = m * (m - 2) * fam.sigma_lead + m * fam.alpha
         out = out - u.scale(const)
+    if ctx.delta is not None:
+        out = out - u.times_kappa_prime().scale(ctx.delta)
     return out
 
 
 def _check_compatible(ctx, af, expected_m):
+    if ctx.delta is not None:
+        raise ContextMismatch("shifted maps do not reduce to one kappa^m slot")
     if af.family != ctx.family:
         raise ContextMismatch("function family differs from the context family")
     if af.m != expected_m:
@@ -258,15 +239,37 @@ def lower_order(ctx, af):
     _check_compatible(ctx, af, ctx.m + 1)
     if not (ctx.m < af.l and families.below_cutoff(ctx.family, af.l)):
         raise ContextMismatch(f"lowering needs m < l < cutoff, got l={af.l}, m={ctx.m}")
-    out = _apply_lower(ctx.family, ctx.m, KappaForm.from_assoc(af))
+    out = _apply_lower(ctx, KappaForm.from_assoc(af))
     return AssociatedFunction(ctx.family, af.l, ctx.m, out.collapse(ctx.m))
 
 
 def apply_hamiltonian(ctx, af):
     """Apply -sigma D^2 - tau D + v_m at the context order."""
     _check_compatible(ctx, af, ctx.m)
-    out = _apply_h(ctx.family, ctx.m, KappaForm.from_assoc(af))
+    out = _apply_h(ctx, ctx.m, KappaForm.from_assoc(af))
     return AssociatedFunction(ctx.family, af.l, ctx.m, out.collapse(ctx.m))
+
+
+def _report(ctx, cases):
+    """Residuals of the four relations on each case (key_u, u, key_w, w).
+
+    u has order m and w order m+1 (None skips the two relations on w); a is
+    _apply_raise, a+ is _apply_lower and lam the (shifted) lambda_m.  Each
+    operator is applied to a given form once.
+    """
+    m = ctx.m
+    lam = families.shifted_eigenvalue(ctx.family, m, ctx.delta)
+    report = {name: {} for name in ("factor_low", "factor_high", "intertwine_h", "intertwine_a")}
+    for key_u, u, key_w, w in cases:
+        au, hu = _apply_raise(ctx, u), _apply_h(ctx, m, u)
+        report["factor_low"][key_u] = residual(_apply_lower(ctx, au), hu - u.scale(lam))
+        report["intertwine_a"][key_u] = residual(_apply_raise(ctx, hu), _apply_h(ctx, m + 1, au))
+        if w is not None:
+            lw, hw = _apply_lower(ctx, w), _apply_h(ctx, m + 1, w)
+            report["factor_high"][key_w] = residual(_apply_raise(ctx, lw), hw - w.scale(lam))
+            report["intertwine_h"][key_w] = residual(_apply_h(ctx, m, lw), _apply_lower(ctx, hw))
+    report["max_residual"] = max([0.0] + [r for rel in report.values() for r in rel.values()])
+    return report
 
 
 def check_identities(ctx, lmax):
@@ -278,100 +281,44 @@ def check_identities(ctx, lmax):
       intertwine_h    H_m a+         vs  a+ H_{m+1}
       intertwine_a    a H_m          vs  H_{m+1} a
     Residuals are relative max-coefficient deviations (exactly 0 in
-    rational mode).  Each level builds its polynomial once, takes both
-    orders from it by differentiation, and applies every operator to a
-    given form once.
+    rational mode).  Each level builds its polynomial once and takes both
+    orders from it by differentiation.  A shifted context checks the shifted
+    maps against the shifted eigenvalue.
     """
     fam, m = ctx.family, ctx.m
-    lam_m = families.eigenvalue(fam, m)
-    report = {name: {} for name in ("factor_low", "factor_high", "intertwine_h", "intertwine_a")}
-    worst = 0.0
-    for l in range(m, lmax + 1):
-        if not families.below_cutoff(fam, l):
-            break
-        q = poly_eigenfunction(fam, l).deriv(m)
-        u = KappaForm.from_poly(fam, m, q)
-        au, hu = _apply_raise(fam, m, u), _apply_h(fam, m, u)
-        lhs = _apply_lower(fam, m, au)
-        rhs = hu - u.scale(lam_m)
-        report["factor_low"][f"l={l},m={m}"] = r = residual(lhs, rhs)
-        worst = max(worst, r)
 
-        lhs = _apply_raise(fam, m, hu)
-        rhs = _apply_h(fam, m + 1, au)
-        report["intertwine_a"][f"l={l},m={m}"] = r = residual(lhs, rhs)
-        worst = max(worst, r)
+    def cases():
+        for l in range(m, lmax + 1):
+            if not families.below_cutoff(fam, l):
+                break
+            q = poly_eigenfunction(fam, l).deriv(m)
+            w = KappaForm.from_poly(fam, m + 1, q.deriv()) if l >= m + 1 else None
+            yield f"l={l},m={m}", KappaForm.from_poly(fam, m, q), f"l={l},m={m + 1}", w
 
-        if l >= m + 1:
-            w = KappaForm.from_poly(fam, m + 1, q.deriv())
-            lw, hw = _apply_lower(fam, m, w), _apply_h(fam, m + 1, w)
-            lhs = _apply_raise(fam, m, lw)
-            rhs = hw - w.scale(lam_m)
-            report["factor_high"][f"l={l},m={m + 1}"] = r = residual(lhs, rhs)
-            worst = max(worst, r)
-
-            lhs = _apply_h(fam, m, lw)
-            rhs = _apply_lower(fam, m, hw)
-            report["intertwine_h"][f"l={l},m={m + 1}"] = r = residual(lhs, rhs)
-            worst = max(worst, r)
-    report["max_residual"] = worst
-    report["exact"] = fam.exact
+    report = _report(ctx, cases())
+    # a float delta on an exact family runs the shifted maps in floats
+    report["exact"] = fam.exact and not isinstance(ctx.shift_constant, float)
     return report
-
-
-# --- shifted (delta) variants ----------------------------------------------
-
-def apply_shifted(ctx, form, which):
-    """Shifted ladder map on a kappa form: the plain map plus delta/(2m+2k+1)."""
-    if ctx.tilde is None:
-        raise ContextMismatch("context carries no shift; build it with delta")
-    if isinstance(form, AssociatedFunction):
-        form = KappaForm.from_assoc(form)
-    c = ctx.shift_constant
-    if which == "raise":
-        return _apply_raise(ctx.family, ctx.m, form) + form.scale(c)
-    if which == "lower":
-        return _apply_lower(ctx.family, ctx.m, form) + form.scale(c)
-    raise ValueError("which must be 'raise' or 'lower'")
-
-
-def _apply_h_shifted(ctx, order, form):
-    """H_order - delta * kappa'."""
-    return _apply_h(ctx.family, order, form) - form.times_kappa_prime().scale(
-        ctx.tilde.delta
-    )
 
 
 def check_shifted_factorization(ctx, max_degree=4):
-    """Residuals of the shifted factorizations on monomial test functions.
+    """The four relations of check_identities on monomial test functions.
 
-    Applies (raise+c)(lower+c)-style products to kappa^m * s^d and
-    kappa^(m+1) * s^d for d <= max_degree and compares with the shifted
-    operators minus the shifted eigenvalue.  Works for families whose
-    polynomial eigenfunctions degenerate (the pure-power carriers), since
-    the identities are operator identities.
+    Uses kappa^m * s^d and kappa^(m+1) * s^d for d <= max_degree, so it
+    works for families whose polynomial eigenfunctions degenerate (the
+    pure-power carriers), since the identities are operator identities.
     """
-    if ctx.tilde is None:
+    if ctx.delta is None:
         raise ContextMismatch("context carries no shift; build it with delta")
     fam, m = ctx.family, ctx.m
-    lam_t = families.shifted_eigenvalue(fam, m, ctx.tilde.delta)
-    report = {"factor_low": {}, "factor_high": {}}
-    worst = 0.0
-    for d in range(max_degree + 1):
-        mono = Poly([0] * d + [1])
-        u = KappaForm.from_poly(fam, m, mono)
-        lhs = apply_shifted(ctx, apply_shifted(ctx, u, "raise"), "lower")
-        rhs = _apply_h_shifted(ctx, m, u) - u.scale(lam_t)
-        report["factor_low"][f"deg={d}"] = r = residual(lhs, rhs)
-        worst = max(worst, r)
 
-        w = KappaForm.from_poly(fam, m + 1, mono)
-        lhs = apply_shifted(ctx, apply_shifted(ctx, w, "lower"), "raise")
-        rhs = _apply_h_shifted(ctx, m + 1, w) - w.scale(lam_t)
-        report["factor_high"][f"deg={d}"] = r = residual(lhs, rhs)
-        worst = max(worst, r)
-    report["max_residual"] = worst
-    return report
+    def cases():
+        for d in range(max_degree + 1):
+            mono = Poly([0] * d + [1])
+            u, w = KappaForm.from_poly(fam, m, mono), KappaForm.from_poly(fam, m + 1, mono)
+            yield f"deg={d}", u, f"deg={d}", w
+
+    return _report(ctx, cases())
 
 
 def recurrence_residual(fam, l, m, points):

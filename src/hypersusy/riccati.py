@@ -18,9 +18,10 @@ point.  The endpoint limits behind the gamma rays reach the interval ends,
 where the integrand may be singular, and stay with tanh-sinh quadrature.
 
 A Deformation caches only its gamma rays, computed on first use since
-gamma = inf needs none; I_m on a grid is recomputed per call, and the one
-module cache holds the read-only Gauss-Legendre nodes.  Threads racing on
-the rays at worst compute them twice, so deformations can be shared freely.
+gamma = inf needs none, and its shift constant; I_m on a grid is recomputed
+per call, and the one module cache holds the read-only Gauss-Legendre nodes.
+Threads racing on a cached value at worst compute it twice, so deformations
+can be shared freely.
 
 Every pointwise quantity takes points of any shape and returns that shape.
 """
@@ -233,6 +234,12 @@ def gamma_rays(fam, m):
 
 @dataclass(frozen=True)
 class Deformation:
+    """One order-m factorization, deformed by gamma and shifted by delta.
+
+    gamma = inf is the undeformed factorization, the context of the exact
+    ladder algebra (ladder.make_context).
+    """
+
     family: families.Family
     m: int
     gamma: float
@@ -244,17 +251,15 @@ class Deformation:
         """Admissible gamma rays, computed on first use."""
         return gamma_rays(self.family, self.m)
 
-    @property
+    @functools.cached_property
     def shift_constant(self):
+        """c = delta/(2m + 2k + 1), exact in the exact lane; 0 without delta."""
         if self.delta is None:
-            return 0.0
-        k = families.weight_power(self.family)
-        return float(self.delta) / float(2 * self.m + 2 * k + 1)
+            return 0
+        return families.shift_constant(self.family, self.m, self.delta)
 
     def eigenvalue(self, level):
         """lambda_level, shift-corrected when delta is active."""
-        if self.delta is None:
-            return float(families.eigenvalue(self.family, level))
         return float(families.shifted_eigenvalue(self.family, level, self.delta))
 
     @property
@@ -267,7 +272,7 @@ class Deformation:
             "m": self.m,
             "gamma": "inf" if self.gamma == math.inf else self.gamma,
             "s0": self.s0,
-            "delta": self.delta,
+            "delta": None if self.delta is None else families.json_number(self.delta),
         }
 
     @classmethod
@@ -284,7 +289,7 @@ def make_deformation(fam, m, gamma, delta=None):
     if not families.below_cutoff(fam, m + 1):
         raise CutoffExceeded(f"deformation needs m+1 below the cutoff, got m={m}")
     if delta is not None:
-        families.shifted_eigenvalue(fam, m, delta)  # validates the shift
+        families.shift_constant(fam, m, delta)  # validates the shift
     if gamma == -math.inf:
         raise InadmissibleGamma(
             "gamma=-inf is not admissible; the undeformed operators are gamma=inf"
@@ -299,36 +304,13 @@ def make_deformation(fam, m, gamma, delta=None):
 
 # --- pointwise machinery ----------------------------------------------------
 
-def _core_arrays(defm, s):
-    """Deformation term g = sigma^m rho/(gamma+I) and dg/ds at points of any shape."""
-    fam, m = defm.family, defm.m
-    s = np.asarray(s, dtype=float)
-    if defm.gamma == math.inf:
-        return np.zeros_like(s), np.zeros_like(s)
-    w = sigma_m_rho(fam, m, s)
-    flat = s.ravel()
-    order = np.argsort(flat)
-    i_vals = np.empty_like(flat)
-    i_vals[order] = cumulative_weight_sorted(fam, m, flat[order])
-    den = defm.gamma + i_vals.reshape(s.shape)
-    if np.any(np.abs(den) < _MARGIN):
-        raise InadmissibleGamma(
-            f"gamma + I_m(s) vanishes within the margin near gamma={defm.gamma}"
-        )
-    g = w / den
-    sig = np.asarray(fam.sigma(s), dtype=float)
-    sp = np.asarray(fam.sigma_prime(s), dtype=float)
-    tau = np.asarray(fam.tau(s), dtype=float)
-    gp = g * ((m - 1) * sp + tau) / sig - g * g
-    return g, gp
-
-
 def psi_phi_arrays(defm, s):
     """(psi, psi', phi, phi') at interior points of any shape.
 
     The one derivation of the deformed first-order quantities: b, b_plus,
     the partner potential, partner eigenfunctions and the superpotential
-    W(x) all read it.
+    W(x) all read it.  The deformation term g = sigma^m rho/(gamma + I_m)
+    and its derivative are 0 at gamma = inf.
     """
     fam, m = defm.family, defm.m
     s = np.asarray(s, dtype=float)
@@ -338,7 +320,19 @@ def psi_phi_arrays(defm, s):
     spp = 2.0 * fam.sigma_lead
     tau = np.asarray(fam.tau(s), dtype=float)
     al = float(fam.alpha)
-    g, gp = _core_arrays(defm, s)
+    g = gp = 0.0
+    if defm.gamma != math.inf:
+        flat = s.ravel()
+        order = np.argsort(flat)
+        i_vals = np.empty_like(flat)
+        i_vals[order] = cumulative_weight_sorted(fam, m, flat[order])
+        den = defm.gamma + i_vals.reshape(s.shape)
+        if np.any(np.abs(den) < _MARGIN):
+            raise InadmissibleGamma(
+                f"gamma + I_m(s) vanishes within the margin near gamma={defm.gamma}"
+            )
+        g = sigma_m_rho(fam, m, s) / den
+        gp = g * ((m - 1) * sp + tau) / sig - g * g
     d_ratio = (spp * sig - sp * sp) / (sig * sig)  # (sigma'/sigma)'
     psi = -tau / sig - (m - 1) / 2.0 * sp / sig + g
     psi_p = -(al * sig - tau * sp) / (sig * sig) - (m - 1) / 2.0 * d_ratio + gp
@@ -380,7 +374,7 @@ def apply_b(defm, s, fv, which="b"):
     """
     defm.family.require_inside(s)
     kap = float(defm.family.kappa(s))
-    c = defm.shift_constant
+    c = float(defm.shift_constant)
     if which == "b":
         return kap * (fv.deriv + phi(defm, s).value * fv.value) + c * fv.value
     if which == "b_plus":
@@ -404,7 +398,7 @@ def partner_potential(defm, s):
     sp = np.asarray(fam.sigma_prime(s), dtype=float)
     v = sig * p * q - sig * qp - sp / 2.0 * q + float(families.eigenvalue(fam, defm.m))
     if defm.delta is not None:
-        v += defm.shift_constant * fam.kappa(s) * (p + q)
+        v += float(defm.shift_constant) * fam.kappa(s) * (p + q)
     return v
 
 
@@ -425,7 +419,7 @@ def partner_eigenfunction(defm, l):
         s = np.asarray(s, dtype=float)
         p, pp, _, _ = psi_phi_arrays(defm, s)
         f, fp, fpp = af.derivatives(s)
-        kap, kap_p, c = fam.kappa(s), fam.kappa_prime(s), defm.shift_constant
+        kap, kap_p, c = fam.kappa(s), fam.kappa_prime(s), float(defm.shift_constant)
         body = -fp + p * f
         return DifferentiableValue(
             kap * body + c * f, kap_p * body + kap * (-fpp + pp * f + p * fp) + c * fp

@@ -73,7 +73,7 @@ def _w_core(defm, x):
     p, pp, q, qp = riccati.psi_phi_arrays(defm, s)
     sig = np.asarray(fam.sigma(s), dtype=float)
     sp = np.asarray(fam.sigma_prime(s), dtype=float)
-    w = np.sqrt(sig) * (p + q) / 2.0 + defm.shift_constant
+    w = np.sqrt(sig) * (p + q) / 2.0 + float(defm.shift_constant)
     wp = cmap.sign * (sp * (p + q) / 4.0 + sig * (pp + qp) / 2.0)
     return w, wp
 

@@ -40,7 +40,7 @@ CASES = (
 def test_catalog_has_ten_entries():
     assert len(CATALOG) == 10
     assert [e.entry_id for e in CATALOG] == list(range(1, 11))
-    assert entry(7).kind == "linear" and entry(7).tilde
+    assert entry(7).kind == "linear" and entry(7).shifted
 
 
 @pytest.mark.parametrize("entry_id,alpha,beta,m,delta", CASES)

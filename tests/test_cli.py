@@ -196,10 +196,11 @@ def test_undeformed_derive_needs_no_gamma_rays(tmp_path):
     ]
     assert main(argv) == 0
     assert len(out.read_text().splitlines()) == 51
-    # --meta reports the rays; while they fail, the run exits 4 and writes no meta
-    code = main(argv + ["--meta", str(meta)])
+    # --meta reports the rays; while they fail, the run exits 4 and writes no file
+    fresh = tmp_path / "y.csv"
+    code = main(argv[:-1] + [str(fresh), "--meta", str(meta)])
     assert code in (0, 4)
-    assert meta.exists() == (code == 0)
+    assert meta.exists() == fresh.exists() == (code == 0)
 
 
 def test_verify_algebra_suite(capsys):

@@ -306,3 +306,22 @@ def test_quadratic_eigenvalue_monotone(alpha, level):
     f = families.make_family("s2_plus_one", alpha, 0)
     if families.below_cutoff(f, level + 1):
         assert families.eigenvalue(f, level + 1) > families.eigenvalue(f, level)
+
+
+def test_shifted_eigenvalue_is_eigenvalue_minus_c_squared_exactly():
+    for kind, a, b in (("linear", 0, 2), ("one_minus_s2", -4, 0), ("s2_minus_one", -8, 0),
+                       ("s2", -5, 0), ("s2_plus_one", Fraction(-9, 2), 0)):
+        f = families.make_family(kind, a, b)
+        for m in (0, 1):
+            for delta in (0, 3, -2, Fraction(3, 2), Fraction(-7, 5)):
+                c = families.shift_constant(f, m, delta)
+                assert isinstance(c, (int, Fraction))
+                lam = families.shifted_eigenvalue(f, m, delta)
+                assert lam == families.eigenvalue(f, m) - c * c
+    # a float delta or a float family leaves the exact lane
+    f = families.make_family("one_minus_s2", -4, 0)
+    assert isinstance(families.shift_constant(f, 0, 1.5), float)
+    g = families.make_family("one_minus_s2", -4.0, 0)
+    c = families.shift_constant(g, 0, 3)
+    assert c == 1.0 and isinstance(c, float)
+    assert families.shifted_eigenvalue(f, 1, None) == families.eigenvalue(f, 1)

@@ -11,7 +11,6 @@ from hypersusy.errors import ContextMismatch, CutoffExceeded, DivisibilityFailur
 from hypersusy.ladder import (
     KappaForm,
     apply_hamiltonian,
-    apply_shifted,
     check_identities,
     check_shifted_factorization,
     lower_order,
@@ -284,7 +283,7 @@ def test_shift_zero_reduces_to_plain():
     f = families.make_family("one_minus_s2", -4, 0)
     ctx = make_context(f, 0, delta=0)
     af = associated_function(f, 2, 0)
-    shifted = apply_shifted(ctx, af, "raise")
+    shifted = ladder._apply_raise(ctx, KappaForm.from_assoc(af))
     plain = raise_order(make_context(f, 0), af)
     diff = shifted - KappaForm.from_assoc(plain)
     assert diff.fold_down().max_abs() == 0.0
@@ -322,9 +321,9 @@ def test_shifted_maps_agree_pointwise_with_deformation_module():
     d = riccati.make_deformation(f, 0, math.inf, delta=1)
     ctx = make_context(f, 0, delta=1)
     af = associated_function(f, 2, 0)
-    form = apply_shifted(ctx, af, "raise")
+    form = ladder._apply_raise(ctx, KappaForm.from_assoc(af))
     up = associated_function(f, 2, 1)
-    form_low = apply_shifted(ctx, up, "lower")
+    form_low = ladder._apply_lower(ctx, KappaForm.from_assoc(up))
 
     def value_at(kform, s):
         return sum(float(f.sigma(s)) ** (j / 2.0) * float(p(s)) for j, p in kform.terms.items())
@@ -341,10 +340,46 @@ def test_shifted_hamiltonian_offset_is_kappa_prime():
     f = families.make_family("one_minus_s2", -4, 0)
     ctx = make_context(f, 0, delta=1)
     u = KappaForm.from_poly(f, 0, Poly([Fraction(1), Fraction(2)]))
-    shifted = ladder._apply_h_shifted(ctx, 0, u)
-    plain = ladder._apply_h(f, 0, u)
+    shifted = ladder._apply_h(ctx, 0, u)
+    plain = ladder._apply_h(make_context(f, 0), 0, u)
     diff = shifted - plain
     for s in (-0.6, 0.1, 0.7):
         val = sum(float(f.sigma(s)) ** (j / 2.0) * float(p(s)) for j, p in diff.terms.items())
         expect = -1.0 * float(f.kappa_prime(s)) * (1.0 + 2.0 * s)
         assert abs(val - expect) < 1e-13
+
+
+POWER_FAMILIES = (("one_minus_s2", -4, 0), ("s2_minus_one", -8, 0), ("s2", -5, 0),
+                  ("s2_plus_one", -6, 0))
+
+
+@pytest.mark.parametrize("kind,alpha,beta", POWER_FAMILIES)
+@pytest.mark.parametrize("m", (0, 1))
+def test_identities_exact_on_shifted_contexts(kind, alpha, beta, m):
+    # the shifted maps satisfy all four relations with the shifted eigenvalue
+    f = families.make_family(kind, alpha, beta)
+    rep = check_identities(make_context(f, m, delta=Fraction(3, 2)), lmax_for(f))
+    for name in ("factor_low", "factor_high", "intertwine_h", "intertwine_a"):
+        assert rep[name] and all(r == 0 for r in rep[name].values())
+    assert rep["max_residual"] == 0 and rep["exact"] is True
+
+
+def test_single_slot_maps_reject_shifted_contexts():
+    # a shifted map leaves two kappa parities, so it has no single-slot result
+    f = families.make_family("one_minus_s2", -4, 0)
+    ctx = make_context(f, 0, delta=1)
+    assert ContextMismatch.exit_code == 2
+    with pytest.raises(ContextMismatch):
+        raise_order(ctx, associated_function(f, 2, 0))
+    with pytest.raises(ContextMismatch):
+        lower_order(ctx, associated_function(f, 2, 1))
+    with pytest.raises(ContextMismatch):
+        apply_hamiltonian(ctx, associated_function(f, 2, 0))
+    raise_order(make_context(f, 0), associated_function(f, 2, 0))
+
+
+def test_float_delta_leaves_the_exact_lane():
+    f = families.make_family("one_minus_s2", -4, 0)
+    rep = check_identities(make_context(f, 1, delta=1.5), 4)
+    assert rep["exact"] is False and rep["max_residual"] <= 1e-12
+    assert check_identities(make_context(f, 1, delta=Fraction(3, 2)), 4)["max_residual"] == 0

@@ -385,3 +385,20 @@ def test_deformation_json_round_trip_is_strict_json():
         blob = json.loads(json.dumps(d.to_json()), parse_constant=reject)
         back = riccati.Deformation.from_json(blob)
         assert (back.family, back.m, back.gamma) == (fam, m, gamma)
+
+
+def test_deformation_json_round_trip_with_fraction_delta():
+    # delta is encoded as Family.to_json encodes alpha and beta
+    import json
+    from fractions import Fraction
+
+    f = families.make_family("one_minus_s2", -4, 0)
+    for d in (riccati.make_deformation(f, 0, math.inf, Fraction(1, 2)),
+              riccati.make_deformation(f, 0, 2.0, Fraction(3, 2)),
+              ladder.make_context(f, 1, delta=Fraction(-5, 4)),
+              ladder.make_context(f, 0, delta=2)):
+        blob = json.loads(json.dumps(d.to_json()))
+        back = riccati.Deformation.from_json(blob)
+        assert back == d
+        assert back.delta == d.delta and type(blob["delta"]) is type(families.json_number(d.delta))
+        assert float(back.shift_constant) == float(d.shift_constant)

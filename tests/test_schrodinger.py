@@ -270,3 +270,20 @@ def test_x_that_rounds_onto_the_s_boundary_is_out_of_domain(deformed):
     d = riccati.make_deformation(f, 0, gamma)
     with pytest.raises(OutOfDomain):
         schrodinger.grid_frame(d, np.array([1e-9, 0.5, 1.0]))
+
+
+def test_context_shift_constant_is_the_superpotential_offset():
+    from fractions import Fraction
+
+    from hypersusy import ladder
+
+    for kind, a, delta, xs in (("one_minus_s2", -4, Fraction(3, 2), (0.4, 1.5, 2.7)),
+                               ("s2_minus_one", -8, 2, (0.5, 1.0, 2.0)),
+                               ("s2_plus_one", -4.0, 1, (-1.0, 0.2, 2.0))):
+        f = families.make_family(kind, a, 0)
+        c = float(ladder.make_context(f, 0, delta=delta).shift_constant)
+        d = riccati.make_deformation(f, 0, math.inf, delta=delta)
+        d0 = riccati.make_deformation(f, 0, math.inf)
+        for x in xs:
+            gap = schrodinger.superpotential(d, x) - schrodinger.superpotential(d0, x)
+            assert abs(gap - c) < 1e-14
