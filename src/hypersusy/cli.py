@@ -14,6 +14,7 @@ its own code (errors.HypersusyError.exit_code).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import re
@@ -210,6 +211,7 @@ def cmd_verify(args):
     return 0 if report["ok"] else 1
 
 
+@functools.cache  # built once per process; parse_args leaves it unchanged
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="hypersusy",

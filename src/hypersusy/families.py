@@ -167,8 +167,15 @@ def _is_exact(x):
 
 
 def json_number(v):
-    """A parameter for JSON: ints stay ints, Fractions and floats become floats."""
+    """A parameter for JSON: integers as ints, other Fractions as "p/q", the rest as floats."""
+    if isinstance(v, Fraction):
+        return v.numerator if v.denominator == 1 else str(v)
     return v if isinstance(v, int) else float(v)
+
+
+def from_json_number(v):
+    """Inverse of json_number: a "p/q" string is read back as a Fraction."""
+    return Fraction(v) if isinstance(v, str) and "/" in v else v
 
 
 @dataclass(frozen=True)
@@ -243,7 +250,8 @@ class Family:
     @classmethod
     def from_json(cls, obj):
         def num(v):
-            if isinstance(v, int) and not isinstance(v, bool):
+            v = from_json_number(v)
+            if _is_exact(v):
                 return v
             f = float(v)
             return int(f) if f.is_integer() else f

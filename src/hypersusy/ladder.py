@@ -222,8 +222,8 @@ def _apply_h(ctx, m, u):
 def _check_compatible(ctx, af, expected_m):
     if ctx.delta is not None:
         raise ContextMismatch("shifted maps do not reduce to one kappa^m slot")
-    if af.family != ctx.family:
-        raise ContextMismatch("function family differs from the context family")
+    if af.family != ctx.family or af.family.exact != ctx.family.exact:
+        raise ContextMismatch("function family or lane differs from the context's")
     if af.m != expected_m:
         raise ContextMismatch(f"expected order {expected_m}, got {af.m}")
 

@@ -279,7 +279,7 @@ class Deformation:
     def from_json(cls, obj):
         fam = families.Family.from_json(obj["family"])
         gamma = math.inf if obj["gamma"] == "inf" else float(obj["gamma"])
-        return make_deformation(fam, obj["m"], gamma, obj.get("delta"))
+        return make_deformation(fam, obj["m"], gamma, families.from_json_number(obj.get("delta")))
 
 
 def make_deformation(fam, m, gamma, delta=None):

@@ -131,27 +131,25 @@ def grid_frame(defm, xs, levels=()):
     return frame
 
 
-CSV_BASE_HEADER = "x,s,V_upper,V_partner,W"
+# rows per format pass: the text held in memory stays bounded for any n
+_CSV_BLOCK_ROWS = 1024
 
 
 def write_csv(frame, path):
     cols = list(frame.keys())
     header = ",".join(cols)
     rows = np.column_stack([frame[c] for c in cols])
+    line = ",".join(["%.12g"] * len(cols)) + "\n"
     with open(path, "w") as fh:
         fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(f"{v:.12g}" for v in row) + "\n")
+        for block in np.split(rows, range(_CSV_BLOCK_ROWS, len(rows), _CSV_BLOCK_ROWS)):
+            fh.write(line * len(block) % tuple(block.ravel().tolist()))
     return header
-
-
-def frame_to_json(frame):
-    return {k: np.asarray(arr, dtype=float).tolist() for k, arr in frame.items()}
 
 
 def write_json(frame, path):
     # json.dumps runs the C encoder; json.dump streams through the Python one
-    text = json.dumps(frame_to_json(frame))
+    text = json.dumps({k: np.asarray(arr, dtype=float).tolist() for k, arr in frame.items()})
     with open(path, "w") as fh:
         fh.write(text)
 
@@ -161,22 +159,15 @@ _SVG_COLORS = {"V_upper": "#1f77b4", "V_partner": "#d62728", "W": "#2ca02c"}
 
 def write_svg(frame, path, width=640, height=440, pad=50.0):
     """Quick-look line plot of V_upper, V_partner and W as plain SVG paths."""
-    xs = frame["x"]
-    series = {k: frame[k] for k in ("V_upper", "V_partner", "W")}
+    xs = np.asarray(frame["x"], dtype=float)
+    series = {k: np.asarray(frame[k], dtype=float) for k in ("V_upper", "V_partner", "W")}
     ys = np.concatenate(list(series.values()))
     ys = ys[np.isfinite(ys)]
     y_lo, y_hi = np.percentile(ys, [2.0, 98.0])
     if y_hi <= y_lo:
         y_hi = y_lo + 1.0
     x_lo, x_hi = float(xs[0]), float(xs[-1])
-
-    def px(x):
-        return pad + (x - x_lo) / (x_hi - x_lo) * (width - 2 * pad)
-
-    def py(y):
-        y = min(max(y, y_lo), y_hi)
-        return height - pad - (y - y_lo) / (y_hi - y_lo) * (height - 2 * pad)
-
+    px = pad + (xs - x_lo) / (x_hi - x_lo) * (width - 2 * pad)
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}">',
@@ -187,12 +178,11 @@ def write_svg(frame, path, width=640, height=440, pad=50.0):
         'stroke="black" stroke-width="1"/>',
     ]
     for i, (name, vals) in enumerate(series.items()):
-        coords = [
-            (px(float(x)), py(float(v)))
-            for x, v in zip(xs, vals)
-            if math.isfinite(float(v))
-        ]
-        d = "M " + " L ".join(f"{cx:.2f} {cy:.2f}" for cx, cy in coords)
+        ok = np.isfinite(vals)
+        y = np.minimum(np.maximum(vals[ok], y_lo), y_hi)
+        py = height - pad - (y - y_lo) / (y_hi - y_lo) * (height - 2 * pad)
+        xy = np.column_stack([px[ok], py]).ravel().tolist()
+        d = "M " + " L ".join(["%.2f %.2f"] * len(py)) % tuple(xy)
         color = _SVG_COLORS[name]
         parts.append(f'<path d="{d}" fill="none" stroke="{color}" stroke-width="1.5"/>')
         parts.append(

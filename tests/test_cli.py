@@ -1,8 +1,9 @@
 import json
+import re
 
 import pytest
 
-from hypersusy import errors
+from hypersusy import cli, errors
 from hypersusy.cli import main
 
 
@@ -309,3 +310,39 @@ def test_main_returns_the_error_exit_code(cls, tmp_path, monkeypatch, capsys):
     ])
     assert code == EXIT_CODES[cls]
     assert "raised inside derive" in capsys.readouterr().err
+
+
+def test_one_parser_serves_every_call_of_a_process(tmp_path, capsys):
+    # the same calls, in the same order, once with the cached parser and once
+    # with a parser built afresh for every call
+    def run(fresh):
+        out = tmp_path / ("fresh" if fresh else "cached")
+        out.mkdir()
+        derive = ["derive", "--kind", "const", "--alpha", "-2", "--beta", "0", "--levels", "1",
+                  "--x-min", "-4", "--x-max", "4", "--n", "41"]
+        calls = (
+            derive + ["--out", str(out / "grid.csv")],
+            ["derive", "--kind", "nope", "--alpha", "-2", "--beta", "0"],
+            ["verify", "--suite", "riccati", "--json"],
+            ["families", "--json"],
+            derive + ["--out", str(out / "grid.json"), "--format", "json"],
+        )
+        cli.build_parser.cache_clear()
+        seen = []
+        for argv in calls:
+            if fresh:
+                cli.build_parser.cache_clear()
+            code = main(argv)
+            cap = capsys.readouterr()
+            text = re.sub(r'"seconds": [0-9.e-]+', '"seconds": 0', cap.out)
+            seen.append((code, text.replace(str(out), "OUT"), cap.err))
+        files = {p.name: p.read_bytes() for p in out.iterdir()}
+        return seen, files, cli.build_parser.cache_info().misses
+
+    cached, cached_files, builds = run(fresh=False)
+    assert [code for code, _, _ in cached] == [0, 2, 0, 0, 0]
+    assert "invalid choice" in cached[1][2]
+    assert builds == 1
+    fresh, fresh_files, _ = run(fresh=True)
+    assert cached == fresh
+    assert cached_files == fresh_files and set(cached_files) == {"grid.csv", "grid.json"}

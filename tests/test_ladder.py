@@ -232,6 +232,12 @@ def test_context_mismatch():
         raise_order(ctx, associated_function(g, 1, 0))
     with pytest.raises(ContextMismatch):
         lower_order(ctx, associated_function(f, 2, 2))
+    # the float family compares equal to the exact one; the lane must match too
+    with pytest.raises(ContextMismatch):
+        lower_order(ctx, associated_function(families.make_family("const", -2.0, 0.0), 2, 1))
+    with pytest.raises(ContextMismatch):
+        raise_order(make_context(families.make_family("const", -2.0, 0.0), 0),
+                    associated_function(f, 1, 0))
 
 
 def test_context_needs_room_below_cutoff():

@@ -402,3 +402,20 @@ def test_deformation_json_round_trip_with_fraction_delta():
         assert back == d
         assert back.delta == d.delta and type(blob["delta"]) is type(families.json_number(d.delta))
         assert float(back.shift_constant) == float(d.shift_constant)
+
+
+def test_json_round_trip_keeps_the_exact_lane():
+    # a non-integer Fraction travels as the string "p/q"
+    import json
+    from fractions import Fraction
+
+    f = families.make_family("one_minus_s2", Fraction(-7, 2), 0)
+    ctx = ladder.make_context(f, 1, delta=Fraction(3, 2))
+    blob = json.loads(json.dumps(ctx.to_json()))
+    assert blob["family"]["alpha"] == "-7/2" and blob["delta"] == "3/2"
+    back = riccati.Deformation.from_json(blob)
+    assert back == ctx and back.family.exact
+    assert type(back.family.alpha) is Fraction and type(back.delta) is Fraction
+    rep = ladder.check_identities(back, 4)
+    assert rep["exact"] is True and rep["max_residual"] == 0
+    assert families.json_number(Fraction(4, 2)) == 2 and type(families.json_number(Fraction(4, 2))) is int

@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -287,3 +288,123 @@ def test_context_shift_constant_is_the_superpotential_offset():
         for x in xs:
             gap = schrodinger.superpotential(d, x) - schrodinger.superpotential(d0, x)
             assert abs(gap - c) < 1e-14
+
+
+# --- export bytes against the per-value writers the block writers replaced ----
+
+def reference_csv(frame, path):
+    cols = list(frame.keys())
+    header = ",".join(cols)
+    rows = np.column_stack([frame[c] for c in cols])
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join(f"{v:.12g}" for v in row) + "\n")
+    return header
+
+
+def reference_svg(frame, path, width=640, height=440, pad=50.0):
+    xs = frame["x"]
+    series = {k: frame[k] for k in ("V_upper", "V_partner", "W")}
+    ys = np.concatenate(list(series.values()))
+    ys = ys[np.isfinite(ys)]
+    y_lo, y_hi = np.percentile(ys, [2.0, 98.0])
+    if y_hi <= y_lo:
+        y_hi = y_lo + 1.0
+    x_lo, x_hi = float(xs[0]), float(xs[-1])
+
+    def px(x):
+        return pad + (x - x_lo) / (x_hi - x_lo) * (width - 2 * pad)
+
+    def py(y):
+        y = min(max(y, y_lo), y_hi)
+        return height - pad - (y - y_lo) / (y_hi - y_lo) * (height - 2 * pad)
+
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
+        f'viewBox="0 0 {width} {height}">',
+        f'<rect width="{width}" height="{height}" fill="white"/>',
+        f'<line x1="{pad}" y1="{height - pad}" x2="{width - pad}" y2="{height - pad}" '
+        'stroke="black" stroke-width="1"/>',
+        f'<line x1="{pad}" y1="{pad}" x2="{pad}" y2="{height - pad}" '
+        'stroke="black" stroke-width="1"/>',
+    ]
+    colors = {"V_upper": "#1f77b4", "V_partner": "#d62728", "W": "#2ca02c"}
+    for i, (name, vals) in enumerate(series.items()):
+        coords = [
+            (px(float(x)), py(float(v)))
+            for x, v in zip(xs, vals)
+            if math.isfinite(float(v))
+        ]
+        d = "M " + " L ".join(f"{cx:.2f} {cy:.2f}" for cx, cy in coords)
+        color = colors[name]
+        parts.append(f'<path d="{d}" fill="none" stroke="{color}" stroke-width="1.5"/>')
+        parts.append(
+            f'<text x="{width - pad - 110}" y="{pad + 16 * (i + 1)}" '
+            f'fill="{color}" font-size="13">{name}</text>'
+        )
+    parts.append("</svg>")
+    with open(path, "w") as fh:
+        fh.write("\n".join(parts))
+
+
+def export_frame(gamma=math.inf, n=101, levels=()):
+    d = riccati.make_deformation(families.make_family("const", -2, 0), 0, gamma)
+    return schrodinger.grid_frame(d, np.linspace(-4.0, 4.0, n), levels)
+
+
+def special_values_frame():
+    frame = {k: np.array(v, dtype=float) for k, v in export_frame(n=21, levels=(1,)).items()}
+    # the literal 1.8e308 rounds to inf; the largest double is 1.7976931348623157e308
+    big = sys.float_info.max
+    specials = (math.nan, math.inf, -math.inf, -0.0, 5e-324, big, -5e-324, -big)
+    for j, col in enumerate(frame.values()):
+        for i, v in enumerate(specials):
+            col[1 + (i + 2 * j) % 19] = v
+    return frame
+
+
+def non_finite_series_frame():
+    frame = dict(export_frame(n=31))
+    frame["W"] = np.full(31, math.nan)
+    frame["V_partner"] = np.where(np.arange(31) % 2 == 0, math.inf, -math.inf)
+    return frame
+
+
+BLOCK = schrodinger._CSV_BLOCK_ROWS
+EXPORT_FRAMES = {
+    "n=2": lambda: export_frame(n=2),
+    "undeformed, no psi": lambda: export_frame(),
+    "undeformed, 1 psi": lambda: export_frame(levels=(1,)),
+    "undeformed, 3 psi": lambda: export_frame(levels=(1, 2, 3)),
+    "deformed, no psi": lambda: export_frame(gamma=2.0),
+    "deformed, 1 psi": lambda: export_frame(gamma=2.0, levels=(2,)),
+    "deformed, 3 psi": lambda: export_frame(gamma=-3.0, levels=(1, 2, 4)),
+    "block - 1 rows": lambda: export_frame(n=BLOCK - 1, levels=(1,)),
+    "block rows": lambda: export_frame(n=BLOCK, levels=(1,)),
+    "block + 1 rows": lambda: export_frame(gamma=2.0, n=BLOCK + 1, levels=(1, 3)),
+    "special values": special_values_frame,
+    "non-finite series": non_finite_series_frame,
+}
+
+
+# the largest doubles overflow y_hi - y_lo in both SVG writers alike
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+@pytest.mark.parametrize("name", EXPORT_FRAMES)
+def test_csv_and_svg_bytes_match_the_per_value_writers(name, tmp_path):
+    frame = EXPORT_FRAMES[name]()
+    assert schrodinger.write_csv(frame, tmp_path / "a.csv") == reference_csv(frame, tmp_path / "b.csv")
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+    schrodinger.write_svg(frame, tmp_path / "a.svg")
+    reference_svg(frame, tmp_path / "b.svg")
+    assert (tmp_path / "a.svg").read_bytes() == (tmp_path / "b.svg").read_bytes()
+
+
+def test_special_values_frames_reach_the_writers(tmp_path):
+    frame = special_values_frame()
+    schrodinger.write_csv(frame, tmp_path / "a.csv")
+    tokens = set((tmp_path / "a.csv").read_text().replace("\n", ",").split(","))
+    assert {"nan", "inf", "-inf", "-0", "4.94065645841e-324", "-1.79769313486e+308"} <= tokens
+    schrodinger.write_svg(non_finite_series_frame(), tmp_path / "a.svg")
+    paths = (tmp_path / "a.svg").read_text().split('<path d="')[1:]
+    assert [p.split('"')[0] for p in paths[1:]] == ["M ", "M "]
