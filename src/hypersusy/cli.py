@@ -55,7 +55,7 @@ _READERS = {
 
 
 def _read(key, val):
-    """A derive setting from a flag or a config file; other keys pass through."""
+    """A derive setting from a flag or a config file; the other settings pass through."""
     return _READERS[key](val) if key in _READERS else val
 
 
@@ -82,9 +82,16 @@ class JobConfig:
         if getattr(args, "config", None):
             with open(args.config) as fh:
                 raw = json.load(fh)
+            if not (isinstance(raw, dict) and isinstance(raw.get("grid", {}), dict)):
+                raise ParameterViolation(f"{args.config} must hold a JSON object, its grid too")
             raw.update(raw.pop("grid", {}))
             if "format" in raw:
                 raw["fmt"] = raw.pop("format")
+            unknown = sorted(set(raw) - {f.name for f in fields(cls)})
+            if unknown:
+                raise ParameterViolation(
+                    f"unknown config setting(s) {', '.join(map(repr, unknown))} in {args.config}"
+                )
             for key, val in raw.items():
                 setattr(cfg, key, _read(key, val))
         for f in fields(cls):
@@ -114,7 +121,7 @@ def cmd_families(args):
             "id": e.entry_id,
             "name": e.name,
             "kind": e.kind,
-            "tau": {"full": "alpha*s + beta", "beta": "beta", "alpha_s": "alpha*s"}[e.tau_form],
+            "tau": families.SPECS[e.kind].power.tau if e.shifted else "alpha*s + beta",
             "shifted": e.shifted,
         }
         for e in catalog.CATALOG
@@ -156,8 +163,7 @@ def cmd_derive(args):
     cfg = JobConfig.from_args(args)
     for name in ("kind", "alpha", "beta", "x_min", "x_max", "out"):
         if getattr(cfg, name) is None:
-            print(f"error: missing required setting '{name}'", file=sys.stderr)
-            return 2
+            raise ParameterViolation(f"missing required setting '{name}'")
     x_min, x_max, n = float(cfg.x_min), float(cfg.x_max), int(cfg.n)
     if not (math.isfinite(x_min) and math.isfinite(x_max) and x_min < x_max and n >= 2):
         raise ParameterViolation(
@@ -285,7 +291,7 @@ def main(argv=None):
     except HypersusyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

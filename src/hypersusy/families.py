@@ -249,14 +249,8 @@ class Family:
 
     @classmethod
     def from_json(cls, obj):
-        def num(v):
-            v = from_json_number(v)
-            if _is_exact(v):
-                return v
-            f = float(v)
-            return int(f) if f.is_integer() else f
-
-        return make_family(obj["kind"], num(obj["alpha"]), num(obj["beta"]))
+        return make_family(obj["kind"], from_json_number(obj["alpha"]),
+                           from_json_number(obj["beta"]))
 
 
 def _check_constraints(kind, alpha, beta):

@@ -125,11 +125,35 @@ def test_catalog_rejects_wrong_tau_shape():
         catalog_reference(11, -2, 0, 0, 1.0)
 
 
-def test_shift_zero_matches_unshifted_potential():
-    xs = GRID["one_minus_s2"]
+# (shifted entry, its base entry, alpha, beta): the pure-power subfamily
+SHIFT_BASES = ((7, 2, 0, 2), (8, 3, -4, 0), (9, 4, -4, 0), (10, 6, -4, 0))
+
+
+@pytest.mark.parametrize("shifted,base,alpha,beta", SHIFT_BASES)
+def test_shift_zero_matches_unshifted_potential(shifted, base, alpha, beta):
+    xs = GRID[entry(base).kind]
     for x in xs:
-        v8, w8, lam8 = catalog_reference(8, -4, 0, 0, float(x), delta=0)
-        v3, w3, lam3 = catalog_reference(3, -4, 0, 0, float(x))
+        v8, w8, lam8 = catalog_reference(shifted, alpha, beta, 0, float(x), delta=0)
+        v3, w3, lam3 = catalog_reference(base, alpha, beta, 0, float(x))
         assert abs(v8 - v3) < 1e-12
         assert abs(w8 - w3) < 1e-12
         assert abs(lam8 - lam3) < 1e-15
+
+
+@pytest.mark.parametrize("finite_gamma", [False, True], ids=["inf", "finite"])
+@pytest.mark.parametrize("entry_id,alpha,beta,m,delta", CASES)
+def test_array_call_matches_pointwise_calls(entry_id, alpha, beta, m, delta, finite_gamma):
+    kind = entry(entry_id).kind
+    gamma = math.inf
+    if finite_gamma:
+        rays = riccati.gamma_rays(families.make_family(kind, alpha, beta), m)
+        gamma = rays.right_start + 1.0 if math.isfinite(rays.right_start) else rays.left_end - 1.0
+    xs = GRID[kind]
+    v, w, lam = catalog_reference(entry_id, alpha, beta, m, xs, gamma, delta)
+    assert v.shape == w.shape == xs.shape
+    for i, x in enumerate(xs):
+        vp, wp, lamp = catalog_reference(entry_id, alpha, beta, m, float(x), gamma, delta)
+        assert isinstance(vp, float) and isinstance(wp, float)
+        assert abs(v[i] - vp) <= 1e-15 * max(1.0, abs(vp))
+        assert abs(w[i] - wp) <= 1e-15 * max(1.0, abs(wp))
+        assert lamp == lam

@@ -1,5 +1,6 @@
 import json
 import re
+from pathlib import Path
 
 import pytest
 
@@ -84,6 +85,57 @@ def test_derive_config_file_with_flag_override(tmp_path):
     out = tmp_path / "b.csv"
     assert main(["derive", "--config", str(cfg), "--out", str(out)]) == 0
     assert out.exists()
+
+
+def test_derive_config_rejects_unknown_keys(tmp_path, capsys):
+    cfg = tmp_path / "job.json"
+    cfg.write_text(json.dumps({
+        "kind": "const", "alpha": -2, "beta": 0, "levls": [1, 2], "gamm": 2,
+        "grid": {"x_min": -5, "x_max": 5, "n": 11},
+        "out": str(tmp_path / "a.csv"),
+    }))
+    assert main(["derive", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "'gamm'" in err and "'levls'" in err
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
+@pytest.mark.parametrize("text", ["[1, 2]", '{"kind": "const", "grid": 5}'])
+def test_derive_config_must_be_an_object(text, tmp_path, capsys):
+    cfg = tmp_path / "job.json"
+    cfg.write_text(text)
+    assert main(["derive", "--config", str(cfg)]) == 2
+    assert "must hold a JSON object" in capsys.readouterr().err
+
+
+def test_derive_missing_config_file_exit_2(tmp_path, capsys):
+    assert main(["derive", "--config", str(tmp_path / "nope.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "nope.json" in err
+
+
+def test_derive_missing_output_directory_exit_2(tmp_path, capsys):
+    code = main([
+        "derive", "--kind", "const", "--alpha", "-2", "--beta", "0",
+        "--x-min", "-4", "--x-max", "4", "--n", "11",
+        "--out", str(tmp_path / "missing" / "x.csv"),
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "missing" in err
+
+
+_FAMILIES_OUTPUT = json.loads(
+    (Path(__file__).parent / "data" / "families_output.json").read_text()
+)
+
+
+@pytest.mark.parametrize("command", sorted(_FAMILIES_OUTPUT))
+def test_families_output_is_pinned(command, capsys):
+    # the listings are an interface: kinds, weight powers and the catalog's
+    # tau texts must print byte for byte as recorded
+    assert main(command.split()) == 0
+    assert capsys.readouterr().out == _FAMILIES_OUTPUT[command]
 
 
 def test_derive_inadmissible_gamma_exit_3(tmp_path, capsys):

@@ -419,3 +419,21 @@ def test_json_round_trip_keeps_the_exact_lane():
     rep = ladder.check_identities(back, 4)
     assert rep["exact"] is True and rep["max_residual"] == 0
     assert families.json_number(Fraction(4, 2)) == 2 and type(families.json_number(Fraction(4, 2))) is int
+
+
+def test_json_round_trip_keeps_each_lane():
+    # an integer-valued float stays a float, ints and "p/q" stay exact
+    import json
+    from fractions import Fraction
+
+    for kind, alpha, beta, exact in (("const", -2.0, 0.0, False), ("const", -2, 0, True),
+                                     ("one_minus_s2", -4.0, 1.0, False),
+                                     ("one_minus_s2", Fraction(-7, 2), 0, True)):
+        f = families.make_family(kind, alpha, beta)
+        back = families.Family.from_json(json.loads(json.dumps(f.to_json())))
+        assert back == f and back.exact is exact
+        assert type(back.alpha) is type(f.alpha) and type(back.beta) is type(f.beta)
+        d = riccati.make_deformation(f, 1, math.inf)
+        d_back = riccati.Deformation.from_json(json.loads(json.dumps(d.to_json())))
+        assert d_back.family.exact is exact
+        assert ladder.check_identities(d_back, 3)["exact"] is exact
