@@ -37,20 +37,32 @@ def _number(text):
         return float(text)
 
 
+def _integer(name, val):
+    """A whole-number setting; a fraction, a bool or a non-number names the setting."""
+    try:
+        whole = not isinstance(val, bool) and float(val).is_integer()
+    except (TypeError, ValueError):
+        whole = False
+    if not whole:
+        raise ParameterViolation(f"setting '{name}' must be an integer, got {val!r}")
+    return int(val) if isinstance(val, int) else int(float(val))
+
+
 def _levels(text):
     if text is None:
         return []
     if isinstance(text, (list, tuple)):
-        return [int(v) for v in text]
+        return [_integer("levels", v) for v in text]
     text = str(text)
     if ":" in text:
-        lo, hi = text.split(":")
-        return list(range(int(lo), int(hi) + 1))
-    return [int(tok) for tok in text.split(",") if tok.strip()]
+        lo, _, hi = text.partition(":")
+        return list(range(_integer("levels", lo), _integer("levels", hi) + 1))
+    return [_integer("levels", tok) for tok in text.split(",") if tok.strip()]
 
 
 _READERS = {
     "alpha": _number, "beta": _number, "delta": _number, "gamma": float, "levels": _levels,
+    "m": functools.partial(_integer, "m"), "n": functools.partial(_integer, "n"),
 }
 
 
@@ -164,7 +176,7 @@ def cmd_derive(args):
     for name in ("kind", "alpha", "beta", "x_min", "x_max", "out"):
         if getattr(cfg, name) is None:
             raise ParameterViolation(f"missing required setting '{name}'")
-    x_min, x_max, n = float(cfg.x_min), float(cfg.x_max), int(cfg.n)
+    x_min, x_max, n = float(cfg.x_min), float(cfg.x_max), cfg.n
     if not (math.isfinite(x_min) and math.isfinite(x_max) and x_min < x_max and n >= 2):
         raise ParameterViolation(
             f"the grid needs finite x_min < x_max and n >= 2, "

@@ -18,7 +18,9 @@ on the gaps between grid points instead (riccati.cumulative_weight_sorted)
 and calls quad only for a gap that bisection does not settle.
 
 Integrands and potentials are called with numpy arrays and must evaluate
-elementwise.
+elementwise.  An integrand may also return stacked rows, shape (k, n) for
+the n nodes of a level: quad then integrates all k rows in one pass over
+the same nodes, as the Gram matrices of the polynomials module do.
 """
 
 from __future__ import annotations
@@ -36,9 +38,14 @@ _Y_CLIP = 345.0    # keep exp(2y) finite while distances stay > 0
 
 @dataclass(frozen=True)
 class QuadratureResult:
-    """Value, last refinement difference, and number of integrand samples."""
+    """Value, last refinement difference, and number of integrand samples.
 
-    value: float
+    ``value`` is a float, or a length-k array for an integrand that returns k
+    stacked rows; ``error_estimate`` is then the worst row's difference and
+    ``panels`` counts nodes, not rows times nodes.
+    """
+
+    value: float | np.ndarray
     error_estimate: float
     panels: int
 
@@ -96,13 +103,14 @@ def quad(f, a, b, tol=1e-12, max_level=12):
     The interval is mapped by the double-exponential transformation; the
     trapezoid step is halved per level until two successive levels agree to
     ``tol * max(1, |I|)``.  Infinite endpoints use the exp/sinh variants of
-    the same map.
+    the same map.  For an integrand with stacked rows every row must meet
+    that rule at the same level, and the value is one entry per row.
 
     Raises NoConvergence when max_level refinements do not settle and
     NonFinite when the integrand returns a non-finite value at a node.
     """
     if a == b:
-        return QuadratureResult(0.0, 0.0, 0)
+        return QuadratureResult(_as_value(np.zeros(np.shape(f(np.empty(0)))[:-1])), 0.0, 0)
     orient = 1.0
     if a > b:
         a, b, orient = b, a, -1.0
@@ -113,23 +121,27 @@ def quad(f, a, b, tol=1e-12, max_level=12):
     for level in range(max_level + 1):
         h, x, dxdt = _level_nodes(a, b, level)
         fx = np.asarray(f(x), dtype=float)
-        if not np.all(np.isfinite(fx)):
-            raise NonFinite(f"integrand non-finite at x={x[~np.isfinite(fx)][:3]}")
+        bad = ~np.isfinite(fx)
+        if bad.any():
+            at = x[bad.reshape(-1, x.size).any(axis=0)]
+            raise NonFinite(f"integrand non-finite at x={at[:3]}")
         with np.errstate(over="ignore", under="ignore"):
-            value = h * float(np.sum(fx * dxdt))
+            value = h * np.sum(fx * dxdt, axis=-1)
         evals += x.size
-        if not math.isfinite(value):
-            prev = value
-            continue
-        if prev is not None and math.isfinite(prev):
-            diff = abs(value - prev)
-            if diff <= tol * max(1.0, abs(value)):
-                return QuadratureResult(orient * value, diff, evals)
+        if prev is not None and np.all(np.isfinite(value)) and np.all(np.isfinite(prev)):
+            diff = np.abs(value - prev)
+            if np.all(diff <= tol * np.maximum(1.0, np.abs(value))):
+                return QuadratureResult(_as_value(orient * value), float(np.max(diff)), evals)
         prev = value
     raise NoConvergence(
         f"tanh-sinh did not converge on ({a}, {b}) after {max_level} levels "
-        f"(last value {value!r})"
+        f"(last value {_as_value(value)!r})"
     )
+
+
+def _as_value(v):
+    """A float for a one-row integrand, the array of row values otherwise."""
+    return float(v) if np.ndim(v) == 0 else v
 
 
 def fixed_level_quad(f, a, b, level):

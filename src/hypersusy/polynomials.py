@@ -413,39 +413,41 @@ def classical_ratio(fam, level, rel_tol=1e-8):
 
 # --- weighted norms and Gram matrices --------------------------------------
 
-def _pair_integrand(fam, m, p1, p2):
+def _gram(fam, order, levels, tol):
+    """Packed Gram matrix of the order-m functions at the given levels.
+
+    One tanh-sinh pass: the integrand evaluates the weight, sigma^m and each
+    level polynomial once per node array and returns the upper-triangle
+    products sigma^m p_i p_j rho as stacked rows.
+    """
+    polys = [poly_eigenfunction(fam, l).deriv(order) for l in levels]
+    iu, ju = np.triu_indices(len(polys))
+
     # once rho underflows to 0 the product is 0 no matter how large the
     # polynomial part has grown at the extreme quadrature nodes
     def f(s):
         with np.errstate(over="ignore", under="ignore", invalid="ignore"):
             w = families.weight(fam, s)
-            sig = np.asarray(fam.sigma(s), dtype=float)
-            out = sig ** m * p1.eval_array(s) * p2.eval_array(s) * w
+            vals = np.array([p.eval_array(s) for p in polys])
+            out = np.asarray(fam.sigma(s), dtype=float) ** order * vals[iu]
+            out *= vals[ju]
+            out *= w
         return np.where(w == 0.0, 0.0, out)
 
-    return f
+    a, b = fam.interval
+    g = np.zeros((len(polys), len(polys)))
+    if polys:  # lmax < order leaves no level
+        g[iu, ju] = g[ju, iu] = quad(f, a, b, tol=tol).value
+    return g
 
 
 def norm(fam, level, order, tol=1e-13):
-    """Weighted L2 norm of the associated function via the quadrature oracle."""
+    """Weighted L2 norm of the associated function: the root of a one-level Gram."""
     if order > level:
         raise IndexViolation(f"order must satisfy m <= l, got m={order}, l={level}")
-    p = poly_eigenfunction(fam, level).deriv(order)
-    a, b = fam.interval
-    res = quad(_pair_integrand(fam, order, p, p), a, b, tol=tol)
-    return math.sqrt(res.value)
+    return math.sqrt(_gram(fam, order, [level], tol)[0, 0])
 
 
 def gram_matrix(fam, order, lmax, tol=1e-13):
     """Inner products of the order-m associated functions up to level lmax."""
-    levels = list(range(order, lmax + 1))
-    polys = {l: poly_eigenfunction(fam, l).deriv(order) for l in levels}
-    a, b = fam.interval
-    g = np.zeros((len(levels), len(levels)))
-    for i, li in enumerate(levels):
-        for j, lj in enumerate(levels):
-            if j < i:
-                continue
-            val = quad(_pair_integrand(fam, order, polys[li], polys[lj]), a, b, tol=tol).value
-            g[i, j] = g[j, i] = val
-    return g
+    return _gram(fam, order, range(order, lmax + 1), tol)

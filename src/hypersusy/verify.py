@@ -17,7 +17,7 @@ import numpy as np
 from . import catalog, families, ladder, riccati
 from .errors import HypersusyError
 from .numerics import verify_spectrum
-from .polynomials import gram_matrix, norm
+from .polynomials import gram_matrix
 
 # One parameter choice per family.  The s^2-1 entry uses beta > -alpha so
 # that the weighted norms converge; the named deep-well examples with small
@@ -116,16 +116,22 @@ def suite_recurrence(tol=1e-10, points=32, seed=7):
 
 
 def suite_orthogonality(tol_gram=1e-8, tol_ratio=1e-7):
-    """Gram off-diagonals and the norm-ratio identity."""
+    """Gram off-diagonals and the norm-ratio identity.
+
+    One Gram matrix per (family, m), m = 0..lmax; the norms are read off
+    their diagonals, and the off-diagonals are checked for m <= 3.
+    """
     failures, details = [], {}
     worst_gram, worst_ratio = 0.0, 0.0
     for fam in _matrix_families():
         lmax = _lmax(fam)
-        for m in range(0, min(3, lmax) + 1):
-            if lmax < m:
-                continue
+        norms = {}
+        for m in range(0, lmax + 1):
             g = gram_matrix(fam, m, lmax)
             d = np.sqrt(np.diag(g))
+            norms.update({(l, m): float(n) for l, n in enumerate(d, start=m)})
+            if m > 3:
+                continue
             normalized = g / np.outer(d, d)
             off = np.abs(normalized - np.diag(np.diag(normalized)))
             r = float(np.max(off)) if off.size else 0.0
@@ -133,10 +139,6 @@ def suite_orthogonality(tol_gram=1e-8, tol_ratio=1e-7):
             details[f"gram:{fam.kind},m={m}"] = r
             if r > tol_gram:
                 failures.append((fam.kind, m, "gram", r))
-        norms = {}
-        for l in range(0, lmax + 1):
-            for m in range(0, l + 1):
-                norms[(l, m)] = norm(fam, l, m)
         for l in range(1, lmax + 1):
             for m in range(0, l):
                 lhs = norms[(l, m + 1)]

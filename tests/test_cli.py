@@ -100,6 +100,48 @@ def test_derive_config_rejects_unknown_keys(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == [cfg]
 
 
+def _config_job(tmp_path, **settings):
+    cfg = tmp_path / "job.json"
+    job = {"kind": "const", "alpha": -2, "beta": 0, "grid": {"x_min": -1, "x_max": 1, "n": 5},
+           "out": str(tmp_path / "a.csv"), "meta": str(tmp_path / "m.json")}
+    job.update(settings)
+    cfg.write_text(json.dumps(job))
+    return cfg
+
+
+@pytest.mark.parametrize("name, settings", [
+    ("n", {"grid": {"x_min": -1, "x_max": 1, "n": 5.7}}),
+    ("levels", {"levels": [1.5]}),
+    ("n", {"grid": {"x_min": -1, "x_max": 1, "n": True}}),
+    ("levels", {"levels": [True]}),
+    ("levels", {"levels": "1:2.5"}),
+    ("levels", {"levels": "1:2:3"}),
+    ("m", {"m": 0.5}),
+])
+def test_derive_config_rejects_non_integral_settings(name, settings, tmp_path, capsys):
+    cfg = _config_job(tmp_path, **settings)
+    assert main(["derive", "--config", str(cfg)]) == 2
+    assert f"setting '{name}' must be an integer" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
+def test_derive_rejects_a_non_integral_level_flag(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    code = main(["derive", "--kind", "const", "--alpha", "-2", "--beta", "0", "--levels", "1,1.5",
+                 "--x-min", "-1", "--x-max", "1", "--out", str(out)])
+    assert code == 2
+    assert "setting 'levels' must be an integer, got '1.5'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_derive_config_accepts_whole_numbers(tmp_path):
+    cfg = _config_job(tmp_path, m=1.0, levels=[2, 3.0], grid={"x_min": -1, "x_max": 1, "n": 5.0})
+    assert main(["derive", "--config", str(cfg)]) == 0
+    rows = (tmp_path / "a.csv").read_text().splitlines()
+    assert len(rows) == 6 and "psi_2" in rows[0] and "psi_3" in rows[0]
+    assert json.loads((tmp_path / "m.json").read_text())["levels"] == [2, 3]
+
+
 @pytest.mark.parametrize("text", ["[1, 2]", '{"kind": "const", "grid": 5}'])
 def test_derive_config_must_be_an_object(text, tmp_path, capsys):
     cfg = tmp_path / "job.json"

@@ -54,6 +54,71 @@ def test_divergent_integral_fails():
         quad(lambda s: np.power(s, -1.5), 0.0, 1.0)
 
 
+def test_one_row_integrand_returns_a_float():
+    res = quad(lambda s: np.exp(-s * s), -math.inf, math.inf)
+    assert type(res.value) is float and type(res.error_estimate) is float
+    assert type(quad(lambda s: s, 1.0, 1.0).value) is float
+
+
+def gauss_moment(k):
+    """s^k exp(-s^2), written so that the extreme nodes give 0, not inf * 0."""
+    def f(s):
+        with np.errstate(divide="ignore", over="ignore"):
+            return np.exp(k * np.log(np.abs(s)) - s * s)
+
+    return f
+
+
+# exp(-s^2) settles levels before s^8 exp(-s^2), whose mass sits out at |s| ~ 2
+STACKED_ROWS = (
+    (lambda s: np.exp(-s * s), math.sqrt(math.pi)),
+    (gauss_moment(8), 105.0 / 16.0 * math.sqrt(math.pi)),
+    (lambda s: np.sign(s) * gauss_moment(1)(s), 0.0),
+    (gauss_moment(2), 0.5 * math.sqrt(math.pi)),
+)
+
+
+def test_stacked_rows_match_closed_forms_and_single_rows():
+    fs = [f for f, _ in STACKED_ROWS]
+    res = quad(lambda s: np.stack([f(s) for f in fs]), -math.inf, math.inf)
+    singles = [quad(f, -math.inf, math.inf) for f in fs]
+    assert res.value.shape == (len(fs),)
+    assert res.error_estimate <= 1e-12 * max(1.0, float(np.max(np.abs(res.value))))
+    # every row runs to the level of the slowest one
+    assert res.panels == max(r.panels for r in singles)
+    assert min(r.panels for r in singles) < res.panels
+    for got, one, (_, exact) in zip(res.value, singles, STACKED_ROWS):
+        assert abs(got - exact) <= 1e-12 * max(1.0, abs(exact))
+        assert abs(got - one.value) <= 1e-12 * max(1.0, abs(exact))
+
+
+def test_stacked_rows_keep_orientation_and_empty_intervals():
+    def f(s):
+        return np.stack([s * s, np.ones_like(s)])
+
+    fwd, rev = quad(f, 0.0, 2.0).value, quad(f, 2.0, 0.0).value
+    assert np.allclose(fwd, [8.0 / 3.0, 2.0], rtol=0.0, atol=1e-12)
+    assert np.array_equal(rev, -fwd)
+    empty = quad(f, 1.0, 1.0)
+    assert np.array_equal(empty.value, [0.0, 0.0]) and empty.panels == 0
+
+
+def test_nan_in_one_row_raises_nonfinite():
+    def f(s):
+        return np.stack([np.exp(-s * s), np.where(s > 0.5, np.nan, 1.0)])
+
+    with pytest.raises(NonFinite, match="x="):
+        quad(f, 0.0, 1.0)
+
+
+def test_stacked_row_that_cannot_converge_fails():
+    def f(s):
+        return np.stack([np.ones_like(s), np.power(s, -1.5)])
+
+    with np.errstate(over="ignore"), pytest.raises((NoConvergence, NonFinite)):
+        quad(f, 0.0, 1.0)
+
+
 def test_level_doubling_cuts_error_by_ten():
     exact = math.e - 1.0
     errs = [abs(fixed_level_quad(np.exp, 0.0, 1.0, lev) - exact) for lev in (1, 2, 3)]

@@ -429,6 +429,73 @@ def test_gram_orthogonality_finite_cutoff():
         assert abs(g[l, l] - norm(f, l, 0) ** 2) <= 1e-9 * max(1.0, g[l, l])
 
 
+def count_quad(monkeypatch):
+    calls = []
+    real = polynomials.quad
+
+    def counting(*args, **kwargs):
+        calls.append(args[1:3])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(polynomials, "quad", counting)
+    return calls
+
+
+def pair_integrand(fam, m, p1, p2):
+    """sigma^m p1 p2 rho for one pair, zero where rho underflows."""
+    def f(s):
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            w = families.weight(fam, s)
+            sig = np.asarray(fam.sigma(s), dtype=float)
+            out = sig ** m * p1.eval_array(s) * p2.eval_array(s) * w
+        return np.where(w == 0.0, 0.0, out)
+
+    return f
+
+
+def test_gram_matrix_is_one_quadrature_pass(monkeypatch):
+    calls = count_quad(monkeypatch)
+    g = gram_matrix(families.make_family("const", -2, 0), 1, 6)
+    assert g.shape == (6, 6) and np.array_equal(g, g.T)
+    assert len(calls) == 1
+
+
+def test_norm_is_one_quadrature_pass(monkeypatch):
+    calls = count_quad(monkeypatch)
+    norm(families.make_family("linear", -1, 1), 4, 2)
+    assert len(calls) == 1
+
+
+def test_gram_matrix_without_levels_makes_no_quadrature(monkeypatch):
+    calls = count_quad(monkeypatch)
+    assert gram_matrix(families.make_family("const", -2, 0), 3, 2).shape == (0, 0)
+    assert not calls
+
+
+def test_orthogonality_suite_makes_one_pass_per_order(monkeypatch):
+    from hypersusy import verify
+
+    calls = count_quad(monkeypatch)
+    out = verify.suite_orthogonality()
+    assert out["ok"]
+    expected = sum(lmax_for(families.make_family(*row)) + 1 for row in verify.TEST_MATRIX)
+    assert expected == 29 and len(calls) == expected
+
+
+@pytest.mark.parametrize("kind, alpha, beta", MATRIX)
+def test_gram_matrix_matches_pairwise_references(kind, alpha, beta):
+    fam = families.make_family(kind, alpha, beta)
+    lmax = lmax_for(fam)
+    a, b = fam.interval
+    for m in range(0, min(3, lmax) + 1):
+        g = gram_matrix(fam, m, lmax)
+        polys = [poly_eigenfunction(fam, l).deriv(m) for l in range(m, lmax + 1)]
+        ref = np.array([[quad(pair_integrand(fam, m, p, q), a, b, tol=1e-13).value
+                         for q in polys] for p in polys])
+        scale = np.sqrt(np.outer(np.diag(ref), np.diag(ref)))
+        assert np.all(np.abs(g - ref) <= 1e-12 * scale)
+
+
 def test_divergent_weight_raises_quadrature_failure():
     # beta <= -alpha leaves rho non-integrable at the lower endpoint
     f = families.make_family("s2_minus_one", -8, 1)
