@@ -1,12 +1,13 @@
 """First-order ladder maps and the second-order operators they factorize.
 
 Operators act on formal sums of kappa-power terms, sum_j kappa^j * p_j(s)
-with kappa = sqrt(sigma).  Differentiation, multiplication by sigma/tau and
-division by sigma are all closed on that space with the power index doing
-the bookkeeping, so every identity below is checked in exact polynomial
-arithmetic (rational mode) or to roundoff (float mode).  Reducing a result
-back to a single kappa^m * poly slot requires exact divisibility by sigma;
-a nonzero remainder is an algebra bug and raises DivisibilityFailure.
+with kappa = sqrt(sigma).  A form holds at most one slot per parity of j:
+a term joins its parity's slot by folding onto the lower power,
+kappa^(j+2i) p = kappa^j sigma^i p.  Every map then sends a slot kappa^j p
+to one slot by a closed form, so every identity below is checked in exact
+polynomial arithmetic (rational mode) or to roundoff (float mode).  Reducing
+a result back to a single kappa^m * poly slot requires exact divisibility by
+sigma; a nonzero remainder is an algebra bug and raises DivisibilityFailure.
 """
 
 from __future__ import annotations
@@ -26,9 +27,6 @@ from .polynomials import (
     poly_eigenfunction,
 )
 
-_HALF = Fraction(1, 2)
-_QUARTER = Fraction(1, 4)
-
 
 def make_context(fam, m, delta=None):
     """Ladder context at order m: the undeformed (gamma = inf) Deformation.
@@ -38,99 +36,72 @@ def make_context(fam, m, delta=None):
     return riccati.make_deformation(fam, m, math.inf, delta)
 
 
+def _first_order(polys, p, e, with_tau=False):
+    """sigma p' + e (sigma'/2) p (+ tau p), the part every map applies to a slot p.
+
+    polys = (sigma, sigma'/2, tau, ...); (kappa^j p)' = kappa^(j-2) [sigma p' + j (sigma'/2) p].
+    """
+    sig, half, tau = polys[:3]
+    g = half * e if e else None
+    if with_tau:
+        g = tau if g is None else g + tau
+    out = sig * p.deriv()
+    return out if g is None else out + g * p
+
+
 class KappaForm:
-    """sum over j of kappa^j * poly_j, with exact slot bookkeeping."""
+    """sum over j of kappa^j * poly_j, at most one slot per parity of j."""
 
     __slots__ = ("family", "terms")
 
-    def __init__(self, family, terms=None):
+    def __init__(self, family, terms=()):
         self.family = family
         self.terms = {}
-        if terms:
-            for j, p in terms.items():
-                if not p.is_zero:
-                    self.terms[j] = p
+        for j, p in terms:
+            self._put(j, p)
+
+    def _put(self, j, p):
+        """Add kappa^j p, folding onto the lower power of its parity's slot."""
+        k = next((k for k in self.terms if (k - j) % 2 == 0), None)
+        if k is not None:
+            q = self.terms.pop(k)
+            if k < j:
+                j, k, p, q = k, j, q, p
+            for _ in range((k - j) // 2):
+                q = q * self.family.polys[0]
+            p = p + q
+        if not p.is_zero:
+            self.terms[j] = p
 
     @classmethod
     def from_assoc(cls, af):
-        p = af.poly.as_exact() if af.family.exact else af.poly
-        return cls(af.family, {af.m: p})
+        return cls.from_poly(af.family, af.m, af.poly)
 
     @classmethod
     def from_poly(cls, family, power, poly):
         p = poly.as_exact() if family.exact else poly
-        return cls(family, {power: p})
-
-    def _sigma(self):
-        return self.family.polys[0]
-
-    def _sigma_prime(self):
-        return self.family.polys[1]
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for j, p in other.terms.items():
-            out[j] = out[j] + p if j in out else p
-        return KappaForm(self.family, out)
+        return cls(family, [(power, p)])
 
     def __sub__(self, other):
-        out = dict(self.terms)
-        for j, p in other.terms.items():
-            out[j] = out[j] - p if j in out else -p
-        return KappaForm(self.family, out)
+        neg = [(j, -p) for j, p in other.terms.items()]
+        return KappaForm(self.family, [*self.terms.items(), *neg])
 
     def scale(self, c):
-        return KappaForm(self.family, {j: p * c for j, p in self.terms.items()})
-
-    def shift(self, dk):
-        return KappaForm(self.family, {j + dk: p for j, p in self.terms.items()})
-
-    def mul_poly(self, q):
-        return KappaForm(self.family, {j: p * q for j, p in self.terms.items()})
+        return KappaForm(self.family, [(j, p * c) for j, p in self.terms.items()])
 
     def d_ds(self):
-        sp = self._sigma_prime()
-        out = {}
-
-        def put(j, p):
-            out[j] = out[j] + p if j in out else p
-
-        for j, p in self.terms.items():
-            put(j, p.deriv())
-            if j != 0:
-                put(j - 2, (sp * p) * (_HALF * j))
-        return KappaForm(self.family, out)
-
-    def times_kappa_prime(self):
-        sp = self._sigma_prime()
-        return KappaForm(self.family, {j - 1: (sp * p) * _HALF for j, p in self.terms.items()})
-
-    def is_zero(self):
-        return not self.terms
+        """kappa^j p -> kappa^(j-2) [sigma p' + j (sigma'/2) p] on each slot."""
+        sig, sp, tau = self.family.polys
+        polys = (sig, sp * Fraction(1, 2), tau)
+        return KappaForm(self.family, [(j - 2, _first_order(polys, p, j))
+                                       for j, p in self.terms.items()])
 
     def max_abs(self):
         return max((p.max_abs() for p in self.terms.values()), default=0.0)
 
     def fold_down(self):
-        """Fold each parity class onto its lowest power by multiplying sigma."""
-        if not self.terms:
-            return self
-        sig = self._sigma()
-        out = {}
-        for parity in (0, 1):
-            powers = sorted(j for j in self.terms if (j % 2 + 2) % 2 == parity)
-            if not powers:
-                continue
-            base = powers[0]
-            acc = Poly()
-            for j in powers:
-                p = self.terms[j]
-                for _ in range((j - base) // 2):
-                    p = p * sig
-                acc = acc + p
-            if not acc.is_zero:
-                out[base] = acc
-        return KappaForm(self.family, out)
+        """Each parity class on its lowest power: a form is folded when built."""
+        return self
 
     def collapse(self, power, rel_tol=None):
         """Reduce to the single slot kappa^power, dividing by sigma as needed.
@@ -138,15 +109,11 @@ class KappaForm:
         Exact coefficients demand a zero remainder; float coefficients allow
         a relative remainder up to rel_tol (default 1e-10) which is dropped.
         """
-        folded = self.fold_down()
-        if folded.is_zero():
-            return Poly()
         if rel_tol is None:
             rel_tol = 0.0 if self.family.exact else 1e-10
-        scale = max(folded.max_abs(), 1.0)
-        sig = self._sigma()
-        total = Poly()
-        for j, p in folded.terms.items():
+        scale = max(self.max_abs(), 1.0)
+        total = Poly()  # at most one slot has the parity of power
+        for j, p in self.terms.items():
             if (j - power) % 2 != 0:
                 if p.max_abs() > rel_tol * scale:
                     raise DivisibilityFailure(
@@ -159,12 +126,12 @@ class KappaForm:
                     f"unexpected kappa^{j} term above target kappa^{power}"
                 )
             for _ in range(steps):
-                p, rem = poly_divmod(p, sig)
+                p, rem = poly_divmod(p, self.family.polys[0])
                 if rem.max_abs() > rel_tol * scale:
                     raise DivisibilityFailure(
                         f"division by sigma left remainder of size {rem.max_abs():.3e}"
                     )
-            total = total + p
+            total = p
         if not self.family.exact:
             cut = rel_tol * max(total.max_abs(), 1.0)
             total = Poly([c if abs(float(c)) > cut else 0 for c in total.coeffs])
@@ -173,50 +140,54 @@ class KappaForm:
 
 def residual(lhs, rhs):
     """Relative max-coefficient deviation between two kappa forms."""
-    diff = (lhs - rhs).fold_down()
-    if diff.is_zero():
+    diff = lhs - rhs
+    if not diff.terms:
         return 0.0
-    scale = max(lhs.fold_down().max_abs(), rhs.fold_down().max_abs(), 1.0)
-    return diff.max_abs() / scale
+    return diff.max_abs() / max(lhs.max_abs(), rhs.max_abs(), 1.0)
 
 
 # --- the operators ---------------------------------------------------------
 #
-# Each map takes the context; a shifted context (delta set) adds c*u to the
-# first-order maps and -delta*kappa'*u to H, an unshifted one builds no extra
-# term.
+# Each map sends each slot kappa^j p of u to one slot.  A shifted context
+# (delta set) adds c*u to the first-order maps and -delta*kappa'*u =
+# -delta kappa^(j-1) (sigma'/2) p to H, each in the other parity's slot.
 
 def _apply_raise(ctx, u):
-    """kappa (d/ds - m kappa'/kappa) (+ c)."""
-    out = u.d_ds().shift(1) - u.times_kappa_prime().scale(ctx.m)
-    return out if ctx.delta is None else out + u.scale(ctx.shift_constant)
+    """kappa (d/ds - m kappa'/kappa) (+ c): kappa^(j-1) [sigma p' + (j-m) (sigma'/2) p]."""
+    polys = ctx.ladder_polys
+    out = [(j - 1, _first_order(polys, p, j - ctx.m)) for j, p in u.terms.items()]
+    if ctx.delta is not None:
+        out += [(j, p * ctx.shift_constant) for j, p in u.terms.items()]
+    return KappaForm(ctx.family, out)
 
 
 def _apply_lower(ctx, u):
-    """kappa (-d/ds - tau/sigma - (m-1) kappa'/kappa) (+ c)."""
-    tau = ctx.family.polys[2]
-    out = (
-        u.d_ds().shift(1).scale(-1)
-        - u.mul_poly(tau).shift(-1)
-        - u.times_kappa_prime().scale(ctx.m - 1)
-    )
-    return out if ctx.delta is None else out + u.scale(ctx.shift_constant)
+    """kappa (-d/ds - tau/sigma - (m-1) kappa'/kappa) (+ c).
+
+    -kappa^(j-1) [sigma p' + (j+m-1) (sigma'/2) p + tau p] on each slot.
+    """
+    polys = ctx.ladder_polys
+    out = [(j - 1, -_first_order(polys, p, j + ctx.m - 1, True)) for j, p in u.terms.items()]
+    if ctx.delta is not None:
+        out += [(j, p * ctx.shift_constant) for j, p in u.terms.items()]
+    return KappaForm(ctx.family, out)
 
 
 def _apply_h(ctx, m, u):
-    """-sigma D^2 - tau D + v_m (- delta kappa'), v_m entering as an exact rational term."""
-    fam = ctx.family
-    sig, sp, tau = fam.polys
-    du = u.d_ds()
-    out = du.d_ds().mul_poly(sig).scale(-1) - du.mul_poly(tau)
-    if m:
-        num = (sp * sp) * (m * (m - 2)) + (tau * sp) * (2 * m)
-        out = out + u.mul_poly(num).scale(_QUARTER).shift(-2)
-        const = m * (m - 2) * fam.sigma_lead + m * fam.alpha
-        out = out - u.scale(const)
-    if ctx.delta is not None:
-        out = out - u.times_kappa_prime().scale(ctx.delta)
-    return out
+    """-sigma D^2 - tau D + v_m (- delta kappa'), for m = ctx.m or ctx.m + 1.
+
+    Slot by slot: kappa^(j-2) [sigma v_m p - sigma q' - (j-2) (sigma'/2) q
+    - tau q] with q = sigma p' + j (sigma'/2) p, so Du = kappa^(j-2) q.
+    """
+    polys = ctx.ladder_polys
+    sigma_v = polys[3][m]
+    out = []
+    for j, p in u.terms.items():
+        q = _first_order(polys, p, j)
+        out.append((j - 2, sigma_v * p - _first_order(polys, q, j - 2, True)))
+        if ctx.delta is not None:
+            out.append((j - 1, (polys[1] * p) * -ctx.delta))
+    return KappaForm(ctx.family, out)
 
 
 def _check_compatible(ctx, af, expected_m):

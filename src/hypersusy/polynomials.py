@@ -279,7 +279,10 @@ def poly_eigenfunction(fam, level):
     The substitution p = sum c_j s^j into sigma p'' + tau p' + lambda_l p = 0
     couples c_j to c_{j+1}, c_{j+2}; fixing the leading coefficient at 1/l!
     (so the l-th derivative is exactly 1) determines the rest.  A vanishing
-    divisor lambda_l - lambda_j flags a degenerate parameter choice.
+    divisor lambda_l - lambda_j flags a degenerate parameter choice.  The
+    exact lane scales sigma, alpha, beta by their common denominator and runs
+    on integers: cs[j] is c_j's numerator over l! * divs[j] * ... * divs[l-1],
+    with no gcd before the one canonical Poly at the end.
     """
     if not isinstance(level, int) or level < 0:
         raise CutoffExceeded(f"level must be a non-negative integer, got {level!r}")
@@ -287,11 +290,15 @@ def poly_eigenfunction(fam, level):
         raise CutoffExceeded(f"level {level} is not below the cutoff {families.cutoff(fam)}")
     c0, c1, c2 = fam.sigma_coeffs
     alpha, beta = fam.alpha, fam.beta
-    lam = families.eigenvalue(fam, level)
     exact = fam.exact
-    lead = Fraction(1, math.factorial(level)) if exact else 1.0 / math.factorial(level)
-    cs = [0] * (level + 1)
-    cs[level] = lead
+    if exact:
+        d = math.lcm(alpha.denominator, beta.denominator)
+        c0, c1, c2 = c0 * d, c1 * d, c2 * d
+        alpha = alpha.numerator * (d // alpha.denominator)
+        beta = beta.numerator * (d // beta.denominator)
+    lam = -c2 * level * (level - 1) - alpha * level  # lambda_l, times d in the exact lane
+    cs, divs = [0] * (level + 1), [1] * (level + 1)
+    cs[level] = 1 if exact else 1.0 / math.factorial(level)
     for j in range(level - 1, -1, -1):
         div = c2 * j * (j - 1) + alpha * j + lam
         if div == 0 or (not exact and abs(float(div)) < 1e-14):
@@ -301,12 +308,20 @@ def poly_eigenfunction(fam, level):
             )
         num = (j + 1) * (c1 * j + beta) * cs[j + 1]
         if j + 2 <= level:
-            num += c0 * (j + 2) * (j + 1) * cs[j + 2]
+            num += c0 * (j + 2) * (j + 1) * cs[j + 2] * divs[j + 1]
         if exact:
-            cs[j] = -Fraction(num) / Fraction(div)
+            cs[j], divs[j] = -num, div
         else:
             cs[j] = -float(num) / float(div)
-    return Poly(cs)
+    if not exact:
+        return Poly(cs)
+    # over the common denominator l! * prod(divs), c_j gains divs[0] * ... * divs[j-1]
+    scale = 1
+    for j in range(level + 1):
+        cs[j] *= scale
+        scale *= divs[j]
+    den = math.factorial(level) * scale
+    return Poly._exact(cs, den) if den > 0 else Poly._exact([-x for x in cs], -den)
 
 
 def ode_residual(fam, level, p):

@@ -18,8 +18,8 @@ point.  The endpoint limits behind the gamma rays reach the interval ends,
 where the integrand may be singular, and stay with tanh-sinh quadrature.
 
 A Deformation caches only its gamma rays, computed on first use since
-gamma = inf needs none, and its shift constant; I_m on a grid is recomputed
-per call, and the one module cache holds the read-only Gauss-Legendre nodes.
+gamma = inf needs none, its shift constant and its ladder polynomials; I_m
+is recomputed per call, and the one module cache holds Gauss-Legendre nodes.
 Threads racing on a cached value at worst compute it twice, so deformations
 can be shared freely.
 
@@ -31,6 +31,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -257,6 +258,17 @@ class Deformation:
         if self.delta is None:
             return 0
         return families.shift_constant(self.family, self.m, self.delta)
+
+    @functools.cached_property
+    def ladder_polys(self):
+        """(sigma, sigma'/2, tau, {k: sigma v_k for k = m, m + 1}), built on first use."""
+        fam, (sig, sp, tau) = self.family, self.family.polys
+        h = sp * Fraction(1, 2)
+        # sigma v_k = k(k-2) h^2 + k tau h - (k(k-2) sigma_lead + k alpha) sigma, h = sigma'/2
+        pots = {k: (h * h) * (k * (k - 2)) + (tau * h) * k
+                - sig * (k * (k - 2) * fam.sigma_lead + k * fam.alpha)
+                for k in (self.m, self.m + 1)}
+        return sig, h, tau, pots
 
     def eigenvalue(self, level):
         """lambda_level, shift-corrected when delta is active."""

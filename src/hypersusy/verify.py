@@ -1,7 +1,7 @@
 """Invariant suites behind `verify` and the acceptance tests.
 
 Every suite runs over the default test matrix: one parameter choice per
-family, orders m in {0, 1}, levels up to min(6, cutoff - 1), gamma drawn
+family, orders m in {0, 1}, levels l <= 6 below the cutoff, gamma drawn
 from {inf} plus one value inside each admissible ray.  Suites return plain
 dicts (JSON-ready) with an "ok" flag and per-case residuals; they print
 nothing.
@@ -48,10 +48,8 @@ def _matrix_families(float_mode=False):
 
 
 def _lmax(fam, hard_cap=6):
-    cap = hard_cap
-    if math.isfinite(float(families.cutoff(fam))):
-        cap = min(cap, int(math.floor(float(families.cutoff(fam)) - 1.0)))
-    return cap
+    """The largest level l <= hard_cap below the cutoff."""
+    return next(l for l in range(hard_cap, -1, -1) if families.below_cutoff(fam, l))
 
 
 def _orders(fam, want=(0, 1)):

@@ -1,4 +1,4 @@
-import math
+import functools
 from fractions import Fraction
 
 import numpy as np
@@ -45,8 +45,7 @@ def matrix_families(float_mode=False):
 
 
 def lmax_for(fam, cap=6):
-    lam = float(families.cutoff(fam))
-    return cap if math.isinf(lam) else min(cap, int(math.floor(lam - 1.0)))
+    return max(l for l in range(cap + 1) if families.below_cutoff(fam, l))
 
 
 def test_raise_annihilates_top():
@@ -389,3 +388,93 @@ def test_float_delta_leaves_the_exact_lane():
     rep = check_identities(make_context(f, 1, delta=1.5), 4)
     assert rep["exact"] is False and rep["max_residual"] <= 1e-12
     assert check_identities(make_context(f, 1, delta=Fraction(3, 2)), 4)["max_residual"] == 0
+
+
+# --- guards on the closed-form maps -------------------------------------------
+
+def unshifted_contexts():
+    fams = matrix_families() + [families.make_family(*row) for row in POWER_FAMILIES]
+    return [(make_context(f, m), lmax_for(f, cap=4)) for f in fams for m in (0, 1)
+            if families.below_cutoff(f, m + 1)]
+
+
+def shifted_contexts():
+    return [make_context(families.make_family(*row), m, delta=Fraction(3, 2))
+            for row in POWER_FAMILIES for m in (0, 1)]
+
+
+def slot_form(ctx, u, power_shift, poly_of):
+    """kappa^(j + power_shift) * poly_of(p) for each slot kappa^j p of u."""
+    return KappaForm(ctx.family, [(j + power_shift, poly_of(p)) for j, p in u.terms.items()])
+
+
+def plus(a, b):
+    return a - b.scale(-1)
+
+
+# Each mutation changes one term of one map; the map stays a wrapper around
+# the real one, so the term is perturbed and nothing else.
+MUTATIONS = {
+    # lower: -tau p becomes -2 tau p
+    "lower-tau": ("_apply_lower", lambda real: lambda ctx, u: real(ctx, u) - slot_form(
+        ctx, u, -1, lambda p: ctx.family.polys[2] * p)),
+    # raise: (j - m) sigma'/2 p becomes (j - m + 1) sigma'/2 p
+    "raise-j-minus-m": ("_apply_raise", lambda real: lambda ctx, u: plus(real(ctx, u), slot_form(
+        ctx, u, -1, lambda p: ctx.family.polys[1] * p * Fraction(1, 2)))),
+    # H: the constant of v_m moves by one
+    "h-v-constant": ("_apply_h", lambda real: lambda ctx, m, u: plus(real(ctx, m, u), u)),
+}
+SHIFT_MUTATIONS = {
+    # the first-order maps: c u becomes 2 c u
+    "raise-c": ("_apply_raise", lambda real: lambda ctx, u: plus(
+        real(ctx, u), u.scale(ctx.shift_constant))),
+    "lower-c": ("_apply_lower", lambda real: lambda ctx, u: plus(
+        real(ctx, u), u.scale(ctx.shift_constant))),
+    # H: -delta kappa' u becomes -2 delta kappa' u
+    "h-delta-kappa-prime": ("_apply_h", lambda real: lambda ctx, m, u: real(ctx, m, u) - slot_form(
+        ctx, u, -1, lambda p: ctx.family.polys[1] * p * (ctx.delta / 2))),
+}
+
+
+def caught(monkeypatch, name, mutate, runs):
+    """How many of the runs report a nonzero residual with the map mutated."""
+    assert all(run()["max_residual"] == 0 for run in runs)
+    monkeypatch.setattr(ladder, name, mutate(getattr(ladder, name)))
+    hits = sum(run()["max_residual"] > 0 for run in runs)
+    monkeypatch.undo()
+    return hits
+
+
+@pytest.mark.parametrize("mutation", sorted(MUTATIONS))
+def test_identities_catch_a_mutated_term(monkeypatch, mutation):
+    runs = [functools.partial(check_identities, ctx, lmax) for ctx, lmax in unshifted_contexts()]
+    assert caught(monkeypatch, *MUTATIONS[mutation], runs) >= 1
+
+
+@pytest.mark.parametrize("mutation", sorted(SHIFT_MUTATIONS))
+def test_shifted_factorization_catches_a_mutated_shift_term(monkeypatch, mutation):
+    runs = [functools.partial(check_shifted_factorization, ctx) for ctx in shifted_contexts()]
+    assert caught(monkeypatch, *SHIFT_MUTATIONS[mutation], runs) >= 1
+
+
+def test_identities_cost_per_level_is_pinned(monkeypatch):
+    # polynomial products (scalar ones included) in check_identities, levels
+    # built beforehand so only the ladder maps and their context are counted
+    count = [0]
+    real_mul = Poly.__mul__
+
+    def counting_mul(self, other):
+        count[0] += 1
+        return real_mul(self, other)
+
+    for fam, m, lmax, pinned in ((families.make_family("const", -2, 0), 1, 7, 270),
+                                 (families.make_family("s2_minus_one", -8, 10), 0, 4, 174)):
+        levels = {l: ladder.poly_eigenfunction(fam, l) for l in range(m, lmax + 1)}
+        with monkeypatch.context() as mp:
+            mp.setattr(ladder, "poly_eigenfunction", lambda fam, l: levels[l])
+            mp.setattr(Poly, "__mul__", counting_mul)
+            mp.setattr(Poly, "__rmul__", counting_mul)
+            count[0] = 0
+            rep = check_identities(make_context(fam, m), lmax)
+        assert rep["max_residual"] == 0 and len(rep["factor_low"]) == lmax - m + 1
+        assert count[0] == pinned

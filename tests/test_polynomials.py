@@ -11,6 +11,7 @@ from hypersusy.errors import (
     CutoffExceeded,
     IndexViolation,
     NotProportional,
+    ParameterViolation,
     QuadratureFailure,
     RecurrenceBreakdown,
 )
@@ -41,10 +42,7 @@ def matrix_families():
 
 
 def lmax_for(fam, cap=6):
-    lam = families.cutoff(fam)
-    if math.isinf(float(lam)):
-        return cap
-    return min(cap, int(math.floor(float(lam) - 1.0)))
+    return max(l for l in range(cap + 1) if families.below_cutoff(fam, l))
 
 
 # --- Poly basics ------------------------------------------------------------
@@ -278,6 +276,90 @@ def test_float_mode_residual():
         assert res.max_abs() <= 1e-12 * max(1.0, p.max_abs())
 
 
+def reference_recurrence(fam, level):
+    """The downward recurrence coefficient by coefficient: Fractions in the
+    exact lane, floats (in this operation order) in the float lane."""
+    c0, c1, c2 = fam.sigma_coeffs
+    alpha, beta, exact = fam.alpha, fam.beta, fam.exact
+    lam = families.eigenvalue(fam, level)
+    cs = [0] * (level + 1)
+    cs[level] = Fraction(1, math.factorial(level)) if exact else 1.0 / math.factorial(level)
+    for j in range(level - 1, -1, -1):
+        div = c2 * j * (j - 1) + alpha * j + lam
+        if div == 0 or (not exact and abs(float(div)) < 1e-14):
+            raise RecurrenceBreakdown(f"lambda_{level} - lambda_{j} vanishes")
+        num = (j + 1) * (c1 * j + beta) * cs[j + 1]
+        if j + 2 <= level:
+            num += c0 * (j + 2) * (j + 1) * cs[j + 2]
+        cs[j] = -Fraction(num) / Fraction(div) if exact else -float(num) / float(div)
+    return cs
+
+
+def top_level(fam, cap=30):
+    return max(l for l in range(cap + 1) if families.below_cutoff(fam, l))
+
+
+@pytest.mark.parametrize("kind, alpha, beta", MATRIX)
+def test_exact_recurrence_matches_fraction_reference(kind, alpha, beta):
+    fam = families.make_family(kind, alpha, beta)
+    for level in range(top_level(fam) + 1):
+        p = poly_eigenfunction(fam, level)
+        assert_canonical(p)
+        assert p == Poly(reference_recurrence(fam, level))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(families.KINDS),
+    alpha=st.fractions(min_value=-40, max_value=0, max_denominator=12),
+    beta=st.fractions(min_value=-20, max_value=20, max_denominator=12),
+    level=st.integers(min_value=0, max_value=14),
+)
+def test_exact_recurrence_matches_fraction_reference_drawn(kind, alpha, beta, level):
+    try:
+        fam = families.make_family(kind, alpha, beta)
+    except ParameterViolation:
+        assume(False)
+    assume(families.below_cutoff(fam, level))
+    try:
+        want = Poly(reference_recurrence(fam, level))
+    except RecurrenceBreakdown:
+        with pytest.raises(RecurrenceBreakdown):
+            poly_eigenfunction(fam, level)
+        return
+    assert poly_eigenfunction(fam, level) == want
+
+
+def test_exact_recurrence_breaks_down_where_the_reference_does():
+    # the Coulomb carrier (alpha = 0) has lambda_l = 0 for every l
+    for beta in (2, Fraction(1, 3)):
+        carrier = families.make_family("linear", 0, beta)
+        for level in range(1, 6):
+            with pytest.raises(RecurrenceBreakdown):
+                reference_recurrence(carrier, level)
+            with pytest.raises(RecurrenceBreakdown, match=f"lambda_{level} - lambda_"):
+                poly_eigenfunction(carrier, level)
+        assert poly_eigenfunction(carrier, 0) == Poly([1])
+
+
+FLOAT_ROWS = (
+    ("const", -2.2, 0.3), ("linear", -1.1, 1.2), ("one_minus_s2", -4.3, 0.9),
+    ("s2_minus_one", -7.7, 10.1), ("s2", -3.1, 2.2), ("s2_plus_one", -4.1, 0.7),
+    ("one_minus_s2", -31.3, 0.7), ("s2_minus_one", -60.7, 1.9), ("s2_plus_one", -45.0, 3.25),
+    ("linear", -2.5, 0.75),
+)
+
+
+@pytest.mark.parametrize("kind, alpha, beta", FLOAT_ROWS)
+def test_float_recurrence_is_bit_identical_to_reference(kind, alpha, beta):
+    fam = families.make_family(kind, alpha, beta)
+    for level in range(top_level(fam) + 1):
+        got = poly_eigenfunction(fam, level)
+        want = Poly(reference_recurrence(fam, level))
+        assert got.den is None
+        assert [c.hex() for c in got.coeffs] == [float(c).hex() for c in want.coeffs]
+
+
 # --- associated functions ---------------------------------------------------
 
 def test_assoc_top_order_is_kappa_power():
@@ -479,7 +561,7 @@ def test_orthogonality_suite_makes_one_pass_per_order(monkeypatch):
     out = verify.suite_orthogonality()
     assert out["ok"]
     expected = sum(lmax_for(families.make_family(*row)) + 1 for row in verify.TEST_MATRIX)
-    assert expected == 29 and len(calls) == expected
+    assert expected == 31 and len(calls) == expected
 
 
 @pytest.mark.parametrize("kind, alpha, beta", MATRIX)
