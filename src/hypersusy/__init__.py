@@ -20,7 +20,6 @@ from .polynomials import (
     DifferentiableValue,
     Poly,
     associated_function,
-    classical_ratio,
     gram_matrix,
     norm,
     poly_eigenfunction,

@@ -185,7 +185,7 @@ def cmd_derive(args):
     fam = families.make_family(cfg.kind, cfg.alpha, cfg.beta)
     defm = riccati.make_deformation(fam, cfg.m, cfg.gamma, cfg.delta)
     if cfg.meta:  # built first, so that a failing record (the rays) leaves no file behind
-        lam_max = cfg.levels[-1] if cfg.levels else cfg.m + 4
+        lam_max = max(cfg.levels) if cfg.levels else cfg.m + 4
         shift = 0 if cfg.delta is None else 1  # a shifted level l needs l + 1 below the cutoff
         targets = [defm.eigenvalue(l) for l in range(cfg.m + 1, lam_max + 1)
                    if families.below_cutoff(fam, l + shift)]

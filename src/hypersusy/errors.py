@@ -49,10 +49,6 @@ class RecurrenceBreakdown(InvalidParameters):
     """Division by zero in the coefficient recurrence (degenerate parameters)."""
 
 
-class NotProportional(HypersusyError):
-    """Constructed polynomial is not a constant multiple of the classical one."""
-
-
 class DivisibilityFailure(HypersusyError):
     """An operator result does not reduce to the kappa^m * polynomial shape."""
 

@@ -331,7 +331,8 @@ def eigenvalue(fam, level):
 
 
 def weight(fam, s):
-    """Closed-form weight rho(s) = exp(log rho(s)); elementwise over arrays.
+    """Closed-form weight rho(s) = exp(log rho(s)), elementwise over any
+    sequence; a float for a scalar s.
 
     Going through the logarithm turns extreme points into a clean overflow
     or underflow; a product of powers would give inf * 0 = NaN there.
@@ -340,7 +341,7 @@ def weight(fam, s):
     fam.require_inside(arr)
     with np.errstate(over="ignore", under="ignore"):
         out = np.exp(fam.spec.log_weight(arr, float(fam.alpha), float(fam.beta)))
-    return out if isinstance(s, np.ndarray) else float(out)
+    return out if arr.ndim else float(out)
 
 
 def potential_term(fam, m, s):

@@ -5,15 +5,15 @@ with kappa = sqrt(sigma).  A form holds at most one slot per parity of j:
 a term joins its parity's slot by folding onto the lower power,
 kappa^(j+2i) p = kappa^j sigma^i p.  Every map then sends a slot kappa^j p
 to one slot by a closed form, so every identity below is checked in exact
-polynomial arithmetic (rational mode) or to roundoff (float mode).  Reducing
-a result back to a single kappa^m * poly slot requires exact divisibility by
-sigma; a nonzero remainder is an algebra bug and raises DivisibilityFailure.
+polynomial arithmetic (rational mode) or to roundoff (float mode).
+lower_order and apply_hamiltonian read their result off its one slot; H
+lands on kappa^(m-2) and is divided by sigma once, so a nonzero remainder is
+an algebra bug and raises DivisibilityFailure.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 import numpy as np
 
@@ -75,12 +75,7 @@ class KappaForm:
 
     @classmethod
     def from_assoc(cls, af):
-        return cls.from_poly(af.family, af.m, af.poly)
-
-    @classmethod
-    def from_poly(cls, family, power, poly):
-        p = poly.as_exact() if family.exact else poly
-        return cls(family, [(power, p)])
+        return cls(af.family, [(af.m, af.poly)])
 
     def __sub__(self, other):
         neg = [(j, -p) for j, p in other.terms.items()]
@@ -89,53 +84,8 @@ class KappaForm:
     def scale(self, c):
         return KappaForm(self.family, [(j, p * c) for j, p in self.terms.items()])
 
-    def d_ds(self):
-        """kappa^j p -> kappa^(j-2) [sigma p' + j (sigma'/2) p] on each slot."""
-        sig, sp, tau = self.family.polys
-        polys = (sig, sp * Fraction(1, 2), tau)
-        return KappaForm(self.family, [(j - 2, _first_order(polys, p, j))
-                                       for j, p in self.terms.items()])
-
     def max_abs(self):
         return max((p.max_abs() for p in self.terms.values()), default=0.0)
-
-    def fold_down(self):
-        """Each parity class on its lowest power: a form is folded when built."""
-        return self
-
-    def collapse(self, power, rel_tol=None):
-        """Reduce to the single slot kappa^power, dividing by sigma as needed.
-
-        Exact coefficients demand a zero remainder; float coefficients allow
-        a relative remainder up to rel_tol (default 1e-10) which is dropped.
-        """
-        if rel_tol is None:
-            rel_tol = 0.0 if self.family.exact else 1e-10
-        scale = max(self.max_abs(), 1.0)
-        total = Poly()  # at most one slot has the parity of power
-        for j, p in self.terms.items():
-            if (j - power) % 2 != 0:
-                if p.max_abs() > rel_tol * scale:
-                    raise DivisibilityFailure(
-                        f"kappa^{j} remnant cannot reduce to kappa^{power}"
-                    )
-                continue
-            steps = (power - j) // 2
-            if steps < 0:
-                raise DivisibilityFailure(
-                    f"unexpected kappa^{j} term above target kappa^{power}"
-                )
-            for _ in range(steps):
-                p, rem = poly_divmod(p, self.family.polys[0])
-                if rem.max_abs() > rel_tol * scale:
-                    raise DivisibilityFailure(
-                        f"division by sigma left remainder of size {rem.max_abs():.3e}"
-                    )
-            total = p
-        if not self.family.exact:
-            cut = rel_tol * max(total.max_abs(), 1.0)
-            total = Poly([c if abs(float(c)) > cut else 0 for c in total.coeffs])
-        return total
 
 
 def residual(lhs, rhs):
@@ -210,15 +160,23 @@ def lower_order(ctx, af):
     _check_compatible(ctx, af, ctx.m + 1)
     if not (ctx.m < af.l and families.below_cutoff(ctx.family, af.l)):
         raise ContextMismatch(f"lowering needs m < l < cutoff, got l={af.l}, m={ctx.m}")
-    out = _apply_lower(ctx, KappaForm.from_assoc(af))
-    return AssociatedFunction(ctx.family, af.l, ctx.m, out.collapse(ctx.m))
+    out = _apply_lower(ctx, KappaForm.from_assoc(af)).terms.get(ctx.m, Poly())
+    return AssociatedFunction(ctx.family, af.l, ctx.m, out)
 
 
 def apply_hamiltonian(ctx, af):
-    """Apply -sigma D^2 - tau D + v_m at the context order."""
+    """Apply -sigma D^2 - tau D + v_m at the context order.
+
+    The result sits at kappa^(m-2); one division by sigma brings it to
+    kappa^m.  Exact coefficients demand a zero remainder, float ones allow
+    1e-10 of the larger of 1 and the largest coefficient.
+    """
     _check_compatible(ctx, af, ctx.m)
-    out = _apply_h(ctx, ctx.m, KappaForm.from_assoc(af))
-    return AssociatedFunction(ctx.family, af.l, ctx.m, out.collapse(ctx.m))
+    out = _apply_h(ctx, ctx.m, KappaForm.from_assoc(af)).terms.get(ctx.m - 2, Poly())
+    q, rem = poly_divmod(out, ctx.family.polys[0])
+    if rem.max_abs() > (0.0 if ctx.family.exact else 1e-10) * max(out.max_abs(), 1.0):
+        raise DivisibilityFailure(f"division by sigma left remainder of size {rem.max_abs():.3e}")
+    return AssociatedFunction(ctx.family, af.l, ctx.m, q)
 
 
 def _report(ctx, cases):
@@ -263,8 +221,8 @@ def check_identities(ctx, lmax):
             if not families.below_cutoff(fam, l):
                 break
             q = poly_eigenfunction(fam, l).deriv(m)
-            w = KappaForm.from_poly(fam, m + 1, q.deriv()) if l >= m + 1 else None
-            yield f"l={l},m={m}", KappaForm.from_poly(fam, m, q), f"l={l},m={m + 1}", w
+            w = KappaForm(fam, [(m + 1, q.deriv())]) if l >= m + 1 else None
+            yield f"l={l},m={m}", KappaForm(fam, [(m, q)]), f"l={l},m={m + 1}", w
 
     report = _report(ctx, cases())
     # a float delta on an exact family runs the shifted maps in floats
@@ -272,21 +230,21 @@ def check_identities(ctx, lmax):
     return report
 
 
-def check_shifted_factorization(ctx, max_degree=4):
+def check_shifted_factorization(ctx):
     """The four relations of check_identities on monomial test functions.
 
-    Uses kappa^m * s^d and kappa^(m+1) * s^d for d <= max_degree, so it
-    works for families whose polynomial eigenfunctions degenerate (the
-    pure-power carriers), since the identities are operator identities.
+    Uses kappa^m * s^d and kappa^(m+1) * s^d for d <= 4, so it works for
+    families whose polynomial eigenfunctions degenerate (the pure-power
+    carriers), since the identities are operator identities.
     """
     if ctx.delta is None:
         raise ContextMismatch("context carries no shift; build it with delta")
     fam, m = ctx.family, ctx.m
 
     def cases():
-        for d in range(max_degree + 1):
+        for d in range(5):
             mono = Poly([0] * d + [1])
-            u, w = KappaForm.from_poly(fam, m, mono), KappaForm.from_poly(fam, m + 1, mono)
+            u, w = KappaForm(fam, [(m, mono)]), KappaForm(fam, [(m + 1, mono)])
             yield f"deg={d}", u, f"deg={d}", w
 
     return _report(ctx, cases())

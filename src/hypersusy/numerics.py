@@ -34,6 +34,8 @@ from .errors import GridTooCoarse, NoConvergence, NonFinite
 
 _T_CUT = 6.56      # |t| beyond this every double-exponential weight underflows
 _Y_CLIP = 345.0    # keep exp(2y) finite while distances stay > 0
+_MAX_LEVEL = 12    # quad's last refinement level: step 2^-12
+_MATCH_WINDOW = 0.05  # match_targets' relative window
 
 
 @dataclass(frozen=True)
@@ -97,7 +99,7 @@ def _level_nodes(a, b, level):
     return h, x[keep], dxdt[keep]
 
 
-def quad(f, a, b, tol=1e-12, max_level=12):
+def quad(f, a, b, tol=1e-12):
     """Integrate f over the open interval (a, b).
 
     The interval is mapped by the double-exponential transformation; the
@@ -106,7 +108,7 @@ def quad(f, a, b, tol=1e-12, max_level=12):
     the same map.  For an integrand with stacked rows every row must meet
     that rule at the same level, and the value is one entry per row.
 
-    Raises NoConvergence when max_level refinements do not settle and
+    Raises NoConvergence when _MAX_LEVEL refinements do not settle and
     NonFinite when the integrand returns a non-finite value at a node.
     """
     if a == b:
@@ -118,7 +120,7 @@ def quad(f, a, b, tol=1e-12, max_level=12):
     evals = 0
     prev = None
     value = math.nan
-    for level in range(max_level + 1):
+    for level in range(_MAX_LEVEL + 1):
         h, x, dxdt = _level_nodes(a, b, level)
         fx = np.asarray(f(x), dtype=float)
         bad = ~np.isfinite(fx)
@@ -134,7 +136,7 @@ def quad(f, a, b, tol=1e-12, max_level=12):
                 return QuadratureResult(_as_value(orient * value), float(np.max(diff)), evals)
         prev = value
     raise NoConvergence(
-        f"tanh-sinh did not converge on ({a}, {b}) after {max_level} levels "
+        f"tanh-sinh did not converge on ({a}, {b}) after {_MAX_LEVEL} levels "
         f"(last value {_as_value(value)!r})"
     )
 
@@ -243,12 +245,12 @@ class SpectralReport:
         }
 
 
-def match_targets(eigenvalues, targets, window_scale=0.05):
+def match_targets(eigenvalues, targets):
     """Greedy nearest-eigenvalue matching within 0.05*(1+|target|) windows."""
     matched, missing = [], []
     used = set()
     for target in targets:
-        window = window_scale * (1.0 + abs(target))
+        window = _MATCH_WINDOW * (1.0 + abs(target))
         best, best_gap = None, window
         for i, lam in enumerate(eigenvalues):
             if i in used:
@@ -268,7 +270,7 @@ def match_targets(eigenvalues, targets, window_scale=0.05):
                 }
             )
     band = max(targets) if targets else -math.inf
-    band += window_scale * (1.0 + abs(band))
+    band += _MATCH_WINDOW * (1.0 + abs(band))
     extras = [
         float(lam)
         for i, lam in enumerate(eigenvalues)

@@ -19,12 +19,7 @@ from itertools import zip_longest
 import numpy as np
 
 from . import families
-from .errors import (
-    CutoffExceeded,
-    IndexViolation,
-    NotProportional,
-    RecurrenceBreakdown,
-)
+from .errors import CutoffExceeded, IndexViolation, RecurrenceBreakdown
 from .numerics import quad
 
 
@@ -81,10 +76,6 @@ class Poly:
         else:
             p.nums, p.den = tuple([x // g for x in nums[:n]]), den // g
         return p
-
-    @classmethod
-    def zero(cls):
-        return cls()
 
     @property
     def coeffs(self):
@@ -186,9 +177,6 @@ class Poly:
             # of the largest numerator
             return max(map(abs, self.nums), default=0) / self.den
         return max((abs(float(c)) for c in self.nums), default=0.0)
-
-    def as_exact(self):
-        return self if self.den is not None else Poly([Fraction(c) for c in self.nums])
 
     def to_json(self):
         return [str(c) if _is_rational(c) else float(c) for c in self.coeffs]
@@ -338,97 +326,9 @@ def associated_function(fam, level, order):
     return AssociatedFunction(fam, level, order, poly_eigenfunction(fam, level).deriv(order))
 
 
-# --- classical three-term recurrences, used only as a cross-check ---------
-
-def hermite_value(n, x):
-    if n == 0:
-        return 1.0
-    prev, cur = 1.0, 2.0 * x
-    for k in range(1, n):
-        prev, cur = cur, 2.0 * x * cur - 2.0 * k * prev
-    return cur
-
-
-def laguerre_value(n, p, x):
-    if n == 0:
-        return 1.0
-    prev, cur = 1.0, 1.0 + p - x
-    for k in range(1, n):
-        prev, cur = cur, ((2 * k + 1 + p - x) * cur - (k + p) * prev) / (k + 1)
-    return cur
-
-
-def jacobi_value(n, p, q, z):
-    """Jacobi recurrence; works for complex parameters and argument."""
-    if n == 0:
-        return 1.0
-    prev = 1.0
-    cur = (p + 1) + (p + q + 2) * (z - 1) / 2.0
-    for k in range(1, n):
-        a = 2 * (k + 1) * (k + p + q + 1) * (2 * k + p + q)
-        if a == 0:
-            raise NotProportional(
-                f"classical recurrence degenerates at n={k + 1} for (p={p}, q={q})"
-            )
-        b = (2 * k + p + q + 1) * ((2 * k + p + q) * (2 * k + p + q + 2) * z + p * p - q * q)
-        c = 2 * (k + p) * (k + q) * (2 * k + p + q + 2)
-        prev, cur = cur, (b * cur - c * prev) / a
-    return cur
-
-
-def classical_value(fam, level, s):
-    """The standard-polynomial identification of the level-l eigenfunction."""
-    al, be = float(fam.alpha), float(fam.beta)
-    if fam.kind == families.CONST:
-        return hermite_value(level, math.sqrt(-al / 2.0) * s - be / math.sqrt(-2.0 * al))
-    if fam.kind == families.LINEAR:
-        return laguerre_value(level, be - 1.0, -al * s)
-    if fam.kind == families.ONE_MINUS_S2:
-        return jacobi_value(level, -(al + be) / 2.0 - 1.0, (-al + be) / 2.0 - 1.0, s)
-    if fam.kind == families.S2_MINUS_ONE:
-        return jacobi_value(level, (al - be) / 2.0 - 1.0, (al + be) / 2.0 - 1.0, -s)
-    if fam.kind == families.S2:
-        if be == 0:
-            raise NotProportional("the s^2 identification needs beta != 0")
-        return (s / be) ** level * laguerre_value(level, 1.0 - al - 2 * level, be / s)
-    p = (al + 1j * be) / 2.0 - 1.0
-    val = (1j ** level) * jacobi_value(level, p, p.conjugate(), 1j * s)
-    if abs(val.imag) > 1e-9 * (1.0 + abs(val.real)):
-        raise NotProportional(f"complex identification not real at s={s}: {val}")
-    return val.real
-
-
-def classical_ratio(fam, level, rel_tol=1e-8):
-    """Constant ratio classical / constructed at 16 interior points.
-
-    Points where the constructed polynomial nearly vanishes are skipped
-    (both sides share the zeros when proportional); a ratio spread above
-    rel_tol raises NotProportional.
-    """
-    p = poly_eigenfunction(fam, level)
-    pts = families.sample_points(fam, 16)
-    ours = p.eval_array(pts)
-    scale = float(np.max(np.abs(ours))) or 1.0
-    ratios = []
-    for s, v in zip(pts, ours):
-        if abs(v) < 1e-6 * scale:
-            continue
-        ratios.append(classical_value(fam, level, float(s)) / v)
-    if len(ratios) < 6:
-        raise NotProportional("too few usable sample points for the ratio")
-    ratios = np.asarray(ratios, dtype=float)
-    mean = float(np.mean(ratios))
-    spread = float(np.max(ratios) - np.min(ratios))
-    if spread > rel_tol * max(1.0, abs(mean)):
-        raise NotProportional(
-            f"ratio varies by {spread:.3e} over the samples (mean {mean:.6g})"
-        )
-    return mean
-
-
 # --- weighted norms and Gram matrices --------------------------------------
 
-def _gram(fam, order, levels, tol):
+def _gram(fam, order, levels):
     """Packed Gram matrix of the order-m functions at the given levels.
 
     One tanh-sinh pass: the integrand evaluates the weight, sigma^m and each
@@ -452,17 +352,17 @@ def _gram(fam, order, levels, tol):
     a, b = fam.interval
     g = np.zeros((len(polys), len(polys)))
     if polys:  # lmax < order leaves no level
-        g[iu, ju] = g[ju, iu] = quad(f, a, b, tol=tol).value
+        g[iu, ju] = g[ju, iu] = quad(f, a, b, tol=1e-13).value
     return g
 
 
-def norm(fam, level, order, tol=1e-13):
+def norm(fam, level, order):
     """Weighted L2 norm of the associated function: the root of a one-level Gram."""
     if order > level:
         raise IndexViolation(f"order must satisfy m <= l, got m={order}, l={level}")
-    return math.sqrt(_gram(fam, order, [level], tol)[0, 0])
+    return math.sqrt(_gram(fam, order, [level])[0, 0])
 
 
-def gram_matrix(fam, order, lmax, tol=1e-13):
+def gram_matrix(fam, order, lmax):
     """Inner products of the order-m associated functions up to level lmax."""
-    return _gram(fam, order, range(order, lmax + 1), tol)
+    return _gram(fam, order, range(order, lmax + 1))

@@ -175,14 +175,14 @@ def _endpoint_diverges(fam, m, endpoint):
     return p >= -1.0 if math.isinf(fam.interval[i]) else p <= -1.0
 
 
-def endpoint_limit(fam, m, endpoint, tol=1e-12):
+def endpoint_limit(fam, m, endpoint):
     """Limit of I_m at an endpoint: tail quadrature, or +-inf on divergence."""
     a, b = fam.interval
     s0 = base_point(fam)
     if _endpoint_diverges(fam, m, endpoint):
         return -math.inf if endpoint == "lower" else math.inf
     target = a if endpoint == "lower" else b
-    return quad(lambda t: sigma_m_rho(fam, m, t), s0, target, tol=tol).value
+    return quad(lambda t: sigma_m_rho(fam, m, t), s0, target, tol=1e-12).value
 
 
 @dataclass(frozen=True)
@@ -196,12 +196,12 @@ class GammaRays:
     right_start: float
     left_end: float
 
-    def contains(self, gamma, margin=_MARGIN):
+    def contains(self, gamma):
         if gamma == math.inf:
             return True
-        if math.isfinite(self.right_start) and gamma >= self.right_start + margin:
+        if math.isfinite(self.right_start) and gamma >= self.right_start + _MARGIN:
             return True
-        if math.isfinite(self.left_end) and gamma <= self.left_end - margin:
+        if math.isfinite(self.left_end) and gamma <= self.left_end - _MARGIN:
             return True
         return False
 

@@ -157,13 +157,18 @@ def write_json(frame, path):
 _SVG_COLORS = {"V_upper": "#1f77b4", "V_partner": "#d62728", "W": "#2ca02c"}
 
 
-def write_svg(frame, path, width=640, height=440, pad=50.0):
-    """Quick-look line plot of V_upper, V_partner and W as plain SVG paths."""
+def write_svg(frame, path):
+    """Quick-look line plot of V_upper, V_partner and W as plain SVG paths.
+
+    The y-range spans the 2nd to 98th percentile of the finite values; with
+    none left it is [0, 1] and every path is empty.
+    """
+    width, height, pad = 640, 440, 50.0
     xs = np.asarray(frame["x"], dtype=float)
     series = {k: np.asarray(frame[k], dtype=float) for k in ("V_upper", "V_partner", "W")}
     ys = np.concatenate(list(series.values()))
     ys = ys[np.isfinite(ys)]
-    y_lo, y_hi = np.percentile(ys, [2.0, 98.0])
+    y_lo, y_hi = np.percentile(ys, [2.0, 98.0]) if ys.size else (0.0, 1.0)
     if y_hi <= y_lo:
         y_hi = y_lo + 1.0
     x_lo, x_hi = float(xs[0]), float(xs[-1])

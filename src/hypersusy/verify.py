@@ -47,9 +47,9 @@ def _matrix_families(float_mode=False):
     return [families.make_family(kind, a, b) for kind, a, b in rows]
 
 
-def _lmax(fam, hard_cap=6):
-    """The largest level l <= hard_cap below the cutoff."""
-    return next(l for l in range(hard_cap, -1, -1) if families.below_cutoff(fam, l))
+def _lmax(fam):
+    """The largest level l <= 6 below the cutoff."""
+    return next(l for l in range(6, -1, -1) if families.below_cutoff(fam, l))
 
 
 def _orders(fam, want=(0, 1)):
@@ -66,8 +66,11 @@ def _finite_gammas(fam, m):
     return out
 
 
-def suite_algebra(tol_float=1e-12):
-    """Factorization/intertwining identities plus the order recurrence."""
+def suite_algebra():
+    """Factorization/intertwining identities plus the order recurrence.
+
+    Exact rows must reach 0; float rows may reach 1e-12.
+    """
     failures, details = [], {}
     worst_exact, worst_float = 0.0, 0.0
     for float_mode in (False, True):
@@ -80,7 +83,7 @@ def suite_algebra(tol_float=1e-12):
                 details[key] = rep["max_residual"]
                 if float_mode:
                     worst_float = max(worst_float, rep["max_residual"])
-                    if rep["max_residual"] > tol_float:
+                    if rep["max_residual"] > 1e-12:
                         failures.append((fam.kind, m, "identities-float", rep["max_residual"]))
                 else:
                     worst_exact = max(worst_exact, rep["max_residual"])
@@ -95,29 +98,31 @@ def suite_algebra(tol_float=1e-12):
     }
 
 
-def suite_recurrence(tol=1e-10, points=32, seed=7):
-    """Three-term order recurrence (interior and boundary forms)."""
-    rng = np.random.default_rng(seed)
+def suite_recurrence():
+    """Three-term order recurrence (interior and boundary forms), to 1e-10
+    at 32 seeded random points per case."""
+    rng = np.random.default_rng(7)
     failures, details = [], {}
     worst = 0.0
     for fam in _matrix_families():
         lmax = _lmax(fam)
         for l in range(1, lmax + 1):
             for m in range(1, l + 1):
-                pts = families.sample_points(fam, points, rng)
+                pts = families.sample_points(fam, 32, rng)
                 r = ladder.recurrence_residual(fam, l, m, pts)
                 worst = max(worst, r)
                 details[f"{fam.kind},l={l},m={m}"] = r
-                if r > tol:
+                if r > 1e-10:
                     failures.append((fam.kind, l, m, r))
     return {"ok": not failures, "max_residual": worst, "details": details, "failures": failures}
 
 
-def suite_orthogonality(tol_gram=1e-8, tol_ratio=1e-7):
+def suite_orthogonality():
     """Gram off-diagonals and the norm-ratio identity.
 
     One Gram matrix per (family, m), m = 0..lmax; the norms are read off
-    their diagonals, and the off-diagonals are checked for m <= 3.
+    their diagonals, and the normalized off-diagonals are checked to 1e-8
+    for m <= 3.  The norm ratios must hold to 1e-7.
     """
     failures, details = [], {}
     worst_gram, worst_ratio = 0.0, 0.0
@@ -135,7 +140,7 @@ def suite_orthogonality(tol_gram=1e-8, tol_ratio=1e-7):
             r = float(np.max(off)) if off.size else 0.0
             worst_gram = max(worst_gram, r)
             details[f"gram:{fam.kind},m={m}"] = r
-            if r > tol_gram:
+            if r > 1e-8:
                 failures.append((fam.kind, m, "gram", r))
         for l in range(1, lmax + 1):
             for m in range(0, l):
@@ -145,7 +150,7 @@ def suite_orthogonality(tol_gram=1e-8, tol_ratio=1e-7):
                 ) * norms[(l, m)]
                 r = abs(lhs - rhs) / norms[(l, m)]
                 worst_ratio = max(worst_ratio, r)
-                if r > tol_ratio:
+                if r > 1e-7:
                     failures.append((fam.kind, l, m, "norm-ratio", r))
         details[f"norm-ratio:{fam.kind}"] = worst_ratio
     return {
@@ -157,8 +162,9 @@ def suite_orthogonality(tol_gram=1e-8, tol_ratio=1e-7):
     }
 
 
-def suite_riccati(tol=1e-9, points=64):
-    """Riccati residuals for gamma = inf and one value in each finite ray."""
+def suite_riccati():
+    """Riccati residuals, to 1e-9 at 64 points, for gamma = inf and one value
+    in each finite ray."""
     failures, details = [], {}
     worst = 0.0
     for fam in _matrix_families():
@@ -166,12 +172,12 @@ def suite_riccati(tol=1e-9, points=64):
             gammas = [math.inf] + _finite_gammas(fam, m)
             for gamma in gammas:
                 defm = riccati.make_deformation(fam, m, gamma)
-                pts = families.sample_points(fam, points)
+                pts = families.sample_points(fam, 64)
                 r = riccati.riccati_residual(defm, pts)
                 worst = max(worst, r)
                 tag = "inf" if gamma == math.inf else f"{gamma:.4g}"
                 details[f"{fam.kind},m={m},gamma={tag}"] = r
-                if r > tol:
+                if r > 1e-9:
                     failures.append((fam.kind, m, tag, r))
     return {"ok": not failures, "max_residual": worst, "details": details, "failures": failures}
 
@@ -199,8 +205,11 @@ _CATALOG_FIXTURES = (
 )
 
 
-def suite_catalog(tol=1e-10):
-    """Generic pipeline against the ten printed closed forms."""
+_CATALOG_TOL = 1e-10
+
+
+def suite_catalog():
+    """Generic pipeline against the ten printed closed forms, to _CATALOG_TOL."""
     failures, flags, details = [], [], {}
     worst = 0.0
     for entry_id, alpha, beta, m, gmode, delta in _CATALOG_FIXTURES:
@@ -211,13 +220,15 @@ def suite_catalog(tol=1e-10):
             fam = families.make_family(e.kind, alpha, beta)
             gammas += _finite_gammas(fam, m)[:1]
         for gamma in gammas:
-            rep = catalog.compare_with_generic(entry_id, alpha, beta, m, xs, gamma, delta, tol)
+            rep = catalog.compare_with_generic(
+                entry_id, alpha, beta, m, xs, gamma, delta, _CATALOG_TOL
+            )
             dev = max(rep["max_dev_V"], rep["max_dev_W"])
             worst = max(worst, dev)
             tag = "inf" if gamma == math.inf else f"{gamma:.3g}"
             details[f"entry{entry_id},m={m},gamma={tag}"] = dev
             flags.extend(rep["flags"])
-            if dev > tol:
+            if dev > _CATALOG_TOL:
                 failures.append((entry_id, m, tag, dev))
     return {
         "ok": not failures,

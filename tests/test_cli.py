@@ -227,6 +227,37 @@ def test_derive_meta_is_strict_json(tmp_path, kind, alpha, beta, gamma):
     assert blob["deformation"]["gamma"] == float(gamma)
 
 
+def test_derive_meta_targets_do_not_depend_on_level_order(tmp_path):
+    metas = []
+    for levels in ("3,1", "1,3"):
+        meta = tmp_path / f"meta-{levels}.json"
+        code = main([
+            "derive", "--kind", "const", "--alpha", "-2", "--beta", "0", "--levels", levels,
+            "--x-min", "-4", "--x-max", "4", "--n", "41",
+            "--out", str(tmp_path / "x.csv"), "--meta", str(meta),
+        ])
+        assert code == 0
+        metas.append(json.loads(meta.read_text()))
+    # "levels" echoes the request as given
+    assert [m.pop("levels") for m in metas] == [[3, 1], [1, 3]]
+    assert metas[0] == metas[1]
+    assert metas[0]["lambda_targets"] == [2.0, 4.0, 6.0]
+
+
+# every series is non-finite at these x: s(x) = x overflows tau = -2 s
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_derive_svg_with_no_finite_value_draws_empty_paths(tmp_path):
+    svg = tmp_path / "a.svg"
+    code = main([
+        "derive", "--kind", "const", "--alpha", "-2", "--beta", "0",
+        "--x-min", "1e308", "--x-max", "1.7e308", "--n", "3",
+        "--svg", str(svg), "--out", str(tmp_path / "a.csv"),
+    ])
+    assert code == 0
+    paths = svg.read_text().split('<path d="')[1:]
+    assert [p.split('"')[0] for p in paths] == ["M ", "M ", "M "]
+
+
 def test_derive_bad_parameters_exit_2(tmp_path, capsys):
     code = main([
         "derive", "--kind", "one_minus_s2", "--alpha", "1", "--beta", "0",
@@ -364,7 +395,6 @@ EXIT_CODES = {
     errors.DegenerateDenominator: 2,
     errors.IndexViolation: 2,
     errors.RecurrenceBreakdown: 2,
-    errors.NotProportional: 1,
     errors.DivisibilityFailure: 1,
     errors.ContextMismatch: 2,
     errors.InadmissibleGamma: 3,

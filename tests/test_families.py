@@ -112,6 +112,14 @@ def test_weight_values():
     assert abs(families.weight(g, 0.0) - 1.0) < 1e-15
 
 
+def test_weight_is_elementwise_over_any_sequence():
+    f = families.make_family("const", -2, 0)
+    for s in ([0.1, 0.2], (0.1, 0.2), np.array([0.1, 0.2])):
+        out = families.weight(f, s)
+        assert isinstance(out, np.ndarray) and np.allclose(out, np.exp(-np.square(s)))
+    assert type(families.weight(f, np.float64(0.1))) is float
+
+
 def test_weight_out_of_domain():
     f = families.make_family("linear", -1, 1)
     with pytest.raises(OutOfDomain):

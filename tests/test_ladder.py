@@ -18,7 +18,7 @@ from hypersusy.ladder import (
     raise_order,
     recurrence_residual,
 )
-from hypersusy.polynomials import Poly, associated_function
+from hypersusy.polynomials import AssociatedFunction, Poly, associated_function
 
 MATRIX = (
     ("const", -2, 0),
@@ -239,6 +239,14 @@ def test_context_mismatch():
                     associated_function(f, 1, 0))
 
 
+def test_lowering_needs_m_below_l_below_cutoff():
+    # hand-built order-(m+1) functions at levels associated_function refuses
+    f = families.make_family("s2", -3, 2)  # cutoff 2
+    for l in (0, 2):
+        with pytest.raises(ContextMismatch, match="m < l < cutoff"):
+            lower_order(make_context(f, 0), AssociatedFunction(f, l, 1, Poly([1])))
+
+
 def test_context_needs_room_below_cutoff():
     f = families.make_family("s2", -3, 2)  # cutoff 2
     make_context(f, 0)
@@ -246,20 +254,31 @@ def test_context_needs_room_below_cutoff():
         make_context(f, 1)
 
 
-def test_collapse_guards_against_bad_forms():
-    f = families.make_family("one_minus_s2", -4, 1)
-    bad = KappaForm.from_poly(f, 1, Poly([Fraction(1)]))
-    with pytest.raises(DivisibilityFailure):
-        bad.collapse(0)  # parity cannot match
-    odd = KappaForm.from_poly(f, -1, Poly([Fraction(0), Fraction(1)]))
-    with pytest.raises(DivisibilityFailure):
-        odd.collapse(1)  # s is not divisible by 1 - s^2
+def test_sigma_division_guards_against_a_remainder(monkeypatch):
+    # H lands on kappa^(m-2) sigma q; a stray kappa^(m-2) c s term leaves the
+    # remainder c s on division by 1 - s^2.  The exact lane allows none, the
+    # float lane 1e-10 of its largest coefficient.
+    real = ladder._apply_h
+    for alpha, beta, c, fails in ((-4, 1, Fraction(1, 10**30), True), (-4.3, 0.9, 1.0, True),
+                                  (-4.3, 0.9, 1e-13, False)):
+        f = families.make_family("one_minus_s2", alpha, beta)
+        ctx, af = make_context(f, 1), associated_function(f, 2, 1)
+        stray = KappaForm(f, [(-1, Poly([0, c]))])
+        monkeypatch.setattr(ladder, "_apply_h", lambda ctx, m, u, d=stray: real(ctx, m, u) - d)
+        if fails:
+            with pytest.raises(DivisibilityFailure, match="remainder"):
+                apply_hamiltonian(ctx, af)
+        else:
+            assert apply_hamiltonian(ctx, af).poly.degree == 1
 
 
 def test_kappa_form_derivative_is_product_rule():
+    # (kappa^j p)' = kappa^(j-2) [sigma p' + j (sigma'/2) p], slot by slot
     f = families.make_family("s2_plus_one", -4, 1)
     af = associated_function(f, 2, 1)
-    form = KappaForm.from_assoc(af).d_ds()
+    polys = make_context(f, 1).ladder_polys
+    form = KappaForm(f, [(j - 2, ladder._first_order(polys, p, j))
+                         for j, p in KappaForm.from_assoc(af).terms.items()])
     for s in (-1.3, 0.4, 2.2):
         val = sum(float(f.sigma(s)) ** (j / 2.0) * float(p(s)) for j, p in form.terms.items())
         assert abs(val - af.eval(s).deriv) < 1e-12
@@ -291,7 +310,7 @@ def test_shift_zero_reduces_to_plain():
     shifted = ladder._apply_raise(ctx, KappaForm.from_assoc(af))
     plain = raise_order(make_context(f, 0), af)
     diff = shifted - KappaForm.from_assoc(plain)
-    assert diff.fold_down().max_abs() == 0.0
+    assert diff.max_abs() == 0.0
 
 
 def test_shifted_factorization_coulomb_carrier():
@@ -344,7 +363,7 @@ def test_shifted_hamiltonian_offset_is_kappa_prime():
     # H_shift - H = -delta * kappa' as functions
     f = families.make_family("one_minus_s2", -4, 0)
     ctx = make_context(f, 0, delta=1)
-    u = KappaForm.from_poly(f, 0, Poly([Fraction(1), Fraction(2)]))
+    u = KappaForm(f, [(0, Poly([Fraction(1), Fraction(2)]))])
     shifted = ladder._apply_h(ctx, 0, u)
     plain = ladder._apply_h(make_context(f, 0), 0, u)
     diff = shifted - plain

@@ -169,6 +169,20 @@ def test_fd_requires_minimum_grid():
         fd_spectrum(lambda x: x * x, -1.0, 1.0, 50, 1)
 
 
+def test_fd_rejects_a_non_finite_potential():
+    with pytest.raises(NonFinite, match="potential non-finite"):
+        fd_spectrum(lambda x: np.where(x > 0.5, np.nan, x * x), -1.0, 1.0, 200, 2)
+
+
+def test_verify_spectrum_rejects_an_unknown_operator():
+    from hypersusy import families, riccati
+    from hypersusy.numerics import verify_spectrum
+
+    d = riccati.make_deformation(families.make_family("const", -2, 0), 0, math.inf)
+    with pytest.raises(ValueError, match="which must be"):
+        verify_spectrum(d, "lower", 2, -6.0, 6.0, 400)
+
+
 def test_match_targets_greedy_window():
     matched, extras, missing = match_targets([0.0, 2.0004, 4.01, 9.0], [2.0, 4.0, 6.0])
     assert [m["target"] for m in matched] == [2.0, 4.0]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hypersusy import families, ladder, riccati, schrodinger
-from hypersusy.errors import CutoffExceeded, InadmissibleGamma
+from hypersusy.errors import CutoffExceeded, InadmissibleGamma, NonFinite, OutOfDomain
 from hypersusy.numerics import derivative, quad
 from hypersusy.polynomials import associated_function
 
@@ -111,6 +111,22 @@ def test_make_deformation_validates():
 
 
 # --- psi and phi -----------------------------------------------------------------
+
+def test_gamma_inside_the_forbidden_interval_is_caught_pointwise():
+    # built by hand past make_deformation's ray check: gamma = 0 lies in the
+    # forbidden interval and gamma + I_0 vanishes at the base point
+    f = hermite_weight()
+    d = riccati.Deformation(f, 0, 0.0, riccati.base_point(f))
+    with pytest.raises(InadmissibleGamma, match="within the margin"):
+        riccati.psi_phi_arrays(d, np.array([-1.0, riccati.base_point(f), 1.0]))
+
+
+def test_cumulative_weight_rejects_an_overflowing_integrand():
+    # sigma^200 rho = s^200 e^-s is about 1e356 at s = 100, past the float range
+    f = families.make_family("linear", -1, 1)
+    with pytest.raises(NonFinite, match="non-finite in the gaps"):
+        riccati.cumulative_weight_sorted(f, 200, [1.0, 100.0])
+
 
 def test_psi_particular_solution_is_linear():
     d = riccati.make_deformation(hermite_weight(), 0, math.inf)
@@ -314,6 +330,15 @@ def test_partner_eigenfunction_derivative_matches_finite_difference():
                 s = float(s)
                 fd = derivative(lambda t: u(t).value, s, order=1, h0=0.02)
                 assert abs(u(s).deriv - fd) <= 1e-8 * (1.0 + abs(fd))
+
+
+def test_partner_eigenfunction_needs_m_below_l_below_cutoff():
+    d = riccati.make_deformation(hermite_weight(), 1, 2.0)
+    with pytest.raises(OutOfDomain, match="m < l < cutoff"):
+        riccati.partner_eigenfunction(d, 1)
+    morse = riccati.make_deformation(families.make_family("s2", -3, 2), 0, math.inf)  # cutoff 2
+    with pytest.raises(OutOfDomain, match="m < l < cutoff"):
+        riccati.partner_eigenfunction(morse, 2)
 
 
 def test_partner_explicit_value_at_origin():

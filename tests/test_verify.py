@@ -1,6 +1,7 @@
 import pytest
 
 from hypersusy import families, verify
+from hypersusy.errors import NoConvergence
 
 # The top level each suite checks: the largest l <= 6 below the cutoff
 # (1 - alpha)/2 of the quadratic sigmas; the others have no cutoff.
@@ -69,3 +70,13 @@ def test_orthogonality_suite_reaches_the_top_level(monkeypatch, row):
     assert verify.suite_orthogonality()["ok"]
     top = TOP_LEVEL[row]
     assert grams == [(m, top, (top - m + 1,) * 2) for m in range(top + 1)]
+
+
+def test_run_suite_reports_a_package_error_as_a_failed_suite(monkeypatch):
+    def boom():
+        raise NoConvergence("quadrature gave up")
+
+    monkeypatch.setitem(verify._SUITES, "riccati", boom)
+    out = verify.run_suite("riccati")
+    assert out["ok"] is False and out["suite"] == "riccati"
+    assert out["error"] == "NoConvergence: quadrature gave up"
