@@ -25,6 +25,6 @@ from .polynomials import (
     poly_eigenfunction,
 )
 from .riccati import Deformation, gamma_rays, make_deformation, partner_potential
-from .schrodinger import coordinate_map, potentials, superpotential, wavefunction
+from .schrodinger import potentials, superpotential, wavefunction
 
 __version__ = "0.1.0"

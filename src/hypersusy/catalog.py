@@ -70,13 +70,13 @@ def _deformation_ratio(fam, m, gamma, s):
     """
     if gamma == math.inf:
         return 0.0
-    s0 = riccati.base_point(fam)
+    s0 = fam.spec.base_point
     integral = np.reshape(
-        [quad(lambda t: riccati.sigma_m_rho(fam, m, t), s0, float(si), tol=1e-13).value
+        [quad(lambda t: families.sigma_m_rho(fam, m, t), s0, float(si), tol=1e-13).value
          for si in np.ravel(s)],
         np.shape(s),
     )
-    return riccati.sigma_m_rho(fam, m, s) / (gamma + integral)
+    return families.sigma_m_rho(fam, m, s) / (gamma + integral)
 
 
 def catalog_reference(entry_id, alpha, beta, m, x, gamma=math.inf, delta=None):

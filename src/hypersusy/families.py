@@ -42,18 +42,14 @@ S2_PLUS_ONE = "s2_plus_one"
 
 @dataclass(frozen=True)
 class CoordinateMap:
-    """Change of variable x -> s(x) with ds/dx = sign * kappa(s(x))."""
+    """Change of variable x -> s(x), defined by ds/dx = sign * kappa(s(x))."""
 
     x_domain: tuple
     sign: int
     s_fn: object   # s(x) on a float array
-    ds_fn: object  # ds/dx on a float array
 
     def s_of_x(self, x):
         return self.s_fn(np.asarray(x, dtype=float))
-
-    def ds_dx(self, x):
-        return self.ds_fn(np.asarray(x, dtype=float))
 
     def require_inside(self, x):
         a, b = self.x_domain
@@ -103,7 +99,7 @@ SPECS = {spec.kind: spec for spec in (
         constraint_text="alpha < 0", admits=lambda a, b: a < 0,
         # not al*s*s/2 + be*s: -inf + inf at huge s
         log_weight=lambda s, al, be: s * (al * s / 2.0 + be),
-        coords=CoordinateMap((-math.inf, math.inf), +1, lambda x: x, np.ones_like),
+        coords=CoordinateMap((-math.inf, math.inf), +1, lambda x: x),
         ends=(End(0, 0, 0, 0, da=1), End(0, 0, 0, 0, da=1)),
     ),
     KindSpec(
@@ -112,7 +108,7 @@ SPECS = {spec.kind: spec for spec in (
         constraint_text="alpha <= 0, beta > 0 (alpha = 0 only for the pure-power weight)",
         admits=lambda a, b: a <= 0 and b > 0,
         log_weight=lambda s, al, be: (be - 1.0) * np.log(s) + al * s,
-        coords=CoordinateMap((0.0, math.inf), +1, lambda x: x * x / 4.0, lambda x: x / 2.0),
+        coords=CoordinateMap((0.0, math.inf), +1, lambda x: x * x / 4.0),
         ends=(End(1, 0, 2, -1), End(1, 0, 2, -1, da=1)),
         power=WeightPower("beta", "beta - 1", lambda a, b, half: b - 1),
     ),
@@ -123,7 +119,7 @@ SPECS = {spec.kind: spec for spec in (
         constraint_text="alpha < beta < -alpha", admits=lambda a, b: a < b < -a,
         log_weight=lambda s, al, be: ((-(al - be) / 2.0 - 1.0) * np.log1p(s)
                                       + (-(al + be) / 2.0 - 1.0) * np.log1p(-s)),
-        coords=CoordinateMap((0.0, math.pi), -1, np.cos, lambda x: -np.sin(x)),
+        coords=CoordinateMap((0.0, math.pi), -1, np.cos),
         ends=(End(1, -1, 1, -1), End(1, -1, -1, -1)),
         power=WeightPower("alpha*s", "-alpha/2 - 1", lambda a, b, half: -a * half - 1),
     ),
@@ -134,7 +130,7 @@ SPECS = {spec.kind: spec for spec in (
         admits=lambda a, b: a < 0 and b >= 0,
         log_weight=lambda s, al, be: (((al - be) / 2.0 - 1.0) * np.log(s + 1.0)
                                       + ((al + be) / 2.0 - 1.0) * np.log(s - 1.0)),
-        coords=CoordinateMap((0.0, math.inf), +1, np.cosh, np.sinh),
+        coords=CoordinateMap((0.0, math.inf), +1, np.cosh),
         ends=(End(1, 1, 1, -1), _QUADRATIC_INFINITY),
         power=_ALPHA_POWER,
     ),
@@ -144,7 +140,7 @@ SPECS = {spec.kind: spec for spec in (
         constraint_text="alpha < 0, beta >= 0 (beta = 0 only for the pure-power weight)",
         admits=lambda a, b: a < 0 and b >= 0,
         log_weight=lambda s, al, be: (al - 2.0) * np.log(s) - be / s,
-        coords=CoordinateMap((-math.inf, math.inf), +1, np.exp, np.exp),
+        coords=CoordinateMap((-math.inf, math.inf), +1, np.exp),
         ends=(End(2, 2, 0, -2, db=-1), _QUADRATIC_INFINITY),
         power=_ALPHA_POWER,
     ),
@@ -153,7 +149,7 @@ SPECS = {spec.kind: spec for spec in (
         sigma_text="s^2+1", rho_text="(1+s^2)^(alpha/2-1) * exp(beta*arctan(s))",
         constraint_text="alpha < 0", admits=lambda a, b: a < 0,
         log_weight=lambda s, al, be: (al / 2.0 - 1.0) * np.log1p(s * s) + be * np.arctan(s),
-        coords=CoordinateMap((-math.inf, math.inf), +1, np.sinh, np.cosh),
+        coords=CoordinateMap((-math.inf, math.inf), +1, np.sinh),
         ends=(_QUADRATIC_INFINITY, _QUADRATIC_INFINITY),
         power=_ALPHA_POWER,
     ),
@@ -167,14 +163,19 @@ def _is_exact(x):
 
 
 def json_number(v):
-    """A parameter for JSON: integers as ints, other Fractions as "p/q", the rest as floats."""
+    """A number for JSON: ints, other Fractions as "p/q", +-inf as "inf"/"-inf", else floats."""
     if isinstance(v, Fraction):
         return v.numerator if v.denominator == 1 else str(v)
-    return v if isinstance(v, int) else float(v)
+    if isinstance(v, int):
+        return v
+    v = float(v)
+    return ("inf" if v > 0 else "-inf") if math.isinf(v) else v
 
 
 def from_json_number(v):
-    """Inverse of json_number: a "p/q" string is read back as a Fraction."""
+    """Inverse of json_number: "p/q" is read back as a Fraction, "inf"/"-inf" as floats."""
+    if v in ("inf", "-inf"):
+        return float(v)
     return Fraction(v) if isinstance(v, str) and "/" in v else v
 
 
@@ -217,16 +218,19 @@ class Family:
         _, c1, c2 = self.sigma_coeffs
         return Poly(self.sigma_coeffs), Poly([c1, 2 * c2]), Poly([self.beta, self.alpha])
 
+    # sigma, tau and their kin evaluate elementwise in floats; exact parameters
+    # enter rounded, as Fraction-float arithmetic would round them anyway
     def sigma(self, s):
         c0, c1, c2 = self.spec.sigma
+        s = np.asarray(s, dtype=float)
         return c0 + c1 * s + c2 * s * s
 
     def sigma_prime(self, s):
         c0, c1, c2 = self.spec.sigma
-        return c1 + 2 * c2 * s
+        return c1 + 2 * c2 * np.asarray(s, dtype=float)
 
     def tau(self, s):
-        return self.alpha * s + self.beta
+        return float(self.alpha) * np.asarray(s, dtype=float) + float(self.beta)
 
     def kappa(self, s):
         return np.sqrt(self.sigma(s))
@@ -344,19 +348,29 @@ def weight(fam, s):
     return out if arr.ndim else float(out)
 
 
+def sigma_m_rho(fam, m, s):
+    """sigma^m * rho, the integrand of the cumulative weight I_m, elementwise.
+
+    Where rho underflows to 0 the product is 0, however large sigma^m is.
+    """
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        w = weight(fam, s)
+        out = fam.sigma(s) ** m * w
+    return np.where(w == 0.0, 0.0, out)
+
+
+def sigma_potential(fam, m):
+    """sigma v_m, exact when the family is: m(m-2)/4 sigma'^2 + m/2 tau sigma'
+    - (m(m-2) sigma_lead + m alpha) sigma, v_m from -sigma D^2 - tau D + v_m."""
+    sig, sp, tau = fam.polys
+    return ((sp * sp) * Fraction(m * (m - 2), 4) + (tau * sp) * Fraction(m, 2)
+            - sig * (m * (m - 2) * fam.sigma_lead + m * fam.alpha))
+
+
 def potential_term(fam, m, s):
     """Zeroth-order term v_m(s) of the m-th operator -sigma D^2 - tau D + v_m."""
     fam.require_inside(s)
-    sig = fam.sigma(s)
-    sp = fam.sigma_prime(s)
-    spp = 2.0 * fam.sigma_lead
-    tau = fam.tau(s)
-    return (
-        m * (m - 2) / 4.0 * sp * sp / sig
-        + m * tau / 2.0 * sp / sig
-        - 0.5 * m * (m - 2) * spp
-        - m * float(fam.alpha)
-    )
+    return sigma_potential(fam, m).eval_array(s) / fam.sigma(s)
 
 
 def weight_power(fam):

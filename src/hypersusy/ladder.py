@@ -267,7 +267,7 @@ def recurrence_residual(fam, l, m, points):
     lam = float(families.eigenvalue(fam, l)) - float(families.eigenvalue(fam, m - 1))
     s = np.asarray(points, dtype=float)
     fam.require_inside(s)
-    coef = np.asarray(fam.tau(s), dtype=float) / fam.kappa(s) + 2.0 * (m - 1) * fam.kappa_prime(s)
+    coef = fam.tau(s) / fam.kappa(s) + 2.0 * (m - 1) * fam.kappa_prime(s)
     t1 = up.values(s) if up is not None else np.zeros_like(s)
     t2 = coef * mid.values(s)
     t3 = lam * low.values(s)

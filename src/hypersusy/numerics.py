@@ -8,7 +8,8 @@ anything from the operator algebra in the rest of the package, so their
 output can certify spectra and inner products computed analytically
 elsewhere.  The one bridge is verify_spectrum, which hands the solver a
 partner-pair potential from schrodinger.potentials and matches its output
-against the closed-form eigenvalues.
+against the closed-form eigenvalues.  derivative, a Richardson-extrapolated
+central difference, is what tests hold analytic derivatives against.
 
 Within the package, tanh-sinh serves the integrals that run to an interval
 end, where integrands may be singular: the endpoint limits of the cumulative

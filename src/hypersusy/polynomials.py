@@ -20,11 +20,8 @@ import numpy as np
 
 from . import families
 from .errors import CutoffExceeded, IndexViolation, RecurrenceBreakdown
+from .families import _is_exact
 from .numerics import quad
-
-
-def _is_rational(c):
-    return isinstance(c, (int, Fraction))
 
 
 class Poly:
@@ -53,7 +50,7 @@ class Poly:
         cs = list(coeffs)
         while cs and cs[-1] == 0:
             cs.pop()
-        if all(_is_rational(c) for c in cs):
+        if all(_is_exact(c) for c in cs):
             # Fractions are reduced, so over the lcm the numerators share no
             # factor with it
             den = math.lcm(*[c.denominator for c in cs])
@@ -141,7 +138,7 @@ class Poly:
                 for j, y in enumerate(b):
                     out[i + j] += x * y
             return Poly._exact(out, self.den * other.den) if exact else Poly(out)
-        if self.den is not None and _is_rational(other):
+        if self.den is not None and _is_exact(other):
             return Poly._exact([x * other.numerator for x in self.nums],
                                self.den * other.denominator)
         if isinstance(other, Fraction):
@@ -161,7 +158,7 @@ class Poly:
 
     def __call__(self, s):
         out = 0
-        for c in reversed(self.coeffs if _is_rational(s) else self._floats()):
+        for c in reversed(self.coeffs if _is_exact(s) else self._floats()):
             out = out * s + c
         return out
 
@@ -179,7 +176,7 @@ class Poly:
         return max((abs(float(c)) for c in self.nums), default=0.0)
 
     def to_json(self):
-        return [str(c) if _is_rational(c) else float(c) for c in self.coeffs]
+        return [str(c) if _is_exact(c) else float(c) for c in self.coeffs]
 
     @classmethod
     def from_json(cls, items):
@@ -234,8 +231,7 @@ class AssociatedFunction:
         fam, m = self.family, self.m
         s = np.asarray(s_arr, dtype=float)
         fam.require_inside(s)
-        sig = np.asarray(fam.sigma(s), dtype=float)
-        sp = np.asarray(fam.sigma_prime(s), dtype=float)
+        sig, sp = fam.sigma(s), fam.sigma_prime(s)
         r = m * sp / (2.0 * sig)
         r_p = m * (2.0 * fam.sigma_lead * sig - sp * sp) / (2.0 * sig * sig)
         q, qp, qpp = (self.poly.deriv(i).eval_array(s) for i in range(3))
@@ -249,8 +245,7 @@ class AssociatedFunction:
 
     def values(self, s_arr):
         """Vectorized plain values (no derivative)."""
-        sig = np.asarray(self.family.sigma(np.asarray(s_arr, dtype=float)), dtype=float)
-        return sig ** (self.m / 2.0) * self.poly.eval_array(s_arr)
+        return self.family.sigma(s_arr) ** (self.m / 2.0) * self.poly.eval_array(s_arr)
 
     def to_json(self):
         return {
@@ -331,23 +326,22 @@ def associated_function(fam, level, order):
 def _gram(fam, order, levels):
     """Packed Gram matrix of the order-m functions at the given levels.
 
-    One tanh-sinh pass: the integrand evaluates the weight, sigma^m and each
-    level polynomial once per node array and returns the upper-triangle
-    products sigma^m p_i p_j rho as stacked rows.
+    One tanh-sinh pass: the integrand evaluates sigma^m rho and each level
+    polynomial once per node array and returns the upper-triangle products
+    sigma^m rho p_i p_j as stacked rows.
     """
     polys = [poly_eigenfunction(fam, l).deriv(order) for l in levels]
     iu, ju = np.triu_indices(len(polys))
 
-    # once rho underflows to 0 the product is 0 no matter how large the
+    # where sigma^m rho is 0 the product is 0 no matter how large the
     # polynomial part has grown at the extreme quadrature nodes
     def f(s):
+        weight = families.sigma_m_rho(fam, order, s)
         with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-            w = families.weight(fam, s)
             vals = np.array([p.eval_array(s) for p in polys])
-            out = np.asarray(fam.sigma(s), dtype=float) ** order * vals[iu]
-            out *= vals[ju]
-            out *= w
-        return np.where(w == 0.0, 0.0, out)
+            out = vals[iu] * vals[ju]
+            out *= weight
+        return np.where(weight == 0.0, 0.0, out)
 
     a, b = fam.interval
     g = np.zeros((len(polys), len(polys)))

@@ -5,10 +5,11 @@ factorization replaces the particular solution by
 
     psi_gamma = -tau/sigma - (m-1)/2 sigma'/sigma + sigma^m rho / (gamma + I_m)
 
-with I_m the cumulative weight integral of sigma^m rho from a fixed base
+with I_m the cumulative weight integral of sigma^m rho from the kind's base
 point.  gamma ranges over two admissible rays determined by the endpoint
 limits of I_m; the sentinel gamma = inf recovers the undeformed operators.
-All derivatives here are analytic: I_m' = sigma^m rho needs no numeric
+sigma, tau, sigma^m rho and sigma v_m are read from families.  All
+derivatives here are analytic: I_m' = sigma^m rho needs no numeric
 differentiation.
 
 I_m on a grid is one sweep (cumulative_weight_sorted): the base point
@@ -37,6 +38,7 @@ import numpy as np
 
 from . import families
 from .errors import CutoffExceeded, InadmissibleGamma, IndexViolation, NonFinite, OutOfDomain
+from .families import sigma_m_rho
 from .numerics import quad
 from .polynomials import DifferentiableValue, associated_function
 
@@ -44,20 +46,6 @@ _MARGIN = 1e-9
 _GL_ORDERS = (10, 20)  # the two Gauss-Legendre orders compared on each gap
 _BLOCK = 512           # gaps per vectorized integrand call (bounds peak memory)
 _MAX_SPLITS = 8        # bisections of an unsettled gap before quad takes it
-
-
-def base_point(fam):
-    """Fixed interior base point of the cumulative weight integral."""
-    return fam.spec.base_point
-
-
-def sigma_m_rho(fam, m, s):
-    """sigma^m * rho, the integrand of the cumulative weight (vectorized)."""
-    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        w = families.weight(fam, s)
-        sig = np.asarray(fam.sigma(np.asarray(s, dtype=float)), dtype=float)
-        out = sig ** m * w
-    return np.where(w == 0.0, 0.0, out)
 
 
 def cumulative_weight(fam, m, s, tol=1e-13):
@@ -154,8 +142,8 @@ def cumulative_weight_sorted(fam, m, pts, tol=1e-13):
     a running sum from pts[0] would cancel.
     """
     pts = np.asarray(pts, dtype=float)
-    k = int(np.searchsorted(pts, base_point(fam)))
-    edges = np.insert(pts, k, base_point(fam))
+    k = int(np.searchsorted(pts, fam.spec.base_point))
+    edges = np.insert(pts, k, fam.spec.base_point)
     return _outward_sums(_gap_integrals(fam, m, edges[:-1], edges[1:], k, tol), k)
 
 
@@ -178,11 +166,10 @@ def _endpoint_diverges(fam, m, endpoint):
 def endpoint_limit(fam, m, endpoint):
     """Limit of I_m at an endpoint: tail quadrature, or +-inf on divergence."""
     a, b = fam.interval
-    s0 = base_point(fam)
     if _endpoint_diverges(fam, m, endpoint):
         return -math.inf if endpoint == "lower" else math.inf
     target = a if endpoint == "lower" else b
-    return quad(lambda t: sigma_m_rho(fam, m, t), s0, target, tol=1e-12).value
+    return quad(lambda t: sigma_m_rho(fam, m, t), fam.spec.base_point, target, tol=1e-12).value
 
 
 @dataclass(frozen=True)
@@ -208,20 +195,14 @@ class GammaRays:
     def describe(self):
         parts = []
         if math.isfinite(self.right_start):
-            parts.append(f"gamma > {self.right_start:.4f}")
+            parts.append(f"gamma > {self.right_start:.6g}")
         if math.isfinite(self.left_end):
-            parts.append(f"gamma < {self.left_end:.4f}")
+            parts.append(f"gamma < {self.left_end:.6g}")
         return " or ".join(parts) if parts else "only gamma = inf"
 
     def to_json(self):
-        def enc(v):
-            if v == math.inf:
-                return "inf"
-            if v == -math.inf:
-                return "-inf"
-            return v
-
-        return {"right_start": enc(self.right_start), "left_end": enc(self.left_end)}
+        return {"right_start": families.json_number(self.right_start),
+                "left_end": families.json_number(self.left_end)}
 
 
 def gamma_rays(fam, m):
@@ -244,7 +225,6 @@ class Deformation:
     family: families.Family
     m: int
     gamma: float
-    s0: float
     delta: object = None
 
     @functools.cached_property
@@ -262,13 +242,9 @@ class Deformation:
     @functools.cached_property
     def ladder_polys(self):
         """(sigma, sigma'/2, tau, {k: sigma v_k for k = m, m + 1}), built on first use."""
-        fam, (sig, sp, tau) = self.family, self.family.polys
-        h = sp * Fraction(1, 2)
-        # sigma v_k = k(k-2) h^2 + k tau h - (k(k-2) sigma_lead + k alpha) sigma, h = sigma'/2
-        pots = {k: (h * h) * (k * (k - 2)) + (tau * h) * k
-                - sig * (k * (k - 2) * fam.sigma_lead + k * fam.alpha)
-                for k in (self.m, self.m + 1)}
-        return sig, h, tau, pots
+        sig, sp, tau = self.family.polys
+        pots = {k: families.sigma_potential(self.family, k) for k in (self.m, self.m + 1)}
+        return sig, sp * Fraction(1, 2), tau, pots
 
     def eigenvalue(self, level):
         """lambda_level, shift-corrected when delta is active."""
@@ -282,15 +258,15 @@ class Deformation:
         return {
             "family": self.family.to_json(),
             "m": self.m,
-            "gamma": "inf" if self.gamma == math.inf else self.gamma,
-            "s0": self.s0,
+            "gamma": families.json_number(self.gamma),
+            "s0": self.family.spec.base_point,
             "delta": None if self.delta is None else families.json_number(self.delta),
         }
 
     @classmethod
     def from_json(cls, obj):
         fam = families.Family.from_json(obj["family"])
-        gamma = math.inf if obj["gamma"] == "inf" else float(obj["gamma"])
+        gamma = float(families.from_json_number(obj["gamma"]))
         return make_deformation(fam, obj["m"], gamma, families.from_json_number(obj.get("delta")))
 
 
@@ -306,7 +282,7 @@ def make_deformation(fam, m, gamma, delta=None):
         raise InadmissibleGamma(
             "gamma=-inf is not admissible; the undeformed operators are gamma=inf"
         )
-    defm = Deformation(fam, m, gamma, base_point(fam), delta)
+    defm = Deformation(fam, m, gamma, delta)
     if gamma != math.inf and not defm.rays.contains(gamma):
         raise InadmissibleGamma(
             f"gamma={gamma} is not admissible; admissible rays: {defm.rays.describe()}"
@@ -327,11 +303,8 @@ def psi_phi_arrays(defm, s):
     fam, m = defm.family, defm.m
     s = np.asarray(s, dtype=float)
     fam.require_inside(s)
-    sig = np.asarray(fam.sigma(s), dtype=float)
-    sp = np.asarray(fam.sigma_prime(s), dtype=float)
+    sig, sp, tau = fam.sigma(s), fam.sigma_prime(s), fam.tau(s)
     spp = 2.0 * fam.sigma_lead
-    tau = np.asarray(fam.tau(s), dtype=float)
-    al = float(fam.alpha)
     g = gp = 0.0
     if defm.gamma != math.inf:
         flat = s.ravel()
@@ -347,7 +320,7 @@ def psi_phi_arrays(defm, s):
         gp = g * ((m - 1) * sp + tau) / sig - g * g
     d_ratio = (spp * sig - sp * sp) / (sig * sig)  # (sigma'/sigma)'
     psi = -tau / sig - (m - 1) / 2.0 * sp / sig + g
-    psi_p = -(al * sig - tau * sp) / (sig * sig) - (m - 1) / 2.0 * d_ratio + gp
+    psi_p = -(float(fam.alpha) * sig - tau * sp) / (sig * sig) - (m - 1) / 2.0 * d_ratio + gp
     phi = -m / 2.0 * sp / sig + g
     phi_p = -m / 2.0 * d_ratio + gp
     return psi, psi_p, phi, phi_p
@@ -370,8 +343,7 @@ def riccati_residual(defm, points):
     fam, m = defm.family, defm.m
     pts = np.asarray(points, dtype=float)
     p, pp, _, _ = psi_phi_arrays(defm, pts)
-    sig = np.asarray(fam.sigma(pts), dtype=float)
-    tau = np.asarray(fam.tau(pts), dtype=float)
+    sig, tau = fam.sigma(pts), fam.tau(pts)
     v_next = families.potential_term(fam, m + 1, pts)
     lam = float(families.eigenvalue(fam, m))
     res = pp + p * p + tau / sig * p - (v_next - lam) / sig
@@ -379,19 +351,18 @@ def riccati_residual(defm, points):
 
 
 def apply_b(defm, s, fv, which="b"):
-    """First-order deformed maps at a point.
+    """First-order deformed maps on fv = (f, f') at s of any shape.
 
     b      : kappa * (d/ds + phi)   (+ the constant shift when delta is set)
     b_plus : kappa * (-d/ds + psi)  (+ the same constant)
     """
-    defm.family.require_inside(s)
-    kap = float(defm.family.kappa(s))
-    c = float(defm.shift_constant)
+    if which not in ("b", "b_plus"):
+        raise ValueError("which must be 'b' or 'b_plus'")
+    p, _, q, _ = psi_phi_arrays(defm, s)
+    kap, c = defm.family.kappa(s), float(defm.shift_constant)
     if which == "b":
-        return kap * (fv.deriv + phi(defm, s).value * fv.value) + c * fv.value
-    if which == "b_plus":
-        return kap * (-fv.deriv + psi(defm, s).value * fv.value) + c * fv.value
-    raise ValueError("which must be 'b' or 'b_plus'")
+        return kap * (fv.deriv + q * fv.value) + c * fv.value
+    return kap * (-fv.deriv + p * fv.value) + c * fv.value
 
 
 def partner_potential(defm, s):
@@ -406,8 +377,7 @@ def partner_potential(defm, s):
     fam = defm.family
     s = np.asarray(s, dtype=float)
     p, _, q, qp = psi_phi_arrays(defm, s)
-    sig = np.asarray(fam.sigma(s), dtype=float)
-    sp = np.asarray(fam.sigma_prime(s), dtype=float)
+    sig, sp = fam.sigma(s), fam.sigma_prime(s)
     v = sig * p * q - sig * qp - sp / 2.0 * q + float(families.eigenvalue(fam, defm.m))
     if defm.delta is not None:
         v += float(defm.shift_constant) * fam.kappa(s) * (p + q)

@@ -20,18 +20,13 @@ import math
 import numpy as np
 
 from . import families, riccati
-from .errors import OutOfDomain
+from .errors import NonFinite, OutOfDomain
 from .polynomials import DifferentiableValue, associated_function
-
-
-def coordinate_map(kind):
-    """The kind's fixed x -> s(x) map (families.CoordinateMap)."""
-    return families.SPECS[kind].coords
 
 
 def wavefunction(fam, l, m, x):
     """Psi_{l,m}(x) = sqrt(kappa rho) Phi_{l,m} at s(x)."""
-    cmap = coordinate_map(fam.kind)
+    cmap = fam.spec.coords
     cmap.require_inside(x)
     s = float(cmap.s_of_x(x))
     af = associated_function(fam, l, m)
@@ -43,7 +38,7 @@ def wavefunction(fam, l, m, x):
 def wavefunction_grid(fam, l, m, xs):
     # extreme x may round s(x) onto the closed s-boundary; the decaying
     # sqrt(kappa*rho) factor makes 0 the right limiting value there
-    cmap = coordinate_map(fam.kind)
+    cmap = fam.spec.coords
     cmap.require_inside(xs)
     with np.errstate(over="ignore"):
         s = np.asarray(cmap.s_of_x(np.asarray(xs, dtype=float)), dtype=float)
@@ -54,7 +49,7 @@ def wavefunction_grid(fam, l, m, xs):
         af = associated_function(fam, l, m)
         si = s[inside]
         with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-            kap = np.sqrt(np.asarray(fam.sigma(si), dtype=float))
+            kap = fam.kappa(si)
             rho = families.weight(fam, si)
             vals = np.sqrt(kap * rho) * af.values(si)
         out[inside] = np.where(rho == 0.0, 0.0, vals)
@@ -67,12 +62,11 @@ def _w_core(defm, x):
     W = kappa (psi + phi)/2 + c, and dW/dx = sign * kappa * dW/ds.
     """
     fam = defm.family
-    cmap = coordinate_map(fam.kind)
+    cmap = fam.spec.coords
     cmap.require_inside(x)
-    s = cmap.s_of_x(np.asarray(x, dtype=float))
+    s = cmap.s_of_x(x)
     p, pp, q, qp = riccati.psi_phi_arrays(defm, s)
-    sig = np.asarray(fam.sigma(s), dtype=float)
-    sp = np.asarray(fam.sigma_prime(s), dtype=float)
+    sig, sp = fam.sigma(s), fam.sigma_prime(s)
     w = np.sqrt(sig) * (p + q) / 2.0 + float(defm.shift_constant)
     wp = cmap.sign * (sp * (p + q) / 4.0 + sig * (pp + qp) / 2.0)
     return w, wp
@@ -86,7 +80,7 @@ def superpotential(defm, x):
 def potentials_and_w(defm, x):
     """(V_upper, V_partner, W) at x of any shape from one evaluation of W and W'."""
     w, wp = _w_core(defm, x)
-    sign = coordinate_map(defm.family.kind).sign
+    sign = defm.family.spec.coords.sign
     lam = defm.lambda_base
     return w * w + sign * wp + lam, w * w - sign * wp + lam, w
 
@@ -99,7 +93,7 @@ def potentials(defm, x):
 
 def apply_B(defm, x, fv, which="B"):
     """(+/- d/dx + W) in x-space on a DifferentiableValue."""
-    cmap = coordinate_map(defm.family.kind)
+    cmap = defm.family.spec.coords
     cmap.require_inside(x)
     w = superpotential(defm, x)
     if which == "B":
@@ -113,13 +107,18 @@ def grid_frame(defm, xs, levels=()):
     """Column arrays for export: x, s, V_upper, V_partner, W, psi_l...
 
     psi columns are the wavefunctions of the upper operator (order m+1),
-    one per requested level l >= m+1.
+    one per requested level l >= m+1.  A non-finite V_upper, V_partner or W
+    raises NonFinite, naming the first x where it occurs.
     """
     xs = np.asarray(xs, dtype=float)
-    v_upper, v_partner, w = potentials_and_w(defm, xs)
+    with np.errstate(all="ignore"):
+        v_upper, v_partner, w = potentials_and_w(defm, xs)
+    bad = ~(np.isfinite(v_upper) & np.isfinite(v_partner) & np.isfinite(w))
+    if bad.any():
+        raise NonFinite(f"V_upper, V_partner or W non-finite at x={float(xs[bad][0])}")
     frame = {
         "x": xs,
-        "s": coordinate_map(defm.family.kind).s_of_x(xs),
+        "s": defm.family.spec.coords.s_of_x(xs),
         "V_upper": v_upper,
         "V_partner": v_partner,
         "W": w,

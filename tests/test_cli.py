@@ -245,17 +245,16 @@ def test_derive_meta_targets_do_not_depend_on_level_order(tmp_path):
 
 
 # every series is non-finite at these x: s(x) = x overflows tau = -2 s
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_derive_svg_with_no_finite_value_draws_empty_paths(tmp_path):
-    svg = tmp_path / "a.svg"
+def test_derive_with_no_finite_value_exits_4_and_writes_nothing(tmp_path, capsys):
     code = main([
         "derive", "--kind", "const", "--alpha", "-2", "--beta", "0",
         "--x-min", "1e308", "--x-max", "1.7e308", "--n", "3",
-        "--svg", str(svg), "--out", str(tmp_path / "a.csv"),
+        "--svg", str(tmp_path / "a.svg"), "--meta", str(tmp_path / "a.json"),
+        "--out", str(tmp_path / "a.csv"),
     ])
-    assert code == 0
-    paths = svg.read_text().split('<path d="')[1:]
-    assert [p.split('"')[0] for p in paths] == ["M ", "M ", "M "]
+    assert code == 4
+    assert "non-finite at x=1e+308" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_derive_bad_parameters_exit_2(tmp_path, capsys):

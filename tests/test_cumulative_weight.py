@@ -111,7 +111,7 @@ def orders(fam):
 @pytest.mark.parametrize("n", (600, 1600))
 def test_sweep_matches_scipy_on_benchmark_grids(kind, a, b, n):
     fam = families.make_family(kind, a, b)
-    s0 = riccati.base_point(fam)
+    s0 = fam.spec.base_point
     pts = grid(kind, n)
     for m in orders(fam):
         got = riccati.cumulative_weight_sorted(fam, m, pts)

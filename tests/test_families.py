@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hypersusy import families, riccati
+from hypersusy import families, riccati, schrodinger, verify
 from hypersusy.errors import (
     BoundaryDecayFailure,
     CutoffExceeded,
@@ -132,6 +132,66 @@ def test_potential_term():
     assert abs(families.potential_term(f, 1, -1.3) - 2.0) < 1e-14
     g = families.make_family("linear", -1, 2)
     assert abs(families.potential_term(g, 1, 1.0) - 1.25) < 1e-14
+
+
+def closed_form_potential(fam, m, s):
+    """v_m written out in sigma, sigma', tau: an independent reference."""
+    sig, sp, tau = fam.sigma(s), fam.sigma_prime(s), fam.tau(s)
+    return (m * (m - 2) / 4.0 * sp * sp / sig + m * tau / 2.0 * sp / sig
+            - m * (m - 2) * fam.sigma_lead - m * float(fam.alpha))
+
+
+@pytest.mark.parametrize("row", verify.TEST_MATRIX + verify.FLOAT_MATRIX,
+                         ids=lambda r: f"{r[0]}({r[1]},{r[2]})")
+def test_potential_term_matches_the_closed_formula(row):
+    fam = families.make_family(*row)
+    s = families.sample_points(fam, 64)
+    for m in range(4):
+        pot = families.sigma_potential(fam, m)
+        assert pot.is_zero if m == 0 else (pot.den is not None) == fam.exact
+        want = closed_form_potential(fam, m, s)
+        got = families.potential_term(fam, m, s)
+        assert np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want))) <= 1e-13
+
+
+def test_fraction_parameters_evaluate_in_float64_as_ints_do():
+    exact = families.make_family("linear", Fraction(-1), Fraction(1))
+    plain = families.make_family("linear", -1, 1)
+    s = families.sample_points(plain, 64)
+
+    def same(a, b):
+        a, b = np.asarray(a), np.asarray(b)
+        return a.dtype == b.dtype == np.float64 and np.array_equal(a, b)
+
+    for name in ("sigma", "sigma_prime", "tau", "kappa", "kappa_prime"):
+        assert same(getattr(exact, name)(s), getattr(plain, name)(s))
+    for m in range(3):
+        assert same(families.potential_term(exact, m, s), families.potential_term(plain, m, s))
+        assert same(families.sigma_m_rho(exact, m, s), families.sigma_m_rho(plain, m, s))
+    for gamma in (math.inf, 2.0):
+        d_exact, d_plain = (riccati.make_deformation(f, 0, gamma) for f in (exact, plain))
+        for a, b in zip(riccati.psi_phi_arrays(d_exact, s), riccati.psi_phi_arrays(d_plain, s)):
+            assert same(a, b)
+        xs = np.linspace(0.4, 6.0, 50)
+        frames = [schrodinger.grid_frame(d, xs, (1, 2)) for d in (d_exact, d_plain)]
+        assert frames[0].keys() == frames[1].keys()
+        assert all(same(frames[0][k], frames[1][k]) for k in frames[0])
+    # a non-dyadic Fraction rounds once, to the float parameter's value
+    third = families.make_family("linear", Fraction(-1, 3), Fraction(5, 2))
+    floats = families.make_family("linear", -1 / 3, 2.5)
+    for name in ("sigma", "tau", "kappa", "kappa_prime"):
+        assert same(getattr(third, name)(s), getattr(floats, name)(s))
+    assert families.potential_term(third, 1, s).dtype == np.float64
+    assert families.sigma_m_rho(third, 1, s).dtype == np.float64
+
+
+def test_json_number_round_trips_infinities_and_fractions():
+    import json
+
+    assert (families.json_number(math.inf), families.json_number(-math.inf)) == ("inf", "-inf")
+    for v in (math.inf, -math.inf, 2.5, 3, Fraction(1, 3)):
+        back = families.from_json_number(json.loads(json.dumps(families.json_number(v))))
+        assert back == v and type(back) is type(v)
 
 
 def test_weight_power():

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from hypersusy import families, riccati, schrodinger
+from hypersusy import families, riccati
 
 H = Fraction(1, 2)
 
@@ -96,7 +96,6 @@ def test_record_is_consistent(kind):
     spec.coords.require_inside(xs)
     s = spec.coords.s_of_x(xs)
     assert fam.contains(s)
-    assert schrodinger.coordinate_map(kind) is spec.coords
     # the interval ends are where sigma vanishes or s is unbounded
     for end in spec.interval:
         assert math.isinf(end) or fam.sigma(end) == 0

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from hypersusy import families, ladder, riccati, schrodinger
 from hypersusy.errors import CutoffExceeded, InadmissibleGamma, NonFinite, OutOfDomain
 from hypersusy.numerics import derivative, quad
-from hypersusy.polynomials import associated_function
+from hypersusy.polynomials import DifferentiableValue, associated_function
 
 MATRIX = (
     ("const", -2, 0),
@@ -42,7 +43,7 @@ def hermite_weight():
 
 def test_cumulative_weight_base_point():
     f = hermite_weight()
-    assert riccati.cumulative_weight(f, 0, riccati.base_point(f)) == 0.0
+    assert riccati.cumulative_weight(f, 0, f.spec.base_point) == 0.0
 
 
 def test_cumulative_weight_gaussian_tail():
@@ -90,6 +91,22 @@ def test_gamma_rays_one_sided():
     assert "gamma > 0.5" in rays.describe()
 
 
+@pytest.mark.parametrize("kind,a,b,m", [
+    ("linear", -50, 2, 1),           # edges 1.6e-05 and -4.0e-24
+    ("s2_minus_one", -8, 10, 0),
+    ("s2", -30, 0.001, 0),           # right edge near 2.7e+125
+    ("linear", 0, 2, 0),             # one ray only
+])
+def test_gamma_rays_describe_prints_edges_that_parse_back(kind, a, b, m):
+    rays = riccati.gamma_rays(families.make_family(kind, a, b), m)
+    printed = dict(re.findall(r"gamma ([<>]) (\S+)", rays.describe()))
+    for op, edge in ((">", rays.right_start), ("<", rays.left_end)):
+        if math.isfinite(edge):
+            assert abs(float(printed[op]) - edge) <= 1e-5 * abs(edge)
+        else:
+            assert op not in printed
+
+
 def test_gamma_inf_always_admissible():
     for fam in matrix_families():
         assert riccati.gamma_rays(fam, 0).contains(math.inf)
@@ -116,9 +133,9 @@ def test_gamma_inside_the_forbidden_interval_is_caught_pointwise():
     # built by hand past make_deformation's ray check: gamma = 0 lies in the
     # forbidden interval and gamma + I_0 vanishes at the base point
     f = hermite_weight()
-    d = riccati.Deformation(f, 0, 0.0, riccati.base_point(f))
+    d = riccati.Deformation(f, 0, 0.0)
     with pytest.raises(InadmissibleGamma, match="within the margin"):
-        riccati.psi_phi_arrays(d, np.array([-1.0, riccati.base_point(f), 1.0]))
+        riccati.psi_phi_arrays(d, np.array([-1.0, f.spec.base_point, 1.0]))
 
 
 def test_cumulative_weight_rejects_an_overflowing_integrand():
@@ -174,7 +191,7 @@ def test_large_gamma_approaches_particular():
     d_big = riccati.make_deformation(f, 0, 1e8)
     for s in (-1.0, 0.0, 2.0):
         gap = abs(riccati.psi(d_big, s).value - riccati.psi(d_inf, s).value)
-        bound = riccati.sigma_m_rho(f, 0, s) / (1e8 - SQRT_PI_2)
+        bound = families.sigma_m_rho(f, 0, s) / (1e8 - SQRT_PI_2)
         assert gap <= bound + 1e-15
 
 
@@ -270,6 +287,23 @@ def test_b_on_zero_function():
 
     d = riccati.make_deformation(hermite_weight(), 0, 2.0)
     assert riccati.apply_b(d, 0.5, DifferentiableValue(0.0, 0.0), "b") == 0.0
+
+
+def test_apply_b_on_an_array_matches_pointwise_calls():
+    for fam in matrix_families():
+        s = families.sample_points(fam, 12).reshape(3, 4)
+        f, fp, _ = associated_function(fam, 1, 0).derivatives(s)
+        for gamma in [math.inf] + finite_gammas(fam, 0):
+            d = riccati.make_deformation(fam, 0, gamma)
+            for which in ("b", "b_plus"):
+                got = riccati.apply_b(d, s, DifferentiableValue(f, fp), which)
+                want = np.vectorize(lambda *a: riccati.apply_b(
+                    d, a[0], DifferentiableValue(a[1], a[2]), which))(s, f, fp)
+                assert got.shape == s.shape
+                if gamma == math.inf:
+                    assert np.array_equal(got, want)
+                else:  # one sweep over the grid sums I_m in other gaps
+                    assert np.all(np.abs(got - want) <= 1e-11 * (1.0 + np.abs(want)))
 
 
 # --- partner operator -----------------------------------------------------------------

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from hypersusy import families, riccati, schrodinger
-from hypersusy.errors import OutOfDomain
+from hypersusy.errors import NonFinite, OutOfDomain
 from hypersusy.numerics import derivative, quad
 from hypersusy.polynomials import DifferentiableValue, associated_function
 
@@ -39,12 +39,12 @@ def x_points(kind, n=16):
 
 
 def test_coordinate_map_identity():
+    # ds/dx = sign * kappa(s(x)), with ds/dx by Richardson-extrapolated differences
     for fam in matrix_families():
-        cmap = schrodinger.coordinate_map(fam.kind)
+        cmap = fam.spec.coords
         xs = x_points(fam.kind, 64)
-        s = cmap.s_of_x(xs)
-        lhs = cmap.ds_dx(xs)
-        rhs = cmap.sign * np.sqrt(np.asarray(fam.sigma(s), dtype=float))
+        lhs = derivative(cmap.s_of_x, xs, h0=2e-2)
+        rhs = cmap.sign * fam.kappa(cmap.s_of_x(xs))
         assert np.max(np.abs(lhs - rhs)) <= 1e-10
 
 
@@ -58,7 +58,7 @@ def test_wavefunction_norm_change_of_variables():
     # int Psi^2 dx equals int Phi^2 rho ds, two independent quadratures
     for kind, a, b in MATRIX[:4]:
         fam = families.make_family(kind, a, b)
-        cmap = schrodinger.coordinate_map(kind)
+        cmap = families.SPECS[kind].coords
         l, m = 1, 1
 
         def x_integrand(xs):
@@ -134,7 +134,7 @@ def test_susy_pairing_via_numeric_w_prime():
     # V_upper - V_partner = 2 * sign * dW/dx, with dW/dx taken numerically
     for kind, a, b in MATRIX:
         fam = families.make_family(kind, a, b)
-        cmap = schrodinger.coordinate_map(kind)
+        cmap = families.SPECS[kind].coords
         for gamma in (math.inf,):
             d = riccati.make_deformation(fam, 0, gamma)
             for x in x_points(kind, 7):
@@ -179,7 +179,7 @@ def test_B_conjugation_identity():
     # B(sqrt(kappa rho) h) == sqrt(kappa rho) * b(h) under s = s(x)
     for kind, a, b in MATRIX:
         fam = families.make_family(kind, a, b)
-        cmap = schrodinger.coordinate_map(kind)
+        cmap = families.SPECS[kind].coords
         d = riccati.make_deformation(fam, 0, math.inf)
         l = 1
         af = associated_function(fam, l, 1)
@@ -261,6 +261,21 @@ def test_svg_writer(tmp_path):
     assert text.startswith("<svg")
     assert text.count("<path") == 3
     assert "V_partner" in text
+
+
+def test_svg_writer_with_no_finite_value_draws_empty_paths(tmp_path):
+    nan = np.full(3, np.nan)
+    frame = {"x": np.array([0.0, 1.0, 2.0]), "V_upper": nan, "V_partner": nan, "W": nan}
+    schrodinger.write_svg(frame, tmp_path / "a.svg")
+    paths = (tmp_path / "a.svg").read_text().split('<path d="')[1:]
+    assert [p.split('"')[0] for p in paths] == ["M ", "M ", "M "]
+
+
+def test_grid_frame_names_the_first_non_finite_x():
+    # s(x) = x: tau = -2 s overflows W^2 at x = 1e308, and nothing warns
+    d = riccati.make_deformation(families.make_family("const", -2, 0), 0, math.inf)
+    with pytest.raises(NonFinite, match=r"at x=1e\+308$"):
+        schrodinger.grid_frame(d, np.array([0.0, 1e308, 1.5e308]))
 
 
 @pytest.mark.parametrize("deformed", [False, True])
