@@ -218,6 +218,12 @@ class Family:
         _, c1, c2 = self.sigma_coeffs
         return Poly(self.sigma_coeffs), Poly([c1, 2 * c2]), Poly([self.beta, self.alpha])
 
+    @functools.cached_property
+    def ray_memo(self):
+        """riccati.gamma_rays by order m, filled on first use and kept on
+        the instance for the reason polys is."""
+        return {}
+
     # sigma, tau and their kin evaluate elementwise in floats; exact parameters
     # enter rounded, as Fraction-float arithmetic would round them anyway
     def sigma(self, s):

@@ -18,14 +18,21 @@ reference integrals.  The cumulative weight on a grid uses Gauss-Legendre
 on the gaps between grid points instead (riccati.cumulative_weight_sorted)
 and calls quad only for a gap that bisection does not settle.
 
+The tanh-sinh levels nest, and quad evaluates each node once: its first
+integrand call takes every node of level 4, which gives the trapezoid sums
+of levels 0-4 as subsets, and each later level evaluates only its new odd
+nodes.  The (a, b)-free parts of each level's nodes are built on first use
+and kept (_table); fixed_level_quad reads the same tables.
+
 Integrands and potentials are called with numpy arrays and must evaluate
 elementwise.  An integrand may also return stacked rows, shape (k, n) for
-the n nodes of a level: quad then integrates all k rows in one pass over
+the n nodes of a call: quad then integrates all k rows in one pass over
 the same nodes, as the Gram matrices of the polynomials module do.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -35,6 +42,7 @@ from .errors import GridTooCoarse, NoConvergence, NonFinite
 
 _T_CUT = 6.56      # |t| beyond this every double-exponential weight underflows
 _Y_CLIP = 345.0    # keep exp(2y) finite while distances stay > 0
+_FIRST = 4         # quad's first integrand call covers levels 0.._FIRST
 _MAX_LEVEL = 12    # quad's last refinement level: step 2^-12
 _MATCH_WINDOW = 0.05  # match_targets' relative window
 
@@ -44,8 +52,10 @@ class QuadratureResult:
     """Value, last refinement difference, and number of integrand samples.
 
     ``value`` is a float, or a length-k array for an integrand that returns k
-    stacked rows; ``error_estimate`` is then the worst row's difference and
-    ``panels`` counts nodes, not rows times nodes.
+    stacked rows; ``error_estimate`` is then the worst row's difference.
+    ``panels`` counts each evaluated node once, as the levels nest: it is the
+    node count of the stopping level, or of level _FIRST if quad stops sooner,
+    and it counts nodes, not rows times nodes.
     """
 
     value: float | np.ndarray
@@ -53,51 +63,62 @@ class QuadratureResult:
     panels: int
 
 
-def _transform(t, a, b):
-    """Map tanh-sinh abscissae t to nodes and weights on the open (a, b).
+@functools.cache
+def _table(level):
+    """The (a, b)-free parts of the nodes t = k 2^-level, built on first use.
 
-    Returns (x, dxdt).  Endpoint distances are computed directly so nodes
-    never collide with a finite endpoint, which keeps integrable endpoint
-    singularities evaluable.
+    The levels nest: the nodes of level L-1 are the even k of level L.  The
+    table of level _FIRST holds every node of levels 0.._FIRST, a later one
+    only its new odd k; ``first`` is the coarsest level holding each node.
     """
+    k = np.arange(-int(_T_CUT * 2 ** level), int(_T_CUT * 2 ** level) + 1)
+    if level > _FIRST:
+        k = k[k % 2 == 1]
+    first = np.full(k.size, level)
+    for coarser in range(level - 1, -1, -1):
+        first[k % 2 ** (level - coarser) == 0] = coarser
+    t = k / 2 ** level
     y = np.clip(0.5 * math.pi * np.sinh(t), -_Y_CLIP, _Y_CLIP)
-    cosh_t = np.cosh(t)
-    if math.isinf(a) and math.isinf(b):
-        x = np.sinh(y)
-        dxdt = 0.5 * math.pi * cosh_t * np.cosh(y)
-    elif math.isinf(b):
-        x = a + np.exp(y)
-        dxdt = 0.5 * math.pi * cosh_t * np.exp(y)
-    elif math.isinf(a):
-        x = b - np.exp(-y)
-        dxdt = 0.5 * math.pi * cosh_t * np.exp(-y)
-    else:
-        half = 0.5 * (b - a)
-        e2y = np.exp(2.0 * y)
-        dist_b = 2.0 * half / (e2y + 1.0)
-        dist_a = 2.0 * half * e2y / (e2y + 1.0)
-        x = np.where(t > 0, b - dist_b, a + dist_a)
-        sech = 2.0 / (np.exp(y) + np.exp(-y))
-        dxdt = half * 0.5 * math.pi * cosh_t * sech * sech
-    return x, dxdt
+    parts = (t, np.cosh(t), np.sinh(y), np.cosh(y), np.exp(y), np.exp(-y), np.exp(2.0 * y), first)
+    for p in parts:
+        p.flags.writeable = False
+    return parts
 
 
-def _level_nodes(a, b, level):
-    """Step h and the usable nodes and weights of one level on (a, b).
+def _nodes(a, b, level):
+    """Nodes x, weights dx/dt and coarsest levels of _table(level) on (a, b).
 
-    Nodes that round onto a finite endpoint, or whose weight underflows,
+    Endpoint distances are computed directly so nodes never collide with a
+    finite endpoint, which keeps integrable endpoint singularities
+    evaluable; nodes that still round onto one, or whose weight underflows,
     are dropped.
     """
-    h = 1.0 / 2 ** level
-    k = np.arange(-int(_T_CUT / h), int(_T_CUT / h) + 1)
+    t, cosh_t, sinh_y, cosh_y, ey, emy, e2y, first = _table(level)
     with np.errstate(over="ignore", under="ignore"):
-        x, dxdt = _transform(k * h, a, b)
-    keep = (dxdt > 0.0) & np.isfinite(x)
-    if a > -math.inf:
-        keep &= x > a
-    if b < math.inf:
-        keep &= x < b
-    return h, x[keep], dxdt[keep]
+        if math.isinf(a) and math.isinf(b):
+            x, dxdt = sinh_y, 0.5 * math.pi * cosh_t * cosh_y
+        elif math.isinf(b):
+            x, dxdt = a + ey, 0.5 * math.pi * cosh_t * ey
+        elif math.isinf(a):
+            x, dxdt = b - emy, 0.5 * math.pi * cosh_t * emy
+        else:
+            half = 0.5 * (b - a)
+            x = np.where(t > 0, b - 2.0 * half / (e2y + 1.0), a + 2.0 * half * e2y / (e2y + 1.0))
+            sech = 2.0 / (ey + emy)
+            dxdt = half * 0.5 * math.pi * cosh_t * sech * sech
+    keep = (dxdt > 0.0) & np.isfinite(x) & (x > a) & (x < b)
+    return x[keep], dxdt[keep], first[keep]
+
+
+def _terms(f, x, dxdt):
+    """f(x) dx/dt at the nodes, one row per stacked integrand row."""
+    fx = np.asarray(f(x), dtype=float)
+    bad = ~np.isfinite(fx)
+    if bad.any():
+        at = x[bad.reshape(-1, x.size).any(axis=0)]
+        raise NonFinite(f"integrand non-finite at x={at[:3]}")
+    with np.errstate(over="ignore", under="ignore"):
+        return fx * dxdt
 
 
 def quad(f, a, b, tol=1e-12):
@@ -109,6 +130,11 @@ def quad(f, a, b, tol=1e-12):
     the same map.  For an integrand with stacked rows every row must meet
     that rule at the same level, and the value is one entry per row.
 
+    The levels nest, so no node is evaluated twice: the first integrand call
+    takes every node of level _FIRST, whose subsets give the sums of levels
+    0.._FIRST, and each later level evaluates only its new odd nodes and adds
+    them to the running sum.
+
     Raises NoConvergence when _MAX_LEVEL refinements do not settle and
     NonFinite when the integrand returns a non-finite value at a node.
     """
@@ -118,19 +144,18 @@ def quad(f, a, b, tol=1e-12):
     if a > b:
         a, b, orient = b, a, -1.0
 
-    evals = 0
+    x, dxdt, first = _nodes(a, b, _FIRST)
+    terms, evals = _terms(f, x, dxdt), x.size
     prev = None
-    value = math.nan
     for level in range(_MAX_LEVEL + 1):
-        h, x, dxdt = _level_nodes(a, b, level)
-        fx = np.asarray(f(x), dtype=float)
-        bad = ~np.isfinite(fx)
-        if bad.any():
-            at = x[bad.reshape(-1, x.size).any(axis=0)]
-            raise NonFinite(f"integrand non-finite at x={at[:3]}")
         with np.errstate(over="ignore", under="ignore"):
-            value = h * np.sum(fx * dxdt, axis=-1)
-        evals += x.size
+            if level <= _FIRST:
+                total = np.sum(terms[..., first <= level], axis=-1)
+            else:
+                x, dxdt, _ = _nodes(a, b, level)
+                total = total + np.sum(_terms(f, x, dxdt), axis=-1)
+                evals += x.size
+            value = total / 2 ** level
         if prev is not None and np.all(np.isfinite(value)) and np.all(np.isfinite(prev)):
             diff = np.abs(value - prev)
             if np.all(diff <= tol * np.maximum(1.0, np.abs(value))):
@@ -148,9 +173,12 @@ def _as_value(v):
 
 
 def fixed_level_quad(f, a, b, level):
-    """Single-level tanh-sinh value; used to probe the convergence order."""
-    h, x, dxdt = _level_nodes(a, b, level)
-    return h * float(np.sum(np.asarray(f(x), dtype=float) * dxdt))
+    """Single-level tanh-sinh value on quad's nodes, one entry per stacked
+    row; used to probe the convergence order."""
+    x, dxdt, first = (np.concatenate(p) for p in zip(
+        *(_nodes(a, b, lv) for lv in range(_FIRST, max(level, _FIRST) + 1))))
+    keep = first <= level
+    return _as_value(np.sum(np.asarray(f(x[keep]), dtype=float) * dxdt[keep], axis=-1) / 2 ** level)
 
 
 def derivative(f, x, order=1, h0=0.1, levels=3):

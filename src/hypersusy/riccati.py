@@ -18,11 +18,13 @@ bisected where they disagree, and the gaps are summed outward from the base
 point.  The endpoint limits behind the gamma rays reach the interval ends,
 where the integrand may be singular, and stay with tanh-sinh quadrature.
 
-A Deformation caches only its gamma rays, computed on first use since
-gamma = inf needs none, its shift constant and its ladder polynomials; I_m
-is recomputed per call, and the one module cache holds Gauss-Legendre nodes.
-Threads racing on a cached value at worst compute it twice, so deformations
-can be shared freely.
+gamma_rays runs once per Family instance and order, on first use since
+gamma = inf needs none, and the family keeps the result (Family.ray_memo),
+so every deformation of that family and order shares it.  A Deformation
+caches only its shift constant and its ladder polynomials; I_m is
+recomputed per call, and the one module cache holds Gauss-Legendre nodes.
+Threads racing on a cached value at worst compute it twice, so families and
+deformations can be shared freely.
 
 Every pointwise quantity takes points of any shape and returns that shape.
 """
@@ -206,12 +208,15 @@ class GammaRays:
 
 
 def gamma_rays(fam, m):
-    """Admissible rays from the endpoint limits of the cumulative weight."""
-    lo = endpoint_limit(fam, m, "lower")
-    hi = endpoint_limit(fam, m, "upper")
-    right = -lo if math.isfinite(lo) else math.inf
-    left = -hi if math.isfinite(hi) else -math.inf
-    return GammaRays(right_start=right, left_end=left)
+    """Admissible rays from the endpoint limits of the cumulative weight,
+    computed once per Family instance and order (Family.ray_memo)."""
+    if m not in fam.ray_memo:
+        lo = endpoint_limit(fam, m, "lower")
+        hi = endpoint_limit(fam, m, "upper")
+        right = -lo if math.isfinite(lo) else math.inf
+        left = -hi if math.isfinite(hi) else -math.inf
+        fam.ray_memo[m] = GammaRays(right_start=right, left_end=left)
+    return fam.ray_memo[m]
 
 
 @dataclass(frozen=True)
@@ -227,9 +232,9 @@ class Deformation:
     gamma: float
     delta: object = None
 
-    @functools.cached_property
+    @property
     def rays(self):
-        """Admissible gamma rays, computed on first use."""
+        """Admissible gamma rays, computed on first use and kept by the family."""
         return gamma_rays(self.family, self.m)
 
     @functools.cached_property
@@ -324,18 +329,6 @@ def psi_phi_arrays(defm, s):
     phi = -m / 2.0 * sp / sig + g
     phi_p = -m / 2.0 * d_ratio + gp
     return psi, psi_p, phi, phi_p
-
-
-def psi(defm, s):
-    """General Riccati solution and its analytic derivative at s."""
-    p, pp, _, _ = psi_phi_arrays(defm, s)
-    return DifferentiableValue(p, pp)
-
-
-def phi(defm, s):
-    """Companion gauge function phi = psi + tau/sigma - kappa'/kappa at s."""
-    _, _, q, qp = psi_phi_arrays(defm, s)
-    return DifferentiableValue(q, qp)
 
 
 def riccati_residual(defm, points):

@@ -229,12 +229,21 @@ def test_grid_sweep_makes_no_quad_call(monkeypatch, kind, a, b):
 
 
 def test_import_leaves_numpy_polynomial_out():
-    code = "import sys, hypersusy; print('numpy.polynomial' in sys.modules)"
+    # nor scipy, which only fd_spectrum imports, nor the tanh-sinh node
+    # tables, which the first quad call builds
+    code = (
+        "import sys, hypersusy\n"
+        "print('numpy.polynomial' in sys.modules,"
+        " any(n == 'scipy' or n.startswith('scipy.') for n in sys.modules),"
+        " hypersusy.numerics._table.cache_info().currsize)\n"
+        "hypersusy.numerics.quad(lambda s: s, 0.0, 1.0)\n"
+        "print(hypersusy.numerics._table.cache_info().currsize)"
+    )
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True,
         env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)),
     )
-    assert out.stdout.strip() == "False"
+    assert out.stdout.split() == ["False", "False", "0", "1"]
 
 
 def test_gauss_legendre_rules_are_exact_on_polynomials():

@@ -119,6 +119,64 @@ def test_stacked_row_that_cannot_converge_fails():
         quad(f, 0.0, 1.0)
 
 
+# --- nested levels: every node is evaluated once ---------------------------------
+
+def counting(f):
+    """f, and the node arrays it has been called with."""
+    calls = []
+
+    def g(s):
+        calls.append(np.array(s))
+        return f(s)
+
+    return g, calls
+
+
+def stopping_level(f, a, b, tol):
+    """quad's stopping rule applied to fixed-level values: (level, value)."""
+    prev = fixed_level_quad(f, a, b, 0)
+    for level in range(1, 13):
+        value = fixed_level_quad(f, a, b, level)
+        if np.all(np.abs(value - prev) <= tol * np.maximum(1.0, np.abs(value))):
+            return level, value
+        prev = value
+    raise AssertionError("no level settles")
+
+
+def test_integrand_settled_by_level_four_is_called_once():
+    for f, a, b, tol in ((lambda s: s * s, 0.0, 2.0, 1e-12),
+                         (lambda s: 1.0 / np.sqrt(s), 0.0, 1.0, 1e-10)):
+        g, calls = counting(f)
+        res = quad(g, a, b, tol)
+        assert stopping_level(f, a, b, tol)[0] <= 4
+        assert len(calls) == 1 and res.panels == calls[0].size
+
+
+def test_levels_past_four_evaluate_only_their_new_nodes():
+    f = gauss_moment(8)
+    g, calls = counting(f)
+    res = quad(g, -math.inf, math.inf)
+    level, _ = stopping_level(f, -math.inf, math.inf, 1e-12)
+    assert level > 4 and len(calls) == level - 3
+    # every node of the stopping level, each exactly once
+    h, fixed = counting(f)
+    fixed_level_quad(h, -math.inf, math.inf, level)
+    got = np.concatenate(calls)
+    assert res.panels == got.size == fixed[0].size
+    assert np.array_equal(np.sort(got), np.sort(fixed[0]))
+
+
+def test_quad_equals_fixed_level_value_at_its_stopping_level():
+    def rows(s):
+        return np.stack([f(s) for f, _ in STACKED_ROWS])
+
+    for f, a, b, tol in ((rows, -math.inf, math.inf, 1e-12),
+                         (lambda s: 1.0 / np.sqrt(s), 0.0, 1.0, 1e-10)):
+        _, fixed = stopping_level(f, a, b, tol)
+        got = quad(f, a, b, tol).value
+        assert np.all(np.abs(got - fixed) <= 4.0 * np.spacing(np.maximum(1.0, np.abs(fixed))))
+
+
 def test_level_doubling_cuts_error_by_ten():
     exact = math.e - 1.0
     errs = [abs(fixed_level_quad(np.exp, 0.0, 1.0, lev) - exact) for lev in (1, 2, 3)]

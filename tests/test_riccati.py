@@ -118,6 +118,47 @@ def test_margin_rejects_ray_edge():
     assert rays.contains(rays.right_start + 1e-6)
 
 
+def count_endpoint_quads(monkeypatch):
+    calls = []
+    real = riccati.quad
+
+    def counting(*args, **kwargs):
+        calls.append(args[1:3])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(riccati, "quad", counting)
+    return calls
+
+
+def finite_edges(rays):
+    return math.isfinite(rays.right_start) + math.isfinite(rays.left_end)
+
+
+@pytest.mark.parametrize("kind,a,b", MATRIX)
+def test_gamma_rays_are_computed_once_per_family_instance_and_order(monkeypatch, kind, a, b):
+    calls = count_endpoint_quads(monkeypatch)
+    fam = families.make_family(kind, a, b)
+    for m in (m for m in (0, 1, 2) if families.below_cutoff(fam, m + 1)):
+        before = len(calls)
+        rays = riccati.gamma_rays(fam, m)
+        gammas = finite_gammas(fam, m)
+        for i in range(3):
+            if gammas:
+                assert riccati.make_deformation(fam, m, gammas[i % len(gammas)]).rays == rays
+            else:
+                with pytest.raises(InadmissibleGamma):
+                    riccati.make_deformation(fam, m, 0.0)
+        assert len(calls) - before == finite_edges(rays) <= 2
+    # equal-valued families, exact or float, share no rays
+    for twin in (families.make_family(kind, a, b), families.make_family(kind, float(a), float(b))):
+        assert twin == fam
+        before = len(calls)
+        rays = riccati.gamma_rays(twin, 0)
+        assert len(calls) - before == finite_edges(rays)
+        assert rays.right_start == pytest.approx(riccati.gamma_rays(fam, 0).right_start, rel=1e-15)
+        assert rays.left_end == pytest.approx(riccati.gamma_rays(fam, 0).left_end, rel=1e-15)
+
+
 def test_make_deformation_validates():
     f = hermite_weight()
     riccati.make_deformation(f, 0, 2.0)
@@ -148,26 +189,25 @@ def test_cumulative_weight_rejects_an_overflowing_integrand():
 def test_psi_particular_solution_is_linear():
     d = riccati.make_deformation(hermite_weight(), 0, math.inf)
     for s in (-2.0, 0.0, 1.5):
-        v = riccati.psi(d, s)
-        assert abs(v.value - 2.0 * s) < 1e-14
-        assert abs(v.deriv - 2.0) < 1e-14
+        p, pp, _, _ = riccati.psi_phi_arrays(d, s)
+        assert abs(p - 2.0 * s) < 1e-14
+        assert abs(pp - 2.0) < 1e-14
 
 
 def test_psi_deformed_at_base():
     d = riccati.make_deformation(hermite_weight(), 0, 2.0)
-    v = riccati.psi(d, 0.0)
-    assert abs(v.value - 0.5) < 1e-13
+    assert abs(riccati.psi_phi_arrays(d, 0.0)[0] - 0.5) < 1e-13
 
 
 def test_phi_particular_vanishes():
     d = riccati.make_deformation(hermite_weight(), 0, math.inf)
     for s in (-1.0, 0.3):
-        assert abs(riccati.phi(d, s).value) < 1e-15
+        assert abs(riccati.psi_phi_arrays(d, s)[2]) < 1e-15
 
 
 def test_phi_deformed_at_base():
     d = riccati.make_deformation(hermite_weight(), 0, 2.0)
-    assert abs(riccati.phi(d, 0.0).value - 0.5) < 1e-13
+    assert abs(riccati.psi_phi_arrays(d, 0.0)[2] - 0.5) < 1e-13
 
 
 def test_phi_minus_psi_identity():
@@ -178,7 +218,8 @@ def test_phi_minus_psi_identity():
             d = riccati.make_deformation(fam, 0, gamma)
             for s in families.sample_points(fam, 8, rng):
                 s = float(s)
-                lhs = riccati.phi(d, s).value - riccati.psi(d, s).value
+                p, _, q, _ = riccati.psi_phi_arrays(d, s)
+                lhs = q - p
                 rhs = float(fam.tau(s)) / float(fam.sigma(s)) - float(
                     fam.sigma_prime(s)
                 ) / (2.0 * float(fam.sigma(s)))
@@ -190,7 +231,7 @@ def test_large_gamma_approaches_particular():
     d_inf = riccati.make_deformation(f, 0, math.inf)
     d_big = riccati.make_deformation(f, 0, 1e8)
     for s in (-1.0, 0.0, 2.0):
-        gap = abs(riccati.psi(d_big, s).value - riccati.psi(d_inf, s).value)
+        gap = abs(riccati.psi_phi_arrays(d_big, s)[0] - riccati.psi_phi_arrays(d_inf, s)[0])
         bound = families.sigma_m_rho(f, 0, s) / (1e8 - SQRT_PI_2)
         assert gap <= bound + 1e-15
 
@@ -201,10 +242,9 @@ def test_psi_derivative_matches_finite_difference():
             d = riccati.make_deformation(fam, 0, gamma)
             for s in families.sample_points(fam, 5):
                 fd = derivative(
-                    np.vectorize(lambda u: riccati.psi(d, float(u)).value),
-                    float(s), order=1, h0=1e-3,
+                    lambda u: riccati.psi_phi_arrays(d, u)[0], float(s), order=1, h0=1e-3
                 )
-                an = riccati.psi(d, float(s)).deriv
+                an = riccati.psi_phi_arrays(d, float(s))[1]
                 assert abs(fd - an) <= 1e-6 * (1.0 + abs(an))
 
 
@@ -324,7 +364,8 @@ def test_first_order_coefficient_identity():
             for s in families.sample_points(fam, 8):
                 s = float(s)
                 sig = float(fam.sigma(s))
-                lhs = sig * (riccati.phi(d, s).value - riccati.psi(d, s).value)
+                p, _, q, _ = riccati.psi_phi_arrays(d, s)
+                lhs = sig * (q - p)
                 lhs += float(fam.kappa(s)) * float(fam.kappa_prime(s))
                 assert abs(lhs - float(fam.tau(s))) <= 1e-12 * (1.0 + abs(float(fam.tau(s))))
 
