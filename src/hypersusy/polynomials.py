@@ -37,7 +37,9 @@ class Poly:
     coefficients as given and ``den`` is None; an exact operand meeting a
     float one enters as its floats n/den, the same values Fraction
     arithmetic would give.  ``coeffs`` is the read API and yields Fractions
-    for exact polynomials.
+    for exact polynomials.  Arithmetic with a float operand gives a float
+    polynomial, even an integer-valued one, built without re-checking each
+    coefficient's type.
     """
 
     # Tuples, the argument tuple of a *-call included, are built from lists,
@@ -61,12 +63,13 @@ class Poly:
             self.den = None
 
     @classmethod
-    def _exact(cls, nums, den):
-        """Canonical exact polynomial sum_i nums[i] s^i / den, den > 0."""
+    def _canonical(cls, nums, den):
+        """sum_i nums[i] s^i / den, den > 0, in lowest terms; den None keeps
+        nums as float coefficients."""
         n = len(nums)
         while n and not nums[n - 1]:
             n -= 1
-        g = math.gcd(den, *nums[:n])
+        g = 1 if den is None else math.gcd(den, *nums[:n])
         p = cls.__new__(cls)
         if g == 1:
             p.nums, p.den = tuple(nums[:n]), den
@@ -112,9 +115,10 @@ class Poly:
             den = math.lcm(self.den, other.den)
             fa, fb = den // self.den, sign * (den // other.den)
             pairs = zip_longest(self.nums, other.nums, fillvalue=0)
-            return Poly._exact([x * fa + y * fb for x, y in pairs], den)
+            return Poly._canonical([x * fa + y * fb for x, y in pairs], den)
         pairs = zip_longest(self._floats(), other._floats(), fillvalue=0)
-        return Poly([x + y for x, y in pairs] if sign > 0 else [x - y for x, y in pairs])
+        out = [x + y for x, y in pairs] if sign > 0 else [x - y for x, y in pairs]
+        return Poly._canonical(out, None)
 
     def __add__(self, other):
         return self._combine(other, 1)
@@ -137,23 +141,18 @@ class Poly:
             for i, x in enumerate(a):
                 for j, y in enumerate(b):
                     out[i + j] += x * y
-            return Poly._exact(out, self.den * other.den) if exact else Poly(out)
+            return Poly._canonical(out, self.den * other.den if exact else None)
         if self.den is not None and _is_exact(other):
-            return Poly._exact([x * other.numerator for x in self.nums],
-                               self.den * other.denominator)
-        if isinstance(other, Fraction):
-            other = float(other)
-        return Poly([c * other for c in self._floats()])
+            return Poly._canonical([x * other.numerator for x in self.nums],
+                                   self.den * other.denominator)
+        return Poly._canonical([c * float(other) for c in self._floats()], None)
 
     __rmul__ = __mul__
 
     def deriv(self, order=1):
         p = self
         for _ in range(order):
-            if p.den is None:
-                p = Poly([i * c for i, c in enumerate(p.nums)][1:])
-            else:
-                p = Poly._exact([i * x for i, x in enumerate(p.nums)][1:], p.den)
+            p = Poly._canonical([i * x for i, x in enumerate(p.nums)][1:], p.den)
         return p
 
     def __call__(self, s):
@@ -304,7 +303,7 @@ def poly_eigenfunction(fam, level):
         cs[j] *= scale
         scale *= divs[j]
     den = math.factorial(level) * scale
-    return Poly._exact(cs, den) if den > 0 else Poly._exact([-x for x in cs], -den)
+    return Poly._canonical(cs, den) if den > 0 else Poly._canonical([-x for x in cs], -den)
 
 
 def ode_residual(fam, level, p):

@@ -230,6 +230,14 @@ def test_exact_times_float_is_a_float_polynomial(a, f):
         assert got.coeffs == tuple(map(float, want))
 
 
+def test_float_arithmetic_stays_in_the_float_lane():
+    # an integer-valued result of float arithmetic is not promoted to exact
+    p, q = Poly([3, 1.5]), Poly([0, 1.5])
+    for got in (p - q, (p - q) * Poly([2.0]), q * 2, q.deriv(), q - q):
+        assert got.den is None
+    assert (p - q).coeffs == (3,) and (p - q) == Poly([3])
+
+
 # --- eigenfunction construction ---------------------------------------------
 
 def test_hermite_type_polynomials():
