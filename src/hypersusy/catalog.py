@@ -18,9 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import families, riccati, schrodinger
+from . import families, schrodinger
 from .errors import ParameterViolation
 from .numerics import quad
+
+TOL = 1e-10  # deviation of V, W or lambda above which compare_with_generic flags
 
 
 @dataclass(frozen=True)
@@ -168,27 +170,29 @@ def catalog_reference(entry_id, alpha, beta, m, x, gamma=math.inf, delta=None):
     return v, w, lam
 
 
-def compare_with_generic(entry_id, alpha, beta, m, xs, gamma=math.inf, delta=None, tol=1e-10):
+def compare_with_generic(entry_id, defm, xs):
     """Max |catalog - generic| for V_upper and W over a grid, plus flags.
 
-    A deviation above tol is returned as a flag describing the worst point;
-    callers report flags instead of reconciling them.
+    defm, a deformation of a family of the entry's kind, is the generic
+    side.  A deviation above TOL is returned as a flag describing the worst
+    point; callers report flags instead of reconciling them.
     """
-    fam = families.make_family(entry(entry_id).kind, alpha, beta)
-    defm = riccati.make_deformation(fam, m, gamma, delta)
-    xs = np.asarray(xs, dtype=float)
+    fam, xs = defm.family, np.asarray(xs, dtype=float)
+    if fam.kind != entry(entry_id).kind:
+        raise ParameterViolation(f"entry {entry_id} is not of kind {fam.kind}")
     v_gen, _, w_gen = schrodinger.potentials_and_w(defm, xs)
-    v_ref, w_ref, lam_ref = catalog_reference(entry_id, alpha, beta, m, xs, gamma, delta)
+    v_ref, w_ref, lam_ref = catalog_reference(entry_id, fam.alpha, fam.beta, defm.m, xs,
+                                              defm.gamma, defm.delta)
     worst_v = float(np.max(np.abs(v_ref - v_gen)))
     worst_w = float(np.max(np.abs(w_ref - w_gen)))
     flags = []
-    if abs(lam_ref - defm.lambda_base) > tol:
+    if abs(lam_ref - defm.lambda_base) > TOL:
         flags.append(
             f"entry {entry_id}: eigenvalue shorthand differs "
             f"({lam_ref} vs {defm.lambda_base})"
         )
-    if worst_v > tol:
+    if worst_v > TOL:
         flags.append(f"entry {entry_id}: potential deviates by {worst_v:.3e}")
-    if worst_w > tol:
+    if worst_w > TOL:
         flags.append(f"entry {entry_id}: superpotential deviates by {worst_w:.3e}")
     return {"entry": entry_id, "max_dev_V": worst_v, "max_dev_W": worst_w, "flags": flags}

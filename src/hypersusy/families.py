@@ -413,14 +413,11 @@ def shift_constant(fam, m, delta):
 
 
 def shifted_eigenvalue(fam, m, delta):
-    """Constant-shift eigenvalue lambda_m - delta^2 / (2m + 2k + 1)^2.
+    """Constant-shift eigenvalue lambda_m - c^2, c = shift_constant(fam, m, delta).
 
     delta=None is the unshifted lambda_m.
     """
     if delta is None:
         return eigenvalue(fam, m)
-    den = _shift_denominator(fam, m)
-    lam = eigenvalue(fam, m)
-    if fam.exact and _is_exact(delta):
-        return lam - Fraction(delta) ** 2 / Fraction(den) ** 2
-    return lam - float(delta) ** 2 / float(den) ** 2
+    c = shift_constant(fam, m, delta)
+    return eigenvalue(fam, m) - c * c

@@ -16,7 +16,7 @@ end, where integrands may be singular: the endpoint limits of the cumulative
 weight behind the gamma rays, norms and Gram matrices, and the catalog's
 reference integrals.  The cumulative weight on a grid uses Gauss-Legendre
 on the gaps between grid points instead (riccati.cumulative_weight_sorted)
-and calls quad only for a gap that bisection does not settle.
+and calls quad only for a gap where its two Gauss-Legendre orders differ.
 
 The tanh-sinh levels nest, and quad evaluates each node once: its first
 integrand call takes every node of level 4, which gives the trapezoid sums

@@ -12,10 +12,10 @@ sigma, tau, sigma^m rho and sigma v_m are read from families.  All
 derivatives here are analytic: I_m' = sigma^m rho needs no numeric
 differentiation.
 
-I_m on a grid is one sweep (cumulative_weight_sorted): the base point
-joins the grid, every gap is integrated by Gauss-Legendre at two orders and
-bisected where they disagree, and the gaps are summed outward from the base
-point.  The endpoint limits behind the gamma rays reach the interval ends,
+I_m is one sweep (cumulative_weight_sorted): the base point joins the
+grid, every gap is integrated by Gauss-Legendre at two orders, a gap where
+they disagree goes to tanh-sinh quadrature behind a half-ulp precision
+floor, and the gaps are summed outward from the base point.  The endpoint limits behind the gamma rays reach the interval ends,
 where the integrand may be singular, and stay with tanh-sinh quadrature.
 
 gamma_rays runs once per Family instance and order, on first use since
@@ -39,21 +39,27 @@ from fractions import Fraction
 import numpy as np
 
 from . import families
-from .errors import CutoffExceeded, InadmissibleGamma, IndexViolation, NonFinite, OutOfDomain
+from .errors import (CutoffExceeded, InadmissibleGamma, IndexViolation, NoConvergence,
+                     NonFinite, OutOfDomain)
 from .families import sigma_m_rho
 from .numerics import quad
 from .polynomials import DifferentiableValue, associated_function
 
 _MARGIN = 1e-9
+_TOL = 1e-13           # a gap's allowance, relative to I_m at its far edge
 _GL_ORDERS = (10, 20)  # the two Gauss-Legendre orders compared on each gap
 _BLOCK = 512           # gaps per vectorized integrand call (bounds peak memory)
-_MAX_SPLITS = 8        # bisections of an unsettled gap before quad takes it
 
 
-def cumulative_weight(fam, m, s, tol=1e-13):
-    """I_m(s): integral of sigma^m rho from the base point to s."""
+def cumulative_weight(fam, m, s):
+    """I_m(s), the integral of sigma^m rho from the base point to s, at
+    points of any shape and order; a float for a scalar s."""
+    s = np.asarray(s, dtype=float)
     fam.require_inside(s)
-    return float(cumulative_weight_sorted(fam, m, [float(s)], tol)[0])
+    order = np.argsort(s, axis=None)
+    out = np.empty(s.size)
+    out[order] = cumulative_weight_sorted(fam, m, s.ravel()[order])
+    return float(out[0]) if s.ndim == 0 else out.reshape(s.shape)
 
 
 @functools.cache
@@ -99,54 +105,38 @@ def _outward_sums(gaps, k):
     return np.concatenate((-np.cumsum(gaps[:k][::-1])[::-1], np.cumsum(gaps[k:])))
 
 
-def _gap_integrals(fam, m, lo, hi, k, tol):
-    """Integral of sigma^m rho over each gap [lo_i, hi_i]; the base point
-    lies between gaps k-1 and k.
-
-    Two Gauss-Legendre orders per gap.  A gap is settled when they agree to
-    tol relative to I_m at its far edge, taken from the first estimates;
-    sigma^m rho > 0, so that is the gap's share of the value returned there
-    and no absolute floor enters.  Unsettled gaps are bisected, splitting
-    their allowance, at most _MAX_SPLITS times; quad takes what is left and
-    raises NoConvergence rather than return an unchecked value.
-    """
-    total = np.zeros(lo.size)
-    owner = np.arange(lo.size)
-    room = None
-    for depth in range(_MAX_SPLITS + 1):
-        coarse = _gauss(fam, m, lo, hi, _GL_ORDERS[0])
-        fine = _gauss(fam, m, lo, hi, _GL_ORDERS[1])
-        bad = ~np.isfinite(coarse + fine)
-        if bad.any():
-            raise NonFinite(f"sigma^m rho non-finite in the gaps starting at s={lo[bad][:3]}")
-        if room is None:
-            room = tol * np.abs(_outward_sums(fine, k))
-        done = np.abs(fine - coarse) <= room
-        np.add.at(total, owner[done], fine[done])
-        lo, hi, owner, fine, room = (v[~done] for v in (lo, hi, owner, fine, room))
-        if not lo.size or depth == _MAX_SPLITS:
-            break
-        mid = 0.5 * (lo + hi)
-        lo, hi = np.concatenate((lo, mid)), np.concatenate((mid, hi))
-        owner, room = np.tile(owner, 2), np.tile(0.5 * room, 2)
-    # quad stops at tol * max(1, |value|); scaled so that this is the allowance r
-    for a, b, i, v, r in zip(lo, hi, owner, fine, room):
-        total[i] += quad(lambda t: sigma_m_rho(fam, m, t), a, b, tol=r / max(1.0, abs(v))).value
-    return total
-
-
-def cumulative_weight_sorted(fam, m, pts, tol=1e-13):
+def cumulative_weight_sorted(fam, m, pts):
     """I_m at an ascending array of interior points, in one sweep.
 
-    The base point joins the grid as one more edge and every gap comes from
-    _gap_integrals.  Summing outward from the base point adds terms of one
-    sign, so I_m keeps its relative accuracy next to the base point, where
-    a running sum from pts[0] would cancel.
+    The base point joins the grid as one more edge.  A gap is settled when
+    its two Gauss-Legendre values agree to _TOL relative to I_m at its far
+    edge; sigma^m rho > 0, so that is the gap's share of the value returned
+    there and no absolute floor enters.  An unsettled gap goes to quad with
+    that allowance, unless half an ulp at its two ends carries more mass:
+    a tanh-sinh node that close rounds onto the end and is dropped, so it
+    raises NoConvergence first.  Summing outward from the base point adds
+    terms of one sign, so I_m keeps its relative accuracy next to the base
+    point, where a running sum from pts[0] would cancel.
     """
     pts = np.asarray(pts, dtype=float)
     k = int(np.searchsorted(pts, fam.spec.base_point))
     edges = np.insert(pts, k, fam.spec.base_point)
-    return _outward_sums(_gap_integrals(fam, m, edges[:-1], edges[1:], k, tol), k)
+    lo, hi = edges[:-1], edges[1:]
+    coarse, fine = (_gauss(fam, m, lo, hi, order) for order in _GL_ORDERS)
+    bad = ~np.isfinite(coarse + fine)
+    if bad.any():
+        raise NonFinite(f"sigma^m rho non-finite in the gaps starting at s={lo[bad][:3]}")
+    room = _TOL * np.abs(_outward_sums(fine, k))
+    for i in np.flatnonzero(np.abs(fine - coarse) > room):
+        ends = edges[i:i + 2]
+        floor = float(sigma_m_rho(fam, m, ends) @ np.abs(np.spacing(ends))) / 2.0
+        if floor > room[i]:
+            raise NoConvergence(f"I_m on the gap [{lo[i]!r}, {hi[i]!r}] must be within "
+                                f"{room[i]:.3g}; half an ulp at its ends holds {floor:.3g}")
+        # quad stops at tol * max(1, |value|); scaled so that this is room[i]
+        tol = room[i] / max(1.0, abs(fine[i]))
+        fine[i] = quad(lambda t: sigma_m_rho(fam, m, t), lo[i], hi[i], tol=tol).value
+    return _outward_sums(fine, k)
 
 
 def _endpoint_diverges(fam, m, endpoint):
@@ -312,11 +302,7 @@ def psi_phi_arrays(defm, s):
     spp = 2.0 * fam.sigma_lead
     g = gp = 0.0
     if defm.gamma != math.inf:
-        flat = s.ravel()
-        order = np.argsort(flat)
-        i_vals = np.empty_like(flat)
-        i_vals[order] = cumulative_weight_sorted(fam, m, flat[order])
-        den = defm.gamma + i_vals.reshape(s.shape)
+        den = defm.gamma + cumulative_weight(fam, m, s)
         if np.any(np.abs(den) < _MARGIN):
             raise InadmissibleGamma(
                 f"gamma + I_m(s) vanishes within the margin near gamma={defm.gamma}"

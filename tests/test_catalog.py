@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from hypersusy import families, riccati
+from hypersusy import families, riccati, verify
 from hypersusy.catalog import CATALOG, catalog_reference, compare_with_generic, entry
 from hypersusy.errors import ParameterViolation
 
@@ -46,7 +46,8 @@ def test_catalog_has_ten_entries():
 @pytest.mark.parametrize("entry_id,alpha,beta,m,delta", CASES)
 def test_generic_matches_catalog_undeformed(entry_id, alpha, beta, m, delta):
     kind = entry(entry_id).kind
-    rep = compare_with_generic(entry_id, alpha, beta, m, GRID[kind], math.inf, delta)
+    defm = riccati.make_deformation(families.make_family(kind, alpha, beta), m, math.inf, delta)
+    rep = compare_with_generic(entry_id, defm, GRID[kind])
     assert rep["flags"] == []
     assert rep["max_dev_V"] <= 1e-10
     assert rep["max_dev_W"] <= 1e-10
@@ -61,10 +62,36 @@ def test_generic_matches_catalog_deformed(entry_id, alpha, beta, m):
     fam = families.make_family(kind, alpha, beta)
     rays = riccati.gamma_rays(fam, m)
     gamma = rays.right_start + 1.0 if math.isfinite(rays.right_start) else rays.left_end - 1.0
-    rep = compare_with_generic(entry_id, alpha, beta, m, GRID[kind], gamma)
+    rep = compare_with_generic(entry_id, riccati.make_deformation(fam, m, gamma), GRID[kind])
     assert rep["flags"] == []
     assert rep["max_dev_V"] <= 1e-10
     assert rep["max_dev_W"] <= 1e-10
+
+
+def test_compare_with_generic_rejects_a_family_of_another_kind():
+    defm = riccati.make_deformation(families.make_family("const", -2, 0), 0, math.inf)
+    with pytest.raises(ParameterViolation):
+        compare_with_generic(2, defm, GRID["linear"])
+
+
+def test_catalog_suite_computes_each_finite_ray_edge_once(monkeypatch):
+    limits, quads = [], []
+    real_limit, real_quad = riccati.endpoint_limit, riccati.quad
+
+    def limit(fam, m, endpoint):
+        value = real_limit(fam, m, endpoint)
+        limits.append((fam.kind, fam.alpha, fam.beta, m, endpoint, math.isfinite(value)))
+        return value
+
+    def counting(*args, **kwargs):
+        quads.append(args[1:3])
+        return real_quad(*args, **kwargs)
+
+    monkeypatch.setattr(riccati, "endpoint_limit", limit)
+    monkeypatch.setattr(riccati, "quad", counting)
+    assert verify.suite_catalog()["ok"]
+    assert len(set(limits)) == len(limits)
+    assert len(quads) == sum(finite for *_, finite in limits) == 10
 
 
 def test_coulomb_superpotential_matches_at_finite_gamma():

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad as scipy_quad
@@ -144,6 +145,52 @@ def test_sweep_matches_incomplete_beta_for_one_minus_s2(a, b):
         assert_close(got, [one_minus_s2_closed_form(a, b, m, s) for s in pts])
 
 
+# --- near a singular end, against mpmath at 40 digits ------------------------------
+
+def mpmath_reference(kind, a, b, s):
+    """I_0(s) in closed form: incomplete beta in u = (1+s)/2 for one_minus_s2
+    and in u = (s-1)/(s+1) for s2_minus_one, incomplete gamma for linear."""
+    a, b, s = mpmath.mpf(a), mpmath.mpf(b), mpmath.mpf(float(s))
+    if kind == "one_minus_s2":
+        p, q = -(a - b) / 2 - 1, -(a + b) / 2 - 1
+        return 2 ** (p + q + 1) * mpmath.betainc(p + 1, q + 1, 0.5, (1 + s) / 2)
+    if kind == "s2_minus_one":
+        p, q = (a - b) / 2 - 1, (a + b) / 2 - 1
+        return 2 ** (p + q + 1) * mpmath.betainc(q + 1, -p - q - 1, mpmath.mpf(1) / 3,
+                                                 (s - 1) / (s + 1))
+    return (-a) ** -b * mpmath.gammainc(b, -a, -a * s)
+
+
+# grids that reach to within d of the singular end
+NEAR_END_GRID = {
+    "one_minus_s2": lambda d: np.linspace(-0.5, 1.0 - d, 50),
+    "s2_minus_one": lambda d: np.linspace(1.0 + d, 4.0, 40),
+    "linear": lambda d: np.linspace(d, 3.0, 40),
+}
+NEAR_END = (
+    [("one_minus_s2", -4, b) for b in (3, 3.5, 3.9)]
+    + [("s2_minus_one", -8, b) for b in (8.5, 8.01)]
+    + [("linear", -1, b) for b in (0.1, 0.01, 0.001)]
+)
+
+
+@pytest.mark.parametrize("d", (1e-4, 1e-6, 1e-8))
+@pytest.mark.parametrize("kind,a,b", NEAR_END)
+def test_near_a_singular_end_the_sweep_raises_or_is_right(kind, a, b, d):
+    fam = families.make_family(kind, a, b)
+    pts = NEAR_END_GRID[kind](d)
+    try:
+        got = riccati.cumulative_weight_sorted(fam, 0, pts)
+    except NoConvergence:
+        assert (kind, b, d) != ("one_minus_s2", 3.9, 1e-4)  # within reach: must return
+        return
+    assert (kind, b, d) != ("one_minus_s2", 3.5, 1e-8)  # past the floor: must raise
+    with mpmath.workdps(40):
+        want = [mpmath_reference(kind, a, b, s) for s in pts]
+        err = max(abs((mpmath.mpf(float(g)) - w) / w) for g, w in zip(got, want) if w)
+    assert err <= 1e-13
+
+
 # --- edge cases -------------------------------------------------------------------
 
 def test_one_and_two_points():
@@ -163,6 +210,17 @@ def test_repeated_points_and_the_base_point():
     nonzero = pts != 0.0
     want = [one_minus_s2_closed_form(-4, 1, 1, s) for s in pts[nonzero]]
     assert_close(got[nonzero], want)
+
+
+def test_any_shape_and_order():
+    fam = families.make_family("linear", -1.1, 1.2)
+    s = np.array([[3.0, 0.5, 1.5], [0.2, 3.0, 7.5]])
+    got = riccati.cumulative_weight(fam, 1, s)
+    assert got.shape == s.shape and got[0, 0] == got[1, 1]
+    pointwise = [riccati.cumulative_weight(fam, 1, x) for x in s.ravel()]
+    assert all(type(v) is float for v in pointwise)
+    assert_close(got.ravel(), pointwise)
+    assert_close(got.ravel(), [linear_closed_form(-1.1, 1.2, 1, x) for x in s.ravel()])
 
 
 def spy_gauss(monkeypatch):
@@ -189,19 +247,31 @@ def count_quad(monkeypatch):
     return calls
 
 
-def test_coarse_grid_on_a_narrow_weight_bisects(monkeypatch):
+def test_coarse_grid_on_a_narrow_weight_sends_each_unsettled_gap_to_quad(monkeypatch):
     # exp(-200 s^2), width 0.05, on gaps of 0.32: the two orders disagree
-    # next to the peak until those gaps are split
+    # next to the peak, and each such gap goes to quad once
     fam = families.make_family("const", -400, 0)
     pts = np.linspace(-3.0, 3.0, 20)
+    # the gaps, the base point 0 being one more edge, whose 10- and 20-point
+    # values differ by more than 1e-13 of the closed form at their far edge
+    edges = np.insert(pts, 10, 0.0)
+    unsettled = []
+    for a, b in zip(edges[:-1], edges[1:]):
+        far = b if b > 0 else a
+        rules = [riccati._gauss(fam, 0, np.array([a]), np.array([b]), n)[0]
+                 for n in riccati._GL_ORDERS]
+        if abs(rules[1] - rules[0]) > 1e-13 * abs(const_closed_form(-400, 0, far)):
+            unsettled.append((a, b))
     sizes = spy_gauss(monkeypatch)
+    calls = count_quad(monkeypatch)
     got = riccati.cumulative_weight_sorted(fam, 0, pts)
-    assert len(sizes) > 2 and sizes[0] == len(pts)
+    assert sizes == [len(pts), len(pts)]
+    assert unsettled and calls == unsettled
     assert_close(got, [const_closed_form(-400, 0, s) for s in pts])
 
 
 def test_quad_fallback_returns_the_reference(monkeypatch):
-    # width 8e-5 against gaps of 0.12: eight bisections leave gaps for quad
+    # width 8e-5 against gaps of 0.12: the gaps next to the peak go to quad
     fam = families.make_family("const", -1.6e8, 0)
     pts = np.linspace(-3.0, 3.0, 50)
     calls = count_quad(monkeypatch)
@@ -210,12 +280,12 @@ def test_quad_fallback_returns_the_reference(monkeypatch):
     assert_close(got, [const_closed_form(-1.6e8, 0, s) for s in pts])
 
 
-def test_quad_fallback_raises_when_it_cannot_settle(monkeypatch):
-    fam = families.make_family("const", -2, 0)
-    calls = count_quad(monkeypatch)
+def test_an_unresolvable_gap_raises_at_the_precision_floor():
+    # (1 - s)^-0.95 at s = 1 - 1e-10: half an ulp there holds more of I_0
+    # than the sweep may miss
+    fam = families.make_family("one_minus_s2", -4, 3.9)
     with pytest.raises(NoConvergence):
-        riccati.cumulative_weight_sorted(fam, 0, np.linspace(-1.0, 1.0, 3), tol=1e-300)
-    assert calls
+        riccati.cumulative_weight_sorted(fam, 0, [1.0 - 1e-10])
 
 
 # --- structural guards against the per-gap quadrature coming back -------------------
@@ -224,7 +294,9 @@ def test_quad_fallback_raises_when_it_cannot_settle(monkeypatch):
 def test_grid_sweep_makes_no_quad_call(monkeypatch, kind, a, b):
     fam = families.make_family(kind, a, b)
     calls = count_quad(monkeypatch)
-    riccati.cumulative_weight_sorted(fam, 0, grid(kind, 4000))
+    for n in (600, 1601, 4000):
+        for m in orders(fam):
+            riccati.cumulative_weight_sorted(fam, m, grid(kind, n))
     assert calls == []
 
 
