@@ -238,6 +238,13 @@ class Family:
     def tau(self, s):
         return float(self.alpha) * np.asarray(s, dtype=float) + float(self.beta)
 
+    def sigma_ratios(self, s):
+        """sigma'/sigma and (sigma'/sigma)' = sigma''/sigma - (sigma'/sigma)^2, formed
+        as ratios: sigma^2 overflows once sigma passes 1e154."""
+        sig = self.sigma(s)
+        ratio = self.sigma_prime(s) / sig
+        return ratio, 2.0 * self.sigma_lead / sig - ratio * ratio
+
     def kappa(self, s):
         return np.sqrt(self.sigma(s))
 

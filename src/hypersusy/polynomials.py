@@ -230,11 +230,9 @@ class AssociatedFunction:
         fam, m = self.family, self.m
         s = np.asarray(s_arr, dtype=float)
         fam.require_inside(s)
-        sig, sp = fam.sigma(s), fam.sigma_prime(s)
-        r = m * sp / (2.0 * sig)
-        r_p = m * (2.0 * fam.sigma_lead * sig - sp * sp) / (2.0 * sig * sig)
+        r, r_p = (m / 2.0 * v for v in fam.sigma_ratios(s))
         q, qp, qpp = (self.poly.deriv(i).eval_array(s) for i in range(3))
-        km = sig ** (m / 2.0)
+        km = fam.sigma(s) ** (m / 2.0)
         return km * q, km * (qp + r * q), km * (qpp + 2.0 * r * qp + (r * r + r_p) * q)
 
     def eval(self, s):

@@ -8,15 +8,16 @@ factorization replaces the particular solution by
 with I_m the cumulative weight integral of sigma^m rho from the kind's base
 point.  gamma ranges over two admissible rays determined by the endpoint
 limits of I_m; the sentinel gamma = inf recovers the undeformed operators.
-sigma, tau, sigma^m rho and sigma v_m are read from families.  All
-derivatives here are analytic: I_m' = sigma^m rho needs no numeric
-differentiation.
+sigma, tau, the sigma quotients, sigma^m rho and sigma v_m are read from
+families.  All derivatives here are analytic: I_m' = sigma^m rho needs no
+numeric differentiation.
 
 I_m is one sweep (cumulative_weight_sorted): the base point joins the
 grid, every gap is integrated by Gauss-Legendre at two orders, a gap where
 they disagree goes to tanh-sinh quadrature behind a half-ulp precision
-floor, and the gaps are summed outward from the base point.  The endpoint limits behind the gamma rays reach the interval ends,
-where the integrand may be singular, and stay with tanh-sinh quadrature.
+floor, and the gaps are summed outward from the base point.  The endpoint
+limits behind the gamma rays reach the interval ends, where the integrand
+may be singular, and stay with tanh-sinh quadrature.
 
 gamma_rays runs once per Family instance and order, on first use since
 gamma = inf needs none, and the family keeps the result (Family.ray_memo),
@@ -293,26 +294,26 @@ def psi_phi_arrays(defm, s):
     The one derivation of the deformed first-order quantities: b, b_plus,
     the partner potential, partner eigenfunctions and the superpotential
     W(x) all read it.  The deformation term g = sigma^m rho/(gamma + I_m)
-    and its derivative are 0 at gamma = inf.
+    and its derivative are 0 at gamma = inf.  sigma enters only in quotients
+    (Family.sigma_ratios, tau/sigma), finite until sigma itself overflows.
     """
     fam, m = defm.family, defm.m
     s = np.asarray(s, dtype=float)
     fam.require_inside(s)
-    sig, sp, tau = fam.sigma(s), fam.sigma_prime(s), fam.tau(s)
-    spp = 2.0 * fam.sigma_lead
+    sig = fam.sigma(s)
+    ratio, d_ratio = fam.sigma_ratios(s)
+    t = fam.tau(s) / sig
     g = gp = 0.0
     if defm.gamma != math.inf:
         den = defm.gamma + cumulative_weight(fam, m, s)
         if np.any(np.abs(den) < _MARGIN):
-            raise InadmissibleGamma(
-                f"gamma + I_m(s) vanishes within the margin near gamma={defm.gamma}"
-            )
+            raise InadmissibleGamma("gamma + I_m(s) vanishes within the margin near "
+                                    f"gamma={defm.gamma}")
         g = sigma_m_rho(fam, m, s) / den
-        gp = g * ((m - 1) * sp + tau) / sig - g * g
-    d_ratio = (spp * sig - sp * sp) / (sig * sig)  # (sigma'/sigma)'
-    psi = -tau / sig - (m - 1) / 2.0 * sp / sig + g
-    psi_p = -(float(fam.alpha) * sig - tau * sp) / (sig * sig) - (m - 1) / 2.0 * d_ratio + gp
-    phi = -m / 2.0 * sp / sig + g
+        gp = g * ((m - 1) * ratio + t) - g * g
+    psi = -t - (m - 1) / 2.0 * ratio + g
+    psi_p = -(float(fam.alpha) / sig - t * ratio) - (m - 1) / 2.0 * d_ratio + gp
+    phi = -m / 2.0 * ratio + g
     phi_p = -m / 2.0 * d_ratio + gp
     return psi, psi_p, phi, phi_p
 
@@ -329,19 +330,23 @@ def riccati_residual(defm, points):
     return float(np.max(np.abs(res)))
 
 
-def apply_b(defm, s, fv, which="b"):
-    """First-order deformed maps on fv = (f, f') at s of any shape.
+def apply_b(defm, s, derivs, which="b"):
+    """DifferentiableValue(u, u') of a first-order deformed map on derivs =
+    (f, f', f'') (AssociatedFunction.derivatives) at s of any shape.
 
     b      : kappa * (d/ds + phi)   (+ the constant shift when delta is set)
     b_plus : kappa * (-d/ds + psi)  (+ the same constant)
     """
     if which not in ("b", "b_plus"):
         raise ValueError("which must be 'b' or 'b_plus'")
-    p, _, q, _ = psi_phi_arrays(defm, s)
-    kap, c = defm.family.kappa(s), float(defm.shift_constant)
-    if which == "b":
-        return kap * (fv.deriv + q * fv.value) + c * fv.value
-    return kap * (-fv.deriv + p * fv.value) + c * fv.value
+    fam = defm.family
+    f, fp, fpp = derivs
+    p, pp, q, qp = psi_phi_arrays(defm, s)
+    sign, h, hp = (1.0, q, qp) if which == "b" else (-1.0, p, pp)
+    kap, kap_p, c = fam.kappa(s), fam.kappa_prime(s), float(defm.shift_constant)
+    body = sign * fp + h * f
+    return DifferentiableValue(kap * body + c * f,
+                               kap_p * body + kap * (sign * fpp + hp * f + h * fp) + c * fp)
 
 
 def partner_potential(defm, s):
@@ -354,7 +359,6 @@ def partner_potential(defm, s):
     eigenvalue absorbs the c^2 delta^2 piece).
     """
     fam = defm.family
-    s = np.asarray(s, dtype=float)
     p, _, q, qp = psi_phi_arrays(defm, s)
     sig, sp = fam.sigma(s), fam.sigma_prime(s)
     v = sig * p * q - sig * qp - sp / 2.0 * q + float(families.eigenvalue(fam, defm.m))
@@ -364,26 +368,9 @@ def partner_potential(defm, s):
 
 
 def partner_eigenfunction(defm, l):
-    """s -> b_plus applied to the order-(m+1) associated function, with its derivative.
-
-    The callable returns DifferentiableValue(u, u') shaped like s, with
-    u = kappa(-f' + psi f) + c f for the order-(m+1) associated function f
-    at level l; f' and f'' come from its polynomial and psi' from
-    psi_phi_arrays, so both are analytic.
-    """
-    fam, m = defm.family, defm.m
-    if not (m < l and families.below_cutoff(fam, l)):
+    """s -> apply_b(..., "b_plus") on the order-(m+1) associated function at
+    level l: DifferentiableValue(u, u') shaped like s."""
+    if not (defm.m < l and families.below_cutoff(defm.family, l)):
         raise OutOfDomain(f"partner eigenfunction needs m < l < cutoff, got l={l}")
-    af = associated_function(fam, l, m + 1)
-
-    def both(s):
-        s = np.asarray(s, dtype=float)
-        p, pp, _, _ = psi_phi_arrays(defm, s)
-        f, fp, fpp = af.derivatives(s)
-        kap, kap_p, c = fam.kappa(s), fam.kappa_prime(s), float(defm.shift_constant)
-        body = -fp + p * f
-        return DifferentiableValue(
-            kap * body + c * f, kap_p * body + kap * (-fpp + pp * f + p * fp) + c * fp
-        )
-
-    return both
+    af = associated_function(defm.family, l, defm.m + 1)
+    return lambda s: apply_b(defm, s, af.derivatives(s), "b_plus")

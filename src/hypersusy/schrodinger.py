@@ -87,8 +87,7 @@ def potentials_and_w(defm, x):
 
 def potentials(defm, x):
     """(V_upper, V_partner) at x of any shape: W^2 +/- sign*W' + the base eigenvalue."""
-    vu, vp, _ = potentials_and_w(defm, x)
-    return vu, vp
+    return potentials_and_w(defm, x)[:2]
 
 
 def apply_B(defm, x, fv, which="B"):

@@ -203,6 +203,9 @@ _CATALOG_FIXTURES = (
     (10, -4, 0, 0, "inf", 1),
     (10, -4, 0, 1, "inf", 1),
 )
+# gamma = inf fixtures on an x-domain unbounded above also compare here: past
+# x = 177 a quadratic sigma's square overflows while sigma itself does not
+_FAR_FIELD = (200.0, 350.0)
 
 
 def suite_catalog():
@@ -216,11 +219,12 @@ def suite_catalog():
     for entry_id, alpha, beta, m, gmode, delta in _CATALOG_FIXTURES:
         kind = catalog.entry(entry_id).kind
         fam = families.make_family(kind, alpha, beta)
-        xs = np.linspace(*families.SPECS[kind].x_window, 16)
+        xs = np.linspace(*fam.spec.x_window, 16)
+        far_xs = np.append(xs, _FAR_FIELD) if math.isinf(fam.spec.coords.x_domain[1]) else xs
         gammas = [math.inf] + (_finite_gammas(fam, m)[:1] if gmode == "both" else [])
         for gamma in gammas:
             defm = riccati.make_deformation(fam, m, gamma, delta)
-            rep = catalog.compare_with_generic(entry_id, defm, xs)
+            rep = catalog.compare_with_generic(entry_id, defm, far_xs if gamma == math.inf else xs)
             dev = max(rep["max_dev_V"], rep["max_dev_W"])
             worst = max(worst, dev)
             tag = "inf" if gamma == math.inf else f"{gamma:.3g}"

@@ -68,6 +68,32 @@ def test_generic_matches_catalog_deformed(entry_id, alpha, beta, m):
     assert rep["max_dev_W"] <= 1e-10
 
 
+# past x = 177 the square of a quadratic sigma overflows, sigma itself does not
+@pytest.mark.parametrize("entry_id,alpha,beta,m,gmode,delta",
+                         [f for f in verify._CATALOG_FIXTURES if f[0] in (4, 5, 6, 9, 10)])
+def test_generic_matches_catalog_in_the_far_field(entry_id, alpha, beta, m, gmode, delta):
+    kind = entry(entry_id).kind
+    defm = riccati.make_deformation(families.make_family(kind, alpha, beta), m, math.inf, delta)
+    rep = compare_with_generic(entry_id, defm, np.array([200.0, 350.0]))
+    assert rep["flags"] == []
+    assert rep["max_dev_V"] <= 1e-10
+    assert rep["max_dev_W"] <= 1e-10
+
+
+def test_catalog_suite_adds_far_field_points_at_gamma_inf(monkeypatch):
+    grids, real = [], verify.catalog.compare_with_generic
+
+    def recording(entry_id, defm, xs):
+        grids.append((defm.family.kind, defm.gamma, xs[-2:].tolist()))
+        return real(entry_id, defm, xs)
+
+    monkeypatch.setattr(verify.catalog, "compare_with_generic", recording)
+    assert verify.suite_catalog()["ok"]
+    for kind, gamma, tail in grids:
+        far = gamma == math.inf and kind != "one_minus_s2"  # x in (0, pi) there
+        assert (tail == [200.0, 350.0]) == far
+
+
 def test_compare_with_generic_rejects_a_family_of_another_kind():
     defm = riccati.make_deformation(families.make_family("const", -2, 0), 0, math.inf)
     with pytest.raises(ParameterViolation):

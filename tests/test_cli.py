@@ -1,5 +1,8 @@
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -255,6 +258,38 @@ def test_derive_with_no_finite_value_exits_4_and_writes_nothing(tmp_path, capsys
     assert code == 4
     assert "non-finite at x=1e+308" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+# s = e^x: sigma = s^2 passes 1e154 (its square overflows) from x = 177 and
+# overflows itself from x = 355
+_FAR_FIELD_DERIVE = ["derive", "--kind", "s2", "--alpha", "-3.1", "--beta", "2.2",
+                     "--x-min", "100", "--n", "4"]
+
+
+def test_derive_far_field_potentials_stay_right(tmp_path):
+    out = tmp_path / "far.csv"
+    assert main(_FAR_FIELD_DERIVE + ["--x-max", "250", "--out", str(out)]) == 0
+    head, *rows = [line.split(",") for line in out.read_text().splitlines()]
+    assert len(rows) == 4
+    for row in rows:
+        cells = dict(zip(head, map(float, row)))
+        # (2m + alpha - 1)^2/4 plus terms in e^-x below 1e-40
+        assert abs(cells["V_upper"] - 4.2025) <= 1e-12
+        assert abs(cells["V_partner"] - 4.2025) <= 1e-12
+
+
+def test_derive_exits_4_where_sigma_overflows(tmp_path, capsys):
+    assert main(_FAR_FIELD_DERIVE + ["--x-max", "400", "--out", str(tmp_path / "far.csv")]) == 4
+    assert "non-finite at x=400" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_python_dash_m_runs_the_cli():
+    proc = subprocess.run([sys.executable, "-m", "hypersusy", "families", "--json"],
+                          cwd=Path(__file__).parents[1], env=dict(os.environ, PYTHONPATH="src"),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert len(json.loads(proc.stdout)["families"]) == 6
 
 
 def test_derive_bad_parameters_exit_2(tmp_path, capsys):

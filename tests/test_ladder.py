@@ -353,9 +353,9 @@ def test_shifted_maps_agree_pointwise_with_deformation_module():
         return sum(float(f.sigma(s)) ** (j / 2.0) * float(p(s)) for j, p in kform.terms.items())
 
     for s in (-0.7, -0.2, 0.4, 0.85):
-        got = riccati.apply_b(d, s, af.eval(s), "b")
+        got = riccati.apply_b(d, s, af.derivatives(s), "b").value
         assert abs(got - value_at(form, s)) < 1e-13
-        got = riccati.apply_b(d, s, up.eval(s), "b_plus")
+        got = riccati.apply_b(d, s, up.derivatives(s), "b_plus").value
         assert abs(got - value_at(form_low, s)) < 1e-13
 
 

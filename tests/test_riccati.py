@@ -7,7 +7,7 @@ import pytest
 from hypersusy import families, ladder, riccati, schrodinger
 from hypersusy.errors import CutoffExceeded, InadmissibleGamma, NonFinite, OutOfDomain
 from hypersusy.numerics import derivative, quad
-from hypersusy.polynomials import DifferentiableValue, associated_function
+from hypersusy.polynomials import associated_function
 
 MATRIX = (
     ("const", -2, 0),
@@ -310,35 +310,33 @@ def test_b_matches_ladder_at_gamma_inf():
             raised = ladder.raise_order(ctx, af)
             for s in families.sample_points(fam, 6, rng):
                 s = float(s)
-                got = riccati.apply_b(d, s, af.eval(s), "b")
+                got = riccati.apply_b(d, s, af.derivatives(s), "b").value
                 want = raised.eval(s).value
                 assert abs(got - want) <= 1e-11 * (1.0 + abs(want))
             up = associated_function(fam, l, 1)
             lowered = ladder.lower_order(ctx, up)
             for s in families.sample_points(fam, 6, rng):
                 s = float(s)
-                got = riccati.apply_b(d, s, up.eval(s), "b_plus")
+                got = riccati.apply_b(d, s, up.derivatives(s), "b_plus").value
                 want = lowered.eval(s).value
                 assert abs(got - want) <= 1e-11 * (1.0 + abs(want))
 
 
 def test_b_on_zero_function():
-    from hypersusy.polynomials import DifferentiableValue
-
     d = riccati.make_deformation(hermite_weight(), 0, 2.0)
-    assert riccati.apply_b(d, 0.5, DifferentiableValue(0.0, 0.0), "b") == 0.0
+    assert riccati.apply_b(d, 0.5, (0.0, 0.0, 0.0), "b").value == 0.0
 
 
 def test_apply_b_on_an_array_matches_pointwise_calls():
     for fam in matrix_families():
         s = families.sample_points(fam, 12).reshape(3, 4)
-        f, fp, _ = associated_function(fam, 1, 0).derivatives(s)
+        derivs = associated_function(fam, 1, 0).derivatives(s)
         for gamma in [math.inf] + finite_gammas(fam, 0):
             d = riccati.make_deformation(fam, 0, gamma)
             for which in ("b", "b_plus"):
-                got = riccati.apply_b(d, s, DifferentiableValue(f, fp), which)
-                want = np.vectorize(lambda *a: riccati.apply_b(
-                    d, a[0], DifferentiableValue(a[1], a[2]), which))(s, f, fp)
+                got = riccati.apply_b(d, s, derivs, which).value
+                want = np.vectorize(lambda t, *f: riccati.apply_b(
+                    d, t, f, which).value)(s, *derivs)
                 assert got.shape == s.shape
                 if gamma == math.inf:
                     assert np.array_equal(got, want)
@@ -397,14 +395,19 @@ def test_partner_eigenfunction_value_and_vector_paths_agree():
 
 
 def test_partner_eigenfunction_derivative_matches_finite_difference():
+    # the analytic u' of b_plus (the partner eigenfunction) and of b
     for fam in matrix_families():
+        af = associated_function(fam, 1, 0)
         for gamma in [math.inf] + finite_gammas(fam, 0)[:1]:
             d = riccati.make_deformation(fam, 0, gamma)
-            u = riccati.partner_eigenfunction(d, 1)
-            for s in families.sample_points(fam, 6):
-                s = float(s)
-                fd = derivative(lambda t: u(t).value, s, order=1, h0=0.02)
-                assert abs(u(s).deriv - fd) <= 1e-8 * (1.0 + abs(fd))
+            cases = ((riccati.partner_eigenfunction(d, 1), {"h0": 0.02}),
+                     (lambda t: riccati.apply_b(d, t, af.derivatives(t), "b"),
+                      {"h0": 0.01, "levels": 4}))
+            for u, steps in cases:
+                for s in families.sample_points(fam, 6):
+                    s = float(s)
+                    fd = derivative(lambda t: u(t).value, s, order=1, **steps)
+                    assert abs(u(s).deriv - fd) <= 1e-8 * (1.0 + abs(fd))
 
 
 def test_partner_eigenfunction_needs_m_below_l_below_cutoff():

@@ -190,7 +190,7 @@ def test_B_conjugation_identity():
             dpsi = derivative(psi, x, order=1, h0=1e-3)
             got = schrodinger.apply_B(d, x, DifferentiableValue(float(psi(x)), dpsi), "B_plus")
             factor = math.sqrt(float(fam.kappa(s)) * families.weight(fam, s))
-            want = factor * riccati.apply_b(d, s, af.eval(s), "b_plus")
+            want = factor * riccati.apply_b(d, s, af.derivatives(s), "b_plus").value
             assert abs(got - want) <= 1e-9 * (1.0 + abs(want))
 
 
