@@ -224,6 +224,12 @@ class Family:
         the instance for the reason polys is."""
         return {}
 
+    @functools.cached_property
+    def level_memo(self):
+        """polynomials.poly_eigenfunction by level, filled on first use and
+        kept on the instance for the reason polys is."""
+        return {}
+
     # sigma, tau and their kin evaluate elementwise in floats; exact parameters
     # enter rounded, as Fraction-float arithmetic would round them anyway
     def sigma(self, s):

@@ -5,7 +5,9 @@ with kappa = sqrt(sigma).  A form holds at most one slot per parity of j:
 a term joins its parity's slot by folding onto the lower power,
 kappa^(j+2i) p = kappa^j sigma^i p.  Every map then sends a slot kappa^j p
 to one slot by a closed form, so every identity below is checked in exact
-polynomial arithmetic (rational mode) or to roundoff (float mode).
+polynomial arithmetic (rational mode) or to roundoff (float mode).  A map
+computes each slot in one pass over p's numerators against the context's
+coefficient stencils (Deformation.ladder_polys) and reduces it once.
 lower_order and apply_hamiltonian read their result off its one slot; H
 lands on kappa^(m-2) and is divided by sigma once, so a nonzero remainder is
 an algebra bug and raises DivisibilityFailure.
@@ -14,6 +16,7 @@ an algebra bug and raises DivisibilityFailure.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -36,17 +39,51 @@ def make_context(fam, m, delta=None):
     return riccati.make_deformation(fam, m, math.inf, delta)
 
 
+def _lane(den, p, *stencils):
+    """(D, p's numerators, stencils) in the lane p and the context share.
+
+    A float slot in an exact context reads each stencil as its floats n/D,
+    the values Poly arithmetic gives; an exact slot in a float context
+    enters as its floats.  D comes back None in floats.
+    """
+    if den is None:
+        return None, p._floats(), stencils
+    if p.den is None:
+        return None, p.nums, [[x / den for x in s] for s in stencils]
+    return den, p.nums, stencils
+
+
+def _pass(sig, g, n):
+    """Numerators of sigma p' + g p from p's numerators n, in one fixed-width pass.
+
+    g has degree <= 1 (it combines sigma'/2 and tau).  Output k is sig0 (k+1) n_(k+1) + sig1 k n_k + sig2 (k-1) n_(k-1)
+    + g0 n_k + g1 n_(k-1), the terms in the order Poly products add them.
+    """
+    s0, s1, s2 = sig
+    g0, g1 = g[0], g[1]
+    d = [0, *[i * x for i, x in enumerate(n)], 0, 0]
+    z = [0, *n, 0]
+    return [s0 * c + s1 * b + s2 * a + (g0 * y + g1 * x)
+            for a, b, c, x, y in zip(d, d[1:], d[2:], z, z[1:])]
+
+
+def _conv(stencil, n):
+    """Numerators of stencil * p from p's numerators n."""
+    t0, t1, t2 = stencil
+    z = [0, 0, *n, 0, 0]
+    return [t0 * c + t1 * b + t2 * a for a, b, c in zip(z, z[1:], z[2:])]
+
+
 def _first_order(polys, p, e, with_tau=False):
     """sigma p' + e (sigma'/2) p (+ tau p), the part every map applies to a slot p.
 
-    polys = (sigma, sigma'/2, tau, ...); (kappa^j p)' = kappa^(j-2) [sigma p' + j (sigma'/2) p].
+    polys = ctx.ladder_polys; (kappa^j p)' = kappa^(j-2) [sigma p' + j (sigma'/2) p].
+    One pass over p's numerators and one reduction.
     """
-    sig, half, tau = polys[:3]
-    g = half * e if e else None
-    if with_tau:
-        g = tau if g is None else g + tau
-    out = sig * p.deriv()
-    return out if g is None else out + g * p
+    den, sig, half, tau, _ = polys
+    g = [e * h + t for h, t in zip(half, tau)] if with_tau else [e * h for h in half]
+    den, n, (sig, g) = _lane(den, p, sig, g)
+    return Poly._canonical(_pass(sig, g, n), None if den is None else den * p.den)
 
 
 class KappaForm:
@@ -127,16 +164,22 @@ def _apply_h(ctx, m, u):
     """-sigma D^2 - tau D + v_m (- delta kappa'), for m = ctx.m or ctx.m + 1.
 
     Slot by slot: kappa^(j-2) [sigma v_m p - sigma q' - (j-2) (sigma'/2) q
-    - tau q] with q = sigma p' + j (sigma'/2) p, so Du = kappa^(j-2) q.
+    - tau q] with q = sigma p' + j (sigma'/2) p, so Du = kappa^(j-2) q.  Both
+    passes and sigma v_m p run on numerator lists, reduced once per slot:
+    q is over D p.den, the slot over D^2 p.den.
     """
-    polys = ctx.ladder_polys
-    sigma_v = polys[3][m]
+    den, sig, half, tau, pots = ctx.ladder_polys
     out = []
     for j, p in u.terms.items():
-        q = _first_order(polys, p, j)
-        out.append((j - 2, sigma_v * p - _first_order(polys, q, j - 2, True)))
+        g_q = [j * h for h in half]
+        g_r = [(j - 2) * h + t for h, t in zip(half, tau)]
+        d, n, (lane_sig, g_q, g_r, sv) = _lane(den, p, sig, g_q, g_r, pots[m])
+        r = _pass(lane_sig, g_r, _pass(lane_sig, g_q, n))
+        scale, slot_den = (1, None) if d is None else (d, d * d * p.den)
+        out.append((j - 2, Poly._canonical([scale * a - b for a, b in zip(_conv(sv, n), r)],
+                                           slot_den)))
         if ctx.delta is not None:
-            out.append((j - 1, (polys[1] * p) * -ctx.delta))
+            out.append((j - 1, (ctx.family.polys[1] * p) * (-ctx.delta * Fraction(1, 2))))
     return KappaForm(ctx.family, out)
 
 

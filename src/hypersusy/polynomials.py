@@ -263,11 +263,20 @@ def poly_eigenfunction(fam, level):
     exact lane scales sigma, alpha, beta by their common denominator and runs
     on integers: cs[j] is c_j's numerator over l! * divs[j] * ... * divs[l-1],
     with no gcd before the one canonical Poly at the end.
+
+    Each level is built once per Family instance (Family.level_memo); a
+    level that raises is not kept, so it raises on every call.
     """
     if not isinstance(level, int) or level < 0:
         raise CutoffExceeded(f"level must be a non-negative integer, got {level!r}")
     if not families.below_cutoff(fam, level):
         raise CutoffExceeded(f"level {level} is not below the cutoff {families.cutoff(fam)}")
+    if level not in fam.level_memo:
+        fam.level_memo[level] = _recurrence(fam, level)
+    return fam.level_memo[level]
+
+
+def _recurrence(fam, level):
     c0, c1, c2 = fam.sigma_coeffs
     alpha, beta = fam.alpha, fam.beta
     exact = fam.exact

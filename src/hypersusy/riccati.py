@@ -22,7 +22,7 @@ may be singular, and stay with tanh-sinh quadrature.
 gamma_rays runs once per Family instance and order, on first use since
 gamma = inf needs none, and the family keeps the result (Family.ray_memo),
 so every deformation of that family and order shares it.  A Deformation
-caches only its shift constant and its ladder polynomials; I_m is
+caches only its shift constant and its ladder stencils; I_m is
 recomputed per call, and the one module cache holds Gauss-Legendre nodes.
 Threads racing on a cached value at worst compute it twice, so families and
 deformations can be shared freely.
@@ -237,10 +237,23 @@ class Deformation:
 
     @functools.cached_property
     def ladder_polys(self):
-        """(sigma, sigma'/2, tau, {k: sigma v_k for k = m, m + 1}), built on first use."""
+        """(D, sigma, sigma'/2, tau, {k: sigma v_k for k = m, m + 1}), built on first use.
+
+        Each polynomial is a width-3 coefficient stencil (all have degree
+        <= 2): integer numerators over the one positive integer D in the
+        exact lane, floats with D None in the float lane.
+        """
         sig, sp, tau = self.family.polys
-        pots = {k: families.sigma_potential(self.family, k) for k in (self.m, self.m + 1)}
-        return sig, sp * Fraction(1, 2), tau, pots
+        orders = (self.m, self.m + 1)
+        polys = [sig, sp * Fraction(1, 2), tau,
+                 *[families.sigma_potential(self.family, k) for k in orders]]
+        if self.family.exact:
+            den = math.lcm(*[p.den for p in polys])
+            rows = [[x * (den // p.den) for x in p.nums] for p in polys]
+        else:
+            den, rows = None, [list(p._floats()) for p in polys]
+        sig, half, tau, *pots = [tuple(r + [0] * (3 - len(r))) for r in rows]
+        return den, sig, half, tau, dict(zip(orders, pots))
 
     def eigenvalue(self, level):
         """lambda_level, shift-corrected when delta is active."""

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import families, riccati
 from .errors import NonFinite, OutOfDomain
-from .polynomials import DifferentiableValue, associated_function
+from .polynomials import associated_function
 
 
 def wavefunction(fam, l, m, x):

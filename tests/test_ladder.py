@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hypersusy import families, ladder
+from hypersusy import families, ladder, verify
 from hypersusy.errors import ContextMismatch, CutoffExceeded, DivisibilityFailure
 from hypersusy.ladder import (
     KappaForm,
@@ -18,7 +18,7 @@ from hypersusy.ladder import (
     raise_order,
     recurrence_residual,
 )
-from hypersusy.polynomials import AssociatedFunction, Poly, associated_function
+from hypersusy.polynomials import AssociatedFunction, Poly, associated_function, poly_eigenfunction
 
 MATRIX = (
     ("const", -2, 0),
@@ -477,23 +477,86 @@ def test_shifted_factorization_catches_a_mutated_shift_term(monkeypatch, mutatio
 
 
 def test_identities_cost_per_level_is_pinned(monkeypatch):
-    # polynomial products (scalar ones included) in check_identities, levels
-    # built beforehand so only the ladder maps and their context are counted
-    count = [0]
-    real_mul = Poly.__mul__
+    # polynomial products (scalar ones included) and canonical reductions in
+    # check_identities, levels built beforehand so only the ladder maps and
+    # their context are counted; each map reduces each slot once, so a map
+    # that builds its result twice adds reductions
+    counts = {"mul": 0, "canonical": 0}
+    real_mul, real_canonical = Poly.__mul__, Poly._canonical.__func__
 
     def counting_mul(self, other):
-        count[0] += 1
+        counts["mul"] += 1
         return real_mul(self, other)
 
-    for fam, m, lmax, pinned in ((families.make_family("const", -2, 0), 1, 7, 270),
-                                 (families.make_family("s2_minus_one", -8, 10), 0, 4, 174)):
+    def counting_canonical(cls, nums, den):
+        counts["canonical"] += 1
+        return real_canonical(cls, nums, den)
+
+    for fam, m, lmax, pinned in ((families.make_family("const", -2, 0), 1, 7, (37, 150)),
+                                 (families.make_family("s2_minus_one", -8, 10), 0, 4, (20, 86))):
         levels = {l: ladder.poly_eigenfunction(fam, l) for l in range(m, lmax + 1)}
         with monkeypatch.context() as mp:
             mp.setattr(ladder, "poly_eigenfunction", lambda fam, l: levels[l])
             mp.setattr(Poly, "__mul__", counting_mul)
             mp.setattr(Poly, "__rmul__", counting_mul)
-            count[0] = 0
+            mp.setattr(Poly, "_canonical", classmethod(counting_canonical))
+            counts["mul"] = counts["canonical"] = 0
             rep = check_identities(make_context(fam, m), lmax)
         assert rep["max_residual"] == 0 and len(rep["factor_low"]) == lmax - m + 1
-        assert count[0] == pinned
+        assert (counts["mul"], counts["canonical"]) == pinned
+
+
+# --- the one-pass kernels against Poly composition ------------------------------
+
+def reference_first_order(fam, p, e, with_tau):
+    """sigma p' + (e sigma'/2 [+ tau]) p in Poly arithmetic."""
+    sig, sp, tau = fam.polys
+    g = sp * Fraction(1, 2) * e
+    return sig * p.deriv() + ((g + tau) if with_tau else g) * p
+
+
+def reference_h_slot(fam, m, j, p):
+    """sigma v_m p - sigma q' - (j-2) sigma'/2 q - tau q, q = sigma p' + j sigma'/2 p."""
+    q = reference_first_order(fam, p, j, False)
+    return families.sigma_potential(fam, m) * p - reference_first_order(fam, q, j - 2, True)
+
+
+def assert_kernel_matches(got, want, exact):
+    # == in the exact lane; in floats within 1e-15 of the largest coefficient
+    if exact:
+        assert got == want
+    else:
+        assert got.den is None or got.is_zero
+        assert (got - want).max_abs() <= 1e-15 * want.max_abs()
+
+
+def kernel_slots(fam, m):
+    """The level polynomials' order-m parts up to verify._lmax, in the family's
+    lane and in the other one: a float slot in an exact context (the shifted
+    maps with a float delta make those) and an exact slot in a float one."""
+    for l in range(m, verify._lmax(fam) + 1):
+        p = poly_eigenfunction(fam, l).deriv(m)
+        other = p * 0.7 if fam.exact else Poly([Fraction(1, 3), -2, Fraction(5, 7)][:l + 1])
+        yield p
+        yield other
+
+
+# of the exact rows only linear has stencils over D > 1; the fractional row
+# takes its D = 2 from tau
+@pytest.mark.parametrize("row", verify.TEST_MATRIX + verify.FLOAT_MATRIX
+                         + (("one_minus_s2", Fraction(-7, 2), Fraction(1, 2)),),
+                         ids=lambda row: f"{row[0]}({row[1]},{row[2]})")
+def test_kernels_match_poly_composition(row):
+    fam = families.make_family(*row)
+    for m in verify._orders(fam):
+        ctx = make_context(fam, m)
+        for p in kernel_slots(fam, m):
+            exact = fam.exact and p.den is not None
+            # u sits at kappa^m, w at kappa^(m+1); the maps take them down to kappa^(m-3)
+            for j in range(m - 3, m + 2):
+                for e, with_tau in ((j - m, False), (j + m - 1, True), (j, False), (j - 2, True)):
+                    got = ladder._first_order(ctx.ladder_polys, p, e, with_tau)
+                    assert_kernel_matches(got, reference_first_order(fam, p, e, with_tau), exact)
+                for k in (m, m + 1):
+                    got = ladder._apply_h(ctx, k, KappaForm(fam, [(j, p)])).terms.get(j - 2, Poly())
+                    assert_kernel_matches(got, reference_h_slot(fam, k, j, p), exact)

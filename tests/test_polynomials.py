@@ -265,14 +265,28 @@ def test_leading_coefficient_normalization():
 def test_cutoff_enforced():
     f = families.make_family("s2", -3, 2)  # cutoff 2
     poly_eigenfunction(f, 1)
-    with pytest.raises(CutoffExceeded):
-        poly_eigenfunction(f, 2)
+    for _ in range(2):  # a refused level is never kept, so it raises every time
+        with pytest.raises(CutoffExceeded):
+            poly_eigenfunction(f, 2)
 
 
 def test_degenerate_parameters_break_recurrence():
     carrier = families.make_family("linear", 0, 2)  # every eigenvalue is 0
-    with pytest.raises(RecurrenceBreakdown):
-        poly_eigenfunction(carrier, 1)
+    for _ in range(2):
+        with pytest.raises(RecurrenceBreakdown):
+            poly_eigenfunction(carrier, 1)
+
+
+def test_levels_are_built_once_per_family_instance():
+    for alpha, beta in ((-7, 2), (-7.0, 2.0)):
+        fam, twin = families.make_family("s2", alpha, beta), families.make_family("s2", alpha, beta)
+        p = poly_eigenfunction(fam, 3)
+        assert poly_eigenfunction(fam, 3) is p
+        assert (p.den is not None) == fam.exact  # the equal family of the other lane keeps its own
+        # the memo leaves the family's value semantics alone
+        assert fam == twin and hash(fam) == hash(twin) and fam.to_json() == twin.to_json()
+        other = poly_eigenfunction(twin, 3)
+        assert other == p and other is not p
 
 
 def test_float_mode_residual():
