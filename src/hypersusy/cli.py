@@ -27,14 +27,25 @@ from . import catalog, families, riccati, schrodinger, verify
 from .errors import HypersusyError, ParameterViolation
 
 
-def _number(text):
-    """ints stay exact (rational-mode polynomials); anything else is float."""
-    if isinstance(text, (int, float)):
-        return text
-    try:
-        return int(text)
-    except (TypeError, ValueError):
-        return float(text)
+def _number(name, val):
+    """ints stay exact (rational-mode polynomials); any other number is float."""
+    if isinstance(val, str):
+        for cast in (int, float):
+            try:
+                return cast(val)
+            except ValueError:
+                pass
+    elif isinstance(val, (int, float)) and not isinstance(val, bool):
+        return val
+    raise ParameterViolation(f"setting '{name}' must be a number, got {val!r}")
+
+
+def _string(name, options, val):
+    """A text setting, one of options unless options is None."""
+    if isinstance(val, str) and (options is None or val in options):
+        return val
+    want = "a string" if options is None else "one of " + ", ".join(options)
+    raise ParameterViolation(f"setting '{name}' must be {want}, got {val!r}")
 
 
 def _integer(name, val):
@@ -60,15 +71,15 @@ def _levels(text):
     return [_integer("levels", tok) for tok in text.split(",") if tok.strip()]
 
 
+# one reader per derive setting, for a flag and a config value alike
 _READERS = {
-    "alpha": _number, "beta": _number, "delta": _number, "gamma": float, "levels": _levels,
-    "m": functools.partial(_integer, "m"), "n": functools.partial(_integer, "n"),
+    "kind": functools.partial(_string, "kind", families.KINDS),
+    "fmt": functools.partial(_string, "format", ("csv", "json")),
+    **{k: functools.partial(_string, k, None) for k in ("out", "svg", "meta")},
+    **{k: functools.partial(_number, k)
+       for k in ("alpha", "beta", "delta", "gamma", "x_min", "x_max")},
+    "m": functools.partial(_integer, "m"), "n": functools.partial(_integer, "n"), "levels": _levels,
 }
-
-
-def _read(key, val):
-    """A derive setting from a flag or a config file; the other settings pass through."""
-    return _READERS[key](val) if key in _READERS else val
 
 
 @dataclass
@@ -105,11 +116,11 @@ class JobConfig:
                     f"unknown config setting(s) {', '.join(map(repr, unknown))} in {args.config}"
                 )
             for key, val in raw.items():
-                setattr(cfg, key, _read(key, val))
+                setattr(cfg, key, _READERS[key](val))
         for f in fields(cls):
             val = getattr(args, f.name, None)
             if val is not None:
-                setattr(cfg, f.name, _read(f.name, val))
+                setattr(cfg, f.name, _READERS[f.name](val))
         return cfg
 
 
@@ -183,7 +194,7 @@ def cmd_derive(args):
             f"got x_min={x_min}, x_max={x_max}, n={n}"
         )
     fam = families.make_family(cfg.kind, cfg.alpha, cfg.beta)
-    defm = riccati.make_deformation(fam, cfg.m, cfg.gamma, cfg.delta)
+    defm = riccati.make_deformation(fam, cfg.m, float(cfg.gamma), cfg.delta)
     if cfg.meta:  # built first, so that a failing record (the rays) leaves no file behind
         lam_max = max(cfg.levels) if cfg.levels else cfg.m + 4
         shift = 0 if cfg.delta is None else 1  # a shifted level l needs l + 1 below the cutoff
@@ -198,10 +209,7 @@ def cmd_derive(args):
         }
     xs = np.linspace(x_min, x_max, n)
     frame = schrodinger.grid_frame(defm, xs, cfg.levels)
-    if cfg.fmt == "json":
-        schrodinger.write_json(frame, cfg.out)
-    else:
-        schrodinger.write_csv(frame, cfg.out)
+    (schrodinger.write_json if cfg.fmt == "json" else schrodinger.write_csv)(frame, cfg.out)
     if cfg.svg:
         schrodinger.write_svg(frame, cfg.svg)
     if cfg.meta:
@@ -212,10 +220,7 @@ def cmd_derive(args):
 
 
 def cmd_verify(args):
-    if args.suite == "all":
-        report = verify.run_all()
-    else:
-        report = verify.run_suite(args.suite)
+    report = verify.run_all() if args.suite == "all" else verify.run_suite(args.suite)
     if args.json:
         print(json.dumps(report, indent=2, default=str))
     else:

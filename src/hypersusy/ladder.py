@@ -3,11 +3,11 @@
 Operators act on formal sums of kappa-power terms, sum_j kappa^j * p_j(s)
 with kappa = sqrt(sigma).  A form holds at most one slot per parity of j:
 a term joins its parity's slot by folding onto the lower power,
-kappa^(j+2i) p = kappa^j sigma^i p.  Every map then sends a slot kappa^j p
-to one slot by a closed form, so every identity below is checked in exact
-polynomial arithmetic (rational mode) or to roundoff (float mode).  A map
-computes each slot in one pass over p's numerators against the context's
-coefficient stencils (Deformation.ladder_polys) and reduces it once.
+kappa^(j+2i) p = kappa^j sigma^i p.  Every map sends a slot kappa^j p to one
+slot by a closed form, in one pass over p's numerators against the context's
+coefficient stencils (Deformation.ladder_polys), reduced once: exactly
+(rational mode) when the stencils are, else in floats.  The context carries
+lambda_m, so it applies H_k - lambda_m and the relations need no lambda term.
 lower_order and apply_hamiltonian read their result off its one slot; H
 lands on kappa^(m-2) and is divided by sigma once, so a nonzero remainder is
 an algebra bug and raises DivisibilityFailure.
@@ -39,20 +39,6 @@ def make_context(fam, m, delta=None):
     return riccati.make_deformation(fam, m, math.inf, delta)
 
 
-def _lane(den, p, *stencils):
-    """(D, p's numerators, stencils) in the lane p and the context share.
-
-    A float slot in an exact context reads each stencil as its floats n/D,
-    the values Poly arithmetic gives; an exact slot in a float context
-    enters as its floats.  D comes back None in floats.
-    """
-    if den is None:
-        return None, p._floats(), stencils
-    if p.den is None:
-        return None, p.nums, [[x / den for x in s] for s in stencils]
-    return den, p.nums, stencils
-
-
 def _pass(sig, g, n):
     """Numerators of sigma p' + g p from p's numerators n, in one fixed-width pass.
 
@@ -82,8 +68,8 @@ def _first_order(polys, p, e, with_tau=False):
     """
     den, sig, half, tau, _ = polys
     g = [e * h + t for h, t in zip(half, tau)] if with_tau else [e * h for h in half]
-    den, n, (sig, g) = _lane(den, p, sig, g)
-    return Poly._canonical(_pass(sig, g, n), None if den is None else den * p.den)
+    n, out_den = (p._floats(), None) if den is None else (p.nums, den * p.den)
+    return Poly._canonical(_pass(sig, g, n), out_den)
 
 
 class KappaForm:
@@ -117,9 +103,6 @@ class KappaForm:
     def __sub__(self, other):
         neg = [(j, -p) for j, p in other.terms.items()]
         return KappaForm(self.family, [*self.terms.items(), *neg])
-
-    def scale(self, c):
-        return KappaForm(self.family, [(j, p * c) for j, p in self.terms.items()])
 
     def max_abs(self):
         return max((p.max_abs() for p in self.terms.values()), default=0.0)
@@ -161,22 +144,23 @@ def _apply_lower(ctx, u):
 
 
 def _apply_h(ctx, m, u):
-    """-sigma D^2 - tau D + v_m (- delta kappa'), for m = ctx.m or ctx.m + 1.
+    """-sigma D^2 - tau D + v_m (- delta kappa') - lam, for m = ctx.m or ctx.m + 1,
+    with lam the context's factorization energy lambda_(ctx.m).
 
-    Slot by slot: kappa^(j-2) [sigma v_m p - sigma q' - (j-2) (sigma'/2) q
-    - tau q] with q = sigma p' + j (sigma'/2) p, so Du = kappa^(j-2) q.  Both
-    passes and sigma v_m p run on numerator lists, reduced once per slot:
-    q is over D p.den, the slot over D^2 p.den.
+    Slot by slot: kappa^(j-2) [sigma (v_m - lam) p - sigma q' - (j-2)
+    (sigma'/2) q - tau q] with q = sigma p' + j (sigma'/2) p, so Du =
+    kappa^(j-2) q.  Both passes and the potential term run on numerator
+    lists, reduced once per slot: q is over D p.den, the slot over D^2 p.den.
     """
     den, sig, half, tau, pots = ctx.ladder_polys
     out = []
     for j, p in u.terms.items():
         g_q = [j * h for h in half]
         g_r = [(j - 2) * h + t for h, t in zip(half, tau)]
-        d, n, (lane_sig, g_q, g_r, sv) = _lane(den, p, sig, g_q, g_r, pots[m])
-        r = _pass(lane_sig, g_r, _pass(lane_sig, g_q, n))
-        scale, slot_den = (1, None) if d is None else (d, d * d * p.den)
-        out.append((j - 2, Poly._canonical([scale * a - b for a, b in zip(_conv(sv, n), r)],
+        n, scale, slot_den = ((p._floats(), 1, None) if den is None
+                              else (p.nums, den, den * den * p.den))
+        r = _pass(sig, g_r, _pass(sig, g_q, n))
+        out.append((j - 2, Poly._canonical([scale * a - b for a, b in zip(_conv(pots[m], n), r)],
                                            slot_den)))
         if ctx.delta is not None:
             out.append((j - 1, (ctx.family.polys[1] * p) * (-ctx.delta * Fraction(1, 2))))
@@ -186,7 +170,8 @@ def _apply_h(ctx, m, u):
 def _check_compatible(ctx, af, expected_m):
     if ctx.delta is not None:
         raise ContextMismatch("shifted maps do not reduce to one kappa^m slot")
-    if af.family != ctx.family or af.family.exact != ctx.family.exact:
+    if af.family != ctx.family or af.family.exact != ctx.family.exact or (
+            ctx.family.exact and af.poly.den is None):
         raise ContextMismatch("function family or lane differs from the context's")
     if af.m != expected_m:
         raise ContextMismatch(f"expected order {expected_m}, got {af.m}")
@@ -210,35 +195,35 @@ def lower_order(ctx, af):
 def apply_hamiltonian(ctx, af):
     """Apply -sigma D^2 - tau D + v_m at the context order.
 
-    The result sits at kappa^(m-2); one division by sigma brings it to
-    kappa^m.  Exact coefficients demand a zero remainder, float ones allow
-    1e-10 of the larger of 1 and the largest coefficient.
+    The context's H_m - lambda_m lands on kappa^(m-2), is divided by sigma
+    once and gets lambda_m p back.  Exact coefficients demand a zero remainder,
+    float ones allow 1e-10 of the larger of 1 and the largest coefficient.
     """
     _check_compatible(ctx, af, ctx.m)
     out = _apply_h(ctx, ctx.m, KappaForm.from_assoc(af)).terms.get(ctx.m - 2, Poly())
     q, rem = poly_divmod(out, ctx.family.polys[0])
     if rem.max_abs() > (0.0 if ctx.family.exact else 1e-10) * max(out.max_abs(), 1.0):
         raise DivisibilityFailure(f"division by sigma left remainder of size {rem.max_abs():.3e}")
-    return AssociatedFunction(ctx.family, af.l, ctx.m, q)
+    return AssociatedFunction(ctx.family, af.l, ctx.m,
+                              q + af.poly * families.eigenvalue(ctx.family, ctx.m))
 
 
 def _report(ctx, cases):
     """Residuals of the four relations on each case (key_u, u, key_w, w).
 
     u has order m and w order m+1 (None skips the two relations on w); a is
-    _apply_raise, a+ is _apply_lower and lam the (shifted) lambda_m.  Each
-    operator is applied to a given form once.
+    _apply_raise, a+ is _apply_lower and _apply_h the context's H - lambda_m.
+    Each operator is applied to a given form once.
     """
     m = ctx.m
-    lam = families.shifted_eigenvalue(ctx.family, m, ctx.delta)
     report = {name: {} for name in ("factor_low", "factor_high", "intertwine_h", "intertwine_a")}
     for key_u, u, key_w, w in cases:
         au, hu = _apply_raise(ctx, u), _apply_h(ctx, m, u)
-        report["factor_low"][key_u] = residual(_apply_lower(ctx, au), hu - u.scale(lam))
+        report["factor_low"][key_u] = residual(_apply_lower(ctx, au), hu)
         report["intertwine_a"][key_u] = residual(_apply_raise(ctx, hu), _apply_h(ctx, m + 1, au))
         if w is not None:
             lw, hw = _apply_lower(ctx, w), _apply_h(ctx, m + 1, w)
-            report["factor_high"][key_w] = residual(_apply_raise(ctx, lw), hw - w.scale(lam))
+            report["factor_high"][key_w] = residual(_apply_raise(ctx, lw), hw)
             report["intertwine_h"][key_w] = residual(_apply_h(ctx, m, lw), _apply_lower(ctx, hw))
     report["max_residual"] = max([0.0] + [r for rel in report.values() for r in rel.values()])
     return report
@@ -267,10 +252,7 @@ def check_identities(ctx, lmax):
             w = KappaForm(fam, [(m + 1, q.deriv())]) if l >= m + 1 else None
             yield f"l={l},m={m}", KappaForm(fam, [(m, q)]), f"l={l},m={m + 1}", w
 
-    report = _report(ctx, cases())
-    # a float delta on an exact family runs the shifted maps in floats
-    report["exact"] = fam.exact and not isinstance(ctx.shift_constant, float)
-    return report
+    return {**_report(ctx, cases()), "exact": ctx.ladder_polys[0] is not None}
 
 
 def check_shifted_factorization(ctx):

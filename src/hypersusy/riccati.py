@@ -237,17 +237,18 @@ class Deformation:
 
     @functools.cached_property
     def ladder_polys(self):
-        """(D, sigma, sigma'/2, tau, {k: sigma v_k for k = m, m + 1}), built on first use.
+        """(D, sigma, sigma'/2, tau, {k: sigma (v_k - lambda_m) for k = m, m + 1}).
 
-        Each polynomial is a width-3 coefficient stencil (all have degree
-        <= 2): integer numerators over the one positive integer D in the
-        exact lane, floats with D None in the float lane.
+        Built on first use, lambda_m the (shifted) factorization energy: width-3
+        coefficient stencils (degree <= 2), integer numerators over one positive
+        integer D when the family and lambda_m are exact, else floats and D None.
         """
         sig, sp, tau = self.family.polys
         orders = (self.m, self.m + 1)
+        lam = families.shifted_eigenvalue(self.family, self.m, self.delta)
         polys = [sig, sp * Fraction(1, 2), tau,
-                 *[families.sigma_potential(self.family, k) for k in orders]]
-        if self.family.exact:
+                 *[families.sigma_potential(self.family, k) - sig * lam for k in orders]]
+        if all(p.den is not None for p in polys):
             den = math.lcm(*[p.den for p in polys])
             rows = [[x * (den // p.den) for x in p.nums] for p in polys]
         else:

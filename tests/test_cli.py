@@ -128,6 +128,39 @@ def test_derive_config_rejects_non_integral_settings(name, settings, tmp_path, c
     assert list(tmp_path.iterdir()) == [cfg]
 
 
+@pytest.mark.parametrize("name, settings", [
+    ("out", {"out": 1}),
+    ("meta", {"meta": True}),
+    ("svg", {"svg": ["x.svg"]}),
+    ("format", {"format": "xml"}),
+    ("kind", {"kind": ["const"]}),
+    ("kind", {"kind": "cubic"}),
+    ("alpha", {"alpha": [1]}),
+    ("beta", {"beta": True}),
+    ("delta", {"delta": "one"}),
+    ("gamma", {"gamma": None}),
+    ("x_min", {"grid": {"x_min": "abc", "x_max": 1, "n": 5}}),
+    ("x_max", {"grid": {"x_min": -1, "x_max": [1], "n": 5}}),
+])
+def test_derive_config_rejects_ill_typed_settings(name, settings, tmp_path, capsys):
+    # each value is read as its flag would be: no file descriptor, no silent CSV
+    cfg = _config_job(tmp_path, **settings)
+    assert main(["derive", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert f"setting '{name}' must be" in captured.err and captured.out == ""
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
+def test_derive_config_reads_number_strings(tmp_path):
+    cfg = _config_job(tmp_path, alpha="-2", gamma="inf", format="json",
+                      grid={"x_min": "-1", "x_max": 1, "n": 5})
+    assert main(["derive", "--config", str(cfg)]) == 0
+    meta = json.loads((tmp_path / "m.json").read_text())
+    assert meta["deformation"]["family"]["alpha"] == -2 and meta["grid"]["x_min"] == -1.0
+    assert meta["deformation"]["gamma"] == "inf"
+    json.loads((tmp_path / "a.csv").read_text())
+
+
 def test_derive_rejects_a_non_integral_level_flag(tmp_path, capsys):
     out = tmp_path / "x.csv"
     code = main(["derive", "--kind", "const", "--alpha", "-2", "--beta", "0", "--levels", "1,1.5",
