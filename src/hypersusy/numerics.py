@@ -201,38 +201,51 @@ def derivative(f, x, order=1, h0=0.1, levels=3):
     return est[0]
 
 
-def fd_spectrum(potential, x_min, x_max, n, n_states, tol=1e-3, richardson=True):
-    """Lowest eigenvalues of -d^2/dx^2 + V with Dirichlet walls.
+def fd_spectrum(potential, x_min, x_max, n, e_max, tol=1e-3, richardson=True):
+    """Eigenvalues at or below e_max of -d^2/dx^2 + V with Dirichlet walls.
 
     ``potential`` is a callable evaluated on the interior nodes of the
     uniform n-point grid on [x_min, x_max]; the operator becomes a symmetric
-    tridiagonal matrix (three-point second difference plus diag V) whose
-    lowest eigenvalues come from the standard bisection/inverse-iteration
-    routine.  With richardson=True the solve is repeated at doubled
-    resolution and the two h^2-accurate results are combined; if they
-    disagree by more than 10*tol the grid is rejected as too coarse.
+    tridiagonal matrix (three-point second difference plus diag V).  Only
+    eigenvalues are asked for, so LAPACK's stebz runs Sturm bisection alone,
+    with no inverse iteration, and its cost grows with the number of states
+    it isolates.  The resolution-n solve therefore takes the value window
+    (min V, e_max]: min V is a strict lower bound, because the Dirichlet
+    second difference is positive definite.  If no eigenvalue lies in the
+    window the lowest one is returned, so the result is never empty.  With
+    richardson=True the same number of lowest states is solved at
+    resolution 2n-1, the pairs are matched by index, and the two
+    h^2-accurate results are combined; if they disagree by more than 10*tol
+    the grid is rejected as too coarse.
     """
     if n < 200:
         raise ValueError("fd_spectrum needs at least 200 grid points")
+    if not math.isfinite(e_max):
+        raise ValueError("fd_spectrum needs a finite e_max")
     # imported here: scipy.linalg is most of the package's import time
     from scipy.linalg import eigh_tridiagonal
 
-    def eigs(npts):
+    def matrix(npts):
         x = np.linspace(x_min, x_max, npts)
         v = np.asarray(potential(x[1:-1]), dtype=float)
         if not np.all(np.isfinite(v)):
             raise NonFinite("potential non-finite on the grid interior")
         h = x[1] - x[0]
-        d = 2.0 / (h * h) + v
-        e = np.full(npts - 3, -1.0 / (h * h))
-        return eigh_tridiagonal(
-            d, e, eigvals_only=True, select="i", select_range=(0, n_states - 1)
-        )
+        return 2.0 / (h * h) + v, np.full(npts - 3, -1.0 / (h * h)), float(v.min())
 
-    lam = eigs(n)
+    def lowest(d, e, k):
+        return eigh_tridiagonal(d, e, eigvals_only=True, select="i", select_range=(0, k - 1))
+
+    d, e, lo = matrix(n)
+    lam = np.empty(0)
+    if e_max > lo:  # stebz rejects an empty window (VL >= VU) on stderr
+        lam = eigh_tridiagonal(d, e, eigvals_only=True, select="v", select_range=(lo, e_max))
+    if lam.size == 0:
+        lam = lowest(d, e, 1)
     if not richardson:
         return lam
-    lam2 = eigs(2 * n - 1)
+    d2, e2, _ = matrix(2 * n - 1)
+    lam2 = lowest(d2, e2, lam.size)
     gap = float(np.max(np.abs(lam2 - lam) / (1.0 + np.abs(lam2))))
     if gap > 10.0 * tol:
         raise GridTooCoarse(
@@ -274,6 +287,18 @@ class SpectralReport:
         }
 
 
+def match_band(targets):
+    """Top of the band match_targets can use: the highest target's window edge.
+
+    Each window's upper edge grows with its target, so no eigenvalue above
+    the band can be matched or reported as an extra.
+    """
+    if not targets:
+        raise ValueError("no targets to match")
+    top = max(targets)
+    return top + _MATCH_WINDOW * (1.0 + abs(top))
+
+
 def match_targets(eigenvalues, targets):
     """Greedy nearest-eigenvalue matching within 0.05*(1+|target|) windows."""
     matched, missing = [], []
@@ -298,8 +323,7 @@ def match_targets(eigenvalues, targets):
                     "residual": float(abs(eigenvalues[best] - target)),
                 }
             )
-    band = max(targets) if targets else -math.inf
-    band += _MATCH_WINDOW * (1.0 + abs(band))
+    band = match_band(targets)
     extras = [
         float(lam)
         for i, lam in enumerate(eigenvalues)
@@ -313,13 +337,16 @@ def verify_spectrum(defm, which, n_levels, x_min, x_max, n, tol=1e-3):
 
     ``which`` selects the upper operator potential or the deformed partner.
     Targets are the closed-form eigenvalues for levels m+1 .. m+n_levels
-    (shift-corrected when the deformation carries delta).  Extra eigenvalues
-    below the target band are reported, never asserted.
+    (shift-corrected when the deformation carries delta).  The solver stops
+    at match_band(targets), the highest eigenvalue matching can use; extra
+    eigenvalues below that band are reported, never asserted.
     """
     from . import schrodinger
 
     if which not in ("upper", "partner"):
         raise ValueError("which must be 'upper' or 'partner'")
+    if n_levels < 1:
+        raise ValueError("verify_spectrum needs at least one level to check")
 
     targets = [defm.eigenvalue(l) for l in range(defm.m + 1, defm.m + 1 + n_levels)]
 
@@ -327,7 +354,7 @@ def verify_spectrum(defm, which, n_levels, x_min, x_max, n, tol=1e-3):
         vu, vp = schrodinger.potentials(defm, xs)
         return vu if which == "upper" else vp
 
-    lams = fd_spectrum(potential, x_min, x_max, n, n_levels + 6, tol=tol)
+    lams = fd_spectrum(potential, x_min, x_max, n, match_band(targets), tol=tol)
     matched, extras, missing = match_targets(lams, targets)
     return SpectralReport(
         grid=(x_min, x_max, n),

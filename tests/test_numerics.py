@@ -8,6 +8,7 @@ from hypersusy.numerics import (
     derivative,
     fd_spectrum,
     fixed_level_quad,
+    match_band,
     match_targets,
     quad,
 )
@@ -190,18 +191,18 @@ def test_derivative_richardson():
 
 
 def test_fd_oscillator():
-    lams = fd_spectrum(lambda x: x * x + 1.0, -10.0, 10.0, 4000, 4)
+    lams = fd_spectrum(lambda x: x * x + 1.0, -10.0, 10.0, 4000, 9.0)
     assert np.allclose(lams, [2.0, 4.0, 6.0, 8.0], atol=1e-3)
 
 
 def test_fd_particle_in_box():
-    lams = fd_spectrum(lambda x: np.zeros_like(x), 0.0, math.pi, 2000, 3)
+    lams = fd_spectrum(lambda x: np.zeros_like(x), 0.0, math.pi, 2000, 12.0)
     assert np.allclose(lams, [1.0, 4.0, 9.0], atol=1e-3)
 
 
 def test_fd_constant_shift():
-    base = fd_spectrum(lambda x: x * x, -8.0, 8.0, 1000, 3)
-    shifted = fd_spectrum(lambda x: x * x + 5.0, -8.0, 8.0, 1000, 3)
+    base = fd_spectrum(lambda x: x * x, -8.0, 8.0, 1000, 6.0)
+    shifted = fd_spectrum(lambda x: x * x + 5.0, -8.0, 8.0, 1000, 11.0)
     assert np.allclose(shifted, base + 5.0, atol=1e-9)
 
 
@@ -209,7 +210,7 @@ def test_fd_h2_convergence_order():
     exact = np.array([1.0, 3.0, 5.0])
 
     def err(n):
-        lams = fd_spectrum(lambda x: x * x, -10.0, 10.0, n, 3, richardson=False)
+        lams = fd_spectrum(lambda x: x * x, -10.0, 10.0, n, 6.0, richardson=False)
         return np.abs(lams - exact)
 
     ratio = err(1001) / err(2001)
@@ -217,19 +218,44 @@ def test_fd_h2_convergence_order():
 
 
 def test_fd_grid_too_coarse():
-    # a potential rough enough that 200 vs 399 points disagree wildly
+    # a potential rough enough that 200 vs 399 points disagree wildly; the
+    # ceiling sits between its third and fourth level at n = 200
     with pytest.raises(GridTooCoarse):
-        fd_spectrum(lambda x: 1e4 * np.sin(40.0 * x) + x * x, -10.0, 10.0, 200, 3, tol=1e-9)
+        fd_spectrum(
+            lambda x: 1e4 * np.sin(40.0 * x) + x * x, -10.0, 10.0, 200, -9760.0, tol=1e-9
+        )
+
+
+def test_fd_returns_every_level_up_to_the_ceiling():
+    # 15 levels, more than the old fixed count of targets + 6 ever asked for
+    lams = fd_spectrum(lambda x: x * x, -10.0, 10.0, 4000, 30.0)
+    assert lams.shape == (15,)
+    assert np.allclose(lams, np.arange(1.0, 30.0, 2.0), atol=1e-3)
+
+
+@pytest.mark.parametrize("e_max", [0.5, -3.0])
+def test_fd_ceiling_below_the_ground_level_returns_the_ground_level(e_max, capfd):
+    # 0.5 leaves an empty window above min V = 0; -3 lies below min V itself,
+    # where stebz would reject the window (VL >= VU) on stderr
+    lams = fd_spectrum(lambda x: x * x, -10.0, 10.0, 1000, e_max)
+    assert lams.shape == (1,) and abs(lams[0] - 1.0) < 1e-3
+    assert capfd.readouterr().err == ""
+
+
+@pytest.mark.parametrize("e_max", [math.inf, -math.inf, math.nan])
+def test_fd_rejects_a_non_finite_ceiling(e_max):
+    with pytest.raises(ValueError, match="finite e_max"):
+        fd_spectrum(lambda x: x * x, -10.0, 10.0, 1000, e_max)
 
 
 def test_fd_requires_minimum_grid():
     with pytest.raises(ValueError):
-        fd_spectrum(lambda x: x * x, -1.0, 1.0, 50, 1)
+        fd_spectrum(lambda x: x * x, -1.0, 1.0, 50, 5.0)
 
 
 def test_fd_rejects_a_non_finite_potential():
     with pytest.raises(NonFinite, match="potential non-finite"):
-        fd_spectrum(lambda x: np.where(x > 0.5, np.nan, x * x), -1.0, 1.0, 200, 2)
+        fd_spectrum(lambda x: np.where(x > 0.5, np.nan, x * x), -1.0, 1.0, 200, 5.0)
 
 
 def test_verify_spectrum_rejects_an_unknown_operator():
@@ -241,11 +267,29 @@ def test_verify_spectrum_rejects_an_unknown_operator():
         verify_spectrum(d, "lower", 2, -6.0, 6.0, 400)
 
 
+def test_verify_spectrum_rejects_an_empty_level_list():
+    # no targets would leave nothing to check and a report that passes
+    from hypersusy import families, riccati
+    from hypersusy.numerics import verify_spectrum
+
+    d = riccati.make_deformation(families.make_family("const", -2, 0), 0, math.inf)
+    for n_levels in (0, -1):
+        with pytest.raises(ValueError, match="at least one level"):
+            verify_spectrum(d, "upper", n_levels, -10.0, 10.0, 1000)
+
+
 def test_match_targets_greedy_window():
     matched, extras, missing = match_targets([0.0, 2.0004, 4.01, 9.0], [2.0, 4.0, 6.0])
     assert [m["target"] for m in matched] == [2.0, 4.0]
     assert missing == [6.0]
     assert extras == [0.0]
+
+
+def test_match_band_is_the_highest_window_edge():
+    assert match_band([2.0, 6.0, 4.0]) == pytest.approx(6.0 + 0.05 * 7.0)
+    assert match_band([-20.0, -10.0]) == pytest.approx(-10.0 + 0.05 * 11.0)
+    with pytest.raises(ValueError, match="no targets"):
+        match_band([])
 
 
 def test_verify_spectrum_morse_level():

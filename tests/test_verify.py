@@ -72,6 +72,30 @@ def test_orthogonality_suite_reaches_the_top_level(monkeypatch, row):
     assert grams == [(m, top, (top - m + 1,) * 2) for m in range(top + 1)]
 
 
+def test_spectrum_suite_solves_only_the_states_it_can_match(monkeypatch, capfd):
+    # fd_spectrum imports eigh_tridiagonal at call time, so wrapping the
+    # scipy.linalg attribute sees every solve.  Each fixture solves the
+    # states at or below its match band at both Richardson resolutions:
+    # 4 + 5 + 3 + 0 + 4 per resolution, plus the ground-state pair of
+    # deep-well-carrier, whose band lies below min V.  Solving the lowest
+    # levels + 6 states at both resolutions would be 92.
+    import scipy.linalg
+
+    real = scipy.linalg.eigh_tridiagonal
+    solved = []
+
+    def counting(*args, **kwargs):
+        lams = real(*args, **kwargs)
+        solved.append(len(lams))
+        return lams
+
+    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", counting)
+    out = verify.suite_spectrum()
+    assert out["ok"]
+    assert sum(solved) == 34
+    assert capfd.readouterr().err == ""
+
+
 def test_run_suite_reports_a_package_error_as_a_failed_suite(monkeypatch):
     def boom():
         raise NoConvergence("quadrature gave up")
