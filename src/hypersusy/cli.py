@@ -17,6 +17,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import re
 import sys
 from dataclasses import dataclass, field, fields
@@ -182,6 +183,28 @@ def _format_entry(info):
     return "\n".join(lines)
 
 
+def _check_outputs(cfg):
+    """Every output goes into an existing directory, each to a file of its own.
+
+    Checked before any work, so that a bad path leaves no other output behind.
+    """
+    seen = {}
+    for name in ("out", "svg", "meta"):
+        path = getattr(cfg, name)
+        if path is None:
+            continue
+        real = os.path.realpath(path)
+        if not os.path.isdir(os.path.dirname(real)) or os.path.isdir(real):
+            raise ParameterViolation(
+                f"setting '{name}': {path!r} is not a file in an existing directory"
+            )
+        if real in seen:
+            raise ParameterViolation(
+                f"settings '{seen[real]}' and '{name}' name the same file {path!r}"
+            )
+        seen[real] = name
+
+
 def cmd_derive(args):
     cfg = JobConfig.from_args(args)
     for name in ("kind", "alpha", "beta", "x_min", "x_max", "out"):
@@ -193,6 +216,7 @@ def cmd_derive(args):
             f"the grid needs finite x_min < x_max and n >= 2, "
             f"got x_min={x_min}, x_max={x_max}, n={n}"
         )
+    _check_outputs(cfg)
     fam = families.make_family(cfg.kind, cfg.alpha, cfg.beta)
     defm = riccati.make_deformation(fam, cfg.m, float(cfg.gamma), cfg.delta)
     if cfg.meta:  # built first, so that a failing record (the rays) leaves no file behind

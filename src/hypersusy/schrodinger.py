@@ -14,7 +14,6 @@ W^2 - sign*W' + lambda is the one-parameter family.
 
 from __future__ import annotations
 
-import json
 import math
 
 import numpy as np
@@ -106,15 +105,13 @@ def grid_frame(defm, xs, levels=()):
     """Column arrays for export: x, s, V_upper, V_partner, W, psi_l...
 
     psi columns are the wavefunctions of the upper operator (order m+1),
-    one per requested level l >= m+1.  A non-finite V_upper, V_partner or W
-    raises NonFinite, naming the first x where it occurs.
+    one per requested level l >= m+1.  A non-finite value in any column
+    raises NonFinite, naming the first x where one occurs and the columns
+    non-finite there.
     """
     xs = np.asarray(xs, dtype=float)
     with np.errstate(all="ignore"):
         v_upper, v_partner, w = potentials_and_w(defm, xs)
-    bad = ~(np.isfinite(v_upper) & np.isfinite(v_partner) & np.isfinite(w))
-    if bad.any():
-        raise NonFinite(f"V_upper, V_partner or W non-finite at x={float(xs[bad][0])}")
     frame = {
         "x": xs,
         "s": defm.family.spec.coords.s_of_x(xs),
@@ -126,6 +123,11 @@ def grid_frame(defm, xs, levels=()):
         if l < defm.m + 1:
             raise OutOfDomain(f"psi level must be >= m+1, got l={l}")
         frame[f"psi_{l}"] = wavefunction_grid(defm.family, l, defm.m + 1, xs)
+    finite = np.logical_and.reduce([np.isfinite(col) for col in frame.values()])
+    if not finite.all():
+        i = int(np.argmin(finite))
+        names = [k for k, col in frame.items() if not np.isfinite(col[i])]
+        raise NonFinite(f"{', '.join(names)} non-finite at x={float(xs[i])}")
     return frame
 
 
@@ -146,10 +148,16 @@ def write_csv(frame, path):
 
 
 def write_json(frame, path):
-    # json.dumps runs the C encoder; json.dump streams through the Python one
-    text = json.dumps({k: np.asarray(arr, dtype=float).tolist() for k, arr in frame.items()})
-    with open(path, "w") as fh:
-        fh.write(text)
+    """One JSON object of float lists, each float its shortest round-trip form.
+
+    orjson encodes each float64 column in C; it takes only C-contiguous arrays.
+    Imported here, so that `import hypersusy` does not pay for it.
+    """
+    import orjson
+
+    cols = {k: np.ascontiguousarray(arr, dtype=float) for k, arr in frame.items()}
+    with open(path, "wb") as fh:
+        fh.write(orjson.dumps(cols, option=orjson.OPT_SERIALIZE_NUMPY))
 
 
 _SVG_COLORS = {"V_upper": "#1f77b4", "V_partner": "#d62728", "W": "#2ca02c"}

@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from hypersusy import cli, errors
@@ -201,6 +202,62 @@ def test_derive_missing_output_directory_exit_2(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and "missing" in err
+
+
+_SMALL_DERIVE = ["derive", "--kind", "const", "--alpha", "-2", "--beta", "0",
+                 "--x-min", "-4", "--x-max", "4", "--n", "11"]
+
+
+# the grid's own path is fine: a later output's missing directory is found
+# before the grid is written
+@pytest.mark.parametrize("flags", [
+    ["--out", "g.json", "--format", "json", "--svg", "nodir/a.svg"],
+    ["--out", "g.csv", "--meta", "nodir/m.json"],
+    ["--out", "g.csv", "--svg", "a.svg", "--meta", "."],
+], ids=["svg", "meta", "meta-is-a-directory"])
+def test_derive_unwritable_output_exit_2_writes_nothing(flags, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(_SMALL_DERIVE + flags) == 2
+    name = flags[-2].lstrip("-")
+    assert f"setting '{name}'" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("flags", [
+    ["--out", "f.csv", "--svg", "f.csv"],
+    ["--out", "f.json", "--format", "json", "--meta", "sub/../f.json"],
+    ["--out", "g.csv", "--svg", "sub/p.svg", "--meta", "sub/p.svg"],
+])
+def test_derive_two_outputs_on_one_file_exit_2_writes_nothing(flags, tmp_path, capsys,
+                                                              monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    assert main(_SMALL_DERIVE + flags) == 2
+    assert "name the same file" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.rglob("*")] == ["sub"]
+
+
+def test_derive_config_with_two_outputs_on_one_file_exit_2(tmp_path, capsys):
+    cfg = _config_job(tmp_path, svg=str(tmp_path / "m.json"))
+    assert main(["derive", "--config", str(cfg)]) == 2
+    assert "settings 'svg' and 'meta' name the same file" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
+def test_derive_non_finite_psi_exit_4_writes_nothing(tmp_path, capsys, monkeypatch):
+    from hypersusy import schrodinger
+
+    def psi_with_nan(fam, l, m, x):
+        return np.where(np.arange(len(x)) == 5, np.nan, 0.0)
+
+    monkeypatch.setattr(schrodinger, "wavefunction_grid", psi_with_nan)
+    code = main(_SMALL_DERIVE + ["--levels", "1,2", "--format", "json",
+                                 "--out", str(tmp_path / "g.json"),
+                                 "--svg", str(tmp_path / "a.svg"),
+                                 "--meta", str(tmp_path / "m.json")])
+    assert code == 4
+    assert "psi_1, psi_2 non-finite at x=0.0" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 _FAMILIES_OUTPUT = json.loads(

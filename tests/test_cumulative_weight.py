@@ -318,6 +318,20 @@ def test_import_leaves_numpy_polynomial_out():
     assert out.stdout.split() == ["False", "False", "0", "1"]
 
 
+def test_import_leaves_orjson_out_until_a_json_grid_is_written(tmp_path):
+    code = (
+        "import sys, numpy, hypersusy\n"
+        "print('orjson' in sys.modules)\n"
+        f"hypersusy.schrodinger.write_json({{'x': numpy.zeros(2)}}, {str(tmp_path / 'g.json')!r})\n"
+        "print('orjson' in sys.modules)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)),
+    )
+    assert out.stdout.split() == ["False", "True"]
+
+
 def test_gauss_legendre_rules_are_exact_on_polynomials():
     for n in riccati._GL_ORDERS:
         x, w = riccati._gauss_legendre(n)

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from hypersusy import families, riccati, schrodinger
+from hypersusy import families, riccati, schrodinger, verify
 from hypersusy.errors import NonFinite, OutOfDomain
 from hypersusy.numerics import derivative, quad
 from hypersusy.polynomials import DifferentiableValue, associated_function
@@ -242,6 +242,83 @@ def test_json_frame(tmp_path):
     blob = json.loads(path.read_text())
     assert set(blob) == {"x", "s", "V_upper", "V_partner", "W"}
     assert len(blob["x"]) == 5
+
+
+def reference_json(frame):
+    """The per-value writer that write_json replaced: json.dumps over tolist()."""
+    return json.dumps({k: np.asarray(v, dtype=float).tolist() for k, v in frame.items()})
+
+
+def strict_json(text):
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def same_bits(got, want):
+    return np.array_equal(np.asarray(got, dtype=float).view(np.int64),
+                          np.asarray(want, dtype=float).view(np.int64))
+
+
+def assert_json_round_trip(frame, path):
+    schrodinger.write_json(frame, path)
+    back = strict_json(path.read_text())
+    assert list(back) == list(frame)
+    for k, col in frame.items():
+        assert same_bits(back[k], col), k
+    assert json.dumps(back) == reference_json(frame)
+
+
+def json_matrix_cases():
+    for kind, a, b in verify.TEST_MATRIX:
+        f = families.make_family(kind, a, b)
+        for m in (0, 1):
+            if families.below_cutoff(f, m + 1):
+                yield pytest.param(kind, a, b, m, id=f"{kind}-m{m}")
+
+
+@pytest.mark.parametrize("kind,a,b,m", json_matrix_cases())
+def test_json_values_are_bit_identical_to_the_frame(kind, a, b, m, tmp_path):
+    f = families.make_family(kind, a, b)
+    rays = riccati.gamma_rays(f, m)
+    edge = (rays.right_start + 1.0 if math.isfinite(rays.right_start)
+            else rays.left_end - 1.0)
+    levels = [l for l in (m + 1, m + 2) if families.below_cutoff(f, l)]
+    for gamma in (math.inf, edge):
+        d = riccati.make_deformation(f, m, gamma)
+        frame = schrodinger.grid_frame(d, x_points(kind, 301), levels)
+        assert_json_round_trip(frame, tmp_path / "grid.json")
+
+
+def test_json_extreme_doubles_round_trip(tmp_path):
+    big = sys.float_info.max
+    vals = [-0.0, 5e-324, 1e-5, 1e16, big, -5e-324, -big, 0.1, 1e-7, 123456.789]
+    frame = {"x": np.arange(len(vals), dtype=float), "V": np.array(vals)}
+    assert_json_round_trip(frame, tmp_path / "grid.json")
+    text = (tmp_path / "grid.json").read_text()
+    assert text.startswith('{"x":[0.0,1.0,')
+    # no space after separators, exponents with no '+' and no zero padding
+    assert ",1e16," in text and "e+" not in text and ", " not in text
+
+
+def test_json_takes_strided_views_and_plain_lists(tmp_path):
+    base = np.linspace(-1.0, 1.0, 10)
+    frame = {"b": base[::2], "a": [0.5, -0.0, 2.0, 1e300, 3.0], "c": base[1::2][::-1]}
+    assert not frame["b"].flags.c_contiguous
+    assert_json_round_trip(frame, tmp_path / "grid.json")
+
+
+def test_non_finite_psi_column_is_refused(monkeypatch):
+    d = riccati.make_deformation(families.make_family("const", -2, 0), 0, 2.0)
+    xs = np.linspace(-1.0, 1.0, 5)
+
+    def psi_with_nan(fam, l, m, x):
+        return np.where(np.arange(len(x)) == 3, math.nan, 1.0)
+
+    monkeypatch.setattr(schrodinger, "wavefunction_grid", psi_with_nan)
+    with pytest.raises(NonFinite, match=r"^psi_1 non-finite at x=0\.5$"):
+        schrodinger.grid_frame(d, xs, levels=(1,))
 
 
 def test_psi_level_below_order_rejected():
