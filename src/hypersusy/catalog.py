@@ -191,8 +191,8 @@ def compare_with_generic(entry_id, defm, xs):
             f"entry {entry_id}: eigenvalue shorthand differs "
             f"({lam_ref} vs {defm.lambda_base})"
         )
-    if worst_v > TOL:
+    if not worst_v <= TOL:
         flags.append(f"entry {entry_id}: potential deviates by {worst_v:.3e}")
-    if worst_w > TOL:
+    if not worst_w <= TOL:
         flags.append(f"entry {entry_id}: superpotential deviates by {worst_w:.3e}")
     return {"entry": entry_id, "max_dev_V": worst_v, "max_dev_W": worst_w, "flags": flags}

@@ -61,15 +61,21 @@ def _integer(name, val):
 
 
 def _levels(text):
+    """Levels from a list, a comma list '1,2' or a range '1:4'; none repeated, no range reversed."""
     if text is None:
         return []
     if isinstance(text, (list, tuple)):
-        return [_integer("levels", v) for v in text]
-    text = str(text)
-    if ":" in text:
-        lo, _, hi = text.partition(":")
-        return list(range(_integer("levels", lo), _integer("levels", hi) + 1))
-    return [_integer("levels", tok) for tok in text.split(",") if tok.strip()]
+        levels = [_integer("levels", v) for v in text]
+    elif ":" in str(text):
+        lo, _, hi = str(text).partition(":")
+        levels = list(range(_integer("levels", lo), _integer("levels", hi) + 1))
+        if not levels:
+            raise ParameterViolation(f"setting 'levels': range {text!r} ends below its start")
+    else:
+        levels = [_integer("levels", tok) for tok in str(text).split(",") if tok.strip()]
+    if len(set(levels)) < len(levels):
+        raise ParameterViolation(f"setting 'levels' repeats a level, got {text!r}")
+    return levels
 
 
 # one reader per derive setting, for a flag and a config value alike
@@ -276,13 +282,13 @@ def build_parser():
     p_der.add_argument("--kind", choices=families.KINDS)
     p_der.add_argument("--alpha")
     p_der.add_argument("--beta")
-    p_der.add_argument("--m", type=int)
+    p_der.add_argument("--m")
     p_der.add_argument("--gamma", help="number or 'inf'")
     p_der.add_argument("--delta")
     p_der.add_argument("--levels", help="comma list '1,2' or range '1:4'")
-    p_der.add_argument("--x-min", dest="x_min", type=float)
-    p_der.add_argument("--x-max", dest="x_max", type=float)
-    p_der.add_argument("--n", type=int)
+    p_der.add_argument("--x-min", dest="x_min")
+    p_der.add_argument("--x-max", dest="x_max")
+    p_der.add_argument("--n")
     p_der.add_argument("--out")
     p_der.add_argument("--format", dest="fmt", choices=("csv", "json"))
     p_der.add_argument("--svg")

@@ -418,11 +418,14 @@ def _shift_denominator(fam, m):
 
 
 def shift_constant(fam, m, delta):
-    """c = delta / (2m + 2k + 1); exact when the family and delta are, else a float."""
+    """c = delta / (2m + 2k + 1); exact when the family and delta are, else a finite float."""
     den = _shift_denominator(fam, m)
     if fam.exact and _is_exact(delta):
         return Fraction(delta) / den
-    return float(delta) / float(den)
+    c = float(delta) / float(den)
+    if not math.isfinite(c):
+        raise ParameterViolation(f"delta must give a finite shift constant, got delta={delta}")
+    return c
 
 
 def shifted_eigenvalue(fam, m, delta):

@@ -8,8 +8,7 @@ anything from the operator algebra in the rest of the package, so their
 output can certify spectra and inner products computed analytically
 elsewhere.  The one bridge is verify_spectrum, which hands the solver a
 partner-pair potential from schrodinger.potentials and matches its output
-against the closed-form eigenvalues.  derivative, a Richardson-extrapolated
-central difference, is what tests hold analytic derivatives against.
+against the closed-form eigenvalues.
 
 Within the package, tanh-sinh serves the integrals that run to an interval
 end, where integrands may be singular: the endpoint limits of the cumulative
@@ -22,7 +21,7 @@ The tanh-sinh levels nest, and quad evaluates each node once: its first
 integrand call takes every node of level 4, which gives the trapezoid sums
 of levels 0-4 as subsets, and each later level evaluates only its new odd
 nodes.  The (a, b)-free parts of each level's nodes are built on first use
-and kept (_table); fixed_level_quad reads the same tables.
+and kept (_table).
 
 Integrands and potentials are called with numpy arrays and must evaluate
 elementwise.  An integrand may also return stacked rows, shape (k, n) for
@@ -170,35 +169,6 @@ def quad(f, a, b, tol=1e-12):
 def _as_value(v):
     """A float for a one-row integrand, the array of row values otherwise."""
     return float(v) if np.ndim(v) == 0 else v
-
-
-def fixed_level_quad(f, a, b, level):
-    """Single-level tanh-sinh value on quad's nodes, one entry per stacked
-    row; used to probe the convergence order."""
-    x, dxdt, first = (np.concatenate(p) for p in zip(
-        *(_nodes(a, b, lv) for lv in range(_FIRST, max(level, _FIRST) + 1))))
-    keep = first <= level
-    return _as_value(np.sum(np.asarray(f(x[keep]), dtype=float) * dxdt[keep], axis=-1) / 2 ** level)
-
-
-def derivative(f, x, order=1, h0=0.1, levels=3):
-    """Central-difference derivative with Richardson extrapolation in h^2.
-
-    order=1 gives f', order=2 gives f''.  ``levels`` rows of the Richardson
-    table are built from steps h0, h0/2, ...; three levels of the three-point
-    second difference reproduce (and extend) the classical five-point stencil.
-    """
-    est = []
-    for i in range(levels):
-        h = h0 / 2 ** i
-        if order == 1:
-            est.append((f(x + h) - f(x - h)) / (2.0 * h))
-        else:
-            est.append((f(x + h) - 2.0 * f(x) + f(x - h)) / (h * h))
-    for j in range(1, levels):
-        fac = 4.0 ** j
-        est = [(fac * est[i + 1] - est[i]) / (fac - 1.0) for i in range(len(est) - 1)]
-    return est[0]
 
 
 def fd_spectrum(potential, x_min, x_max, n, e_max, tol=1e-3, richardson=True):

@@ -55,10 +55,16 @@ def wavefunction_grid(fam, l, m, xs):
     return out
 
 
-def _w_core(defm, x):
-    """W(x) and dW/dx at x of any shape, from psi and phi at s(x).
+def superpotential(defm, x):
+    """W(x), including the constant shift when the deformation carries delta."""
+    return potentials_and_w(defm, x)[2]
 
-    W = kappa (psi + phi)/2 + c, and dW/dx = sign * kappa * dW/ds.
+
+def potentials_and_w(defm, x):
+    """(V_upper, V_partner, W) at x of any shape from one evaluation of W and W'.
+
+    W = kappa (psi + phi)/2 + c and dW/dx = sign * kappa * dW/ds, from psi
+    and phi at s(x).
     """
     fam = defm.family
     cmap = fam.spec.coords
@@ -68,37 +74,13 @@ def _w_core(defm, x):
     sig, sp = fam.sigma(s), fam.sigma_prime(s)
     w = np.sqrt(sig) * (p + q) / 2.0 + float(defm.shift_constant)
     wp = cmap.sign * (sp * (p + q) / 4.0 + sig * (pp + qp) / 2.0)
-    return w, wp
-
-
-def superpotential(defm, x):
-    """W(x), including the constant shift when the deformation carries delta."""
-    return _w_core(defm, x)[0]
-
-
-def potentials_and_w(defm, x):
-    """(V_upper, V_partner, W) at x of any shape from one evaluation of W and W'."""
-    w, wp = _w_core(defm, x)
-    sign = defm.family.spec.coords.sign
     lam = defm.lambda_base
-    return w * w + sign * wp + lam, w * w - sign * wp + lam, w
+    return w * w + cmap.sign * wp + lam, w * w - cmap.sign * wp + lam, w
 
 
 def potentials(defm, x):
     """(V_upper, V_partner) at x of any shape: W^2 +/- sign*W' + the base eigenvalue."""
     return potentials_and_w(defm, x)[:2]
-
-
-def apply_B(defm, x, fv, which="B"):
-    """(+/- d/dx + W) in x-space on a DifferentiableValue."""
-    cmap = defm.family.spec.coords
-    cmap.require_inside(x)
-    w = superpotential(defm, x)
-    if which == "B":
-        return cmap.sign * fv.deriv + w * fv.value
-    if which == "B_plus":
-        return -cmap.sign * fv.deriv + w * fv.value
-    raise ValueError("which must be 'B' or 'B_plus'")
 
 
 def grid_frame(defm, xs, levels=()):

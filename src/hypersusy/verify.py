@@ -4,7 +4,8 @@ Every suite runs over the default test matrix: one parameter choice per
 family, orders m in {0, 1}, levels l <= 6 below the cutoff, gamma drawn
 from {inf} plus one value inside each admissible ray.  Suites return plain
 dicts (JSON-ready) with an "ok" flag and per-case residuals; they print
-nothing.
+nothing.  A NaN residual fails its check (`not r <= tol`) and makes the
+worst value NaN (np.maximum, which propagates it where max drops it).
 """
 
 from __future__ import annotations
@@ -82,11 +83,11 @@ def suite_algebra():
                 key = f"{fam.kind}[{'float' if float_mode else 'exact'}],m={m}"
                 details[key] = rep["max_residual"]
                 if float_mode:
-                    worst_float = max(worst_float, rep["max_residual"])
-                    if rep["max_residual"] > 1e-12:
+                    worst_float = float(np.maximum(worst_float, rep["max_residual"]))
+                    if not rep["max_residual"] <= 1e-12:
                         failures.append((fam.kind, m, "identities-float", rep["max_residual"]))
                 else:
-                    worst_exact = max(worst_exact, rep["max_residual"])
+                    worst_exact = float(np.maximum(worst_exact, rep["max_residual"]))
                     if rep["max_residual"] != 0.0:
                         failures.append((fam.kind, m, "identities-exact", rep["max_residual"]))
     return {
@@ -110,9 +111,9 @@ def suite_recurrence():
             for m in range(1, l + 1):
                 pts = families.sample_points(fam, 32, rng)
                 r = ladder.recurrence_residual(fam, l, m, pts)
-                worst = max(worst, r)
+                worst = float(np.maximum(worst, r))
                 details[f"{fam.kind},l={l},m={m}"] = r
-                if r > 1e-10:
+                if not r <= 1e-10:
                     failures.append((fam.kind, l, m, r))
     return {"ok": not failures, "max_residual": worst, "details": details, "failures": failures}
 
@@ -138,9 +139,9 @@ def suite_orthogonality():
             normalized = g / np.outer(d, d)
             off = np.abs(normalized - np.diag(np.diag(normalized)))
             r = float(np.max(off)) if off.size else 0.0
-            worst_gram = max(worst_gram, r)
+            worst_gram = float(np.maximum(worst_gram, r))
             details[f"gram:{fam.kind},m={m}"] = r
-            if r > 1e-8:
+            if not r <= 1e-8:
                 failures.append((fam.kind, m, "gram", r))
         for l in range(1, lmax + 1):
             for m in range(0, l):
@@ -149,8 +150,8 @@ def suite_orthogonality():
                     float(families.eigenvalue(fam, l)) - float(families.eigenvalue(fam, m))
                 ) * norms[(l, m)]
                 r = abs(lhs - rhs) / norms[(l, m)]
-                worst_ratio = max(worst_ratio, r)
-                if r > 1e-7:
+                worst_ratio = float(np.maximum(worst_ratio, r))
+                if not r <= 1e-7:
                     failures.append((fam.kind, l, m, "norm-ratio", r))
         details[f"norm-ratio:{fam.kind}"] = worst_ratio
     return {
@@ -174,10 +175,10 @@ def suite_riccati():
                 defm = riccati.make_deformation(fam, m, gamma)
                 pts = families.sample_points(fam, 64)
                 r = riccati.riccati_residual(defm, pts)
-                worst = max(worst, r)
+                worst = float(np.maximum(worst, r))
                 tag = "inf" if gamma == math.inf else f"{gamma:.4g}"
                 details[f"{fam.kind},m={m},gamma={tag}"] = r
-                if r > 1e-9:
+                if not r <= 1e-9:
                     failures.append((fam.kind, m, tag, r))
     return {"ok": not failures, "max_residual": worst, "details": details, "failures": failures}
 
@@ -225,12 +226,12 @@ def suite_catalog():
         for gamma in gammas:
             defm = riccati.make_deformation(fam, m, gamma, delta)
             rep = catalog.compare_with_generic(entry_id, defm, far_xs if gamma == math.inf else xs)
-            dev = max(rep["max_dev_V"], rep["max_dev_W"])
-            worst = max(worst, dev)
+            dev = float(np.maximum(rep["max_dev_V"], rep["max_dev_W"]))
+            worst = float(np.maximum(worst, dev))
             tag = "inf" if gamma == math.inf else f"{gamma:.3g}"
             details[f"entry{entry_id},m={m},gamma={tag}"] = dev
             flags.extend(rep["flags"])
-            if dev > catalog.TOL:
+            if not dev <= catalog.TOL:
                 failures.append((entry_id, m, tag, dev))
     return {
         "ok": not failures,

@@ -179,6 +179,55 @@ def test_derive_config_accepts_whole_numbers(tmp_path):
     assert json.loads((tmp_path / "m.json").read_text())["levels"] == [2, 3]
 
 
+@pytest.mark.parametrize("levels", ["3:1", "1,1", "1,2,1"])
+def test_derive_rejects_reversed_or_repeated_levels(levels, tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    code = main(["derive", "--kind", "const", "--alpha", "-2", "--beta", "0", "--levels", levels,
+                 "--x-min", "-1", "--x-max", "1", "--out", str(out), "--meta", str(tmp_path / "m")])
+    assert code == 2
+    assert "setting 'levels'" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("levels", ["3:1", "2,2", [1, 1], [2, 1, 2.0]])
+def test_derive_config_rejects_reversed_or_repeated_levels(levels, tmp_path, capsys):
+    cfg = _config_job(tmp_path, levels=levels)
+    assert main(["derive", "--config", str(cfg)]) == 2
+    assert "setting 'levels'" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
+@pytest.mark.parametrize("name, value, code", [("n", "1e3", 0), ("m", "1.0", 0), ("m", "1.5", 2)])
+def test_derive_flag_and_config_read_a_setting_alike(name, value, code, tmp_path, capsys):
+    outcomes = []
+    for how in ("flag", "config"):
+        run = tmp_path / how
+        run.mkdir()
+        argv = ["--kind", "const", "--alpha", "-2", "--beta", "0", "--x-min", "-1", "--x-max", "1",
+                "--out", str(run / "a.csv")]
+        if how == "flag":
+            argv = ["derive", *argv, f"--{name}", value]
+        else:
+            (tmp_path / "job.json").write_text(json.dumps({name: value}))
+            argv = ["derive", "--config", str(tmp_path / "job.json"), *argv]
+        rc = main(argv)
+        files = {p.name: p.read_text() for p in run.iterdir()}
+        outcomes.append((rc, capsys.readouterr().err, files))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][0] == code
+    if name == "n" and code == 0:
+        assert len(outcomes[0][2]["a.csv"].splitlines()) == 1001
+
+
+def test_derive_non_finite_delta_exit_2_writes_nothing(tmp_path, capsys):
+    out = tmp_path / "g.csv"
+    code = main(["derive", "--kind", "linear", "--alpha", "0", "--beta", "2", "--x-min", "0.1",
+                 "--x-max", "5", "--delta", "nan", "--out", str(out)])
+    assert code == 2
+    assert "delta" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("text", ["[1, 2]", '{"kind": "const", "grid": 5}'])
 def test_derive_config_must_be_an_object(text, tmp_path, capsys):
     cfg = tmp_path / "job.json"

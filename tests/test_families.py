@@ -15,7 +15,7 @@ from hypersusy.errors import (
     OutOfDomain,
     ParameterViolation,
 )
-from hypersusy.numerics import derivative
+from oracles import derivative
 
 MATRIX = (
     ("const", -2, 0),
@@ -209,6 +209,15 @@ def test_shifted_eigenvalue():
     assert families.shifted_eigenvalue(f, 1, 0) == families.eigenvalue(f, 1)
     g = families.make_family("one_minus_s2", -4, 0)
     assert abs(float(families.shifted_eigenvalue(g, 1, 1)) - 3.96) < 1e-12
+
+
+@pytest.mark.parametrize("delta", [math.nan, math.inf, -math.inf])
+def test_non_finite_delta_is_rejected(delta):
+    f = families.make_family("linear", 0, 2)
+    with pytest.raises(ParameterViolation, match="delta"):
+        families.shift_constant(f, 0, delta)
+    with pytest.raises(ParameterViolation, match="delta"):
+        riccati.make_deformation(f, 0, math.inf, delta)
 
 
 def test_shifted_eigenvalue_errors():

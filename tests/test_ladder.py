@@ -1,4 +1,5 @@
 import functools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -12,13 +13,13 @@ from hypersusy.ladder import (
     KappaForm,
     apply_hamiltonian,
     check_identities,
-    check_shifted_factorization,
     lower_order,
     make_context,
     raise_order,
     recurrence_residual,
 )
 from hypersusy.polynomials import AssociatedFunction, Poly, associated_function, poly_eigenfunction
+from oracles import check_shifted_factorization
 
 MATRIX = (
     ("const", -2, 0),
@@ -211,6 +212,13 @@ def test_identities_float_mode():
                 continue
             rep = check_identities(make_context(fam, m), lmax_for(fam))
             assert rep["max_residual"] <= 1e-12
+
+
+def test_a_nan_residual_reaches_max_residual():
+    # (alpha, beta) = (-1e155, 1e155) overflows the float lane: intertwine_h is NaN on every level
+    rep = check_identities(make_context(families.make_family("s2_minus_one", -1e155, 1e155), 0), 4)
+    assert rep["intertwine_h"] and all(math.isnan(r) for r in rep["intertwine_h"].values())
+    assert math.isnan(rep["max_residual"])
 
 
 def test_identities_report_shape():

@@ -15,7 +15,7 @@ from hypersusy.errors import (
     QuadratureFailure,
     RecurrenceBreakdown,
 )
-from hypersusy.numerics import derivative, quad
+from hypersusy.numerics import quad
 from hypersusy.polynomials import (
     Poly,
     associated_function,
@@ -25,6 +25,7 @@ from hypersusy.polynomials import (
     poly_divmod,
     poly_eigenfunction,
 )
+from oracles import derivative
 
 MATRIX = (
     ("const", -2, 0),

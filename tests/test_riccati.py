@@ -6,8 +6,9 @@ import pytest
 
 from hypersusy import families, ladder, riccati, schrodinger
 from hypersusy.errors import CutoffExceeded, InadmissibleGamma, NonFinite, OutOfDomain
-from hypersusy.numerics import derivative, quad
+from hypersusy.numerics import quad
 from hypersusy.polynomials import associated_function
+from oracles import derivative
 
 MATRIX = (
     ("const", -2, 0),

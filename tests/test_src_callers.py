@@ -1,0 +1,48 @@
+"""src/ holds what runs: every module-level function and class of the package
+is referenced somewhere in src/ outside its own definition, or exported from
+hypersusy/__init__.  Test-only references live in tests/oracles.py."""
+
+import ast
+from pathlib import Path
+
+import hypersusy
+
+SRC = Path(hypersusy.__file__).parent
+
+# defined in src/ with no caller there, each for its reason
+ALLOWED = {
+    "polynomials.ode_residual": "perfbench/checks.py reads it; it moves with the benchmark refresh",
+    "riccati.partner_eigenfunction": "public in the README; the partner's Gram-matrix check "
+                                     "is to call it",
+    "ladder.apply_hamiltonian": "a public ladder map in the README, next to raise_order and "
+                                "lower_order; test_ladder calls it",
+}
+
+
+def _identifiers(node):
+    """Every name and attribute referenced under node."""
+    return {n.id if isinstance(n, ast.Name) else n.attr
+            for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))}
+
+
+def uncalled_definitions():
+    """module.name of each top-level def or class that src/ never references elsewhere."""
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    exported = {alias.name for node in trees["__init__"].body
+                if isinstance(node, ast.ImportFrom) and node.module for alias in node.names}
+    # (module, index of the top-level statement) -> identifiers it references
+    refs = {(mod, i): _identifiers(stmt)
+            for mod, tree in trees.items() for i, stmt in enumerate(tree.body)}
+    dead = set()
+    for mod, tree in trees.items():
+        for i, stmt in enumerate(tree.body):
+            if not isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            used = any(stmt.name in ids for key, ids in refs.items() if key != (mod, i))
+            if not used and stmt.name not in exported:
+                dead.add(f"{mod}.{stmt.name}")
+    return dead
+
+
+def test_every_src_definition_has_a_caller_in_src():
+    assert uncalled_definitions() == set(ALLOWED)

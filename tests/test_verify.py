@@ -1,3 +1,6 @@
+import math
+
+import numpy as np
 import pytest
 
 from hypersusy import families, verify
@@ -104,3 +107,35 @@ def test_run_suite_reports_a_package_error_as_a_failed_suite(monkeypatch):
     out = verify.run_suite("riccati")
     assert out["ok"] is False and out["suite"] == "riccati"
     assert out["error"] == "NoConvergence: quadrature gave up"
+
+
+# Each suite with one residual source made NaN: the suite fails and its worst
+# value is NaN, where max(0.0, nan) == 0.0 and nan > tol would let it pass.
+NAN_SOURCES = {
+    "algebra": (verify.ladder, "check_identities", lambda real: lambda ctx, lmax: {
+        **real(ctx, lmax), "max_residual": math.nan},
+        verify.suite_algebra, ("max_residual_exact", "max_residual_float"),
+        ("identities-exact", "identities-float")),
+    "recurrence": (verify.ladder, "recurrence_residual", lambda real: lambda *a: math.nan,
+                   verify.suite_recurrence, ("max_residual",), ()),
+    "orthogonality": (verify, "gram_matrix", lambda real: lambda fam, m, lmax: np.full(
+        (lmax - m + 1,) * 2, math.nan), verify.suite_orthogonality, ("max_gram", "max_ratio"),
+        ("gram", "norm-ratio")),
+    "riccati": (verify.riccati, "riccati_residual", lambda real: lambda *a: math.nan,
+                verify.suite_riccati, ("max_residual",), ()),
+    # the V deviation stays finite: max(finite, nan) would drop the NaN W
+    "catalog": (verify.catalog, "compare_with_generic", lambda real: lambda *a: {
+        **real(*a), "max_dev_W": math.nan}, verify.suite_catalog, ("max_deviation",), ()),
+}
+
+
+@pytest.mark.parametrize("source", sorted(NAN_SOURCES))
+def test_a_nan_residual_fails_its_suite(monkeypatch, source):
+    module, name, fake, suite, worst_keys, kinds = NAN_SOURCES[source]
+    monkeypatch.setattr(module, name, fake(getattr(module, name)))
+    rep = suite()
+    assert rep["ok"] is False and rep["failures"]
+    for key in worst_keys:
+        assert math.isnan(rep[key]), key
+    for kind in kinds:
+        assert any(kind in f for f in rep["failures"]), kind
