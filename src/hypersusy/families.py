@@ -162,6 +162,14 @@ def _is_exact(x):
     return isinstance(x, (int, Fraction)) and not isinstance(x, bool)
 
 
+def _finite(x):
+    """math.isfinite, with a number whose float overflows counted as non-finite."""
+    try:
+        return math.isfinite(x)
+    except OverflowError:
+        return False
+
+
 def json_number(v):
     """A number for JSON: ints, other Fractions as "p/q", +-inf as "inf"/"-inf", else floats."""
     if isinstance(v, Fraction):
@@ -279,7 +287,7 @@ class Family:
 def _check_constraints(kind, alpha, beta):
     if kind not in SPECS:
         raise ParameterViolation(f"unknown kind {kind!r}; expected one of {KINDS}")
-    if not (math.isfinite(alpha) and math.isfinite(beta)):
+    if not (_finite(alpha) and _finite(beta)):
         raise ParameterViolation(f"alpha and beta must be finite, got alpha={alpha}, beta={beta}")
     spec = SPECS[kind]
     if not spec.admits(alpha, beta):
@@ -418,12 +426,13 @@ def _shift_denominator(fam, m):
 
 
 def shift_constant(fam, m, delta):
-    """c = delta / (2m + 2k + 1); exact when the family and delta are, else a finite float."""
+    """c = delta / (2m + 2k + 1), exact when the family and delta are; c*c finite as a float."""
     den = _shift_denominator(fam, m)
     if fam.exact and _is_exact(delta):
-        return Fraction(delta) / den
-    c = float(delta) / float(den)
-    if not math.isfinite(c):
+        c = Fraction(delta) / den
+    else:
+        c = float(delta) / float(den) if _finite(delta) else math.nan
+    if not (_finite(c) and _finite(c * c)):
         raise ParameterViolation(f"delta must give a finite shift constant, got delta={delta}")
     return c
 

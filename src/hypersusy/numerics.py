@@ -244,7 +244,7 @@ class SpectralReport:
     def max_residual(self):
         if not self.matched:
             return math.inf
-        return max(m["residual"] for m in self.matched)
+        return float(np.max([m["residual"] for m in self.matched]))
 
     def to_json(self):
         return {

@@ -4,8 +4,8 @@ Every suite runs over the default test matrix: one parameter choice per
 family, orders m in {0, 1}, levels l <= 6 below the cutoff, gamma drawn
 from {inf} plus one value inside each admissible ray.  Suites return plain
 dicts (JSON-ready) with an "ok" flag and per-case residuals; they print
-nothing.  A NaN residual fails its check (`not r <= tol`) and makes the
-worst value NaN (np.maximum, which propagates it where max drops it).
+nothing.  Every verdict is `not r <= tol` against a named tolerance, so a
+NaN residual fails, and worst values propagate it (np.maximum, not max).
 """
 
 from __future__ import annotations
@@ -42,6 +42,40 @@ FLOAT_MATRIX = (
     (families.S2_PLUS_ONE, -4.1, 0.7),
 )
 
+# A residual r passes its check iff r <= tol.
+EXACT_TOL = 0.0          # exact-lane ladder identities
+FLOAT_TOL = 1e-12        # float-lane ladder identities
+RECURRENCE_TOL = 1e-10   # three-term order recurrence
+GRAM_TOL = 1e-8          # normalized Gram off-diagonals
+NORM_RATIO_TOL = 1e-7    # norm-ratio identity between orders
+RICCATI_TOL = 1e-9       # Riccati residual
+CATALOG_TOL = 1e-10      # |catalog - generic| for V, W and lambda
+
+
+def _fails(r, tol):
+    return not r <= tol
+
+
+class _Check:
+    """One check: its worst value, the worst per detail key, failing cases."""
+
+    def __init__(self, tol):
+        self.tol, self.worst, self.details, self.failures = tol, 0.0, {}, []
+
+    def add(self, key, r, *case):
+        self.worst = float(np.maximum(self.worst, r))
+        self.details[key] = float(np.maximum(self.details.get(key, 0.0), r))
+        if _fails(r, self.tol):
+            self.failures.append((*case, r))
+
+
+def _report(**checks):
+    """A suite part: each check's worst under its name, and the tolerance behind it."""
+    failures = [f for c in checks.values() for f in c.failures]
+    return {"ok": not failures, **{name: c.worst for name, c in checks.items()},
+            "details": {k: r for c in checks.values() for k, r in c.details.items()},
+            "failures": failures, "tol": {name: c.tol for name, c in checks.items()}}
+
 
 def _matrix_families(float_mode=False):
     rows = FLOAT_MATRIX if float_mode else TEST_MATRIX
@@ -59,74 +93,50 @@ def _orders(fam, want=(0, 1)):
 
 def _finite_gammas(fam, m):
     rays = riccati.gamma_rays(fam, m)
-    out = []
-    if math.isfinite(rays.right_start):
-        out.append(rays.right_start + 1.0)
-    if math.isfinite(rays.left_end):
-        out.append(rays.left_end - 1.0)
-    return out
+    return [g for g in (rays.right_start + 1.0, rays.left_end - 1.0) if math.isfinite(g)]
 
 
 def suite_algebra():
     """Factorization/intertwining identities plus the order recurrence.
 
-    Exact rows must reach 0; float rows may reach 1e-12.
+    Exact rows must reach EXACT_TOL; float rows may reach FLOAT_TOL.
     """
-    failures, details = [], {}
-    worst_exact, worst_float = 0.0, 0.0
-    for float_mode in (False, True):
-        for fam in _matrix_families(float_mode):
+    checks = {"exact": _Check(EXACT_TOL), "float": _Check(FLOAT_TOL)}
+    for lane in ("exact", "float"):
+        for fam in _matrix_families(lane == "float"):
             lmax = _lmax(fam)
             for m in _orders(fam):
                 ctx = ladder.make_context(fam, m)
                 rep = ladder.check_identities(ctx, lmax)
-                key = f"{fam.kind}[{'float' if float_mode else 'exact'}],m={m}"
-                details[key] = rep["max_residual"]
-                if float_mode:
-                    worst_float = float(np.maximum(worst_float, rep["max_residual"]))
-                    if not rep["max_residual"] <= 1e-12:
-                        failures.append((fam.kind, m, "identities-float", rep["max_residual"]))
-                else:
-                    worst_exact = float(np.maximum(worst_exact, rep["max_residual"]))
-                    if rep["max_residual"] != 0.0:
-                        failures.append((fam.kind, m, "identities-exact", rep["max_residual"]))
-    return {
-        "ok": not failures,
-        "max_residual_exact": worst_exact,
-        "max_residual_float": worst_float,
-        "details": details,
-        "failures": failures,
-    }
+                checks[lane].add(f"{fam.kind}[{lane}],m={m}", rep["max_residual"],
+                                 fam.kind, m, f"identities-{lane}")
+    return _report(max_residual_exact=checks["exact"], max_residual_float=checks["float"])
 
 
 def suite_recurrence():
-    """Three-term order recurrence (interior and boundary forms), to 1e-10
-    at 32 seeded random points per case."""
+    """Three-term order recurrence (interior and boundary forms), to
+    RECURRENCE_TOL at 32 seeded random points per case."""
     rng = np.random.default_rng(7)
-    failures, details = [], {}
-    worst = 0.0
+    check = _Check(RECURRENCE_TOL)
     for fam in _matrix_families():
         lmax = _lmax(fam)
         for l in range(1, lmax + 1):
             for m in range(1, l + 1):
                 pts = families.sample_points(fam, 32, rng)
                 r = ladder.recurrence_residual(fam, l, m, pts)
-                worst = float(np.maximum(worst, r))
-                details[f"{fam.kind},l={l},m={m}"] = r
-                if not r <= 1e-10:
-                    failures.append((fam.kind, l, m, r))
-    return {"ok": not failures, "max_residual": worst, "details": details, "failures": failures}
+                check.add(f"{fam.kind},l={l},m={m}", r, fam.kind, l, m)
+    return _report(max_residual=check)
 
 
 def suite_orthogonality():
     """Gram off-diagonals and the norm-ratio identity.
 
     One Gram matrix per (family, m), m = 0..lmax; the norms are read off
-    their diagonals, and the normalized off-diagonals are checked to 1e-8
-    for m <= 3.  The norm ratios must hold to 1e-7.
+    their diagonals, and the normalized off-diagonals are checked to
+    GRAM_TOL for m <= 3.  The norm ratios, one detail per family, must hold
+    to NORM_RATIO_TOL.
     """
-    failures, details = [], {}
-    worst_gram, worst_ratio = 0.0, 0.0
+    gram, ratio = _Check(GRAM_TOL), _Check(NORM_RATIO_TOL)
     for fam in _matrix_families():
         lmax = _lmax(fam)
         norms = {}
@@ -139,48 +149,28 @@ def suite_orthogonality():
             normalized = g / np.outer(d, d)
             off = np.abs(normalized - np.diag(np.diag(normalized)))
             r = float(np.max(off)) if off.size else 0.0
-            worst_gram = float(np.maximum(worst_gram, r))
-            details[f"gram:{fam.kind},m={m}"] = r
-            if not r <= 1e-8:
-                failures.append((fam.kind, m, "gram", r))
+            gram.add(f"gram:{fam.kind},m={m}", r, fam.kind, m, "gram")
         for l in range(1, lmax + 1):
             for m in range(0, l):
-                lhs = norms[(l, m + 1)]
-                rhs = math.sqrt(
-                    float(families.eigenvalue(fam, l)) - float(families.eigenvalue(fam, m))
-                ) * norms[(l, m)]
-                r = abs(lhs - rhs) / norms[(l, m)]
-                worst_ratio = float(np.maximum(worst_ratio, r))
-                if not r <= 1e-7:
-                    failures.append((fam.kind, l, m, "norm-ratio", r))
-        details[f"norm-ratio:{fam.kind}"] = worst_ratio
-    return {
-        "ok": not failures,
-        "max_gram": worst_gram,
-        "max_ratio": worst_ratio,
-        "details": details,
-        "failures": failures,
-    }
+                gap = float(families.eigenvalue(fam, l)) - float(families.eigenvalue(fam, m))
+                r = abs(norms[(l, m + 1)] - math.sqrt(gap) * norms[(l, m)]) / norms[(l, m)]
+                ratio.add(f"norm-ratio:{fam.kind}", r, fam.kind, l, m, "norm-ratio")
+    return _report(max_gram=gram, max_ratio=ratio)
 
 
 def suite_riccati():
-    """Riccati residuals, to 1e-9 at 64 points, for gamma = inf and one value
-    in each finite ray."""
-    failures, details = [], {}
-    worst = 0.0
+    """Riccati residuals, to RICCATI_TOL at 64 points, for gamma = inf and
+    one value in each finite ray."""
+    check = _Check(RICCATI_TOL)
     for fam in _matrix_families():
         for m in _orders(fam, want=(0, 1, 2)):
-            gammas = [math.inf] + _finite_gammas(fam, m)
-            for gamma in gammas:
+            for gamma in [math.inf] + _finite_gammas(fam, m):
                 defm = riccati.make_deformation(fam, m, gamma)
                 pts = families.sample_points(fam, 64)
                 r = riccati.riccati_residual(defm, pts)
-                worst = float(np.maximum(worst, r))
                 tag = "inf" if gamma == math.inf else f"{gamma:.4g}"
-                details[f"{fam.kind},m={m},gamma={tag}"] = r
-                if not r <= 1e-9:
-                    failures.append((fam.kind, m, tag, r))
-    return {"ok": not failures, "max_residual": worst, "details": details, "failures": failures}
+                check.add(f"{fam.kind},m={m},gamma={tag}", r, fam.kind, m, tag)
+    return _report(max_residual=check)
 
 
 # Catalog fixtures: (entry, alpha, beta, m, gamma_mode, delta)
@@ -210,13 +200,12 @@ _FAR_FIELD = (200.0, 350.0)
 
 
 def suite_catalog():
-    """Generic pipeline against the ten printed closed forms, to catalog.TOL.
+    """Generic pipeline against the ten printed closed forms, to CATALOG_TOL.
 
     Each fixture builds one family, so a finite gamma's rays are computed
     once and shared by the deformation that is compared.
     """
-    failures, flags, details = [], [], {}
-    worst = 0.0
+    check = _Check(CATALOG_TOL)
     for entry_id, alpha, beta, m, gmode, delta in _CATALOG_FIXTURES:
         kind = catalog.entry(entry_id).kind
         fam = families.make_family(kind, alpha, beta)
@@ -226,20 +215,10 @@ def suite_catalog():
         for gamma in gammas:
             defm = riccati.make_deformation(fam, m, gamma, delta)
             rep = catalog.compare_with_generic(entry_id, defm, far_xs if gamma == math.inf else xs)
-            dev = float(np.maximum(rep["max_dev_V"], rep["max_dev_W"]))
-            worst = float(np.maximum(worst, dev))
+            dev = float(np.max([rep["max_dev_V"], rep["max_dev_W"], rep["max_dev_lambda"]]))
             tag = "inf" if gamma == math.inf else f"{gamma:.3g}"
-            details[f"entry{entry_id},m={m},gamma={tag}"] = dev
-            flags.extend(rep["flags"])
-            if not dev <= catalog.TOL:
-                failures.append((entry_id, m, tag, dev))
-    return {
-        "ok": not failures,
-        "max_deviation": worst,
-        "details": details,
-        "flags": flags,
-        "failures": failures,
-    }
+            check.add(f"entry{entry_id},m={m},gamma={tag}", dev, entry_id, m, tag)
+    return _report(max_deviation=check)
 
 
 # Spectrum fixtures, explicit grids per case: (name, (kind, alpha, beta),
@@ -264,16 +243,16 @@ _SPECTRUM_FIXTURES = (
 
 
 def suite_spectrum():
-    """FD-oracle reproduction of the closed-form spectra."""
+    """FD-oracle reproduction of the closed-form spectra, to each fixture's tol."""
     reports, failures = {}, []
     for name, params, gamma, delta, which, levels, lo, hi, n, tol, present in _SPECTRUM_FIXTURES:
         defm = riccati.make_deformation(families.make_family(*params), 0, gamma, delta)
         rep = verify_spectrum(defm, which, levels, lo, hi, n, tol=tol)
-        reports[name] = rep.to_json()
+        reports[name] = {**rep.to_json(), "tol": tol}
         if not present:
             if rep.matched or sorted(rep.missing) != sorted(rep.targets):
                 failures.append((name, "non-normalizable levels were matched"))
-        elif not rep.ok or rep.max_residual > tol:
+        elif not rep.ok or _fails(rep.max_residual, tol):
             failures.append((name, rep.max_residual))
     return {"ok": not failures, "reports": reports, "failures": failures}
 

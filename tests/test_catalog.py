@@ -48,9 +48,9 @@ def test_generic_matches_catalog_undeformed(entry_id, alpha, beta, m, delta):
     kind = entry(entry_id).kind
     defm = riccati.make_deformation(families.make_family(kind, alpha, beta), m, math.inf, delta)
     rep = compare_with_generic(entry_id, defm, GRID[kind])
-    assert rep["flags"] == []
     assert rep["max_dev_V"] <= 1e-10
     assert rep["max_dev_W"] <= 1e-10
+    assert rep["max_dev_lambda"] <= 1e-10
 
 
 @pytest.mark.parametrize(
@@ -63,9 +63,9 @@ def test_generic_matches_catalog_deformed(entry_id, alpha, beta, m):
     rays = riccati.gamma_rays(fam, m)
     gamma = rays.right_start + 1.0 if math.isfinite(rays.right_start) else rays.left_end - 1.0
     rep = compare_with_generic(entry_id, riccati.make_deformation(fam, m, gamma), GRID[kind])
-    assert rep["flags"] == []
     assert rep["max_dev_V"] <= 1e-10
     assert rep["max_dev_W"] <= 1e-10
+    assert rep["max_dev_lambda"] <= 1e-10
 
 
 # past x = 177 the square of a quadratic sigma overflows, sigma itself does not
@@ -75,9 +75,9 @@ def test_generic_matches_catalog_in_the_far_field(entry_id, alpha, beta, m, gmod
     kind = entry(entry_id).kind
     defm = riccati.make_deformation(families.make_family(kind, alpha, beta), m, math.inf, delta)
     rep = compare_with_generic(entry_id, defm, np.array([200.0, 350.0]))
-    assert rep["flags"] == []
     assert rep["max_dev_V"] <= 1e-10
     assert rep["max_dev_W"] <= 1e-10
+    assert rep["max_dev_lambda"] <= 1e-10
 
 
 def test_catalog_suite_adds_far_field_points_at_gamma_inf(monkeypatch):

@@ -228,6 +228,25 @@ def test_derive_non_finite_delta_exit_2_writes_nothing(tmp_path, capsys):
     assert not out.exists()
 
 
+_BIG = "1" + "0" * 400  # a 401-digit integer: its float overflows
+
+
+@pytest.mark.parametrize("params", [
+    ["--alpha", _BIG, "--beta", "2"],
+    ["--alpha", "0", "--beta", _BIG],
+    ["--alpha", "0", "--beta", "2", "--delta", _BIG],
+    ["--alpha", "0.0", "--beta", "2.0", "--delta", _BIG],
+    ["--alpha", "0", "--beta", "2", "--delta", "1e308"],  # c is finite, c*c is not
+], ids=["alpha", "beta", "delta", "float-family-delta", "delta-1e308"])
+def test_derive_number_too_large_for_a_float_exit_2_writes_nothing(params, tmp_path, capsys):
+    out = tmp_path / "g.csv"
+    code = main(["derive", "--kind", "linear", *params, "--x-min", "0.1", "--x-max", "5",
+                 "--out", str(out)])
+    assert code == 2
+    assert "finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("text", ["[1, 2]", '{"kind": "const", "grid": 5}'])
 def test_derive_config_must_be_an_object(text, tmp_path, capsys):
     cfg = tmp_path / "job.json"

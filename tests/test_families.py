@@ -15,19 +15,11 @@ from hypersusy.errors import (
     OutOfDomain,
     ParameterViolation,
 )
+from hypersusy.verify import TEST_MATRIX
 from oracles import derivative
 
-MATRIX = (
-    ("const", -2, 0),
-    ("linear", -1, 1),
-    ("one_minus_s2", -4, 1),
-    ("s2_minus_one", -8, 10),
-    ("s2", -3, 2),
-    ("s2_plus_one", -4, 1),
-)
 
-
-@pytest.fixture(params=MATRIX, ids=[m[0] for m in MATRIX])
+@pytest.fixture(params=TEST_MATRIX, ids=[m[0] for m in TEST_MATRIX])
 def fam(request):
     kind, a, b = request.param
     return families.make_family(kind, a, b)
@@ -211,13 +203,22 @@ def test_shifted_eigenvalue():
     assert abs(float(families.shifted_eigenvalue(g, 1, 1)) - 3.96) < 1e-12
 
 
-@pytest.mark.parametrize("delta", [math.nan, math.inf, -math.inf])
+BIG = 10 ** 400  # a 401-digit integer: its float overflows
+
+
+@pytest.mark.parametrize("delta", [
+    math.nan, math.inf, -math.inf,
+    pytest.param(BIG, id="big"), pytest.param(-BIG, id="minus-big"),
+    pytest.param(Fraction(BIG, 3), id="big-fraction"),
+    # c is finite, c*c is not
+    pytest.param(10 ** 200, id="big-square"), pytest.param(1e200, id="big-float-square"),
+])
 def test_non_finite_delta_is_rejected(delta):
-    f = families.make_family("linear", 0, 2)
-    with pytest.raises(ParameterViolation, match="delta"):
-        families.shift_constant(f, 0, delta)
-    with pytest.raises(ParameterViolation, match="delta"):
-        riccati.make_deformation(f, 0, math.inf, delta)
+    for f in (families.make_family("linear", 0, 2), families.make_family("linear", 0.0, 2.0)):
+        with pytest.raises(ParameterViolation, match="delta"):
+            families.shift_constant(f, 0, delta)
+        with pytest.raises(ParameterViolation, match="delta"):
+            riccati.make_deformation(f, 0, math.inf, delta)
 
 
 def test_shifted_eigenvalue_errors():
@@ -306,7 +307,11 @@ def test_peak_out_of_float_range_rejected(kind, a, b):
         families.make_family(kind, a, b)
 
 
-@pytest.mark.parametrize("a,b", [(-math.inf, 1), (-1, math.inf), (math.nan, 1)])
+@pytest.mark.parametrize("a,b", [
+    (-math.inf, 1), (-1, math.inf), (math.nan, 1),
+    pytest.param(BIG, 2, id="big-alpha"), pytest.param(-BIG, 2, id="minus-big-alpha"),
+    pytest.param(0, BIG, id="big-beta"), pytest.param(0, Fraction(BIG, 7), id="big-fraction-beta"),
+])
 def test_non_finite_parameters_rejected(a, b):
     with pytest.raises(ParameterViolation):
         families.make_family("linear", a, b)

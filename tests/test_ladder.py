@@ -19,29 +19,12 @@ from hypersusy.ladder import (
     recurrence_residual,
 )
 from hypersusy.polynomials import AssociatedFunction, Poly, associated_function, poly_eigenfunction
+from hypersusy.verify import FLOAT_MATRIX, TEST_MATRIX
 from oracles import check_shifted_factorization
-
-MATRIX = (
-    ("const", -2, 0),
-    ("linear", -1, 1),
-    ("one_minus_s2", -4, 1),
-    ("s2_minus_one", -8, 10),
-    ("s2", -3, 2),
-    ("s2_plus_one", -4, 1),
-)
-
-FLOAT_MATRIX = (
-    ("const", -2.2, 0.3),
-    ("linear", -1.1, 1.2),
-    ("one_minus_s2", -4.3, 0.9),
-    ("s2_minus_one", -7.7, 10.1),
-    ("s2", -3.1, 2.2),
-    ("s2_plus_one", -4.1, 0.7),
-)
 
 
 def matrix_families(float_mode=False):
-    rows = FLOAT_MATRIX if float_mode else MATRIX
+    rows = FLOAT_MATRIX if float_mode else TEST_MATRIX
     return [families.make_family(k, a, b) for k, a, b in rows]
 
 

@@ -25,20 +25,12 @@ from hypersusy.polynomials import (
     poly_divmod,
     poly_eigenfunction,
 )
+from hypersusy.verify import TEST_MATRIX
 from oracles import derivative
-
-MATRIX = (
-    ("const", -2, 0),
-    ("linear", -1, 1),
-    ("one_minus_s2", -4, 1),
-    ("s2_minus_one", -8, 10),
-    ("s2", -3, 2),
-    ("s2_plus_one", -4, 1),
-)
 
 
 def matrix_families():
-    return [families.make_family(k, a, b) for k, a, b in MATRIX]
+    return [families.make_family(k, a, b) for k, a, b in TEST_MATRIX]
 
 
 def lmax_for(fam, cap=6):
@@ -159,7 +151,7 @@ def test_exact_poly_matches_fraction_reference(a, b, c):
 
 
 @settings(max_examples=100, deadline=None)
-@given(a=coeff_lists, kind=st.sampled_from([k for k, _, _ in MATRIX]))
+@given(a=coeff_lists, kind=st.sampled_from([k for k, _, _ in TEST_MATRIX]))
 def test_exact_divmod_by_sigma_matches_reference(a, kind):
     fam = next(f for f in matrix_families() if f.kind == kind)
     sig = Poly(fam.sigma_coeffs)
@@ -321,7 +313,7 @@ def top_level(fam, cap=30):
     return max(l for l in range(cap + 1) if families.below_cutoff(fam, l))
 
 
-@pytest.mark.parametrize("kind, alpha, beta", MATRIX)
+@pytest.mark.parametrize("kind, alpha, beta", TEST_MATRIX)
 def test_exact_recurrence_matches_fraction_reference(kind, alpha, beta):
     fam = families.make_family(kind, alpha, beta)
     for level in range(top_level(fam) + 1):
@@ -624,7 +616,7 @@ def test_orthogonality_suite_makes_one_pass_per_order(monkeypatch):
     assert expected == 31 and len(calls) == expected
 
 
-@pytest.mark.parametrize("kind, alpha, beta", MATRIX)
+@pytest.mark.parametrize("kind, alpha, beta", TEST_MATRIX)
 def test_gram_matrix_matches_pairwise_references(kind, alpha, beta):
     fam = families.make_family(kind, alpha, beta)
     lmax = lmax_for(fam)

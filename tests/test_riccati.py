@@ -8,22 +8,15 @@ from hypersusy import families, ladder, riccati, schrodinger
 from hypersusy.errors import CutoffExceeded, InadmissibleGamma, NonFinite, OutOfDomain
 from hypersusy.numerics import quad
 from hypersusy.polynomials import associated_function
+from hypersusy.verify import TEST_MATRIX
 from oracles import derivative
 
-MATRIX = (
-    ("const", -2, 0),
-    ("linear", -1, 1),
-    ("one_minus_s2", -4, 1),
-    ("s2_minus_one", -8, 10),
-    ("s2", -3, 2),
-    ("s2_plus_one", -4, 1),
-)
 
 SQRT_PI_2 = math.sqrt(math.pi) / 2.0
 
 
 def matrix_families():
-    return [families.make_family(k, a, b) for k, a, b in MATRIX]
+    return [families.make_family(k, a, b) for k, a, b in TEST_MATRIX]
 
 
 def finite_gammas(fam, m):
@@ -135,7 +128,7 @@ def finite_edges(rays):
     return math.isfinite(rays.right_start) + math.isfinite(rays.left_end)
 
 
-@pytest.mark.parametrize("kind,a,b", MATRIX)
+@pytest.mark.parametrize("kind,a,b", TEST_MATRIX)
 def test_gamma_rays_are_computed_once_per_family_instance_and_order(monkeypatch, kind, a, b):
     calls = count_endpoint_quads(monkeypatch)
     fam = families.make_family(kind, a, b)

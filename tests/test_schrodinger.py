@@ -9,16 +9,9 @@ from hypersusy import families, riccati, schrodinger, verify
 from hypersusy.errors import NonFinite, OutOfDomain
 from hypersusy.numerics import quad
 from hypersusy.polynomials import DifferentiableValue, associated_function
+from hypersusy.verify import TEST_MATRIX
 from oracles import apply_B, derivative
 
-MATRIX = (
-    ("const", -2, 0),
-    ("linear", -1, 1),
-    ("one_minus_s2", -4, 1),
-    ("s2_minus_one", -8, 10),
-    ("s2", -3, 2),
-    ("s2_plus_one", -4, 1),
-)
 
 X_WINDOW = {
     "const": (-3.0, 3.0),
@@ -31,7 +24,7 @@ X_WINDOW = {
 
 
 def matrix_families():
-    return [families.make_family(k, a, b) for k, a, b in MATRIX]
+    return [families.make_family(k, a, b) for k, a, b in TEST_MATRIX]
 
 
 def x_points(kind, n=16):
@@ -57,7 +50,7 @@ def test_wavefunction_gaussian_ground_state():
 
 def test_wavefunction_norm_change_of_variables():
     # int Psi^2 dx equals int Phi^2 rho ds, two independent quadratures
-    for kind, a, b in MATRIX[:4]:
+    for kind, a, b in TEST_MATRIX[:4]:
         fam = families.make_family(kind, a, b)
         cmap = families.SPECS[kind].coords
         l, m = 1, 1
@@ -133,7 +126,7 @@ def test_upper_potential_is_gamma_independent():
 
 def test_susy_pairing_via_numeric_w_prime():
     # V_upper - V_partner = 2 * sign * dW/dx, with dW/dx taken numerically
-    for kind, a, b in MATRIX:
+    for kind, a, b in TEST_MATRIX:
         fam = families.make_family(kind, a, b)
         cmap = families.SPECS[kind].coords
         for gamma in (math.inf,):
@@ -150,7 +143,7 @@ def test_susy_pairing_via_numeric_w_prime():
 
 def test_schrodinger_eigen_relation():
     # -Psi'' + V_upper Psi = lambda_l Psi pointwise
-    for kind, a, b in MATRIX:
+    for kind, a, b in TEST_MATRIX:
         fam = families.make_family(kind, a, b)
         d = riccati.make_deformation(fam, 0, math.inf)
         lmax = 2 if families.below_cutoff(fam, 2) else 1
@@ -178,7 +171,7 @@ def test_ground_state_annihilation():
 
 def test_B_conjugation_identity():
     # B(sqrt(kappa rho) h) == sqrt(kappa rho) * b(h) under s = s(x)
-    for kind, a, b in MATRIX:
+    for kind, a, b in TEST_MATRIX:
         fam = families.make_family(kind, a, b)
         cmap = families.SPECS[kind].coords
         d = riccati.make_deformation(fam, 0, math.inf)

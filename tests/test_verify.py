@@ -126,7 +126,18 @@ NAN_SOURCES = {
     # the V deviation stays finite: max(finite, nan) would drop the NaN W
     "catalog": (verify.catalog, "compare_with_generic", lambda real: lambda *a: {
         **real(*a), "max_dev_W": math.nan}, verify.suite_catalog, ("max_deviation",), ()),
+    # each fixture's last matched residual: max(finite, nan) would drop it; the
+    # suite has no worst value, and each fixture with matched levels must fail
+    "spectrum": (verify, "verify_spectrum", lambda real: lambda *a, **kw: _last_residual_nan(
+        real(*a, **kw)), verify.suite_spectrum, (),
+        tuple(f[0] for f in verify._SPECTRUM_FIXTURES if f[-1])),
 }
+
+
+def _last_residual_nan(rep):
+    if rep.matched:
+        rep.matched[-1] = {**rep.matched[-1], "residual": math.nan}
+    return rep
 
 
 @pytest.mark.parametrize("source", sorted(NAN_SOURCES))
@@ -139,3 +150,53 @@ def test_a_nan_residual_fails_its_suite(monkeypatch, source):
         assert math.isnan(rep[key]), key
     for kind in kinds:
         assert any(kind in f for f in rep["failures"]), kind
+
+
+def test_each_norm_ratio_detail_is_its_own_familys_worst(monkeypatch):
+    # const, the first family, gets an order-1 Gram 1% too large: only its
+    # norm ratios break, and the families after it keep their own worst
+    real = verify.gram_matrix
+
+    def skewed(fam, m, lmax):
+        g = real(fam, m, lmax)
+        return g * 1.01 if (fam.kind, m) == ("const", 1) else g
+
+    monkeypatch.setattr(verify, "gram_matrix", skewed)
+    out = verify.suite_orthogonality()
+    assert {f[0] for f in out["failures"]} == {"const"}
+    assert out["details"]["norm-ratio:const"] > 1e-3
+    for kind, _, _ in verify.TEST_MATRIX[1:]:
+        assert out["details"][f"norm-ratio:{kind}"] < 1e-12, kind
+
+
+# The top-level keys of each suite part in `verify --json`; a part with
+# details states the tolerance behind each of its worst values.
+_JUDGED = {"ok", "details", "failures", "tol"}
+PART_KEYS = {
+    "algebra": [_JUDGED | {"max_residual_exact", "max_residual_float"},
+                _JUDGED | {"max_residual"}],
+    "orthogonality": [_JUDGED | {"max_gram", "max_ratio"}],
+    "riccati": [_JUDGED | {"max_residual"}],
+    "spectrum": [_JUDGED | {"max_deviation"}, {"ok", "reports", "failures"}],
+}
+REPORT_KEYS = {"grid", "eigenvalues", "targets", "matched", "extras", "missing", "tol"}
+
+
+def test_run_all_pins_each_parts_keys_and_margins():
+    out = verify.run_all()
+    assert out["ok"] and set(out["suites"]) == set(PART_KEYS)
+    for name, keys in PART_KEYS.items():
+        suite = out["suites"][name]
+        if "parts" in suite:
+            assert set(suite) == {"ok", "parts", "suite", "seconds"}, name
+            parts = suite["parts"]
+        else:
+            parts = [{k: v for k, v in suite.items() if k not in ("suite", "seconds")}]
+        assert [set(p) for p in parts] == keys, name
+        for part in parts:
+            worst = {k for k in part if k.startswith("max_")}
+            assert set(part.get("tol", {})) == worst, name
+            assert all(part[k] <= part["tol"][k] for k in worst), name
+    tols = {f[0]: f[9] for f in verify._SPECTRUM_FIXTURES}
+    for fixture, rep in out["suites"]["spectrum"]["parts"][1]["reports"].items():
+        assert set(rep) == REPORT_KEYS and rep["tol"] == tols[fixture]
