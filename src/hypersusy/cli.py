@@ -252,7 +252,9 @@ def cmd_derive(args):
 def cmd_verify(args):
     report = verify.run_all() if args.suite == "all" else verify.run_suite(args.suite)
     if args.json:
-        print(json.dumps(report, indent=2, default=str))
+        # strict JSON: a non-finite number as json_number writes it ("nan", "inf", "-inf")
+        text = json.dumps(report, default=str)
+        print(json.dumps(json.loads(text, parse_constant=lambda c: families.json_number(float(c))), indent=2))
     else:
         if "suites" in report:
             for name, sub in report["suites"].items():

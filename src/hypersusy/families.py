@@ -171,18 +171,18 @@ def _finite(x):
 
 
 def json_number(v):
-    """A number for JSON: ints, other Fractions as "p/q", +-inf as "inf"/"-inf", else floats."""
+    """For JSON: ints, other Fractions as "p/q", floats, but +-inf and nan as "inf"/"-inf"/"nan"."""
     if isinstance(v, Fraction):
         return v.numerator if v.denominator == 1 else str(v)
     if isinstance(v, int):
         return v
     v = float(v)
-    return ("inf" if v > 0 else "-inf") if math.isinf(v) else v
+    return v if math.isfinite(v) else str(v)
 
 
 def from_json_number(v):
-    """Inverse of json_number: "p/q" is read back as a Fraction, "inf"/"-inf" as floats."""
-    if v in ("inf", "-inf"):
+    """Inverse of json_number: "p/q" is read back as a Fraction, "inf"/"-inf"/"nan" as floats."""
+    if v in ("inf", "-inf", "nan"):
         return float(v)
     return Fraction(v) if isinstance(v, str) and "/" in v else v
 

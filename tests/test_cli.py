@@ -540,6 +540,19 @@ def test_verify_failure_exit_1(monkeypatch, capsys):
     assert main(["verify", "--suite", "riccati"]) == 1
 
 
+def test_verify_json_with_a_nan_residual_is_strict_json(monkeypatch, capsys):
+    from hypersusy import riccati
+
+    def refuse(token):
+        raise ValueError(f"bare {token} in JSON")
+
+    monkeypatch.setattr(riccati, "riccati_residual", lambda *a: float("nan"))
+    assert main(["verify", "--suite", "riccati", "--json"]) == 1
+    blob = json.loads(capsys.readouterr().out, parse_constant=refuse)
+    assert blob["ok"] is False and blob["max_residual"] == "nan"
+    assert {f[-1] for f in blob["failures"]} == {"nan"}
+
+
 def test_numerical_failure_exit_4(tmp_path, monkeypatch, capsys):
     from hypersusy import schrodinger
     from hypersusy.errors import NoConvergence

@@ -332,6 +332,21 @@ def test_import_leaves_orjson_out_until_a_json_grid_is_written(tmp_path):
     assert out.stdout.split() == ["False", "True"]
 
 
+def test_import_leaves_orjson_and_the_digit_tables_out_until_a_csv_is_written(tmp_path):
+    code = (
+        "import sys, numpy, hypersusy\n"
+        "tables = hypersusy.schrodinger._export_tables.cache_info\n"
+        "print('orjson' in sys.modules, tables().currsize)\n"
+        f"hypersusy.schrodinger.write_csv({{'x': numpy.linspace(1.5, 2.5, 5)}}, {str(tmp_path / 'g.csv')!r})\n"
+        "print('orjson' in sys.modules, tables().currsize)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)),
+    )
+    assert out.stdout.split() == ["False", "0", "True", "1"]
+
+
 def test_gauss_legendre_rules_are_exact_on_polynomials():
     for n in riccati._GL_ORDERS:
         x, w = riccati._gauss_legendre(n)

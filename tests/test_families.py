@@ -184,6 +184,8 @@ def test_json_number_round_trips_infinities_and_fractions():
     for v in (math.inf, -math.inf, 2.5, 3, Fraction(1, 3)):
         back = families.from_json_number(json.loads(json.dumps(families.json_number(v))))
         assert back == v and type(back) is type(v)
+    assert families.json_number(math.nan) == "nan"
+    assert math.isnan(families.from_json_number(json.loads(json.dumps("nan"))))
 
 
 def test_weight_power():

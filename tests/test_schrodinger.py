@@ -1,9 +1,12 @@
 import json
 import math
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from hypersusy import families, riccati, schrodinger, verify
 from hypersusy.errors import NonFinite, OutOfDomain
@@ -494,3 +497,65 @@ def test_special_values_frames_reach_the_writers(tmp_path):
     schrodinger.write_svg(non_finite_series_frame(), tmp_path / "a.svg")
     paths = (tmp_path / "a.svg").read_text().split('<path d="')[1:]
     assert [p.split('"')[0] for p in paths[1:]] == ["M ", "M "]
+
+
+# every float64 (subnormals, +-0, nan, +-inf), 12-digit ties (k + 1/2) 10^j,
+# the doubles next to 10^j, and integers up to 2^53
+export_values = st.one_of(
+    st.floats(),
+    st.builds(lambda k, j, sign: sign * float(Fraction(2 * k + 1, 2) * Fraction(10) ** j),
+              st.integers(10**11, 10**12 - 1), st.integers(-20, 4), st.sampled_from([1, -1])),
+    st.builds(lambda j, up: float(np.nextafter(float(Fraction(10) ** j), math.inf if up else -math.inf)),
+              st.integers(-6, 13), st.booleans()),
+    st.integers(-2**53, 2**53).map(float),
+)
+
+
+@st.composite
+def export_frames(draw, names):
+    n = draw(st.integers(0 if names is None else 2, 12))
+    names = names or [f"c{j}" for j in range(draw(st.integers(1, 5)))]
+    return {k: np.array(draw(st.lists(export_values, min_size=n, max_size=n))) for k in names}
+
+
+@settings(max_examples=300, deadline=None)
+@given(export_frames(None))
+def test_csv_bytes_match_the_per_value_writer_on_drawn_frames(tmp_path_factory, frame):
+    tmp = tmp_path_factory.mktemp("csv")
+    assert schrodinger.write_csv(frame, tmp / "a.csv") == reference_csv(frame, tmp / "b.csv")
+    assert (tmp / "a.csv").read_bytes() == (tmp / "b.csv").read_bytes()
+
+
+# With x_lo = 0 and x_hi = 1, px = 50 + 540 x: x = i/32 puts px on exact .xx5
+# ties at odd i, and an x placed from a target c = h/200 puts px within an ulp
+# or two of c, on either side: a .xx5 tie at odd h, a 2-decimal value at even h;
+# targets near 10 and 1000 reach outside [10, 1000).
+svg_x = st.one_of(
+    st.integers(-32, 64).map(lambda i: i / 32),
+    st.builds(lambda h, j: (h / 200 - 50) / 540 + j * 1e-16,
+              st.one_of(st.integers(1990, 2010), st.integers(199980, 200010), st.integers(1990, 200010)),
+              st.integers(-5, 5)),
+)
+
+
+def svg_frame(x):
+    return {"x": np.array(x), **{k: np.array([0.0, 1.0, 2.0]) for k in ("V_upper", "V_partner", "W")}}
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+@settings(max_examples=300, deadline=None)
+@given(export_frames(["x", "V_upper", "V_partner", "W"]), st.booleans(),
+       st.lists(svg_x, min_size=10, max_size=10))
+# px = 60.00500000000000256 prints 60.01, but 100 px rounds onto 6000.5, which rint takes to 6000
+@example(frame=svg_frame([0.0, 0.018527777777777782, 1.0]), placed=False, xs=[])
+# px = 1000.00: round(100 px) = 100000 has no "ddd." entry
+@example(frame=svg_frame([0.0, 950 / 540, 1.0]), placed=False, xs=[])
+def test_svg_bytes_match_the_per_value_writer_on_drawn_frames(tmp_path_factory, frame, placed, xs):
+    if placed:
+        frame["x"] = np.array([0.0, *xs[:len(frame["x"]) - 2], 1.0])
+    assume(frame["x"][-1] - frame["x"][0] != 0)
+    assume(np.isfinite(np.concatenate([frame["V_upper"], frame["V_partner"], frame["W"]])).any())
+    tmp = tmp_path_factory.mktemp("svg")
+    schrodinger.write_svg(frame, tmp / "a.svg")
+    reference_svg(frame, tmp / "b.svg")
+    assert (tmp / "a.svg").read_bytes() == (tmp / "b.svg").read_bytes()
