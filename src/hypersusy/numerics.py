@@ -3,7 +3,9 @@
 Two oracles live here: an adaptive tanh-sinh (double-exponential)
 quadrature that tolerates integrable endpoint singularities and maps
 infinite endpoints through the same transformation, and a finite-difference
-eigensolver for -d^2/dx^2 + V(x) with Dirichlet walls.  Neither consumes
+eigensolver for -d^2/dx^2 + V(x) with Dirichlet walls, which bisects at
+resolution n and refines at 2n-1 by Rayleigh-quotient iteration that a
+Sturm count certifies (index bisection when it does not).  Neither consumes
 anything from the operator algebra in the rest of the package, so their
 output can certify spectra and inner products computed analytically
 elsewhere.  The one bridge is verify_spectrum, which hands the solver a
@@ -13,9 +15,10 @@ against the closed-form eigenvalues.
 Within the package, tanh-sinh serves the integrals that run to an interval
 end, where integrands may be singular: the endpoint limits of the cumulative
 weight behind the gamma rays, norms and Gram matrices, and the catalog's
-reference integrals.  The cumulative weight on a grid uses Gauss-Legendre
-on the gaps between grid points instead (riccati.cumulative_weight_sorted)
-and calls quad only for a gap where its two Gauss-Legendre orders differ.
+reference integrals (one stacked quad per grid).  The cumulative weight on
+a grid uses Gauss-Legendre on the gaps between grid points instead
+(riccati.cumulative_weight_sorted) and calls quad only for a gap where its
+two Gauss-Legendre orders differ.
 
 The tanh-sinh levels nest, and quad evaluates each node once: its first
 integrand call takes every node of level 4, which gives the trapezoid sums
@@ -31,6 +34,7 @@ the same nodes, as the Gram matrices of the polynomials module do.
 
 from __future__ import annotations
 
+import contextvars
 import functools
 import math
 from dataclasses import dataclass, field
@@ -44,6 +48,9 @@ _Y_CLIP = 345.0    # keep exp(2y) finite while distances stay > 0
 _FIRST = 4         # quad's first integrand call covers levels 0.._FIRST
 _MAX_LEVEL = 12    # quad's last refinement level: step 2^-12
 _MATCH_WINDOW = 0.05  # match_targets' relative window
+_RQI_STEPS = 8     # Rayleigh-quotient steps per state; convergence is cubic
+_RQI_SETTLED = 1e-15  # a quotient that moves less than this, relative, has settled
+_LAST_SOLVE = contextvars.ContextVar("fd_spectrum_last_solve", default=None)
 
 
 @dataclass(frozen=True)
@@ -174,39 +181,44 @@ def _as_value(v):
 def fd_spectrum(potential, x_min, x_max, n, e_max, tol=1e-3, richardson=True):
     """Eigenvalues at or below e_max of -d^2/dx^2 + V with Dirichlet walls.
 
-    ``potential`` is a callable evaluated on the interior nodes of the
-    uniform n-point grid on [x_min, x_max]; the operator becomes a symmetric
-    tridiagonal matrix (three-point second difference plus diag V).  Only
-    eigenvalues are asked for, so LAPACK's stebz runs Sturm bisection alone,
-    with no inverse iteration, and its cost grows with the number of states
-    it isolates.  The resolution-n solve therefore takes the value window
-    (min V, e_max]: min V is a strict lower bound, because the Dirichlet
-    second difference is positive definite.  If no eigenvalue lies in the
-    window the lowest one is returned, so the result is never empty.  With
-    richardson=True the same number of lowest states is solved at
-    resolution 2n-1, the pairs are matched by index, and the two
-    h^2-accurate results are combined; if they disagree by more than 10*tol
-    the grid is rejected as too coarse.
+    ``potential`` is called once, on the interior nodes of the uniform
+    (2n-1)-point grid on [x_min, x_max], whose even nodes are the n-point
+    grid (the n-point grid alone when richardson=False).  The operator is a
+    symmetric tridiagonal matrix: three-point second difference plus diag V.
+    At resolution n, LAPACK's stebz bisects the value window (min V, e_max]
+    (min V is a strict lower bound, the second difference being positive
+    definite); if the window is empty the lowest state alone is returned.
+    With richardson=True the same k states are refined at resolution 2n-1
+    by Rayleigh-quotient iteration from the coarse values (_rayleigh).  They
+    stand if certified: more than twice the worst residual apart, and one
+    count-only Sturm call finds exactly k eigenvalues up to the highest plus
+    that margin; otherwise the k lowest are bisected by index.  The two
+    h^2-accurate results are combined by index, and a gap above 10*tol raises
+    GridTooCoarse.  The gap and the fine solve ("refined" or "bisected") are
+    kept in _LAST_SOLVE for verify_spectrum.
     """
     if n < 200:
         raise ValueError("fd_spectrum needs at least 200 grid points")
     if not math.isfinite(e_max):
         raise ValueError("fd_spectrum needs a finite e_max")
+    if not (math.isfinite(x_min) and math.isfinite(x_max) and x_min < x_max):
+        raise ValueError(f"fd_spectrum needs finite x_min < x_max, got {x_min}, {x_max}")
     # imported here: scipy.linalg is most of the package's import time
     from scipy.linalg import eigh_tridiagonal
 
-    def matrix(npts):
-        x = np.linspace(x_min, x_max, npts)
-        v = np.asarray(potential(x[1:-1]), dtype=float)
-        if not np.all(np.isfinite(v)):
-            raise NonFinite("potential non-finite on the grid interior")
-        h = x[1] - x[0]
-        return 2.0 / (h * h) + v, np.full(npts - 3, -1.0 / (h * h)), float(v.min())
+    x = np.linspace(x_min, x_max, 2 * n - 1 if richardson else n)
+    v = np.asarray(potential(x[1:-1]), dtype=float)
+    if not np.all(np.isfinite(v)):
+        raise NonFinite("potential non-finite on the grid interior")
+
+    def matrix(v, h):
+        return 2.0 / (h * h) + v, np.full(v.size - 1, -1.0 / (h * h)), float(v.min())
 
     def lowest(d, e, k):
         return eigh_tridiagonal(d, e, eigvals_only=True, select="i", select_range=(0, k - 1))
 
-    d, e, lo = matrix(n)
+    h = (x_max - x_min) / (n - 1)
+    d, e, lo = matrix(v[1::2] if richardson else v, h)
     lam = np.empty(0)
     if e_max > lo:  # stebz rejects an empty window (VL >= VU) on stderr
         lam = eigh_tridiagonal(d, e, eigvals_only=True, select="v", select_range=(lo, e_max))
@@ -214,20 +226,57 @@ def fd_spectrum(potential, x_min, x_max, n, e_max, tol=1e-3, richardson=True):
         lam = lowest(d, e, 1)
     if not richardson:
         return lam
-    d2, e2, _ = matrix(2 * n - 1)
-    lam2 = lowest(d2, e2, lam.size)
+    d2, e2, lo2 = matrix(v, 0.5 * h)
+    lam2, slack = _rayleigh(d2, e2, v, 0.5 * h, lam)
+    top = lam2[-1] + slack  # stebz only counts when its tolerance spans the window
+    certified = (np.all(np.diff(lam2) > slack) and math.isfinite(top)
+                 and eigh_tridiagonal(d2, e2, eigvals_only=True, select="v",
+                                      select_range=(lo2, top), tol=top - lo2).size == lam.size)
+    if not certified:
+        lam2 = lowest(d2, e2, lam.size)
     gap = float(np.max(np.abs(lam2 - lam) / (1.0 + np.abs(lam2))))
     if gap > 10.0 * tol:
-        raise GridTooCoarse(
-            f"resolutions n={n} and n={2 * n - 1} disagree by {gap:.3e} "
-            f"(> {10.0 * tol:.1e})"
-        )
+        raise GridTooCoarse(f"resolutions n={n} and n={2 * n - 1} disagree by {gap:.3e} "
+                            f"(> {10.0 * tol:.1e})")
+    _LAST_SOLVE.set({"gap": gap, "fine_solve": "refined" if certified else "bisected"})
     return (4.0 * lam2 - lam) / 3.0
+
+
+def _rayleigh(diag, off, v, h, shifts):
+    """Rayleigh-quotient iteration by dgtsv on T = -D^2 + diag(v), step h,
+    whose diagonal is diag and off-diagonal off: one state per shift, each
+    from one fixed seeded start (no symmetry makes it orthogonal to a state)
+    and two inverse-iteration steps at the shift itself, so that a start
+    poor in the wanted state cannot pull the quotient to a neighbour.  The
+    quotient is the cancellation-free form
+    (sum v y^2 + (y_1^2 + y_N^2 + sum (dy)^2)/h^2)/sum y^2.  Returns the
+    sorted quotients and twice the worst residual |Ty - rho y|, |y| = 1.
+    """
+    from scipy.linalg.lapack import dgtsv
+
+    start = np.random.default_rng(0).standard_normal(v.size)
+    rhos, worst = np.empty(len(shifts)), 0.0
+    for i, shift in enumerate(shifts):
+        y, rho = start, shift
+        for step in range(_RQI_STEPS):
+            z, info = dgtsv(off, diag - (rho if step > 1 else shift), off, y)[3:]
+            if info != 0:  # the shift is an eigenvalue to working precision
+                break
+            y, prev = z / np.linalg.norm(z), rho
+            dy = np.diff(y)
+            kinetic = (y[0] ** 2 + y[-1] ** 2 + np.dot(dy, dy)) / (h * h)
+            rho = (np.dot(v, y * y) + kinetic) / np.dot(y, y)
+            if abs(rho - prev) <= _RQI_SETTLED * (1.0 + abs(rho)):
+                break
+        res = (diag - rho) * y + off[0] * np.convolve(y, [1.0, 0.0, 1.0])[1:-1]
+        rhos[i], worst = rho, max(worst, float(np.linalg.norm(res)))
+    return np.sort(rhos), 2.0 * worst
 
 
 @dataclass
 class SpectralReport:
-    """Finite-difference eigenvalues matched against closed-form targets."""
+    """Finite-difference eigenvalues matched against closed-form targets, with
+    fd_spectrum's Richardson gap and fine solve ("refined" or "bisected")."""
 
     grid: tuple
     eigenvalues: list
@@ -235,6 +284,8 @@ class SpectralReport:
     matched: list = field(default_factory=list)
     extras: list = field(default_factory=list)
     missing: list = field(default_factory=list)
+    gap: float | None = None
+    fine_solve: str | None = None
 
     @property
     def ok(self):
@@ -254,6 +305,7 @@ class SpectralReport:
             "matched": list(self.matched),
             "extras": list(self.extras),
             "missing": list(self.missing),
+            "gap": self.gap, "fine_solve": self.fine_solve,
         }
 
 
@@ -271,11 +323,9 @@ def match_band(targets):
 
 def match_targets(eigenvalues, targets):
     """Greedy nearest-eigenvalue matching within 0.05*(1+|target|) windows."""
-    matched, missing = [], []
-    used = set()
+    matched, missing, used = [], [], set()
     for target in targets:
-        window = _MATCH_WINDOW * (1.0 + abs(target))
-        best, best_gap = None, window
+        best, best_gap = None, _MATCH_WINDOW * (1.0 + abs(target))
         for i, lam in enumerate(eigenvalues):
             if i in used:
                 continue
@@ -286,19 +336,11 @@ def match_targets(eigenvalues, targets):
             missing.append(target)
         else:
             used.add(best)
-            matched.append(
-                {
-                    "target": float(target),
-                    "found": float(eigenvalues[best]),
-                    "residual": float(abs(eigenvalues[best] - target)),
-                }
-            )
+            found = eigenvalues[best]
+            matched.append({"target": float(target), "found": float(found),
+                            "residual": float(abs(found - target))})
     band = match_band(targets)
-    extras = [
-        float(lam)
-        for i, lam in enumerate(eigenvalues)
-        if i not in used and lam <= band
-    ]
+    extras = [float(lam) for i, lam in enumerate(eigenvalues) if i not in used and lam <= band]
     return matched, extras, missing
 
 
@@ -326,11 +368,5 @@ def verify_spectrum(defm, which, n_levels, x_min, x_max, n, tol=1e-3):
 
     lams = fd_spectrum(potential, x_min, x_max, n, match_band(targets), tol=tol)
     matched, extras, missing = match_targets(lams, targets)
-    return SpectralReport(
-        grid=(x_min, x_max, n),
-        eigenvalues=[float(v) for v in lams],
-        targets=targets,
-        matched=matched,
-        extras=extras,
-        missing=missing,
-    )
+    return SpectralReport((x_min, x_max, n), [float(v) for v in lams], targets,
+                          matched, extras, missing, **_LAST_SOLVE.get())

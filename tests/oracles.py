@@ -2,18 +2,21 @@
 
 Each one is a second route to a quantity the package computes: a
 Richardson-extrapolated derivative, one fixed tanh-sinh level, the x-space
-first-order maps, and the ladder relations on monomials.  Living beside the
+first-order maps, the ladder relations on monomials, and the catalog's
+gamma term with one scalar quad per point.  Living beside the
 tests, they cannot drift with the package code.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from hypersusy import ladder
+from hypersusy import families, ladder
 from hypersusy.errors import ContextMismatch
 from hypersusy.ladder import KappaForm
-from hypersusy.numerics import _FIRST, _as_value, _nodes
+from hypersusy.numerics import _FIRST, _as_value, _nodes, quad
 from hypersusy.polynomials import Poly
 from hypersusy.schrodinger import superpotential
 
@@ -77,3 +80,20 @@ def check_shifted_factorization(ctx):
             yield f"deg={d}", u, f"deg={d}", w
 
     return ladder._report(ctx, cases())
+
+
+def deformation_ratio_per_point(fam, m, gamma, s):
+    """sigma^m rho / (gamma + integral), shared by every entry.
+
+    An independent reference: one scalar tanh-sinh quad per point, from the
+    base point.
+    """
+    if gamma == math.inf:
+        return 0.0
+    s0 = fam.spec.base_point
+    integral = np.reshape(
+        [quad(lambda t: families.sigma_m_rho(fam, m, t), s0, float(si), tol=1e-13).value
+         for si in np.ravel(s)],
+        np.shape(s),
+    )
+    return families.sigma_m_rho(fam, m, s) / (gamma + integral)

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from hypersusy import families, riccati, verify
-from hypersusy.catalog import CATALOG, catalog_reference, compare_with_generic, entry
+from hypersusy.catalog import (CATALOG, _deformation_ratio, catalog_reference,
+                               compare_with_generic, entry)
 from hypersusy.errors import ParameterViolation
+from oracles import deformation_ratio_per_point
 
 GRID = {
     "const": np.linspace(-3.0, 3.0, 16),
@@ -210,3 +212,24 @@ def test_array_call_matches_pointwise_calls(entry_id, alpha, beta, m, delta, fin
         assert abs(v[i] - vp) <= 1e-15 * max(1.0, abs(vp))
         assert abs(w[i] - wp) <= 1e-15 * max(1.0, abs(wp))
         assert lamp == lam
+
+
+@pytest.mark.parametrize("entry_id,alpha,beta,m,gmode,delta",
+                         [f for f in verify._CATALOG_FIXTURES if f[4] == "both"])
+def test_stacked_reference_matches_one_quad_per_point(entry_id, alpha, beta, m, gmode, delta):
+    # the gamma term's integral from one stacked quad, against one scalar
+    # quad per point, on points either side of the base point and at it
+    fam = families.make_family(entry(entry_id).kind, alpha, beta)
+    s0 = fam.spec.base_point
+    s = np.append(families.sample_points(fam, 16), s0)
+    assert np.any(s < s0) and np.any(s > s0)
+    weight = families.sigma_m_rho(fam, m, s)
+    for gamma in verify._finite_gammas(fam, m):
+        stacked = _deformation_ratio(fam, m, gamma, s)
+        per_point = deformation_ratio_per_point(fam, m, gamma, s)
+        integral, reference = weight / stacked - gamma, weight / per_point - gamma
+        assert np.all(np.abs(integral - reference) <= 1e-13 * np.maximum(1.0, np.abs(reference)))
+        assert stacked[-1] == weight[-1] / gamma  # zero span: the integral is 0
+        for i in (0, 8, 16):  # a lone point, as a 0-d array, as in a grid
+            lone = _deformation_ratio(fam, m, gamma, np.asarray(s[i]))
+            assert np.shape(lone) == () and abs(lone - stacked[i]) <= 1e-15 * abs(stacked[i])

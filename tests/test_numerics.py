@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from hypersusy import numerics
 from hypersusy.errors import GridTooCoarse, NoConvergence, NonFinite
 from hypersusy.numerics import fd_spectrum, match_band, match_targets, quad
 from oracles import derivative, fixed_level_quad
@@ -250,6 +253,129 @@ def test_fd_requires_minimum_grid():
 def test_fd_rejects_a_non_finite_potential():
     with pytest.raises(NonFinite, match="potential non-finite"):
         fd_spectrum(lambda x: np.where(x > 0.5, np.nan, x * x), -1.0, 1.0, 200, 5.0)
+
+
+@pytest.mark.parametrize("x_min,x_max", [(1.0, 1.0), (2.0, -2.0), (-math.inf, 1.0),
+                                         (0.0, math.inf), (math.nan, 1.0)])
+def test_fd_rejects_an_empty_or_non_finite_window_before_the_potential(x_min, x_max):
+    # x_min == x_max divided by zero, and an infinite end was blamed on the
+    # potential as non-finite
+    calls = []
+
+    def potential(x):
+        calls.append(x)
+        return x * x
+
+    with pytest.raises(ValueError, match="x_min < x_max"):
+        fd_spectrum(potential, x_min, x_max, 1000, 5.0)
+    assert calls == []
+
+
+def _grids(potential, x_min, x_max, n):
+    """The coarse (n) and fine (2n-1) matrices fd_spectrum builds: (d, e, lo)
+    at resolution n and (d2, e2, lo2, v, h2) at 2n-1."""
+    x = np.linspace(x_min, x_max, 2 * n - 1)
+    v = potential(x[1:-1])
+    h = (x_max - x_min) / (n - 1)
+    h2 = 0.5 * h
+    coarse = (2.0 / (h * h) + v[1::2], np.full(n - 3, -1.0 / (h * h)), float(v[1::2].min()))
+    return coarse, (2.0 / (h2 * h2) + v, np.full(v.size - 1, -1.0 / (h2 * h2)), float(v.min()), v, h2)
+
+
+def _all_lowest(shifts):
+    """Every state from the lowest coarse value: all find the one state."""
+    return np.full(len(shifts), shifts[0])
+
+
+def _one_state_up(shifts):
+    """Each state from the next one's coarse value: k distinct states, but
+    not the k lowest."""
+    return np.append(shifts[1:], 2.0 * shifts[-1] - shifts[-2])
+
+
+def _moved_shifts(real, move):
+    """A _rayleigh that starts from move(shifts), recording what it returns."""
+    seen = []
+
+    def rayleigh(d, e, v, h, shifts):
+        out = real(d, e, v, h, move(shifts))
+        seen.append(out)
+        return out
+
+    return rayleigh, seen
+
+
+def _wells(a, b, c):
+    return lambda x: a * x * x + b * x ** 4 + c * x
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.floats(0.5, 4.0), st.floats(0.0, 0.5), st.floats(-2.0, 2.0), st.integers(200, 1000))
+def test_fd_refined_fine_solve_matches_index_bisection(a, b, c, n):
+    # a quadratic or quartic well with a tilt: the refined fine states are
+    # certified, and they agree with bisecting the same states by index
+    well = _wells(a, b, c)
+    refined = fd_spectrum(well, -8.0, 8.0, n, 25.0, tol=0.1)
+    assert numerics._LAST_SOLVE.get()["fine_solve"] == "refined"
+    assert refined.size >= 2
+    with pytest.MonkeyPatch.context() as mp:
+        rayleigh, _ = _moved_shifts(numerics._rayleigh, _all_lowest)
+        mp.setattr(numerics, "_rayleigh", rayleigh)
+        bisected = fd_spectrum(well, -8.0, 8.0, n, 25.0, tol=0.1)
+        assert numerics._LAST_SOLVE.get()["fine_solve"] == "bisected"
+    assert refined.shape == bisected.shape
+    assert np.all(np.abs(refined - bisected) <= 1e-9 * (1.0 + np.abs(bisected)))
+
+
+@pytest.mark.parametrize("potential,x_min,x_max,e_max", [
+    (lambda x: x * x + 1.0, -10.0, 10.0, 9.0),
+    (_wells(1.0, 0.1, -1.5), -8.0, 8.0, 20.0),
+])
+def test_fd_refined_values_reach_a_tight_bisection(potential, x_min, x_max, e_max):
+    # against stebz at the smallest absolute tolerance: the refined values
+    # come within 1e-11 relative (3.8e-12 at worst here), where stebz at its
+    # default tolerance, eps times the matrix norm, is up to 1.5e-11 off
+    from scipy.linalg import eigh_tridiagonal
+
+    (d, e, lo), (d2, e2, _, v, h2) = _grids(potential, x_min, x_max, 4000)
+    lam = eigh_tridiagonal(d, e, eigvals_only=True, select="v", select_range=(lo, e_max))
+    tight = eigh_tridiagonal(d2, e2, eigvals_only=True, select="i",
+                             select_range=(0, lam.size - 1), tol=np.finfo(float).tiny)
+    refined, slack = numerics._rayleigh(d2, e2, v, h2, lam)
+    assert lam.size >= 3
+    assert np.all(np.abs(refined - tight) <= 1e-11 * (1.0 + np.abs(tight)))
+    assert np.all(np.diff(refined) > slack)
+
+
+def test_fd_refined_box_levels_are_the_exact_discrete_ones():
+    # with V = 0 the fine matrix has the closed-form eigenvalues
+    # (4/h^2) sin^2(k pi / (2(N+1))); stebz, even at the smallest tolerance,
+    # is held near eps times the matrix norm (about 3e-10 here)
+    _, (d2, e2, _, v, h2) = _grids(np.zeros_like, 0.0, math.pi, 4000)
+    k = np.arange(1, 4)
+    exact = 4.0 / (h2 * h2) * np.sin(k * math.pi / (2 * (v.size + 1))) ** 2
+    refined, _ = numerics._rayleigh(d2, e2, v, h2, k * k * 1.0)
+    assert np.all(np.abs(refined - exact) <= 1e-13 * exact)
+
+
+@pytest.mark.parametrize("move,distinct", [(_all_lowest, False), (_one_state_up, True)])
+def test_fd_falls_back_to_index_bisection_when_the_certificate_fails(monkeypatch, move, distinct):
+    # one state found k times fails the residual test; k distinct states
+    # that skip the lowest pass it and fail the count
+    from scipy.linalg import eigh_tridiagonal
+
+    well = _wells(1.0, 0.0, 0.5)
+    rayleigh, seen = _moved_shifts(numerics._rayleigh, move)
+    monkeypatch.setattr(numerics, "_rayleigh", rayleigh)
+    got = fd_spectrum(well, -10.0, 10.0, 1000, 12.0)
+    (values, slack), = seen
+    assert np.all(np.diff(values) > slack) == distinct
+    assert numerics._LAST_SOLVE.get()["fine_solve"] == "bisected"
+    (d, e, lo), (d2, e2, _, _, _) = _grids(well, -10.0, 10.0, 1000)
+    lam = eigh_tridiagonal(d, e, eigvals_only=True, select="v", select_range=(lo, 12.0))
+    lam2 = eigh_tridiagonal(d2, e2, eigvals_only=True, select="i", select_range=(0, lam.size - 1))
+    assert lam.size == values.size >= 3
+    np.testing.assert_array_equal(got, (4.0 * lam2 - lam) / 3.0)
 
 
 def test_verify_spectrum_rejects_an_unknown_operator():

@@ -77,25 +77,33 @@ def test_orthogonality_suite_reaches_the_top_level(monkeypatch, row):
 
 def test_spectrum_suite_solves_only_the_states_it_can_match(monkeypatch, capfd):
     # fd_spectrum imports eigh_tridiagonal at call time, so wrapping the
-    # scipy.linalg attribute sees every solve.  Each fixture solves the
-    # states at or below its match band at both Richardson resolutions:
-    # 4 + 5 + 3 + 0 + 4 per resolution, plus the ground-state pair of
-    # deep-well-carrier, whose band lies below min V.  Solving the lowest
-    # levels + 6 states at both resolutions would be 92.
+    # scipy.linalg attribute sees every call.  At resolution n each fixture
+    # bisects the states at or below its match band: 4 + 5 + 3 + 0 + 4, plus
+    # the ground state of deep-well-carrier, whose band lies below min V.
+    # Resolution 2n-1 refines the same states by Rayleigh-quotient iteration
+    # and bisects none of them; one count-only call per fixture certifies
+    # them.  Bisecting the lowest levels + 6 states at both resolutions would
+    # be 92, and bisecting the 17 again at 2n-1 would be 34.
     import scipy.linalg
 
     real = scipy.linalg.eigh_tridiagonal
-    solved = []
+    coarse = {f[8] - 2 for f in verify._SPECTRUM_FIXTURES}
+    bisected = {"coarse": 0, "fine": 0}
+    counts = []
 
-    def counting(*args, **kwargs):
-        lams = real(*args, **kwargs)
-        solved.append(len(lams))
+    def counting(d, e, **kwargs):
+        lams = real(d, e, **kwargs)
+        if kwargs.get("tol", 0.0) > 0.0:
+            counts.append(len(lams))
+        else:
+            bisected["coarse" if len(d) in coarse else "fine"] += len(lams)
         return lams
 
     monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", counting)
     out = verify.suite_spectrum()
     assert out["ok"]
-    assert sum(solved) == 34
+    assert bisected == {"coarse": 17, "fine": 0}
+    assert counts == [4, 5, 3, 1, 4]
     assert capfd.readouterr().err == ""
 
 
@@ -179,7 +187,8 @@ PART_KEYS = {
     "riccati": [_JUDGED | {"max_residual"}],
     "spectrum": [_JUDGED | {"max_deviation"}, {"ok", "reports", "failures"}],
 }
-REPORT_KEYS = {"grid", "eigenvalues", "targets", "matched", "extras", "missing", "tol"}
+REPORT_KEYS = {"grid", "eigenvalues", "targets", "matched", "extras", "missing", "tol",
+               "gap", "fine_solve"}
 
 
 def test_run_all_pins_each_parts_keys_and_margins():
@@ -200,3 +209,6 @@ def test_run_all_pins_each_parts_keys_and_margins():
     tols = {f[0]: f[9] for f in verify._SPECTRUM_FIXTURES}
     for fixture, rep in out["suites"]["spectrum"]["parts"][1]["reports"].items():
         assert set(rep) == REPORT_KEYS and rep["tol"] == tols[fixture]
+        # every fixture's fine states are certified, and its grid passed
+        assert rep["fine_solve"] == "refined", fixture
+        assert 0.0 <= rep["gap"] <= 10.0 * rep["tol"], fixture
