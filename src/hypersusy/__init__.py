@@ -14,7 +14,7 @@ from .families import (
     weight_power,
 )
 from .ladder import check_identities, lower_order, make_context, raise_order
-from .numerics import QuadratureResult, SpectralReport, fd_spectrum, quad, verify_spectrum
+from .numerics import FDSolve, QuadratureResult, SpectralReport, fd_spectrum, quad, verify_spectrum
 from .polynomials import (
     AssociatedFunction,
     DifferentiableValue,

@@ -67,18 +67,17 @@ def _deformation_ratio(fam, m, gamma, s):
 
     An independent reference: one stacked tanh-sinh quad over (0, 1), whose
     row i integrates (s_i - s0) sigma^m rho(s0 + u (s_i - s0)) from the base
-    point s0.  The rows stop together, at the level the slowest needs, so
-    each asks for 1e-14: settled before the stack stops, a point's value is
-    the same in any grid to roundoff.  A last zero row (s0 itself) makes a
-    lone point a stack too, as quad sums a lone row pairwise and the rows of
-    a stack in sequence.
+    point s0.  quad sums each row as it would a lone one, but the rows stop
+    together, at the level the slowest needs, so each asks for 1e-14:
+    settled before the stack stops, a point's value is the same in any grid
+    to roundoff.
     """
     if gamma == math.inf:
         return 0.0
     s0 = fam.spec.base_point
-    span = np.append(np.ravel(s) - s0, 0.0)
+    span = np.ravel(s) - s0
     integral = quad(lambda u: span[:, None] * families.sigma_m_rho(fam, m, s0 + np.outer(span, u)),
-                    0.0, 1.0, tol=1e-14).value[:-1]
+                    0.0, 1.0, tol=1e-14).value
     return families.sigma_m_rho(fam, m, s) / (gamma + np.reshape(integral, np.shape(s)))
 
 

@@ -21,7 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import families, riccati
-from .errors import ContextMismatch, DivisibilityFailure
+from .errors import ContextMismatch, DivisibilityFailure, IndexViolation
 from .polynomials import (
     AssociatedFunction,
     Poly,
@@ -241,9 +241,11 @@ def check_identities(ctx, lmax):
     Residuals are relative max-coefficient deviations (exactly 0 in
     rational mode).  Each level builds its polynomial once and takes both
     orders from it by differentiation.  A shifted context checks the shifted
-    maps against the shifted eigenvalue.
+    maps against the shifted eigenvalue.  lmax < m raises IndexViolation.
     """
     fam, m = ctx.family, ctx.m
+    if lmax < m:
+        raise IndexViolation(f"check_identities needs lmax >= m, got lmax={lmax}, m={m}")
 
     def cases():
         for l in range(m, lmax + 1):

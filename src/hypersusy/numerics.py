@@ -5,12 +5,13 @@ quadrature that tolerates integrable endpoint singularities and maps
 infinite endpoints through the same transformation, and a finite-difference
 eigensolver for -d^2/dx^2 + V(x) with Dirichlet walls, which bisects at
 resolution n and refines at 2n-1 by Rayleigh-quotient iteration that a
-Sturm count certifies (index bisection when it does not).  Neither consumes
-anything from the operator algebra in the rest of the package, so their
-output can certify spectra and inner products computed analytically
-elsewhere.  The one bridge is verify_spectrum, which hands the solver a
-partner-pair potential from schrodinger.potentials and matches its output
-against the closed-form eigenvalues.
+Sturm count certifies (index bisection when it does not), and returns its
+values with the Richardson gap and how the fine solve went (FDSolve).
+Neither consumes anything from the operator algebra in the rest of the
+package, so their output can certify spectra and inner products computed
+analytically elsewhere.  The one bridge is verify_spectrum, which hands the
+solver a partner-pair potential from schrodinger.potentials and matches
+its output against the closed-form eigenvalues.
 
 Within the package, tanh-sinh serves the integrals that run to an interval
 end, where integrands may be singular: the endpoint limits of the cumulative
@@ -34,10 +35,10 @@ the same nodes, as the Gram matrices of the polynomials module do.
 
 from __future__ import annotations
 
-import contextvars
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -50,7 +51,6 @@ _MAX_LEVEL = 12    # quad's last refinement level: step 2^-12
 _MATCH_WINDOW = 0.05  # match_targets' relative window
 _RQI_STEPS = 8     # Rayleigh-quotient steps per state; convergence is cubic
 _RQI_SETTLED = 1e-15  # a quotient that moves less than this, relative, has settled
-_LAST_SOLVE = contextvars.ContextVar("fd_spectrum_last_solve", default=None)
 
 
 @dataclass(frozen=True)
@@ -118,7 +118,7 @@ def _nodes(a, b, level):
 
 def _terms(f, x, dxdt):
     """f(x) dx/dt at the nodes, one row per stacked integrand row."""
-    fx = np.asarray(f(x), dtype=float)
+    fx = np.asarray(f(x), dtype=float, order="C")
     bad = ~np.isfinite(fx)
     if bad.any():
         at = x[bad.reshape(-1, x.size).any(axis=0)]
@@ -133,17 +133,19 @@ def quad(f, a, b, tol=1e-12):
     The interval is mapped by the double-exponential transformation; the
     trapezoid step is halved per level until two successive levels agree to
     ``tol * max(1, |I|)``.  Infinite endpoints use the exp/sinh variants of
-    the same map.  For an integrand with stacked rows every row must meet
-    that rule at the same level, and the value is one entry per row.
+    the same map.  Stacked rows stop together, when every row meets that
+    rule, and give one value per row, summed exactly as that row alone.
 
     The levels nest, so no node is evaluated twice: the first integrand call
     takes every node of level _FIRST, whose subsets give the sums of levels
     0.._FIRST, and each later level evaluates only its new odd nodes and adds
     them to the running sum.
 
-    Raises NoConvergence when _MAX_LEVEL refinements do not settle and
-    NonFinite when the integrand returns a non-finite value at a node.
+    Raises ValueError for a NaN bound before calling f, NoConvergence when
+    _MAX_LEVEL levels do not settle and NonFinite for a non-finite f value.
     """
+    if math.isnan(a) or math.isnan(b):
+        raise ValueError(f"quad needs bounds that are not NaN, got a={a}, b={b}")
     if a == b:
         return QuadratureResult(_as_value(np.zeros(np.shape(f(np.empty(0)))[:-1])), 0.0, 0)
     orient = 1.0
@@ -156,7 +158,8 @@ def quad(f, a, b, tol=1e-12):
     for level in range(_MAX_LEVEL + 1):
         with np.errstate(over="ignore", under="ignore"):
             if level <= _FIRST:
-                total = np.sum(terms[..., first <= level], axis=-1)
+                # a stack's selection comes F-ordered; in C order rows sum as lone rows
+                total = np.sum(np.ascontiguousarray(terms[..., first <= level]), axis=-1)
             else:
                 x, dxdt, _ = _nodes(a, b, level)
                 total = total + np.sum(_terms(f, x, dxdt), axis=-1)
@@ -178,24 +181,30 @@ def _as_value(v):
     return float(v) if np.ndim(v) == 0 else v
 
 
-def fd_spectrum(potential, x_min, x_max, n, e_max, tol=1e-3, richardson=True):
+class FDSolve(NamedTuple):
+    """Extrapolated eigenvalues, Richardson gap, fine solve ("refined"/"bisected")."""
+
+    values: np.ndarray
+    gap: float
+    fine_solve: str
+
+
+def fd_spectrum(potential, x_min, x_max, n, e_max, tol=1e-3):
     """Eigenvalues at or below e_max of -d^2/dx^2 + V with Dirichlet walls.
 
     ``potential`` is called once, on the interior nodes of the uniform
     (2n-1)-point grid on [x_min, x_max], whose even nodes are the n-point
-    grid (the n-point grid alone when richardson=False).  The operator is a
-    symmetric tridiagonal matrix: three-point second difference plus diag V.
-    At resolution n, LAPACK's stebz bisects the value window (min V, e_max]
-    (min V is a strict lower bound, the second difference being positive
-    definite); if the window is empty the lowest state alone is returned.
-    With richardson=True the same k states are refined at resolution 2n-1
-    by Rayleigh-quotient iteration from the coarse values (_rayleigh).  They
-    stand if certified: more than twice the worst residual apart, and one
-    count-only Sturm call finds exactly k eigenvalues up to the highest plus
-    that margin; otherwise the k lowest are bisected by index.  The two
-    h^2-accurate results are combined by index, and a gap above 10*tol raises
-    GridTooCoarse.  The gap and the fine solve ("refined" or "bisected") are
-    kept in _LAST_SOLVE for verify_spectrum.
+    grid.  The operator is a symmetric tridiagonal matrix: three-point
+    second difference plus diag V.  At resolution n, LAPACK's stebz bisects
+    the value window (min V, e_max] (min V is a strict lower bound, the
+    second difference being positive definite); if the window is empty the
+    lowest state alone is returned.  The same k states are refined at
+    resolution 2n-1 by Rayleigh-quotient iteration from the coarse values
+    (_rayleigh).  They stand if certified: more than twice the worst
+    residual apart, and one count-only Sturm call finds exactly k
+    eigenvalues up to the highest plus that margin; otherwise the k lowest
+    are bisected by index.  The two h^2-accurate results are combined by
+    index into an FDSolve, and a gap above 10*tol raises GridTooCoarse.
     """
     if n < 200:
         raise ValueError("fd_spectrum needs at least 200 grid points")
@@ -206,7 +215,7 @@ def fd_spectrum(potential, x_min, x_max, n, e_max, tol=1e-3, richardson=True):
     # imported here: scipy.linalg is most of the package's import time
     from scipy.linalg import eigh_tridiagonal
 
-    x = np.linspace(x_min, x_max, 2 * n - 1 if richardson else n)
+    x = np.linspace(x_min, x_max, 2 * n - 1)
     v = np.asarray(potential(x[1:-1]), dtype=float)
     if not np.all(np.isfinite(v)):
         raise NonFinite("potential non-finite on the grid interior")
@@ -218,14 +227,12 @@ def fd_spectrum(potential, x_min, x_max, n, e_max, tol=1e-3, richardson=True):
         return eigh_tridiagonal(d, e, eigvals_only=True, select="i", select_range=(0, k - 1))
 
     h = (x_max - x_min) / (n - 1)
-    d, e, lo = matrix(v[1::2] if richardson else v, h)
+    d, e, lo = matrix(v[1::2], h)
     lam = np.empty(0)
     if e_max > lo:  # stebz rejects an empty window (VL >= VU) on stderr
         lam = eigh_tridiagonal(d, e, eigvals_only=True, select="v", select_range=(lo, e_max))
     if lam.size == 0:
         lam = lowest(d, e, 1)
-    if not richardson:
-        return lam
     d2, e2, lo2 = matrix(v, 0.5 * h)
     lam2, slack = _rayleigh(d2, e2, v, 0.5 * h, lam)
     top = lam2[-1] + slack  # stebz only counts when its tolerance spans the window
@@ -238,8 +245,7 @@ def fd_spectrum(potential, x_min, x_max, n, e_max, tol=1e-3, richardson=True):
     if gap > 10.0 * tol:
         raise GridTooCoarse(f"resolutions n={n} and n={2 * n - 1} disagree by {gap:.3e} "
                             f"(> {10.0 * tol:.1e})")
-    _LAST_SOLVE.set({"gap": gap, "fine_solve": "refined" if certified else "bisected"})
-    return (4.0 * lam2 - lam) / 3.0
+    return FDSolve((4.0 * lam2 - lam) / 3.0, gap, "refined" if certified else "bisected")
 
 
 def _rayleigh(diag, off, v, h, shifts):
@@ -281,11 +287,11 @@ class SpectralReport:
     grid: tuple
     eigenvalues: list
     targets: list
-    matched: list = field(default_factory=list)
-    extras: list = field(default_factory=list)
-    missing: list = field(default_factory=list)
-    gap: float | None = None
-    fine_solve: str | None = None
+    matched: list
+    extras: list
+    missing: list
+    gap: float
+    fine_solve: str
 
     @property
     def ok(self):
@@ -298,15 +304,7 @@ class SpectralReport:
         return float(np.max([m["residual"] for m in self.matched]))
 
     def to_json(self):
-        return {
-            "grid": {"x_min": self.grid[0], "x_max": self.grid[1], "n": self.grid[2]},
-            "eigenvalues": list(self.eigenvalues),
-            "targets": list(self.targets),
-            "matched": list(self.matched),
-            "extras": list(self.extras),
-            "missing": list(self.missing),
-            "gap": self.gap, "fine_solve": self.fine_solve,
-        }
+        return {**asdict(self), "grid": dict(zip(("x_min", "x_max", "n"), self.grid))}
 
 
 def match_band(targets):
@@ -366,7 +364,7 @@ def verify_spectrum(defm, which, n_levels, x_min, x_max, n, tol=1e-3):
         vu, vp = schrodinger.potentials(defm, xs)
         return vu if which == "upper" else vp
 
-    lams = fd_spectrum(potential, x_min, x_max, n, match_band(targets), tol=tol)
-    matched, extras, missing = match_targets(lams, targets)
-    return SpectralReport((x_min, x_max, n), [float(v) for v in lams], targets,
-                          matched, extras, missing, **_LAST_SOLVE.get())
+    solve = fd_spectrum(potential, x_min, x_max, n, match_band(targets), tol=tol)
+    matched, extras, missing = match_targets(solve.values, targets)
+    return SpectralReport((x_min, x_max, n), solve.values.tolist(), targets,
+                          matched, extras, missing, solve.gap, solve.fine_solve)

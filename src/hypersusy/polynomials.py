@@ -334,9 +334,11 @@ def _gram(fam, order, levels):
 
     One tanh-sinh pass: the integrand evaluates sigma^m rho and each level
     polynomial once per node array and returns the upper-triangle products
-    sigma^m rho p_i p_j as stacked rows.
+    sigma^m rho p_i p_j as stacked rows.  Each level goes through
+    associated_function, so an order that is not an int in 0..level raises
+    IndexViolation.
     """
-    polys = [poly_eigenfunction(fam, l).deriv(order) for l in levels]
+    polys = [associated_function(fam, l, order).poly for l in levels]
     iu, ju = np.triu_indices(len(polys))
 
     # where sigma^m rho is 0 the product is 0 no matter how large the
@@ -358,11 +360,9 @@ def _gram(fam, order, levels):
 
 def norm(fam, level, order):
     """Weighted L2 norm of the associated function: the root of a one-level Gram."""
-    if order > level:
-        raise IndexViolation(f"order must satisfy m <= l, got m={order}, l={level}")
     return math.sqrt(_gram(fam, order, [level])[0, 0])
 
 
 def gram_matrix(fam, order, lmax):
     """Inner products of the order-m associated functions up to level lmax."""
-    return _gram(fam, order, range(order, lmax + 1))
+    return _gram(fam, order, [l for l in range(lmax + 1) if l >= order])

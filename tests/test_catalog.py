@@ -7,6 +7,7 @@ from hypersusy import families, riccati, verify
 from hypersusy.catalog import (CATALOG, _deformation_ratio, catalog_reference,
                                compare_with_generic, entry)
 from hypersusy.errors import ParameterViolation
+from hypersusy.numerics import quad
 from oracles import deformation_ratio_per_point
 
 GRID = {
@@ -233,3 +234,20 @@ def test_stacked_reference_matches_one_quad_per_point(entry_id, alpha, beta, m, 
         for i in (0, 8, 16):  # a lone point, as a 0-d array, as in a grid
             lone = _deformation_ratio(fam, m, gamma, np.asarray(s[i]))
             assert np.shape(lone) == () and abs(lone - stacked[i]) <= 1e-15 * abs(stacked[i])
+
+
+def test_a_reference_row_is_summed_as_it_would_be_alone():
+    # the gamma term's integrand on 61 const(-2, 0) points: 48 of them
+    # summed differently as a lone row and in a 2-row stack, which made a
+    # lone point's reference differ from the same quad's lone row
+    fam, m = families.make_family("const", -2, 0), 0
+    s0, gamma = fam.spec.base_point, verify._finite_gammas(fam, m)[0]
+    for x in np.linspace(-3.0, 3.0, 61):
+        def row(u, span=x - s0):
+            return span * families.sigma_m_rho(fam, m, s0 + span * u)
+
+        lone = quad(row, 0.0, 1.0, tol=1e-14).value
+        pair = quad(lambda u: np.stack([row(u), row(u)]), 0.0, 1.0, tol=1e-14).value
+        assert pair[0] == pair[1] == lone
+        weight = families.sigma_m_rho(fam, m, np.asarray(x))
+        assert _deformation_ratio(fam, m, gamma, np.asarray(x)) == weight / (gamma + lone)

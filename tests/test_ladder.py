@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hypersusy import families, ladder, verify
-from hypersusy.errors import ContextMismatch, CutoffExceeded, DivisibilityFailure
+from hypersusy.errors import ContextMismatch, CutoffExceeded, DivisibilityFailure, IndexViolation
 from hypersusy.ladder import (
     KappaForm,
     apply_hamiltonian,
@@ -202,6 +202,15 @@ def test_a_nan_residual_reaches_max_residual():
     rep = check_identities(make_context(families.make_family("s2_minus_one", -1e155, 1e155), 0), 4)
     assert rep["intertwine_h"] and all(math.isnan(r) for r in rep["intertwine_h"].values())
     assert math.isnan(rep["max_residual"])
+
+
+@pytest.mark.parametrize("lmax", [-1, 0, 1])
+def test_identities_below_the_order_raise(lmax):
+    # no level from m to lmax: the report had a max_residual of 0 and four
+    # empty relations, a pass that checked nothing
+    ctx = make_context(families.make_family("const", -2, 0), 2)
+    with pytest.raises(IndexViolation, match="lmax >= m"):
+        check_identities(ctx, lmax)
 
 
 def test_identities_report_shape():

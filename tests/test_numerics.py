@@ -1,4 +1,6 @@
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -88,6 +90,27 @@ def test_stacked_rows_match_closed_forms_and_single_rows():
     for got, one, (_, exact) in zip(res.value, singles, STACKED_ROWS):
         assert abs(got - exact) <= 1e-12 * max(1.0, abs(exact))
         assert abs(got - one.value) <= 1e-12 * max(1.0, abs(exact))
+
+
+def test_a_stacked_row_is_summed_exactly_as_a_lone_row():
+    # numpy returns a stack's level selection F-ordered; summed that way a
+    # row came out a few ulps from the same row integrated alone, and so did
+    # the rows an integrand returns F-ordered, past level 4
+    for f, _ in STACKED_ROWS:
+        lone = quad(f, -math.inf, math.inf).value
+        for order in "CF":
+            pair = quad(lambda s: np.array([f(s), f(s)], order=order), -math.inf, math.inf).value
+            assert pair[0] == pair[1] == lone
+
+
+@pytest.mark.parametrize("a,b", [(math.nan, 1.0), (0.0, math.nan), (math.nan, math.inf)])
+def test_nan_bound_raises_before_the_integrand_is_called(a, b):
+    # a NaN bound left no node inside (a, b): quad returned 0 having
+    # evaluated nothing
+    g, calls = counting(np.exp)
+    with pytest.raises(ValueError, match="not NaN"):
+        quad(g, a, b)
+    assert calls == []
 
 
 def test_stacked_rows_keep_orientation_and_empty_intervals():
@@ -188,30 +211,29 @@ def test_derivative_richardson():
 
 
 def test_fd_oscillator():
-    lams = fd_spectrum(lambda x: x * x + 1.0, -10.0, 10.0, 4000, 9.0)
+    lams = fd_spectrum(lambda x: x * x + 1.0, -10.0, 10.0, 4000, 9.0).values
     assert np.allclose(lams, [2.0, 4.0, 6.0, 8.0], atol=1e-3)
 
 
 def test_fd_particle_in_box():
-    lams = fd_spectrum(lambda x: np.zeros_like(x), 0.0, math.pi, 2000, 12.0)
+    lams = fd_spectrum(lambda x: np.zeros_like(x), 0.0, math.pi, 2000, 12.0).values
     assert np.allclose(lams, [1.0, 4.0, 9.0], atol=1e-3)
 
 
 def test_fd_constant_shift():
-    base = fd_spectrum(lambda x: x * x, -8.0, 8.0, 1000, 6.0)
-    shifted = fd_spectrum(lambda x: x * x + 5.0, -8.0, 8.0, 1000, 11.0)
+    base = fd_spectrum(lambda x: x * x, -8.0, 8.0, 1000, 6.0).values
+    shifted = fd_spectrum(lambda x: x * x + 5.0, -8.0, 8.0, 1000, 11.0).values
     assert np.allclose(shifted, base + 5.0, atol=1e-9)
 
 
 def test_fd_h2_convergence_order():
+    # the gap between the two h^2-accurate resolutions falls by 4 when n
+    # doubles (the premise of the extrapolation), the extrapolated error by 16
     exact = np.array([1.0, 3.0, 5.0])
-
-    def err(n):
-        lams = fd_spectrum(lambda x: x * x, -10.0, 10.0, n, 6.0, richardson=False)
-        return np.abs(lams - exact)
-
-    ratio = err(1001) / err(2001)
-    assert np.all(ratio > 3.5) and np.all(ratio < 4.5)
+    coarse, fine = (fd_spectrum(lambda x: x * x, -10.0, 10.0, n, 6.0) for n in (1001, 2001))
+    assert 3.5 < coarse.gap / fine.gap < 4.5
+    ratio = np.abs(coarse.values - exact) / np.abs(fine.values - exact)
+    assert np.all(ratio > 12.0) and np.all(ratio < 20.0)
 
 
 def test_fd_grid_too_coarse():
@@ -225,7 +247,7 @@ def test_fd_grid_too_coarse():
 
 def test_fd_returns_every_level_up_to_the_ceiling():
     # 15 levels, more than the old fixed count of targets + 6 ever asked for
-    lams = fd_spectrum(lambda x: x * x, -10.0, 10.0, 4000, 30.0)
+    lams = fd_spectrum(lambda x: x * x, -10.0, 10.0, 4000, 30.0).values
     assert lams.shape == (15,)
     assert np.allclose(lams, np.arange(1.0, 30.0, 2.0), atol=1e-3)
 
@@ -234,7 +256,7 @@ def test_fd_returns_every_level_up_to_the_ceiling():
 def test_fd_ceiling_below_the_ground_level_returns_the_ground_level(e_max, capfd):
     # 0.5 leaves an empty window above min V = 0; -3 lies below min V itself,
     # where stebz would reject the window (VL >= VU) on stderr
-    lams = fd_spectrum(lambda x: x * x, -10.0, 10.0, 1000, e_max)
+    lams = fd_spectrum(lambda x: x * x, -10.0, 10.0, 1000, e_max).values
     assert lams.shape == (1,) and abs(lams[0] - 1.0) < 1e-3
     assert capfd.readouterr().err == ""
 
@@ -315,14 +337,14 @@ def test_fd_refined_fine_solve_matches_index_bisection(a, b, c, n):
     # a quadratic or quartic well with a tilt: the refined fine states are
     # certified, and they agree with bisecting the same states by index
     well = _wells(a, b, c)
-    refined = fd_spectrum(well, -8.0, 8.0, n, 25.0, tol=0.1)
-    assert numerics._LAST_SOLVE.get()["fine_solve"] == "refined"
+    refined, _, how = fd_spectrum(well, -8.0, 8.0, n, 25.0, tol=0.1)
+    assert how == "refined"
     assert refined.size >= 2
     with pytest.MonkeyPatch.context() as mp:
         rayleigh, _ = _moved_shifts(numerics._rayleigh, _all_lowest)
         mp.setattr(numerics, "_rayleigh", rayleigh)
-        bisected = fd_spectrum(well, -8.0, 8.0, n, 25.0, tol=0.1)
-        assert numerics._LAST_SOLVE.get()["fine_solve"] == "bisected"
+        bisected, _, how = fd_spectrum(well, -8.0, 8.0, n, 25.0, tol=0.1)
+        assert how == "bisected"
     assert refined.shape == bisected.shape
     assert np.all(np.abs(refined - bisected) <= 1e-9 * (1.0 + np.abs(bisected)))
 
@@ -370,12 +392,12 @@ def test_fd_falls_back_to_index_bisection_when_the_certificate_fails(monkeypatch
     got = fd_spectrum(well, -10.0, 10.0, 1000, 12.0)
     (values, slack), = seen
     assert np.all(np.diff(values) > slack) == distinct
-    assert numerics._LAST_SOLVE.get()["fine_solve"] == "bisected"
+    assert got.fine_solve == "bisected"
     (d, e, lo), (d2, e2, _, _, _) = _grids(well, -10.0, 10.0, 1000)
     lam = eigh_tridiagonal(d, e, eigvals_only=True, select="v", select_range=(lo, 12.0))
     lam2 = eigh_tridiagonal(d2, e2, eigvals_only=True, select="i", select_range=(0, lam.size - 1))
     assert lam.size == values.size >= 3
-    np.testing.assert_array_equal(got, (4.0 * lam2 - lam) / 3.0)
+    np.testing.assert_array_equal(got.values, (4.0 * lam2 - lam) / 3.0)
 
 
 def test_verify_spectrum_rejects_an_unknown_operator():
@@ -440,3 +462,26 @@ def test_verify_spectrum_trigonometric_pair():
     dp = riccati.make_deformation(fam, 0, gamma)
     rep = verify_spectrum(dp, "partner", 3, 1e-4, math.pi - 1e-4, 4000, tol=5e-3)
     assert rep.ok and rep.max_residual <= 5e-3
+
+
+def test_benchmark_tracer_reads_the_fd_and_quad_spans():
+    # perfbench's traced runs read fd_spectrum's 4th argument as n and each
+    # QuadratureResult's panels as evals; a change to either call or return
+    # shape must fail here, not in a benchmark run
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import tracing
+    from hypersusy import families, riccati
+    from hypersusy.numerics import verify_spectrum
+
+    n, tracer = 1000, tracing.Tracer()
+    tracer.install()
+    try:
+        fam = families.make_family("const", -2, 0)
+        defm = riccati.make_deformation(fam, 0, riccati.gamma_rays(fam, 0).right_start + 1.0)
+        rep = verify_spectrum(defm, "partner", 2, -10.0, 10.0, n)
+    finally:
+        tracer.uninstall()
+    assert rep.ok
+    fd, q = tracer.stats["numerics.fd_spectrum"], tracer.stats["numerics.quad"]
+    assert fd["calls"] == 1 and fd["grid_points"] == n + 2 * n - 1
+    assert q["calls"] >= 1 and q["failed"] == 0 and q["evals"] >= 100 * q["calls"]

@@ -606,6 +606,16 @@ def test_gram_matrix_without_levels_makes_no_quadrature(monkeypatch):
     assert not calls
 
 
+@pytest.mark.parametrize("call", [lambda f: norm(f, 2, -1), lambda f: norm(f, 3, -2),
+                                  lambda f: norm(f, 2, 1.5), lambda f: gram_matrix(f, 1.5, 3)],
+                         ids=["norm-2-neg1", "norm-3-neg2", "norm-2-1.5", "gram-1.5-3"])
+def test_norm_and_gram_reject_an_order_that_is_not_a_level_index(call):
+    # a negative order integrated against sigma^-1 rho and returned a number;
+    # a fractional one ended in a bare TypeError
+    with pytest.raises(IndexViolation, match="0 <= m <= l"):
+        call(families.make_family("const", -2, 0))
+
+
 def test_orthogonality_suite_makes_one_pass_per_order(monkeypatch):
     from hypersusy import verify
 
