@@ -29,7 +29,7 @@ from .errors import HypersusyError, ParameterViolation
 
 
 def _number(name, val):
-    """ints stay exact (rational-mode polynomials); any other number is float."""
+    """An int stays an int, any other number is a float; the algebra reads either exactly."""
     if isinstance(val, str):
         for cast in (int, float):
             try:

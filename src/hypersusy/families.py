@@ -8,9 +8,9 @@ value, which is immutable and safe to share.  What differs between the six
 kinds is one KindSpec record each, in SPECS; other modules read it instead
 of branching on the kind.
 
-Exact mode: when alpha and beta are ints or Fractions the eigenvalues and
-polynomial machinery stay in exact rational arithmetic; floats switch the
-whole chain to floating point.
+A family keeps alpha and beta as given, for printing and the float
+evaluators; the algebra reads them through rational(), so a float parameter
+enters it as its exact binary rational Fraction(x).
 """
 
 from __future__ import annotations
@@ -158,8 +158,14 @@ SPECS = {spec.kind: spec for spec in (
 KINDS = tuple(SPECS)
 
 
-def _is_exact(x):
-    return isinstance(x, (int, Fraction)) and not isinstance(x, bool)
+def rational(x):
+    """x exactly: an int or Fraction as it is, another number as Fraction(x)."""
+    return x if isinstance(x, (int, Fraction)) else Fraction(x)
+
+
+def is_index(k):
+    """k is a non-negative int (a bool is not)."""
+    return isinstance(k, int) and not isinstance(k, bool) and k >= 0
 
 
 def _finite(x):
@@ -202,10 +208,6 @@ class Family:
         return self.spec.interval
 
     @property
-    def exact(self):
-        return _is_exact(self.alpha) and _is_exact(self.beta)
-
-    @property
     def sigma_coeffs(self):
         return self.spec.sigma
 
@@ -216,11 +218,8 @@ class Family:
 
     @functools.cached_property
     def polys(self):
-        """(sigma, sigma', tau) as Poly, built once per instance.
-
-        Kept on the instance, not in a cache keyed by Family: an exact and a
-        float family with equal values compare and hash equal.
-        """
+        """(sigma, sigma', tau) as Poly, built once per instance and kept on
+        it, not in a module cache keyed by Family, so it goes with the family."""
         from .polynomials import Poly
 
         _, c1, c2 = self.sigma_coeffs
@@ -238,8 +237,8 @@ class Family:
         kept on the instance for the reason polys is."""
         return {}
 
-    # sigma, tau and their kin evaluate elementwise in floats; exact parameters
-    # enter rounded, as Fraction-float arithmetic would round them anyway
+    # sigma, tau and their kin evaluate elementwise in floats; Fraction
+    # parameters enter rounded, as Fraction-float arithmetic would round them
     def sigma(self, s):
         c0, c1, c2 = self.spec.sigma
         s = np.asarray(s, dtype=float)
@@ -335,30 +334,38 @@ def make_family(kind, alpha, beta):
 
 
 def below_cutoff(fam, level):
-    """Exact-halves test for level < Lambda (2*level < 1 - alpha)."""
+    """level < Lambda, as alpha < 1 - 2*level: an int against alpha compares exactly."""
     if level < 0:
         return False
     if fam.sigma_lead <= 0:
         return True
-    return 2 * level < 1 - fam.alpha
+    return fam.alpha < 1 - 2 * level
 
 
 def cutoff(fam):
-    """Lambda: infinity for sigma in {1, s, 1-s^2}, else (1-alpha)/2."""
+    """Lambda: infinity for sigma in {1, s, 1-s^2}, else (1-alpha)/2, exactly."""
     if fam.sigma_lead <= 0:
         return math.inf
-    if fam.exact:
-        return Fraction(1 - fam.alpha, 2)
-    return (1.0 - fam.alpha) / 2.0
+    return Fraction(1 - rational(fam.alpha), 2)
+
+
+def _shown(fam, x):
+    """x as messages print it: a float when either parameter was given as one."""
+    return float(x) if isinstance(fam.alpha, float) or isinstance(fam.beta, float) else x
+
+
+def require_level(fam, level):
+    """Raise CutoffExceeded unless level is a non-negative int below the cutoff."""
+    if not is_index(level):
+        raise CutoffExceeded(f"level must be a non-negative integer, got {level!r}")
+    if not below_cutoff(fam, level):
+        raise CutoffExceeded(f"level {level} is not below the cutoff {_shown(fam, cutoff(fam))}")
 
 
 def eigenvalue(fam, level):
-    """lambda_l = -(sigma''/2) l (l-1) - tau' l; exact when the family is."""
-    if not isinstance(level, int) or level < 0:
-        raise CutoffExceeded(f"level must be a non-negative integer, got {level!r}")
-    if not below_cutoff(fam, level):
-        raise CutoffExceeded(f"level {level} is not below the cutoff {cutoff(fam)}")
-    return -fam.sigma_lead * level * (level - 1) - fam.alpha * level
+    """lambda_l = -(sigma''/2) l (l-1) - tau' l, exactly."""
+    require_level(fam, level)
+    return -fam.sigma_lead * level * (level - 1) - rational(fam.alpha) * level
 
 
 def weight(fam, s):
@@ -387,11 +394,11 @@ def sigma_m_rho(fam, m, s):
 
 
 def sigma_potential(fam, m):
-    """sigma v_m, exact when the family is: m(m-2)/4 sigma'^2 + m/2 tau sigma'
+    """sigma v_m, exactly: m(m-2)/4 sigma'^2 + m/2 tau sigma'
     - (m(m-2) sigma_lead + m alpha) sigma, v_m from -sigma D^2 - tau D + v_m."""
     sig, sp, tau = fam.polys
     return ((sp * sp) * Fraction(m * (m - 2), 4) + (tau * sp) * Fraction(m, 2)
-            - sig * (m * (m - 2) * fam.sigma_lead + m * fam.alpha))
+            - sig * (m * (m - 2) * fam.sigma_lead + m * rational(fam.alpha)))
 
 
 def potential_term(fam, m, s):
@@ -401,7 +408,7 @@ def potential_term(fam, m, s):
 
 
 def weight_power(fam):
-    """Exponent k with rho = sigma^k, or None when no such k exists.
+    """Exact exponent k with rho = sigma^k, or None when no such k exists.
 
     Present exactly when tau degenerates: tau = beta for sigma = s, or
     tau = alpha*s (beta = 0) for the four quadratic sigmas.
@@ -409,7 +416,7 @@ def weight_power(fam):
     power = fam.spec.power
     if power is None or (fam.alpha if power.tau == "beta" else fam.beta) != 0:
         return None
-    return power.k(fam.alpha, fam.beta, Fraction(1, 2) if fam.exact else 0.5)
+    return power.k(rational(fam.alpha), rational(fam.beta), Fraction(1, 2))
 
 
 def _shift_denominator(fam, m):
@@ -421,17 +428,14 @@ def _shift_denominator(fam, m):
         raise CutoffExceeded(f"shift needs m+1 below the cutoff, got m={m}")
     den = 2 * m + 2 * k + 1
     if den == 0 or abs(float(den)) < 1e-12:
-        raise DegenerateDenominator(f"2m + 2k + 1 = 0 for m={m}, k={k}")
+        raise DegenerateDenominator(f"2m + 2k + 1 = 0 for m={m}, k={_shown(fam, k)}")
     return den
 
 
 def shift_constant(fam, m, delta):
-    """c = delta / (2m + 2k + 1), exact when the family and delta are; c*c finite as a float."""
+    """c = delta / (2m + 2k + 1), exactly, with c*c finite as a float."""
     den = _shift_denominator(fam, m)
-    if fam.exact and _is_exact(delta):
-        c = Fraction(delta) / den
-    else:
-        c = float(delta) / float(den) if _finite(delta) else math.nan
+    c = Fraction(delta) / den if _finite(delta) else math.nan
     if not (_finite(c) and _finite(c * c)):
         raise ParameterViolation(f"delta must give a finite shift constant, got delta={delta}")
     return c

@@ -4,10 +4,10 @@ Operators act on formal sums of kappa-power terms, sum_j kappa^j * p_j(s)
 with kappa = sqrt(sigma).  A form holds at most one slot per parity of j:
 a term joins its parity's slot by folding onto the lower power,
 kappa^(j+2i) p = kappa^j sigma^i p.  Every map sends a slot kappa^j p to one
-slot by a closed form, in one pass over p's numerators against the context's
-coefficient stencils (Deformation.ladder_polys), reduced once: exactly
-(rational mode) when the stencils are, else in floats.  The context carries
-lambda_m, so it applies H_k - lambda_m and the relations need no lambda term.
+slot by a closed form, in one pass over p's integer numerators against the
+context's integer coefficient stencils (Deformation.ladder_polys), reduced
+once, so every map is exact.  The context carries lambda_m, so it applies
+H_k - lambda_m and the relations need no lambda term.
 lower_order and apply_hamiltonian read their result off its one slot; H
 lands on kappa^(m-2) and is divided by sigma once, so a nonzero remainder is
 an algebra bug and raises DivisibilityFailure.
@@ -68,8 +68,7 @@ def _first_order(polys, p, e, with_tau=False):
     """
     den, sig, half, tau, _ = polys
     g = [e * h + t for h, t in zip(half, tau)] if with_tau else [e * h for h in half]
-    n, out_den = (p._floats(), None) if den is None else (p.nums, den * p.den)
-    return Poly._canonical(_pass(sig, g, n), out_den)
+    return Poly._canonical(_pass(sig, g, p.nums), den * p.den)
 
 
 class KappaForm:
@@ -109,11 +108,11 @@ class KappaForm:
 
 
 def residual(lhs, rhs):
-    """Relative max-coefficient deviation between two kappa forms."""
+    """Relative max-coefficient deviation between two kappa forms; 0 only if they are equal."""
     diff = lhs - rhs
     if not diff.terms:
         return 0.0
-    return diff.max_abs() / max(lhs.max_abs(), rhs.max_abs(), 1.0)
+    return max(diff.max_abs() / max(lhs.max_abs(), rhs.max_abs(), 1.0), math.ulp(0.0))
 
 
 # --- the operators ---------------------------------------------------------
@@ -157,22 +156,19 @@ def _apply_h(ctx, m, u):
     for j, p in u.terms.items():
         g_q = [j * h for h in half]
         g_r = [(j - 2) * h + t for h, t in zip(half, tau)]
-        n, scale, slot_den = ((p._floats(), 1, None) if den is None
-                              else (p.nums, den, den * den * p.den))
-        r = _pass(sig, g_r, _pass(sig, g_q, n))
-        out.append((j - 2, Poly._canonical([scale * a - b for a, b in zip(_conv(pots[m], n), r)],
-                                           slot_den)))
+        r = _pass(sig, g_r, _pass(sig, g_q, p.nums))
+        out.append((j - 2, Poly._canonical([den * a - b for a, b in zip(_conv(pots[m], p.nums), r)],
+                                           den * den * p.den)))
         if ctx.delta is not None:
-            out.append((j - 1, (ctx.family.polys[1] * p) * (-ctx.delta * Fraction(1, 2))))
+            out.append((j - 1, (ctx.family.polys[1] * p) * (Fraction(ctx.delta) / -2)))
     return KappaForm(ctx.family, out)
 
 
 def _check_compatible(ctx, af, expected_m):
     if ctx.delta is not None:
         raise ContextMismatch("shifted maps do not reduce to one kappa^m slot")
-    if af.family != ctx.family or af.family.exact != ctx.family.exact or (
-            ctx.family.exact and af.poly.den is None):
-        raise ContextMismatch("function family or lane differs from the context's")
+    if af.family != ctx.family:
+        raise ContextMismatch("function family differs from the context's")
     if af.m != expected_m:
         raise ContextMismatch(f"expected order {expected_m}, got {af.m}")
 
@@ -196,13 +192,12 @@ def apply_hamiltonian(ctx, af):
     """Apply -sigma D^2 - tau D + v_m at the context order.
 
     The context's H_m - lambda_m lands on kappa^(m-2), is divided by sigma
-    once and gets lambda_m p back.  Exact coefficients demand a zero remainder,
-    float ones allow 1e-10 of the larger of 1 and the largest coefficient.
+    once and gets lambda_m p back.  Any remainder raises.
     """
     _check_compatible(ctx, af, ctx.m)
     out = _apply_h(ctx, ctx.m, KappaForm.from_assoc(af)).terms.get(ctx.m - 2, Poly())
     q, rem = poly_divmod(out, ctx.family.polys[0])
-    if rem.max_abs() > (0.0 if ctx.family.exact else 1e-10) * max(out.max_abs(), 1.0):
+    if not rem.is_zero:
         raise DivisibilityFailure(f"division by sigma left remainder of size {rem.max_abs():.3e}")
     return AssociatedFunction(ctx.family, af.l, ctx.m,
                               q + af.poly * families.eigenvalue(ctx.family, ctx.m))
@@ -238,10 +233,11 @@ def check_identities(ctx, lmax):
       factor_high     a  a+          vs  H_{m+1} - lambda_m
       intertwine_h    H_m a+         vs  a+ H_{m+1}
       intertwine_a    a H_m          vs  H_{m+1} a
-    Residuals are relative max-coefficient deviations (exactly 0 in
-    rational mode).  Each level builds its polynomial once and takes both
-    orders from it by differentiation.  A shifted context checks the shifted
-    maps against the shifted eigenvalue.  lmax < m raises IndexViolation.
+    Residuals are relative max-coefficient deviations, 0 exactly when an
+    identity holds; every map is exact, so the "exact" key is always True.
+    Each level builds its polynomial once and takes both orders from it by
+    differentiation.  A shifted context checks the shifted maps against the
+    shifted eigenvalue.  lmax < m raises IndexViolation.
     """
     fam, m = ctx.family, ctx.m
     if lmax < m:
@@ -255,7 +251,7 @@ def check_identities(ctx, lmax):
             w = KappaForm(fam, [(m + 1, q.deriv())]) if l >= m + 1 else None
             yield f"l={l},m={m}", KappaForm(fam, [(m, q)]), f"l={l},m={m + 1}", w
 
-    return {**_report(ctx, cases()), "exact": ctx.ladder_polys[0] is not None}
+    return {**_report(ctx, cases()), "exact": True}
 
 
 def recurrence_residual(fam, l, m, points):

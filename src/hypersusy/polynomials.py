@@ -4,9 +4,9 @@ The level-l eigenfunction is built from the three-term coefficient
 recurrence of sigma*p'' + tau*p' + lambda_l*p = 0, normalized so its l-th
 derivative is exactly 1; the order-m associated function is then
 kappa^m * (m-th derivative of the polynomial) with kappa = sqrt(sigma).
-Coefficients are exact whenever the family parameters are int/Fraction
-(integer numerators over one common denominator, read back as Fractions),
-plain floats otherwise.
+Coefficients are exact rationals (integer numerators over one common
+denominator, read back as Fractions) for every family: a float parameter
+enters as its exact binary rational.
 """
 
 from __future__ import annotations
@@ -19,74 +19,62 @@ from itertools import zip_longest
 import numpy as np
 
 from . import families
-from .errors import CutoffExceeded, IndexViolation, RecurrenceBreakdown
-from .families import _is_exact
+from .errors import IndexViolation, RecurrenceBreakdown
 from .numerics import quad
 
 
 class Poly:
-    """Dense univariate polynomial; index = power of s.
+    """Dense univariate polynomial with exact rational coefficients; index = power of s.
 
-    A polynomial whose coefficients are all int/Fraction is exact and is
-    stored as integer numerators ``nums`` over one positive integer
+    Stored as integer numerators ``nums`` over one positive integer
     denominator ``den``, in lowest terms (gcd(den, *nums) == 1) and with no
-    trailing zero numerator, so each value has one representation.  Exact
-    arithmetic then runs on Python ints: a sum costs one lcm, a product is
-    an integer convolution, and each result is reduced by one gcd.  Any
-    other coefficient makes the polynomial float: ``nums`` holds the
-    coefficients as given and ``den`` is None; an exact operand meeting a
-    float one enters as its floats n/den, the same values Fraction
-    arithmetic would give.  ``coeffs`` is the read API and yields Fractions
-    for exact polynomials.  Arithmetic with a float operand gives a float
-    polynomial, even an integer-valued one, built without re-checking each
-    coefficient's type.
+    trailing zero numerator, so each value has one representation.
+    Arithmetic then runs on Python ints: a sum costs one lcm, a product is
+    an integer convolution, and each result is reduced by one gcd.  A float
+    coefficient or factor enters as its exact binary rational Fraction(c).
+    ``coeffs`` is the read API and yields Fractions; the float view is built
+    once per polynomial, a coefficient beyond float range reading +-inf.
     """
 
     # Tuples, the argument tuple of a *-call included, are built from lists,
     # never from generators: a tuple filled from a generator grows by
     # resizing, and CPython then parks the freed tuples in per-size free
     # lists that fill to their cap (about 4 MB over a long exact run).
-    __slots__ = ("nums", "den")
+    __slots__ = ("nums", "den", "_flt")
 
     def __init__(self, coeffs=()):
-        cs = list(coeffs)
+        cs = [families.rational(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
-        if all(_is_exact(c) for c in cs):
-            # Fractions are reduced, so over the lcm the numerators share no
-            # factor with it
-            den = math.lcm(*[c.denominator for c in cs])
-            self.nums = tuple([c.numerator * (den // c.denominator) for c in cs])
-            self.den = den
-        else:
-            self.nums = tuple([float(c) if isinstance(c, Fraction) else c for c in cs])
-            self.den = None
+        # Fractions are reduced, so over the lcm the numerators share no
+        # factor with it
+        den = math.lcm(*[c.denominator for c in cs])
+        self.nums = tuple([c.numerator * (den // c.denominator) for c in cs])
+        self.den, self._flt = den, None
 
     @classmethod
     def _canonical(cls, nums, den):
-        """sum_i nums[i] s^i / den, den > 0, in lowest terms; den None keeps
-        nums as float coefficients."""
+        """sum_i nums[i] s^i / den, den > 0, in lowest terms."""
         n = len(nums)
         while n and not nums[n - 1]:
             n -= 1
-        g = 1 if den is None else math.gcd(den, *nums[:n])
+        g = math.gcd(den, *nums[:n])
         p = cls.__new__(cls)
         if g == 1:
             p.nums, p.den = tuple(nums[:n]), den
         else:
             p.nums, p.den = tuple([x // g for x in nums[:n]]), den // g
+        p._flt = None
         return p
 
     @property
     def coeffs(self):
-        if self.den is None:
-            return self.nums
         return tuple([Fraction(x, self.den) for x in self.nums])
 
     def _floats(self):
-        if self.den is None:
-            return self.nums
-        return tuple([x / self.den for x in self.nums])
+        if self._flt is None:
+            self._flt = tuple([_quotient(x, self.den) for x in self.nums])
+        return self._flt
 
     @property
     def degree(self):
@@ -97,28 +85,20 @@ class Poly:
         return not self.nums
 
     def __eq__(self, other):
-        if not isinstance(other, Poly):
-            return False
-        if self.den is not None and other.den is not None:
-            return self.den == other.den and self.nums == other.nums
-        return self.coeffs == other.coeffs
+        return isinstance(other, Poly) and self.den == other.den and self.nums == other.nums
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self.nums, self.den))
 
     def __repr__(self):
         return f"Poly({list(self.coeffs)})"
 
     def _combine(self, other, sign):
         """self + sign * other."""
-        if self.den is not None and other.den is not None:
-            den = math.lcm(self.den, other.den)
-            fa, fb = den // self.den, sign * (den // other.den)
-            pairs = zip_longest(self.nums, other.nums, fillvalue=0)
-            return Poly._canonical([x * fa + y * fb for x, y in pairs], den)
-        pairs = zip_longest(self._floats(), other._floats(), fillvalue=0)
-        out = [x + y for x, y in pairs] if sign > 0 else [x - y for x, y in pairs]
-        return Poly._canonical(out, None)
+        den = math.lcm(self.den, other.den)
+        fa, fb = den // self.den, sign * (den // other.den)
+        pairs = zip_longest(self.nums, other.nums, fillvalue=0)
+        return Poly._canonical([x * fa + y * fb for x, y in pairs], den)
 
     def __add__(self, other):
         return self._combine(other, 1)
@@ -128,24 +108,22 @@ class Poly:
 
     def __neg__(self):
         p = Poly.__new__(Poly)
-        p.nums, p.den = tuple([-x for x in self.nums]), self.den
+        p.nums, p.den, p._flt = tuple([-x for x in self.nums]), self.den, None
         return p
 
     def __mul__(self, other):
         if isinstance(other, Poly):
             if self.is_zero or other.is_zero:
                 return Poly()
-            exact = self.den is not None and other.den is not None
-            a, b = (self.nums, other.nums) if exact else (self._floats(), other._floats())
+            a, b = self.nums, other.nums
             out = [0] * (len(a) + len(b) - 1)
             for i, x in enumerate(a):
                 for j, y in enumerate(b):
                     out[i + j] += x * y
-            return Poly._canonical(out, self.den * other.den if exact else None)
-        if self.den is not None and _is_exact(other):
-            return Poly._canonical([x * other.numerator for x in self.nums],
-                                   self.den * other.denominator)
-        return Poly._canonical([c * float(other) for c in self._floats()], None)
+            return Poly._canonical(out, self.den * other.den)
+        other = families.rational(other)
+        return Poly._canonical([x * other.numerator for x in self.nums],
+                               self.den * other.denominator)
 
     __rmul__ = __mul__
 
@@ -157,32 +135,33 @@ class Poly:
 
     def __call__(self, s):
         out = 0
-        for c in reversed(self.coeffs if _is_exact(s) else self._floats()):
+        for c in reversed(self.coeffs if isinstance(s, (int, Fraction)) else self._floats()):
             out = out * s + c
         return out
 
     def eval_array(self, x):
         out = np.zeros_like(np.asarray(x, dtype=float))
         for c in reversed(self._floats()):
-            out = out * x + float(c)
+            out = out * x + c
         return out
 
     def max_abs(self):
-        if self.den is not None:
-            # n -> n/den is monotone, so the largest quotient is the quotient
-            # of the largest numerator
-            return max(map(abs, self.nums), default=0) / self.den
-        return max((abs(float(c)) for c in self.nums), default=0.0)
+        return max(map(abs, self._floats()), default=0.0)
 
     def to_json(self):
-        return [str(c) if _is_exact(c) else float(c) for c in self.coeffs]
+        return [str(c) for c in self.coeffs]
 
     @classmethod
     def from_json(cls, items):
-        cs = []
-        for it in items:
-            cs.append(Fraction(it) if isinstance(it, str) else float(it))
-        return cls(cs)
+        return cls(items)
+
+
+def _quotient(n, d):
+    """n/d as a float, +-inf where it lies beyond float range."""
+    try:
+        return n / d
+    except OverflowError:
+        return math.inf if n > 0 else -math.inf
 
 
 def poly_divmod(num, den):
@@ -260,37 +239,29 @@ def poly_eigenfunction(fam, level):
     couples c_j to c_{j+1}, c_{j+2}; fixing the leading coefficient at 1/l!
     (so the l-th derivative is exactly 1) determines the rest.  A vanishing
     divisor lambda_l - lambda_j flags a degenerate parameter choice.  The
-    exact lane scales sigma, alpha, beta by their common denominator and runs
+    recurrence scales sigma, alpha, beta by their common denominator and runs
     on integers: cs[j] is c_j's numerator over l! * divs[j] * ... * divs[l-1],
     with no gcd before the one canonical Poly at the end.
 
     Each level is built once per Family instance (Family.level_memo); a
     level that raises is not kept, so it raises on every call.
     """
-    if not isinstance(level, int) or level < 0:
-        raise CutoffExceeded(f"level must be a non-negative integer, got {level!r}")
-    if not families.below_cutoff(fam, level):
-        raise CutoffExceeded(f"level {level} is not below the cutoff {families.cutoff(fam)}")
+    families.require_level(fam, level)
     if level not in fam.level_memo:
         fam.level_memo[level] = _recurrence(fam, level)
     return fam.level_memo[level]
 
 
 def _recurrence(fam, level):
-    c0, c1, c2 = fam.sigma_coeffs
-    alpha, beta = fam.alpha, fam.beta
-    exact = fam.exact
-    if exact:
-        d = math.lcm(alpha.denominator, beta.denominator)
-        c0, c1, c2 = c0 * d, c1 * d, c2 * d
-        alpha = alpha.numerator * (d // alpha.denominator)
-        beta = beta.numerator * (d // beta.denominator)
-    lam = -c2 * level * (level - 1) - alpha * level  # lambda_l, times d in the exact lane
+    tau = fam.polys[2]  # beta + alpha s, exactly: integer numerators over tau.den
+    d, (beta, alpha) = tau.den, (*tau.nums, 0, 0)[:2]
+    c0, c1, c2 = [c * d for c in fam.sigma_coeffs]
+    lam = -c2 * level * (level - 1) - alpha * level  # d * lambda_l
     cs, divs = [0] * (level + 1), [1] * (level + 1)
-    cs[level] = 1 if exact else 1.0 / math.factorial(level)
+    cs[level] = 1
     for j in range(level - 1, -1, -1):
         div = c2 * j * (j - 1) + alpha * j + lam
-        if div == 0 or (not exact and abs(float(div)) < 1e-14):
+        if div == 0:
             raise RecurrenceBreakdown(
                 f"lambda_{level} - lambda_{j} vanishes for ({fam.kind}, "
                 f"alpha={fam.alpha}, beta={fam.beta})"
@@ -298,12 +269,7 @@ def _recurrence(fam, level):
         num = (j + 1) * (c1 * j + beta) * cs[j + 1]
         if j + 2 <= level:
             num += c0 * (j + 2) * (j + 1) * cs[j + 2] * divs[j + 1]
-        if exact:
-            cs[j], divs[j] = -num, div
-        else:
-            cs[j] = -float(num) / float(div)
-    if not exact:
-        return Poly(cs)
+        cs[j], divs[j] = -num, div
     # over the common denominator l! * prod(divs), c_j gains divs[0] * ... * divs[j-1]
     scale = 1
     for j in range(level + 1):
@@ -316,13 +282,13 @@ def _recurrence(fam, level):
 def ode_residual(fam, level, p):
     """sigma p'' + tau p' + lambda_l p as a polynomial (zero for solutions)."""
     sig, _, tau = fam.polys
-    lam = families.eigenvalue(fam, level)
-    return sig * p.deriv(2) + tau * p.deriv() + lam * p
+    dp = p.deriv()
+    return sig * dp.deriv() + tau * dp + families.eigenvalue(fam, level) * p
 
 
 def associated_function(fam, level, order):
     """kappa^order * (order-th derivative of the level polynomial)."""
-    if not isinstance(order, int) or order < 0 or order > level:
+    if not (families.is_index(order) and order <= level):
         raise IndexViolation(f"order must satisfy 0 <= m <= l, got m={order}, l={level}")
     return AssociatedFunction(fam, level, order, poly_eigenfunction(fam, level).deriv(order))
 
@@ -334,10 +300,11 @@ def _gram(fam, order, levels):
 
     One tanh-sinh pass: the integrand evaluates sigma^m rho and each level
     polynomial once per node array and returns the upper-triangle products
-    sigma^m rho p_i p_j as stacked rows.  Each level goes through
-    associated_function, so an order that is not an int in 0..level raises
-    IndexViolation.
+    sigma^m rho p_i p_j as stacked rows.  An order that is not a
+    non-negative int raises IndexViolation, even when no level is given.
     """
+    if not families.is_index(order):
+        raise IndexViolation(f"order must satisfy 0 <= m <= l, got m={order!r}")
     polys = [associated_function(fam, l, order).poly for l in levels]
     iu, ju = np.triu_indices(len(polys))
 

@@ -230,7 +230,7 @@ class Deformation:
 
     @functools.cached_property
     def shift_constant(self):
-        """c = delta/(2m + 2k + 1), exact in the exact lane; 0 without delta."""
+        """c = delta/(2m + 2k + 1), exactly; 0 without delta."""
         if self.delta is None:
             return 0
         return families.shift_constant(self.family, self.m, self.delta)
@@ -239,20 +239,17 @@ class Deformation:
     def ladder_polys(self):
         """(D, sigma, sigma'/2, tau, {k: sigma (v_k - lambda_m) for k = m, m + 1}).
 
-        Built on first use, lambda_m the (shifted) factorization energy: width-3
-        coefficient stencils (degree <= 2), integer numerators over one positive
-        integer D when the family and lambda_m are exact, else floats and D None.
+        Built on first use, lambda_m the exact (shifted) factorization energy:
+        width-3 coefficient stencils (degree <= 2), integer numerators over one
+        positive integer D.
         """
         sig, sp, tau = self.family.polys
         orders = (self.m, self.m + 1)
         lam = families.shifted_eigenvalue(self.family, self.m, self.delta)
         polys = [sig, sp * Fraction(1, 2), tau,
                  *[families.sigma_potential(self.family, k) - sig * lam for k in orders]]
-        if all(p.den is not None for p in polys):
-            den = math.lcm(*[p.den for p in polys])
-            rows = [[x * (den // p.den) for x in p.nums] for p in polys]
-        else:
-            den, rows = None, [list(p._floats()) for p in polys]
+        den = math.lcm(*[p.den for p in polys])
+        rows = [[x * (den // p.den) for x in p.nums] for p in polys]
         sig, half, tau, *pots = [tuple(r + [0] * (3 - len(r))) for r in rows]
         return den, sig, half, tau, dict(zip(orders, pots))
 

@@ -1,11 +1,12 @@
 """Invariant suites behind `verify` and the acceptance tests.
 
-Every suite runs over the default test matrix: one parameter choice per
-family, orders m in {0, 1}, levels l <= 6 below the cutoff, gamma drawn
-from {inf} plus one value inside each admissible ray.  Suites return plain
-dicts (JSON-ready) with an "ok" flag and per-case residuals; they print
-nothing.  Every verdict is `not r <= tol` against a named tolerance, so a
-NaN residual fails, and worst values propagate it (np.maximum, not max).
+Every suite runs over the default test matrix (the algebra suite over the
+float matrix too): one parameter choice per family, orders m in {0, 1},
+levels l <= 6 below the cutoff, gamma drawn from {inf} plus one value
+inside each admissible ray.  Suites return plain dicts (JSON-ready) with an
+"ok" flag and per-case residuals; they print nothing.  Every verdict is
+`not r <= tol` against a named tolerance, so a NaN residual fails, and worst
+values propagate it (np.maximum, not max).
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import time
 
 import numpy as np
 
-from . import catalog, families, ladder, riccati
+from . import catalog, families, ladder, polynomials, riccati
 from .errors import HypersusyError
 from .numerics import verify_spectrum
 from .polynomials import gram_matrix
@@ -32,7 +33,8 @@ TEST_MATRIX = (
     (families.S2_PLUS_ONE, -4, 1),
 )
 
-# Same kinds with non-dyadic float parameters: exercises the float lane.
+# Same kinds with non-dyadic float parameters, each the exact binary rational
+# of its float: the identities must hold exactly for these too.
 FLOAT_MATRIX = (
     (families.CONST, -2.2, 0.3),
     (families.LINEAR, -1.1, 1.2),
@@ -43,8 +45,7 @@ FLOAT_MATRIX = (
 )
 
 # A residual r passes its check iff r <= tol.
-EXACT_TOL = 0.0          # exact-lane ladder identities
-FLOAT_TOL = 1e-12        # float-lane ladder identities
+EXACT_TOL = 0.0          # level equations and ladder identities, in exact arithmetic
 RECURRENCE_TOL = 1e-10   # three-term order recurrence
 GRAM_TOL = 1e-8          # normalized Gram off-diagonals
 NORM_RATIO_TOL = 1e-7    # norm-ratio identity between orders
@@ -77,8 +78,7 @@ def _report(**checks):
             "failures": failures, "tol": {name: c.tol for name, c in checks.items()}}
 
 
-def _matrix_families(float_mode=False):
-    rows = FLOAT_MATRIX if float_mode else TEST_MATRIX
+def _matrix_families(rows=TEST_MATRIX):
     return [families.make_family(kind, a, b) for kind, a, b in rows]
 
 
@@ -97,20 +97,24 @@ def _finite_gammas(fam, m):
 
 
 def suite_algebra():
-    """Factorization/intertwining identities plus the order recurrence.
-
-    Exact rows must reach EXACT_TOL; float rows may reach FLOAT_TOL.
-    """
-    checks = {"exact": _Check(EXACT_TOL), "float": _Check(FLOAT_TOL)}
-    for lane in ("exact", "float"):
-        for fam in _matrix_families(lane == "float"):
-            lmax = _lmax(fam)
-            for m in _orders(fam):
-                ctx = ladder.make_context(fam, m)
-                rep = ladder.check_identities(ctx, lmax)
-                checks[lane].add(f"{fam.kind}[{lane}],m={m}", rep["max_residual"],
-                                 fam.kind, m, f"identities-{lane}")
-    return _report(max_residual_exact=checks["exact"], max_residual_float=checks["float"])
+    """Level polynomials' equations and factorization/intertwining identities on
+    the TEST_MATRIX and FLOAT_MATRIX rows, to EXACT_TOL.  The identities hold for
+    any polynomial, so only the equations tie them to the eigenfunctions."""
+    check = _Check(EXACT_TOL)
+    for fam in _matrix_families(TEST_MATRIX + FLOAT_MATRIX):
+        case = (fam.kind, fam.alpha, fam.beta)
+        row = "{}(alpha={},beta={})".format(*case)
+        lmax = _lmax(fam)
+        for l in range(lmax + 1):
+            # sigma p'' + tau p' + lambda_l p relative to p: 0 only if p solves its equation
+            p = polynomials.poly_eigenfunction(fam, l)
+            res = polynomials.ode_residual(fam, l, p)
+            r = 0.0 if res.is_zero else max(res.max_abs() / max(p.max_abs(), 1.0), math.ulp(0.0))
+            check.add(f"ode:{row},l={l}", r, *case, l, "ode")
+        for m in _orders(fam):
+            rep = ladder.check_identities(ladder.make_context(fam, m), lmax)
+            check.add(f"identities:{row},m={m}", rep["max_residual"], *case, m, "identities")
+    return _report(max_residual=check)
 
 
 def suite_recurrence():

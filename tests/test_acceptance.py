@@ -32,11 +32,14 @@ def test_criterion_1_algebraic_identities():
     rep = verify.suite_algebra()
     elapsed = time.perf_counter() - t0
     assert rep["ok"], rep["failures"]
-    assert rep["max_residual_exact"] == 0.0
-    assert rep["max_residual_float"] <= 1e-12
+    # int and float rows alike reach exactly 0
+    assert rep["max_residual"] == 0.0 and rep["tol"] == {"max_residual": 0.0}
+    for kind, alpha, beta in verify.TEST_MATRIX + verify.FLOAT_MATRIX:
+        row = f"{kind}(alpha={alpha},beta={beta})"
+        assert rep["details"][f"identities:{row},m=0"] == 0.0
+        assert rep["details"][f"ode:{row},l=0"] == 0.0
     assert elapsed < 10.0
-    _stamp("criterion 1: factorization + intertwining identities", t0,
-           f"exact=0, float<={rep['max_residual_float']:.2e}")
+    _stamp("criterion 1: factorization + intertwining identities", t0, "residual=0")
 
 
 def test_criterion_2_recurrence():

@@ -247,6 +247,38 @@ def test_derive_number_too_large_for_a_float_exit_2_writes_nothing(params, tmp_p
     assert not out.exists()
 
 
+@pytest.mark.parametrize("params, column", [
+    (["--alpha=-1e-300", "--beta", "1e300", "--levels", "3"], "V_upper"),
+    (["--alpha=-1e-300", "--beta", "0", "--levels", "5"], "psi_5"),
+], ids=["huge-beta", "tiny-alpha"])
+def test_derive_coefficient_beyond_float_range_exit_4_writes_nothing(params, column, tmp_path,
+                                                                      capsys):
+    # lambda_l - lambda_j ~ 1e-300 is exact and nonzero; the level polynomial's
+    # coefficients outgrow float range, and the grid check names the column
+    out = tmp_path / "g.csv"
+    code = main(["derive", "--kind", "const", *params, "--m", "0", "--gamma", "inf",
+                 "--x-min=-1", "--x-max", "1", "--n", "11", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 4 and err.startswith("error: ") and "non-finite at x=" in err
+    assert column in err.split(" non-finite")[0]
+    assert not out.exists()
+
+
+def test_float_parameters_print_as_given(tmp_path, capsys):
+    # messages and --meta keep the user's floats, not their binary rationals
+    base = ["derive", "--kind", "s2_plus_one", "--alpha=-4.1", "--beta", "0.7", "--m", "0",
+            "--x-min=-1", "--x-max", "1", "--n", "11", "--out", str(tmp_path / "g.csv")]
+    assert main([*base, "--levels", "3"]) == 2
+    assert capsys.readouterr().err == "error: level 3 is not below the cutoff 2.55\n"
+    assert main([*base, "--levels", "2", "--meta", str(tmp_path / "m.json")]) == 0
+    meta = json.loads((tmp_path / "m.json").read_text())
+    assert meta["deformation"]["family"] == {"kind": "s2_plus_one", "alpha": -4.1, "beta": 0.7}
+    assert meta["lambda_targets"] == [4.1, 6.199999999999999]
+    assert main(["derive", "--kind", "linear", "--alpha", "0", "--beta", "0.5", "--delta", "1",
+                 "--x-min", "1", "--x-max", "2", "--out", str(tmp_path / "h.csv")]) == 2
+    assert capsys.readouterr().err == "error: 2m + 2k + 1 = 0 for m=0, k=-0.5\n"
+
+
 @pytest.mark.parametrize("text", ["[1, 2]", '{"kind": "const", "grid": 5}'])
 def test_derive_config_must_be_an_object(text, tmp_path, capsys):
     cfg = tmp_path / "job.json"

@@ -140,7 +140,9 @@ def test_potential_term_matches_the_closed_formula(row):
     s = families.sample_points(fam, 64)
     for m in range(4):
         pot = families.sigma_potential(fam, m)
-        assert pot.is_zero if m == 0 else (pot.den is not None) == fam.exact
+        # a float parameter enters as its exact rational
+        twin = families.make_family(row[0], Fraction(row[1]), Fraction(row[2]))
+        assert pot == families.sigma_potential(twin, m) and pot.is_zero == (m == 0)
         want = closed_form_potential(fam, m, s)
         got = families.potential_term(fam, m, s)
         assert np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want))) <= 1e-13
@@ -402,10 +404,13 @@ def test_shifted_eigenvalue_is_eigenvalue_minus_c_squared_exactly():
                 assert isinstance(c, (int, Fraction))
                 lam = families.shifted_eigenvalue(f, m, delta)
                 assert lam == families.eigenvalue(f, m) - c * c
-    # a float delta or a float family leaves the exact lane
+    # a float delta or a float family enters as its exact rational
     f = families.make_family("one_minus_s2", -4, 0)
-    assert isinstance(families.shift_constant(f, 0, 1.5), float)
+    c = families.shift_constant(f, 0, 1.5)
+    assert c == families.shift_constant(f, 0, Fraction(3, 2)) and isinstance(c, Fraction)
+    c = families.shift_constant(f, 0, 0.1)
+    assert c == Fraction(0.1) / 3 and families.shifted_eigenvalue(f, 0, 0.1) == -c * c
     g = families.make_family("one_minus_s2", -4.0, 0)
     c = families.shift_constant(g, 0, 3)
-    assert c == 1.0 and isinstance(c, float)
+    assert c == 1 and isinstance(c, Fraction)
     assert families.shifted_eigenvalue(f, 1, None) == families.eigenvalue(f, 1)

@@ -134,8 +134,9 @@ def test_endpoint_exponents_match_the_log_weight(kind, alpha, beta, m):
         assert abs(slope - float(p)) < 1e-4, (i, slope, p)
 
 
-def test_exact_and_float_families_keep_their_own_polynomials():
-    exact, flt = families.Family("const", -2, 0), families.Family("const", -2.0, 0.0)
-    assert exact == flt and hash(exact) == hash(flt)
-    assert exact.polys[2].den is not None and flt.polys[2].den is None
-    assert exact.polys is exact.polys
+def test_int_and_float_families_build_equal_polynomials():
+    # one exact lane: equal families give equal polynomials, each instance its own
+    ints, flt = families.Family("const", -2, 0), families.Family("const", -2.0, 0.0)
+    assert ints == flt and hash(ints) == hash(flt)
+    assert ints.polys == flt.polys and ints.polys is not flt.polys
+    assert ints.polys is ints.polys

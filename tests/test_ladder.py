@@ -23,8 +23,7 @@ from hypersusy.verify import FLOAT_MATRIX, TEST_MATRIX
 from oracles import check_shifted_factorization
 
 
-def matrix_families(float_mode=False):
-    rows = FLOAT_MATRIX if float_mode else TEST_MATRIX
+def matrix_families(rows=TEST_MATRIX):
     return [families.make_family(k, a, b) for k, a, b in rows]
 
 
@@ -80,8 +79,7 @@ def test_raising_chain_reconstructs_assoc():
                 ctx = make_context(fam, m)
                 gap = families.eigenvalue(fam, l) - families.eigenvalue(fam, m)
                 lowered = lower_order(ctx, current)
-                coeff = Fraction(1) / Fraction(gap) if fam.exact else 1.0 / gap
-                current = type(lowered)(fam, l, m, coeff * lowered.poly)
+                current = type(lowered)(fam, l, m, Fraction(1) / gap * lowered.poly)
                 assert current.poly == associated_function(fam, l, m).poly
 
 
@@ -188,19 +186,32 @@ def test_identities_exact_with_fraction_parameters():
     assert rep["max_residual"] == 0.0
 
 
-def test_identities_float_mode():
-    for fam in matrix_families(float_mode=True):
+def test_identities_exact_for_float_parameters():
+    # a float parameter is its exact binary rational: every identity is exactly 0
+    for fam in matrix_families(FLOAT_MATRIX):
         for m in range(0, 2):
             if not families.below_cutoff(fam, m + 1):
                 continue
             rep = check_identities(make_context(fam, m), lmax_for(fam))
-            assert rep["max_residual"] <= 1e-12
+            assert rep["exact"] is True and rep["max_residual"] == 0
 
 
-def test_a_nan_residual_reaches_max_residual():
-    # (alpha, beta) = (-1e155, 1e155) overflows the float lane: intertwine_h is NaN on every level
-    rep = check_identities(make_context(families.make_family("s2_minus_one", -1e155, 1e155), 0), 4)
-    assert rep["intertwine_h"] and all(math.isnan(r) for r in rep["intertwine_h"].values())
+def test_a_nan_residual_reaches_max_residual(monkeypatch):
+    # (alpha, beta) = (-1e155, 1e155) overflowed floats, and is exact now; one
+    # NaN among the zeros must still reach max_residual, where max() drops it
+    ctx = make_context(families.make_family("s2_minus_one", -1e155, 1e155), 0)
+    assert check_identities(ctx, 4)["max_residual"] == 0
+    real, calls = ladder.residual, []
+
+    def nan_once(lhs, rhs):
+        calls.append(None)
+        return math.nan if len(calls) == 3 else real(lhs, rhs)
+
+    monkeypatch.setattr(ladder, "residual", nan_once)
+    rep = check_identities(ctx, 4)
+    values = [r for name in ("factor_low", "factor_high", "intertwine_h", "intertwine_a")
+              for r in rep[name].values()]
+    assert sum(math.isnan(r) for r in values) == 1 and len(values) > 1
     assert math.isnan(rep["max_residual"])
 
 
@@ -211,6 +222,15 @@ def test_identities_below_the_order_raise(lmax):
     ctx = make_context(families.make_family("const", -2, 0), 2)
     with pytest.raises(IndexViolation, match="lmax >= m"):
         check_identities(ctx, lmax)
+
+
+def test_residual_is_zero_only_for_equal_forms():
+    # a difference of 1e-400 relative rounds to 0.0 as a float; an exact check
+    # against 0 must still see it
+    f = families.make_family("const", -2, 0)
+    one = KappaForm(f, [(0, Poly([1]))])
+    assert ladder.residual(one, KappaForm(f, [(0, Poly([1]))])) == 0.0
+    assert ladder.residual(one, KappaForm(f, [(0, Poly([1 + Fraction(1, 10 ** 400)]))])) > 0.0
 
 
 def test_identities_report_shape():
@@ -231,20 +251,19 @@ def test_context_mismatch():
         raise_order(ctx, associated_function(g, 1, 0))
     with pytest.raises(ContextMismatch):
         lower_order(ctx, associated_function(f, 2, 2))
-    # the float family compares equal to the exact one; the lane must match too
-    with pytest.raises(ContextMismatch):
-        lower_order(ctx, associated_function(families.make_family("const", -2.0, 0.0), 2, 1))
-    with pytest.raises(ContextMismatch):
-        raise_order(make_context(families.make_family("const", -2.0, 0.0), 0),
-                    associated_function(f, 1, 0))
+    # an equal family given in floats is the same family, with the same polynomials
+    twin = families.make_family("const", -2.0, 0.0)
+    want = lower_order(ctx, associated_function(f, 2, 1))
+    assert lower_order(ctx, associated_function(twin, 2, 1)) == want
+    assert raise_order(make_context(twin, 0), associated_function(f, 1, 0)).poly == Poly([1])
 
 
-def test_float_polynomial_does_not_enter_an_exact_context():
-    # a context has one lane; an exact family's function must carry exact coefficients
+def test_float_scaled_polynomial_lowers_exactly():
+    # a float factor is its exact rational: lowering is linear in it exactly
     f = families.make_family("const", -2, 0)
-    af = associated_function(f, 2, 1)
-    with pytest.raises(ContextMismatch, match="lane"):
-        lower_order(make_context(f, 0), AssociatedFunction(f, 2, 1, af.poly * 0.7))
+    af, ctx = associated_function(f, 2, 1), make_context(f, 0)
+    got = lower_order(ctx, AssociatedFunction(f, 2, 1, af.poly * 0.7))
+    assert got.poly == Fraction(0.7) * lower_order(ctx, af).poly
 
 
 def test_lowering_needs_m_below_l_below_cutoff():
@@ -264,20 +283,19 @@ def test_context_needs_room_below_cutoff():
 
 def test_sigma_division_guards_against_a_remainder(monkeypatch):
     # H lands on kappa^(m-2) sigma q; a stray kappa^(m-2) c s term leaves the
-    # remainder c s on division by 1 - s^2.  The exact lane allows none, the
-    # float lane 1e-10 of its largest coefficient.
+    # remainder c s on division by 1 - s^2.  Any remainder raises, for float
+    # parameters as for ints.
     real = ladder._apply_h
-    for alpha, beta, c, fails in ((-4, 1, Fraction(1, 10**30), True), (-4.3, 0.9, 1.0, True),
-                                  (-4.3, 0.9, 1e-13, False)):
+    for alpha, beta in ((-4, 1), (-4.3, 0.9)):
         f = families.make_family("one_minus_s2", alpha, beta)
         ctx, af = make_context(f, 1), associated_function(f, 2, 1)
-        stray = KappaForm(f, [(-1, Poly([0, c]))])
-        monkeypatch.setattr(ladder, "_apply_h", lambda ctx, m, u, d=stray: real(ctx, m, u) - d)
-        if fails:
+        assert apply_hamiltonian(ctx, af).poly == families.eigenvalue(f, 2) * af.poly
+        for c in (Fraction(1, 10**30), 1e-13, 1.0):
+            stray = KappaForm(f, [(-1, Poly([0, c]))])
+            monkeypatch.setattr(ladder, "_apply_h", lambda ctx, m, u, d=stray: real(ctx, m, u) - d)
             with pytest.raises(DivisibilityFailure, match="remainder"):
                 apply_hamiltonian(ctx, af)
-        else:
-            assert apply_hamiltonian(ctx, af).poly.degree == 1
+        monkeypatch.undo()
 
 
 def test_kappa_form_derivative_is_product_rule():
@@ -412,11 +430,15 @@ def test_single_slot_maps_reject_shifted_contexts():
     raise_order(make_context(f, 0), associated_function(f, 2, 0))
 
 
-def test_float_delta_leaves_the_exact_lane():
+def test_float_delta_enters_as_its_exact_rational():
     f = families.make_family("one_minus_s2", -4, 0)
     rep = check_identities(make_context(f, 1, delta=1.5), 4)
-    assert rep["exact"] is False and rep["max_residual"] <= 1e-12
-    assert check_identities(make_context(f, 1, delta=Fraction(3, 2)), 4)["max_residual"] == 0
+    assert rep == check_identities(make_context(f, 1, delta=Fraction(3, 2)), 4)
+    assert rep["exact"] is True and rep["max_residual"] == 0
+    # a non-dyadic delta is its binary rational, and factorizes exactly too
+    ctx = make_context(f, 1, delta=0.1)
+    assert ctx.shift_constant == Fraction(0.1) / families._shift_denominator(f, 1)
+    assert check_identities(ctx, 4)["max_residual"] == 0
 
 
 # --- guards on the closed-form maps -------------------------------------------
@@ -532,22 +554,12 @@ def reference_h_slot(fam, k, lam, j, p):
             - reference_first_order(fam, q, j - 2, True))
 
 
-def assert_kernel_matches(got, want, exact):
-    # == in the exact lane; in floats within 1e-15 of the largest coefficient
-    if exact:
-        assert got == want
-    else:
-        assert got.den is None or got.is_zero
-        assert (got - want).max_abs() <= 1e-15 * want.max_abs()
-
-
 def kernel_slots(fam, m):
-    """The level polynomials' order-m parts up to verify._lmax, plus for a
-    float family an exact slot, which enters the float context as its floats."""
+    """The level polynomials' order-m parts up to verify._lmax, each with a
+    slot that is no level polynomial."""
     for l in range(m, verify._lmax(fam) + 1):
         yield poly_eigenfunction(fam, l).deriv(m)
-        if not fam.exact:
-            yield Poly([Fraction(1, 3), -2, Fraction(5, 7)][:l + 1])
+        yield Poly([Fraction(1, 3), -2, Fraction(5, 7)][:l + 1])
 
 
 # of the exact rows only linear has stencils over D > 1; the fractional row
@@ -565,8 +577,7 @@ def test_kernels_match_poly_composition(row):
             for j in range(m - 3, m + 2):
                 for e, with_tau in ((j - m, False), (j + m - 1, True), (j, False), (j - 2, True)):
                     got = ladder._first_order(ctx.ladder_polys, p, e, with_tau)
-                    assert_kernel_matches(got, reference_first_order(fam, p, e, with_tau),
-                                          fam.exact)
+                    assert got == reference_first_order(fam, p, e, with_tau)
                 for k in (m, m + 1):
                     got = ladder._apply_h(ctx, k, KappaForm(fam, [(j, p)])).terms.get(j - 2, Poly())
-                    assert_kernel_matches(got, reference_h_slot(fam, k, lam, j, p), fam.exact)
+                    assert got == reference_h_slot(fam, k, lam, j, p)

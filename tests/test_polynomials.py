@@ -25,7 +25,7 @@ from hypersusy.polynomials import (
     poly_divmod,
     poly_eigenfunction,
 )
-from hypersusy.verify import TEST_MATRIX
+from hypersusy.verify import FLOAT_MATRIX, TEST_MATRIX
 from oracles import derivative
 
 
@@ -203,7 +203,7 @@ def test_exact_poly_equality_and_hash_across_input_types(a, k):
     as_fractions = Poly([Fraction(c) for c in a] + [0] * k)
     p = Poly(a)
     assert p == as_fractions and hash(p) == hash(as_fractions)
-    # a float polynomial with the same values compares equal, as Fraction == float does
+    # integer-valued floats give the same exact polynomial as the ints
     ints = [Fraction(c).numerator for c in a]
     same = Poly([float(x) for x in ints])
     assert Poly(ints) == same and hash(Poly(ints)) == hash(same)
@@ -213,22 +213,32 @@ def test_exact_poly_equality_and_hash_across_input_types(a, k):
 
 @settings(max_examples=50, deadline=None)
 @given(a=coeff_lists, f=st.lists(st.floats(min_value=-10, max_value=10), min_size=1, max_size=5))
-def test_exact_times_float_is_a_float_polynomial(a, f):
-    assume(any(f))  # an all-zero list trims to the zero polynomial, which is exact
-    p, g, ra = Poly(a), Poly(f), ref_trim(a)
-    for got, want in ((p * g, ref_mul(ra, ref_trim(f))), (g * p, ref_mul(ref_trim(f), ra)),
-                      (p * f[0], ref_mul(ra, (f[0],))), (p + g, ref_add(ra, ref_trim(f)))):
-        assert got.den is None or got.is_zero
-        # Fraction op float is float(Fraction) op float
-        assert got.coeffs == tuple(map(float, want))
+def test_float_coefficients_enter_as_their_exact_rationals(a, f):
+    # a float coefficient or scalar is its binary rational Fraction(x), exactly
+    p, g, ra, rf = Poly(a), Poly(f), ref_trim(a), ref_trim(map(Fraction, f))
+    for got, want in ((p * g, ref_mul(ra, rf)), (g * p, ref_mul(rf, ra)),
+                      (p * f[0], ref_mul(ra, (Fraction(f[0]),))), (p + g, ref_add(ra, rf))):
+        assert_canonical(got)
+        assert got.coeffs == want
 
 
-def test_float_arithmetic_stays_in_the_float_lane():
-    # an integer-valued result of float arithmetic is not promoted to exact
+def test_float_input_gives_exact_results():
+    # an integer-valued result of arithmetic on floats is that exact integer polynomial
     p, q = Poly([3, 1.5]), Poly([0, 1.5])
     for got in (p - q, (p - q) * Poly([2.0]), q * 2, q.deriv(), q - q):
-        assert got.den is None
-    assert (p - q).coeffs == (3,) and (p - q) == Poly([3])
+        assert_canonical(got)
+    assert (p - q) == Poly([3]) and q * 2 == Poly([0, 3]) and q.deriv() == Poly([Fraction(3, 2)])
+    assert (p - q).coeffs == (3,) and (q - q).is_zero
+
+
+def test_a_coefficient_beyond_float_range_evaluates_as_infinite():
+    # the float view maps a coefficient too large for a float to +-inf, never raises
+    huge = 10 ** 400
+    p = Poly([1, Fraction(huge, 3)])
+    assert p.max_abs() == math.inf and (-p).max_abs() == math.inf
+    assert p(0.5) == math.inf and (-p)(0.5) == -math.inf
+    assert p(Fraction(1, 2)) == Fraction(huge, 6) + 1
+    assert p.eval_array(np.array([-0.5, 2.0])).tolist() == [-math.inf, math.inf]
 
 
 # --- eigenfunction construction ---------------------------------------------
@@ -275,37 +285,37 @@ def test_levels_are_built_once_per_family_instance():
         fam, twin = families.make_family("s2", alpha, beta), families.make_family("s2", alpha, beta)
         p = poly_eigenfunction(fam, 3)
         assert poly_eigenfunction(fam, 3) is p
-        assert (p.den is not None) == fam.exact  # the equal family of the other lane keeps its own
+        # int and integer-valued float parameters give the same exact polynomial
+        assert p == poly_eigenfunction(families.make_family("s2", -7, 2), 3)
         # the memo leaves the family's value semantics alone
         assert fam == twin and hash(fam) == hash(twin) and fam.to_json() == twin.to_json()
         other = poly_eigenfunction(twin, 3)
         assert other == p and other is not p
 
 
-def test_float_mode_residual():
-    f = families.make_family("const", -2.2, 0.3)
-    for level in range(1, 6):
-        p = poly_eigenfunction(f, level)
-        res = ode_residual(f, level, p)
-        assert res.max_abs() <= 1e-12 * max(1.0, p.max_abs())
+def test_float_parameters_solve_the_ode_exactly():
+    for kind, alpha, beta in FLOAT_MATRIX:
+        f = families.make_family(kind, alpha, beta)
+        for level in range(lmax_for(f) + 1):
+            assert ode_residual(f, level, poly_eigenfunction(f, level)).is_zero
 
 
 def reference_recurrence(fam, level):
-    """The downward recurrence coefficient by coefficient: Fractions in the
-    exact lane, floats (in this operation order) in the float lane."""
+    """The downward recurrence coefficient by coefficient, in Fractions of
+    the parameters' exact values."""
     c0, c1, c2 = fam.sigma_coeffs
-    alpha, beta, exact = fam.alpha, fam.beta, fam.exact
+    alpha, beta = Fraction(fam.alpha), Fraction(fam.beta)
     lam = families.eigenvalue(fam, level)
     cs = [0] * (level + 1)
-    cs[level] = Fraction(1, math.factorial(level)) if exact else 1.0 / math.factorial(level)
+    cs[level] = Fraction(1, math.factorial(level))
     for j in range(level - 1, -1, -1):
         div = c2 * j * (j - 1) + alpha * j + lam
-        if div == 0 or (not exact and abs(float(div)) < 1e-14):
+        if div == 0:
             raise RecurrenceBreakdown(f"lambda_{level} - lambda_{j} vanishes")
         num = (j + 1) * (c1 * j + beta) * cs[j + 1]
         if j + 2 <= level:
             num += c0 * (j + 2) * (j + 1) * cs[j + 2]
-        cs[j] = -Fraction(num) / Fraction(div) if exact else -float(num) / float(div)
+        cs[j] = -num / div
     return cs
 
 
@@ -367,13 +377,15 @@ FLOAT_ROWS = (
 
 
 @pytest.mark.parametrize("kind, alpha, beta", FLOAT_ROWS)
-def test_float_recurrence_is_bit_identical_to_reference(kind, alpha, beta):
+def test_float_recurrence_matches_fraction_reference(kind, alpha, beta):
+    # a float parameter is its exact binary rational: the same polynomial as
+    # the Fraction family, level by level
     fam = families.make_family(kind, alpha, beta)
+    twin = families.make_family(kind, Fraction(alpha), Fraction(beta))
     for level in range(top_level(fam) + 1):
         got = poly_eigenfunction(fam, level)
-        want = Poly(reference_recurrence(fam, level))
-        assert got.den is None
-        assert [c.hex() for c in got.coeffs] == [float(c).hex() for c in want.coeffs]
+        assert_canonical(got)
+        assert got == Poly(reference_recurrence(fam, level)) == poly_eigenfunction(twin, level)
 
 
 # --- associated functions ---------------------------------------------------
@@ -382,7 +394,7 @@ def test_assoc_top_order_is_kappa_power():
     for fam in matrix_families():
         l = min(3, lmax_for(fam))
         af = associated_function(fam, l, l)
-        assert af.poly.coeffs == (Fraction(1),) or af.poly.coeffs == (1.0,)
+        assert af.poly.coeffs == (Fraction(1),)
 
 
 def test_assoc_derivative_structure():
@@ -613,6 +625,22 @@ def test_norm_and_gram_reject_an_order_that_is_not_a_level_index(call):
     # a negative order integrated against sigma^-1 rho and returned a number;
     # a fractional one ended in a bare TypeError
     with pytest.raises(IndexViolation, match="0 <= m <= l"):
+        call(families.make_family("const", -2, 0))
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda f: gram_matrix(f, 1.5, 1), IndexViolation),
+    (lambda f: gram_matrix(f, -1, -1), IndexViolation),
+    (lambda f: gram_matrix(f, True, 2), IndexViolation),
+    (lambda f: associated_function(f, 2, True), IndexViolation),
+    (lambda f: poly_eigenfunction(f, True), CutoffExceeded),
+    (lambda f: families.eigenvalue(f, True), CutoffExceeded),
+], ids=["gram-1.5-1", "gram-neg1-neg1", "gram-True-2", "assoc-order-True", "poly-level-True",
+        "eigenvalue-level-True"])
+def test_an_index_that_is_a_bool_or_no_int_is_refused(call, error):
+    # even where no level is in range: gram_matrix returned a (0, 0) matrix
+    # for the first two and a (2, 2) one for the bool order
+    with pytest.raises(error, match="got"):
         call(families.make_family("const", -2, 0))
 
 

@@ -11,7 +11,6 @@ SRC = Path(hypersusy.__file__).parent
 
 # defined in src/ with no caller there, each for its reason
 ALLOWED = {
-    "polynomials.ode_residual": "perfbench/checks.py reads it; it moves with the benchmark refresh",
     "riccati.partner_eigenfunction": "public in the README; the partner's Gram-matrix check "
                                      "is to call it",
     "ladder.apply_hamiltonian": "a public ladder map in the README, next to raise_order and "
