@@ -20,7 +20,6 @@ import math
 import os
 import re
 import sys
-from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -41,7 +40,7 @@ def _number(name, val):
     raise ParameterViolation(f"setting '{name}' must be a number, got {val!r}")
 
 
-def _string(name, options, val):
+def _string(name, val, options=None):
     """A text setting, one of options unless options is None."""
     if isinstance(val, str) and (options is None or val in options):
         return val
@@ -60,75 +59,74 @@ def _integer(name, val):
     return int(val) if isinstance(val, int) else int(float(val))
 
 
-def _levels(text):
+def _levels(name, text):
     """Levels from a list, a comma list '1,2' or a range '1:4'; none repeated, no range reversed."""
     if text is None:
         return []
     if isinstance(text, (list, tuple)):
-        levels = [_integer("levels", v) for v in text]
+        levels = [_integer(name, v) for v in text]
     elif ":" in str(text):
         lo, _, hi = str(text).partition(":")
-        levels = list(range(_integer("levels", lo), _integer("levels", hi) + 1))
+        levels = list(range(_integer(name, lo), _integer(name, hi) + 1))
         if not levels:
-            raise ParameterViolation(f"setting 'levels': range {text!r} ends below its start")
+            raise ParameterViolation(f"setting '{name}': range {text!r} ends below its start")
     else:
-        levels = [_integer("levels", tok) for tok in str(text).split(",") if tok.strip()]
+        levels = [_integer(name, tok) for tok in str(text).split(",") if tok.strip()]
     if len(set(levels)) < len(levels):
-        raise ParameterViolation(f"setting 'levels' repeats a level, got {text!r}")
+        raise ParameterViolation(f"setting '{name}' repeats a level, got {text!r}")
     return levels
 
 
-# one reader per derive setting, for a flag and a config value alike
-_READERS = {
-    "kind": functools.partial(_string, "kind", families.KINDS),
-    "fmt": functools.partial(_string, "format", ("csv", "json")),
-    **{k: functools.partial(_string, k, None) for k in ("out", "svg", "meta")},
-    **{k: functools.partial(_number, k)
-       for k in ("alpha", "beta", "delta", "gamma", "x_min", "x_max")},
-    "m": functools.partial(_integer, "m"), "n": functools.partial(_integer, "n"), "levels": _levels,
+_FORMATS = ("csv", "json")
+_REQUIRED = object()  # the default of a setting that every job must give
+
+# One row per derive setting, keyed by its flag's dest and config key (the config
+# may spell fmt "format"): flag, reader, default, the flag's other argparse options.
+# A flag and a config value alike go through the reader, named as the flag spells it.
+_SETTINGS = {
+    "kind": ("--kind", functools.partial(_string, options=families.KINDS), _REQUIRED,
+             {"choices": families.KINDS}),
+    "alpha": ("--alpha", _number, _REQUIRED, {}),
+    "beta": ("--beta", _number, _REQUIRED, {}),
+    "m": ("--m", _integer, 0, {}),
+    "gamma": ("--gamma", _number, math.inf, {"help": "number or 'inf'"}),
+    "delta": ("--delta", _number, None, {}),
+    "levels": ("--levels", _levels, (), {"help": "comma list '1,2' or range '1:4'"}),
+    "x_min": ("--x-min", _number, _REQUIRED, {}),
+    "x_max": ("--x-max", _number, _REQUIRED, {}),
+    "n": ("--n", _integer, 1201, {}),
+    "out": ("--out", _string, _REQUIRED, {}),
+    "fmt": ("--format", functools.partial(_string, options=_FORMATS), "csv", {"choices": _FORMATS}),
+    "svg": ("--svg", _string, None, {}),
+    "meta": ("--meta", _string, None, {}),
 }
 
 
-@dataclass
-class JobConfig:
-    kind: str = None
-    alpha: object = None
-    beta: object = None
-    m: int = 0
-    gamma: float = math.inf
-    delta: object = None
-    levels: list = field(default_factory=list)
-    x_min: float = None
-    x_max: float = None
-    n: int = 1201
-    out: str = None
-    fmt: str = "csv"
-    svg: str = None
-    meta: str = None
-
-    @classmethod
-    def from_args(cls, args):
-        cfg = cls()
-        if getattr(args, "config", None):
-            with open(args.config) as fh:
-                raw = json.load(fh)
-            if not (isinstance(raw, dict) and isinstance(raw.get("grid", {}), dict)):
-                raise ParameterViolation(f"{args.config} must hold a JSON object, its grid too")
-            raw.update(raw.pop("grid", {}))
-            if "format" in raw:
-                raw["fmt"] = raw.pop("format")
-            unknown = sorted(set(raw) - {f.name for f in fields(cls)})
-            if unknown:
-                raise ParameterViolation(
-                    f"unknown config setting(s) {', '.join(map(repr, unknown))} in {args.config}"
-                )
-            for key, val in raw.items():
-                setattr(cfg, key, _READERS[key](val))
-        for f in fields(cls):
-            val = getattr(args, f.name, None)
-            if val is not None:
-                setattr(cfg, f.name, _READERS[f.name](val))
-        return cfg
+def _derive_settings(args):
+    """Every derive setting: its default, then the config file's value, then the flag's."""
+    raw = {}
+    if args.config:
+        with open(args.config) as fh:
+            raw = json.load(fh)
+        if not (isinstance(raw, dict) and isinstance(raw.get("grid", {}), dict)):
+            raise ParameterViolation(f"{args.config} must hold a JSON object, its grid too")
+        raw.update(raw.pop("grid", {}))
+        if "format" in raw:
+            raw["fmt"] = raw.pop("format")
+        unknown = sorted(set(raw) - set(_SETTINGS))
+        if unknown:
+            raise ParameterViolation(
+                f"unknown config setting(s) {', '.join(map(repr, unknown))} in {args.config}"
+            )
+    flags = {name: val for name in _SETTINGS if (val := getattr(args, name)) is not None}
+    cfg = {name: default for name, (_, _, default, _) in _SETTINGS.items()}
+    for name, val in [*raw.items(), *flags.items()]:
+        flag, read, _, _ = _SETTINGS[name]
+        cfg[name] = read(flag[2:].replace("-", "_"), val)
+    for name, val in cfg.items():
+        if val is _REQUIRED:
+            raise ParameterViolation(f"missing required setting '{name}'")
+    return argparse.Namespace(**cfg)
 
 
 def cmd_families(args):
@@ -212,10 +210,7 @@ def _check_outputs(cfg):
 
 
 def cmd_derive(args):
-    cfg = JobConfig.from_args(args)
-    for name in ("kind", "alpha", "beta", "x_min", "x_max", "out"):
-        if getattr(cfg, name) is None:
-            raise ParameterViolation(f"missing required setting '{name}'")
+    cfg = _derive_settings(args)
     x_min, x_max, n = float(cfg.x_min), float(cfg.x_max), cfg.n
     if not (math.isfinite(x_min) and math.isfinite(x_max) and x_min < x_max and n >= 2):
         raise ParameterViolation(
@@ -281,28 +276,12 @@ def build_parser():
 
     p_der = sub.add_parser("derive", help="export potentials/superpotential grids")
     p_der.add_argument("--config", help="JSON config file; flags override it")
-    p_der.add_argument("--kind", choices=families.KINDS)
-    p_der.add_argument("--alpha")
-    p_der.add_argument("--beta")
-    p_der.add_argument("--m")
-    p_der.add_argument("--gamma", help="number or 'inf'")
-    p_der.add_argument("--delta")
-    p_der.add_argument("--levels", help="comma list '1,2' or range '1:4'")
-    p_der.add_argument("--x-min", dest="x_min")
-    p_der.add_argument("--x-max", dest="x_max")
-    p_der.add_argument("--n")
-    p_der.add_argument("--out")
-    p_der.add_argument("--format", dest="fmt", choices=("csv", "json"))
-    p_der.add_argument("--svg")
-    p_der.add_argument("--meta")
+    for name, (flag, _, _, options) in _SETTINGS.items():
+        p_der.add_argument(flag, dest=name, **options)
     p_der.set_defaults(func=cmd_derive)
 
     p_ver = sub.add_parser("verify", help="run invariant suites")
-    p_ver.add_argument(
-        "--suite",
-        default="all",
-        choices=("algebra", "orthogonality", "riccati", "spectrum", "all"),
-    )
+    p_ver.add_argument("--suite", default="all", choices=(*verify._SUITES, "all"))
     p_ver.add_argument("--json", action="store_true")
     p_ver.set_defaults(func=cmd_verify)
     return parser
@@ -337,12 +316,9 @@ def main(argv=None):
         return 0 if exc.code in (0, None) else 2
     try:
         return args.func(args)
-    except HypersusyError as exc:
+    except (HypersusyError, ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return exc.exit_code
-    except (ValueError, KeyError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return getattr(exc, "exit_code", 2)
 
 
 def run():

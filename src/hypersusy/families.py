@@ -64,7 +64,7 @@ class CoordinateMap:
 # such factor).  With integers a2, b2 the float evaluation rounds only in the
 # sum, so parameters whose sum rounds onto p = -1 count as on the boundary.
 End = namedtuple("End", "m_coef a2 b2 c da db", defaults=(0, 0))
-# rho = sigma^k(alpha, beta, half) once tau degenerates to `tau`: "beta" means
+# rho = sigma^k(alpha, beta), exact, once tau degenerates to `tau`: "beta" means
 # alpha = 0, "alpha*s" means beta = 0
 WeightPower = namedtuple("WeightPower", "tau k_text k")
 
@@ -89,7 +89,7 @@ class KindSpec:
     power: WeightPower = None
 
 
-_ALPHA_POWER = WeightPower("alpha*s", "alpha/2 - 1", lambda a, b, half: a * half - 1)
+_ALPHA_POWER = WeightPower("alpha*s", "alpha/2 - 1", lambda a, b: Fraction(a, 2) - 1)
 _QUADRATIC_INFINITY = End(2, 2, 0, -2)  # sigma^m rho ~ s^(2m + alpha - 2)
 
 SPECS = {spec.kind: spec for spec in (
@@ -110,7 +110,7 @@ SPECS = {spec.kind: spec for spec in (
         log_weight=lambda s, al, be: (be - 1.0) * np.log(s) + al * s,
         coords=CoordinateMap((0.0, math.inf), +1, lambda x: x * x / 4.0),
         ends=(End(1, 0, 2, -1), End(1, 0, 2, -1, da=1)),
-        power=WeightPower("beta", "beta - 1", lambda a, b, half: b - 1),
+        power=WeightPower("beta", "beta - 1", lambda a, b: b - 1),
     ),
     KindSpec(
         ONE_MINUS_S2, (1, 0, -1), (-1.0, 1.0), (-0.9, 0.9), (0.3, math.pi - 0.3), 0.0,
@@ -121,7 +121,7 @@ SPECS = {spec.kind: spec for spec in (
                                       + (-(al + be) / 2.0 - 1.0) * np.log1p(-s)),
         coords=CoordinateMap((0.0, math.pi), -1, np.cos),
         ends=(End(1, -1, 1, -1), End(1, -1, -1, -1)),
-        power=WeightPower("alpha*s", "-alpha/2 - 1", lambda a, b, half: -a * half - 1),
+        power=WeightPower("alpha*s", "-alpha/2 - 1", lambda a, b: Fraction(-a, 2) - 1),
     ),
     KindSpec(
         S2_MINUS_ONE, (-1, 0, 1), (1.0, math.inf), (1.1, 8.0), (0.4, 5.0), 2.0,
@@ -416,7 +416,7 @@ def weight_power(fam):
     power = fam.spec.power
     if power is None or (fam.alpha if power.tau == "beta" else fam.beta) != 0:
         return None
-    return power.k(rational(fam.alpha), rational(fam.beta), Fraction(1, 2))
+    return power.k(rational(fam.alpha), rational(fam.beta))
 
 
 def _shift_denominator(fam, m):

@@ -279,7 +279,7 @@ class Deformation:
 
 def make_deformation(fam, m, gamma, delta=None):
     """Validated deformation; gamma must avoid the forbidden interval."""
-    if not isinstance(m, int) or m < 0:
+    if not families.is_index(m):
         raise IndexViolation(f"order must be a non-negative integer, got {m!r}")
     if not families.below_cutoff(fam, m + 1):
         raise CutoffExceeded(f"deformation needs m+1 below the cutoff, got m={m}")

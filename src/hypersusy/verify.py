@@ -96,12 +96,12 @@ def _finite_gammas(fam, m):
     return [g for g in (rays.right_start + 1.0, rays.left_end - 1.0) if math.isfinite(g)]
 
 
-def suite_algebra():
+def suite_algebra(fams=None):
     """Level polynomials' equations and factorization/intertwining identities on
-    the TEST_MATRIX and FLOAT_MATRIX rows, to EXACT_TOL.  The identities hold for
-    any polynomial, so only the equations tie them to the eigenfunctions."""
+    the TEST_MATRIX and FLOAT_MATRIX rows (or fams), to EXACT_TOL.  The identities
+    hold for any polynomial, so only the equations tie them to the eigenfunctions."""
     check = _Check(EXACT_TOL)
-    for fam in _matrix_families(TEST_MATRIX + FLOAT_MATRIX):
+    for fam in fams or _matrix_families(TEST_MATRIX + FLOAT_MATRIX):
         case = (fam.kind, fam.alpha, fam.beta)
         row = "{}(alpha={},beta={})".format(*case)
         lmax = _lmax(fam)
@@ -117,12 +117,13 @@ def suite_algebra():
     return _report(max_residual=check)
 
 
-def suite_recurrence():
-    """Three-term order recurrence (interior and boundary forms), to
-    RECURRENCE_TOL at 32 seeded random points per case."""
+def suite_recurrence(fams=None):
+    """Three-term order recurrence (interior and boundary forms) on the
+    TEST_MATRIX rows (or fams), to RECURRENCE_TOL at 32 seeded random points
+    per case."""
     rng = np.random.default_rng(7)
     check = _Check(RECURRENCE_TOL)
-    for fam in _matrix_families():
+    for fam in fams or _matrix_families():
         lmax = _lmax(fam)
         for l in range(1, lmax + 1):
             for m in range(1, l + 1):
@@ -261,8 +262,14 @@ def suite_spectrum():
     return {"ok": not failures, "reports": reports, "failures": failures}
 
 
+def _algebra():
+    """Both algebra parts on one set of families, so each level is built once per run."""
+    fams = _matrix_families(TEST_MATRIX + FLOAT_MATRIX)
+    return _merge(suite_algebra(fams), suite_recurrence(fams[:len(TEST_MATRIX)]))
+
+
 _SUITES = {
-    "algebra": lambda: _merge(suite_algebra(), suite_recurrence()),
+    "algebra": _algebra,
     "orthogonality": suite_orthogonality,
     "riccati": suite_riccati,
     "spectrum": lambda: _merge(suite_catalog(), suite_spectrum()),

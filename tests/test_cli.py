@@ -197,26 +197,42 @@ def test_derive_config_rejects_reversed_or_repeated_levels(levels, tmp_path, cap
     assert list(tmp_path.iterdir()) == [cfg]
 
 
-@pytest.mark.parametrize("name, value, code", [("n", "1e3", 0), ("m", "1.0", 0), ("m", "1.5", 2)])
-def test_derive_flag_and_config_read_a_setting_alike(name, value, code, tmp_path, capsys):
-    outcomes = []
-    for how in ("flag", "config"):
-        run = tmp_path / how
+_JOB = {"kind": "s2_plus_one", "alpha": "-6", "beta": "0", "x_min": "-1", "x_max": "1",
+        "out": "a.csv"}
+
+
+@pytest.mark.parametrize("name, value, code", [
+    ("n", "1e3", 0), ("m", "1.0", 0), ("m", "1.5", 2),
+    ("kind", "const", 0), ("alpha", "-5", 0), ("alpha", "two", 2), ("beta", "0.5", 0),
+    ("gamma", "1e3", 0), ("gamma", "-1e3", 0), ("gamma", "0", 3), ("delta", "1", 0),
+    ("levels", "1:2", 0), ("levels", "2,1", 0), ("levels", "1,1", 2),
+    ("x_min", "-0.5", 0), ("x_max", "0.5", 0), ("format", "json", 0),
+    ("out", "b.csv", 0), ("svg", "b.svg", 0), ("meta", "b.json", 0),
+])
+def test_derive_flag_and_config_read_a_setting_alike(name, value, code, tmp_path, capsys,
+                                                     monkeypatch):
+    # each setting under both of its spellings, written out here: the flag
+    # --x-min and the config key x_min; a job that read neither would write
+    # what the job without the setting writes
+    def derive(run, settings, config=None):
         run.mkdir()
-        argv = ["--kind", "const", "--alpha", "-2", "--beta", "0", "--x-min", "-1", "--x-max", "1",
-                "--out", str(run / "a.csv")]
-        if how == "flag":
-            argv = ["derive", *argv, f"--{name}", value]
-        else:
-            (tmp_path / "job.json").write_text(json.dumps({name: value}))
-            argv = ["derive", "--config", str(tmp_path / "job.json"), *argv]
-        rc = main(argv)
+        monkeypatch.chdir(run)
+        argv = [tok for key, val in settings.items() for tok in ("--" + key.replace("_", "-"), val)]
+        if config is not None:
+            (tmp_path / "job.json").write_text(json.dumps(config))
+            argv = ["--config", str(tmp_path / "job.json"), *argv]
+        rc = main(["derive", *argv])
         files = {p.name: p.read_text() for p in run.iterdir()}
-        outcomes.append((rc, capsys.readouterr().err, files))
-    assert outcomes[0] == outcomes[1]
-    assert outcomes[0][0] == code
+        return rc, capsys.readouterr(), files
+
+    rest = {key: val for key, val in _JOB.items() if key != name}
+    by_flag = derive(tmp_path / "flag", {**rest, name: value})
+    assert by_flag == derive(tmp_path / "config", rest, {name: value})
+    assert by_flag[0] == code
+    if code == 0:
+        assert by_flag[2] != derive(tmp_path / "default", _JOB)[2]
     if name == "n" and code == 0:
-        assert len(outcomes[0][2]["a.csv"].splitlines()) == 1001
+        assert len(by_flag[2]["a.csv"].splitlines()) == 1001
 
 
 def test_derive_non_finite_delta_exit_2_writes_nothing(tmp_path, capsys):

@@ -15,6 +15,7 @@ from hypersusy.errors import (
     QuadratureFailure,
     RecurrenceBreakdown,
 )
+from hypersusy.ladder import make_context
 from hypersusy.numerics import quad
 from hypersusy.polynomials import (
     Poly,
@@ -25,6 +26,7 @@ from hypersusy.polynomials import (
     poly_divmod,
     poly_eigenfunction,
 )
+from hypersusy.riccati import make_deformation
 from hypersusy.verify import FLOAT_MATRIX, TEST_MATRIX
 from oracles import derivative
 
@@ -635,8 +637,10 @@ def test_norm_and_gram_reject_an_order_that_is_not_a_level_index(call):
     (lambda f: associated_function(f, 2, True), IndexViolation),
     (lambda f: poly_eigenfunction(f, True), CutoffExceeded),
     (lambda f: families.eigenvalue(f, True), CutoffExceeded),
+    (lambda f: make_deformation(f, True, math.inf), IndexViolation),
+    (lambda f: make_context(f, True), IndexViolation),
 ], ids=["gram-1.5-1", "gram-neg1-neg1", "gram-True-2", "assoc-order-True", "poly-level-True",
-        "eigenvalue-level-True"])
+        "eigenvalue-level-True", "deformation-order-True", "context-order-True"])
 def test_an_index_that_is_a_bool_or_no_int_is_refused(call, error):
     # even where no level is in range: gram_matrix returned a (0, 0) matrix
     # for the first two and a (2, 2) one for the bool order

@@ -381,18 +381,17 @@ def test_context_shift_constant_is_the_superpotential_offset():
 
 # --- export bytes against the per-value writers the block writers replaced ----
 
-def reference_csv(frame, path):
+def reference_csv(frame):
+    """The header and the bytes that write_csv replaced wrote."""
     cols = list(frame.keys())
     header = ",".join(cols)
     rows = np.column_stack([frame[c] for c in cols])
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(f"{v:.12g}" for v in row) + "\n")
-    return header
+    lines = [header] + [",".join(f"{v:.12g}" for v in row) for row in rows]
+    return header, "".join(line + "\n" for line in lines).encode()
 
 
-def reference_svg(frame, path, width=640, height=440, pad=50.0):
+def reference_svg(frame, width=640, height=440, pad=50.0):
+    """The bytes that write_svg replaced wrote."""
     xs = frame["x"]
     series = {k: frame[k] for k in ("V_upper", "V_partner", "W")}
     ys = np.concatenate(list(series.values()))
@@ -433,8 +432,7 @@ def reference_svg(frame, path, width=640, height=440, pad=50.0):
             f'fill="{color}" font-size="13">{name}</text>'
         )
     parts.append("</svg>")
-    with open(path, "w") as fh:
-        fh.write("\n".join(parts))
+    return "\n".join(parts).encode()
 
 
 def export_frame(gamma=math.inf, n=101, levels=()):
@@ -482,11 +480,8 @@ EXPORT_FRAMES = {
 @pytest.mark.parametrize("name", EXPORT_FRAMES)
 def test_csv_and_svg_bytes_match_the_per_value_writers(name, tmp_path):
     frame = EXPORT_FRAMES[name]()
-    assert schrodinger.write_csv(frame, tmp_path / "a.csv") == reference_csv(frame, tmp_path / "b.csv")
-    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
-    schrodinger.write_svg(frame, tmp_path / "a.svg")
-    reference_svg(frame, tmp_path / "b.svg")
-    assert (tmp_path / "a.svg").read_bytes() == (tmp_path / "b.svg").read_bytes()
+    assert csv_bytes(frame, tmp_path / "a.csv") == reference_csv(frame)
+    assert svg_bytes(frame, tmp_path / "a.svg") == reference_svg(frame)
 
 
 def test_special_values_frames_reach_the_writers(tmp_path):
@@ -500,30 +495,52 @@ def test_special_values_frames_reach_the_writers(tmp_path):
 
 
 # every float64 (subnormals, +-0, nan, +-inf), 12-digit ties (k + 1/2) 10^j,
-# the doubles next to 10^j, and integers up to 2^53
-export_values = st.one_of(
-    st.floats(),
-    st.builds(lambda k, j, sign: sign * float(Fraction(2 * k + 1, 2) * Fraction(10) ** j),
-              st.integers(10**11, 10**12 - 1), st.integers(-20, 4), st.sampled_from([1, -1])),
-    st.builds(lambda j, up: float(np.nextafter(float(Fraction(10) ** j), math.inf if up else -math.inf)),
-              st.integers(-6, 13), st.booleans()),
-    st.integers(-2**53, 2**53).map(float),
-)
+# the doubles next to 10^j, and integers up to 2^53.  A tie is (2k + 1) num / den,
+# which int / int rounds once, as float(Fraction) does.
+FLOATS, INTEGERS = st.floats(), st.integers(-2**53, 2**53)
+TIE_K = st.integers(10**11, 10**12 - 1)
+TIE_SCALES = st.sampled_from([(sign * 10**max(j, 0), 2 * 10**max(-j, 0))
+                              for j in range(-20, 5) for sign in (1, -1)])
+NEAR_POWERS = st.sampled_from([float(np.nextafter(float(Fraction(10) ** j), to))
+                               for j in range(-6, 14) for to in (math.inf, -math.inf)])
+VALUE_CLASS = st.integers(0, 3)
+
+
+def export_values(draw, n):
+    """n cells, each of a class drawn for it: a plain draw per class, not one_of's filtered pick."""
+    cells = []
+    for _ in range(n):
+        cls = draw(VALUE_CLASS)
+        if cls == 1:
+            num, den = draw(TIE_SCALES)
+            cells.append((2 * draw(TIE_K) + 1) * num / den)
+        else:
+            cells.append(draw((FLOATS, None, NEAR_POWERS, INTEGERS)[cls]))
+    return np.array(cells, dtype=float)
+
+
+def csv_bytes(frame, path):
+    """What write_csv returns and writes."""
+    return schrodinger.write_csv(frame, path), path.read_bytes()
+
+
+def svg_bytes(frame, path):
+    """What write_svg writes."""
+    schrodinger.write_svg(frame, path)
+    return path.read_bytes()
 
 
 @st.composite
-def export_frames(draw, names):
-    n = draw(st.integers(0 if names is None else 2, 12))
-    names = names or [f"c{j}" for j in range(draw(st.integers(1, 5)))]
-    return {k: np.array(draw(st.lists(export_values, min_size=n, max_size=n))) for k in names}
+def export_frames(draw):
+    n, ncols = draw(st.integers(0, 12)), draw(st.integers(1, 5))
+    return {f"c{j}": export_values(draw, n) for j in range(ncols)}
 
 
 @settings(max_examples=300, deadline=None)
-@given(export_frames(None))
+@given(export_frames())
 def test_csv_bytes_match_the_per_value_writer_on_drawn_frames(tmp_path_factory, frame):
-    tmp = tmp_path_factory.mktemp("csv")
-    assert schrodinger.write_csv(frame, tmp / "a.csv") == reference_csv(frame, tmp / "b.csv")
-    assert (tmp / "a.csv").read_bytes() == (tmp / "b.csv").read_bytes()
+    path = tmp_path_factory.getbasetemp() / "drawn.csv"
+    assert csv_bytes(frame, path) == reference_csv(frame)
 
 
 # With x_lo = 0 and x_hi = 1, px = 50 + 540 x: x = i/32 puts px on exact .xx5
@@ -542,20 +559,24 @@ def svg_frame(x):
     return {"x": np.array(x), **{k: np.array([0.0, 1.0, 2.0]) for k in ("V_upper", "V_partner", "W")}}
 
 
+@st.composite
+def svg_frames(draw):
+    """Series of drawn cells over x drawn alike, or placed by svg_x between x = 0 and x = 1."""
+    n = draw(st.integers(2, 12))
+    placed = draw(st.booleans())
+    x = np.array([0.0, *[draw(svg_x) for _ in range(n - 2)], 1.0]) if placed else export_values(draw, n)
+    return {"x": x, **{k: export_values(draw, n) for k in ("V_upper", "V_partner", "W")}}
+
+
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
 @settings(max_examples=300, deadline=None)
-@given(export_frames(["x", "V_upper", "V_partner", "W"]), st.booleans(),
-       st.lists(svg_x, min_size=10, max_size=10))
+@given(svg_frames())
 # px = 60.00500000000000256 prints 60.01, but 100 px rounds onto 6000.5, which rint takes to 6000
-@example(frame=svg_frame([0.0, 0.018527777777777782, 1.0]), placed=False, xs=[])
+@example(frame=svg_frame([0.0, 0.018527777777777782, 1.0]))
 # px = 1000.00: round(100 px) = 100000 has no "ddd." entry
-@example(frame=svg_frame([0.0, 950 / 540, 1.0]), placed=False, xs=[])
-def test_svg_bytes_match_the_per_value_writer_on_drawn_frames(tmp_path_factory, frame, placed, xs):
-    if placed:
-        frame["x"] = np.array([0.0, *xs[:len(frame["x"]) - 2], 1.0])
+@example(frame=svg_frame([0.0, 950 / 540, 1.0]))
+def test_svg_bytes_match_the_per_value_writer_on_drawn_frames(tmp_path_factory, frame):
     assume(frame["x"][-1] - frame["x"][0] != 0)
     assume(np.isfinite(np.concatenate([frame["V_upper"], frame["V_partner"], frame["W"]])).any())
-    tmp = tmp_path_factory.mktemp("svg")
-    schrodinger.write_svg(frame, tmp / "a.svg")
-    reference_svg(frame, tmp / "b.svg")
-    assert (tmp / "a.svg").read_bytes() == (tmp / "b.svg").read_bytes()
+    path = tmp_path_factory.getbasetemp() / "drawn.svg"
+    assert svg_bytes(frame, path) == reference_svg(frame)

@@ -51,6 +51,22 @@ def test_algebra_suite_reaches_the_top_level(monkeypatch):
         assert orders and all(reached[(row, m)] == top for m in orders)
 
 
+def test_algebra_suite_builds_each_level_once_per_run(monkeypatch):
+    # its two parts share the run's families, so each (family, level) pair
+    # of the table above is built once: 63 calls, not 88
+    built = []
+    real = polynomials._recurrence
+
+    def counting(fam, level):
+        built.append((row_of(fam), level))
+        return real(fam, level)
+
+    monkeypatch.setattr(polynomials, "_recurrence", counting)
+    assert verify.run_suite("algebra")["ok"]
+    assert set(built) == {(row, l) for row, top in TOP_LEVEL.items() for l in range(top + 1)}
+    assert len(built) == 63
+
+
 def test_recurrence_suite_reaches_the_top_level():
     out = verify.suite_recurrence()
     assert out["ok"]
