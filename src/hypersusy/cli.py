@@ -60,18 +60,19 @@ def _integer(name, val):
 
 
 def _levels(name, text):
-    """Levels from a list, a comma list '1,2' or a range '1:4'; none repeated, no range reversed."""
-    if text is None:
-        return []
+    """Levels from a list, a comma list '1,2', a range '1:4' or one integer; none
+    repeated, no range reversed.  A config's null is no integer and is refused."""
     if isinstance(text, (list, tuple)):
         levels = [_integer(name, v) for v in text]
-    elif ":" in str(text):
-        lo, _, hi = str(text).partition(":")
+    elif not isinstance(text, str):
+        levels = [_integer(name, text)]
+    elif ":" in text:
+        lo, _, hi = text.partition(":")
         levels = list(range(_integer(name, lo), _integer(name, hi) + 1))
         if not levels:
             raise ParameterViolation(f"setting '{name}': range {text!r} ends below its start")
     else:
-        levels = [_integer(name, tok) for tok in str(text).split(",") if tok.strip()]
+        levels = [_integer(name, tok) for tok in text.split(",") if tok.strip()]
     if len(set(levels)) < len(levels):
         raise ParameterViolation(f"setting '{name}' repeats a level, got {text!r}")
     return levels

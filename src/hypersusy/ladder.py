@@ -1,22 +1,28 @@
 """First-order ladder maps and the second-order operators they factorize.
 
 Operators act on formal sums of kappa-power terms, sum_j kappa^j * p_j(s)
-with kappa = sqrt(sigma).  A form holds at most one slot per parity of j:
-a term joins its parity's slot by folding onto the lower power,
-kappa^(j+2i) p = kappa^j sigma^i p.  Every map sends a slot kappa^j p to one
-slot by a closed form, in one pass over p's integer numerators against the
-context's integer coefficient stencils (Deformation.ladder_polys), reduced
-once, so every map is exact.  The context carries lambda_m, so it applies
-H_k - lambda_m and the relations need no lambda term.
-lower_order and apply_hamiltonian read their result off its one slot; H
-lands on kappa^(m-2) and is divided by sigma once, so a nonzero remainder is
-an algebra bug and raises DivisibilityFailure.
+with kappa = sqrt(sigma).  A form maps each power j to the integer
+numerators of its slot p_j, all slots over one positive integer scale, and
+holds at most one slot per parity of j: a term joins its parity's slot by
+folding onto the lower power, kappa^(j+2i) p = kappa^j sigma^i p, and
+sigma's coefficients are integers, so the scale stays.  Every map sends a
+slot kappa^j p to fixed powers by banded passes over p's numerators n,
+out_k = sum_t B_t(k) n_(k+t), with integer rows B_t(k) built from the
+context's stencils (Deformation.ladder_polys) over their common
+denominator D: a first-order map multiplies the scale by D and H by D^2.
+No gcd is taken.  The two sides of a relation share their scale, so equal
+trimmed numerator lists decide it exactly; only a relation that fails
+builds Polys for its residual.  The context carries lambda_m, so it
+applies H_k - lambda_m and the relations need no lambda term.
+lower_order and apply_hamiltonian canonicalize their one slot at the end;
+H lands on kappa^(m-2) and is divided by sigma once, so a nonzero
+remainder is an algebra bug and raises DivisibilityFailure.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
+from itertools import zip_longest
 
 import numpy as np
 
@@ -39,129 +45,103 @@ def make_context(fam, m, delta=None):
     return riccati.make_deformation(fam, m, math.inf, delta)
 
 
-def _pass(sig, g, n):
-    """Numerators of sigma p' + g p from p's numerators n, in one fixed-width pass.
-
-    g has degree <= 1 (it combines sigma'/2 and tau).  Output k is sig0 (k+1) n_(k+1) + sig1 k n_k + sig2 (k-1) n_(k-1)
-    + g0 n_k + g1 n_(k-1), the terms in the order Poly products add them.
-    """
-    s0, s1, s2 = sig
-    g0, g1 = g[0], g[1]
-    d = [0, *[i * x for i, x in enumerate(n)], 0, 0]
-    z = [0, *n, 0]
-    return [s0 * c + s1 * b + s2 * a + (g0 * y + g1 * x)
-            for a, b, c, x, y in zip(d, d[1:], d[2:], z, z[1:])]
-
-
-def _conv(stencil, n):
-    """Numerators of stencil * p from p's numerators n."""
-    t0, t1, t2 = stencil
-    z = [0, 0, *n, 0, 0]
-    return [t0 * c + t1 * b + t2 * a for a, b, c in zip(z, z[1:], z[2:])]
+def _put(form, j, n, sig):
+    """Add kappa^j n to form, folding onto the lower power of its parity's slot."""
+    k = next((k for k in form if (k - j) % 2 == 0), None)
+    if k is not None:
+        q = form.pop(k)
+        if k < j:
+            j, k, n, q = k, j, q, n
+        for _ in range((k - j) // 2):
+            z = [0, 0, *q, 0, 0]
+            q = [sig[0] * c + sig[1] * b + sig[2] * a for a, b, c in zip(z, z[1:], z[2:])]
+        n = [a + b for a, b in zip_longest(n, q, fillvalue=0)]
+    while n and not n[-1]:
+        n.pop()
+    if n:
+        form[j] = n
 
 
-def _first_order(polys, p, e, with_tau=False):
-    """sigma p' + e (sigma'/2) p (+ tau p), the part every map applies to a slot p.
-
-    polys = ctx.ladder_polys; (kappa^j p)' = kappa^(j-2) [sigma p' + j (sigma'/2) p].
-    One pass over p's numerators and one reduction.
-    """
-    den, sig, half, tau, _ = polys
-    g = [e * h + t for h, t in zip(half, tau)] if with_tau else [e * h for h in half]
-    return Poly._canonical(_pass(sig, g, p.nums), den * p.den)
-
-
-class KappaForm:
-    """sum over j of kappa^j * poly_j, at most one slot per parity of j."""
-
-    __slots__ = ("family", "terms")
-
-    def __init__(self, family, terms=()):
-        self.family = family
-        self.terms = {}
-        for j, p in terms:
-            self._put(j, p)
-
-    def _put(self, j, p):
-        """Add kappa^j p, folding onto the lower power of its parity's slot."""
-        k = next((k for k in self.terms if (k - j) % 2 == 0), None)
-        if k is not None:
-            q = self.terms.pop(k)
-            if k < j:
-                j, k, p, q = k, j, q, p
-            for _ in range((k - j) // 2):
-                q = q * self.family.polys[0]
-            p = p + q
-        if not p.is_zero:
-            self.terms[j] = p
-
-    @classmethod
-    def from_assoc(cls, af):
-        return cls(af.family, [(af.m, af.poly)])
-
-    def __sub__(self, other):
-        neg = [(j, -p) for j, p in other.terms.items()]
-        return KappaForm(self.family, [*self.terms.items(), *neg])
-
-    def max_abs(self):
-        return max((p.max_abs() for p in self.terms.values()), default=0.0)
-
-
-def residual(lhs, rhs):
-    """Relative max-coefficient deviation between two kappa forms; 0 only if they are equal."""
-    diff = lhs - rhs
-    if not diff.terms:
+def residual(lhs, rhs, scale, sig):
+    """Relative max-coefficient deviation between two forms over one scale; 0 only if they are equal."""
+    if lhs == rhs:
         return 0.0
-    return max(diff.max_abs() / max(lhs.max_abs(), rhs.max_abs(), 1.0), math.ulp(0.0))
+    diff = dict(lhs)
+    for j, n in rhs.items():
+        _put(diff, j, [-x for x in n], sig)
+    if not diff:
+        return 0.0
+
+    def size(form):
+        return max((Poly._canonical(n, scale).max_abs() for n in form.values()), default=0.0)
+
+    return max(size(diff) / max(size(lhs), size(rhs), 1.0), math.ulp(0.0))
 
 
 # --- the operators ---------------------------------------------------------
 #
-# Each map sends each slot kappa^j p of u to one slot.  A shifted context
-# (delta set) adds c*u to the first-order maps and -delta*kappa'*u =
-# -delta kappa^(j-1) (sigma'/2) p to H, each in the other parity's slot.
+# A map is "raise" (a), "lower" (a+) or the order k of H_k - lambda_m.  A
+# shifted context (delta set) adds c*u to the first-order maps and
+# -delta*kappa'*u = -delta kappa^(j-1) (sigma'/2) p to H, each in the other
+# parity's slot.
 
-def _apply_raise(ctx, u):
-    """kappa (d/ds - m kappa'/kappa) (+ c): kappa^(j-1) [sigma p' + (j-m) (sigma'/2) p]."""
-    polys = ctx.ladder_polys
-    out = [(j - 1, _first_order(polys, p, j - ctx.m)) for j, p in u.terms.items()]
-    if ctx.delta is not None:
-        out += [(j, p * ctx.shift_constant) for j, p in u.terms.items()]
-    return KappaForm(ctx.family, out)
+def _terms(ctx, op, j):
+    """What op does to a slot kappa^j p: one (power shift, h, row) per slot it
+    lands on, row(k) = [B_-h(k), ..., B_h(k)] (h = 1 or 2) the integers of
+    out_k = sum_t B_t(k) n_(k+t) over p's numerators n.
 
-
-def _apply_lower(ctx, u):
-    """kappa (-d/ds - tau/sigma - (m-1) kappa'/kappa) (+ c).
-
-    -kappa^(j-1) [sigma p' + (j+m-1) (sigma'/2) p + tau p] on each slot.
+      raise  kappa^(j-1) [sigma p' + (j-m) (sigma'/2) p]
+      lower  -kappa^(j-1) [sigma p' + (j+m-1) (sigma'/2) p + tau p]
+      H_k    kappa^(j-2) [sigma (v_k - lambda_m) p - sigma q' - (j-2) (sigma'/2) q - tau q]
+             with q = sigma p' + j (sigma'/2) p, so Du = kappa^(j-2) q: both
+             passes and the potential term fused into one width-5 band
     """
-    polys = ctx.ladder_polys
-    out = [(j - 1, -_first_order(polys, p, j + ctx.m - 1, True)) for j, p in u.terms.items()]
+    den, sig, half, tau, pots, c, neg_half_delta = ctx.ladder_polys
+
+    def first(g, k):  # sigma p' + g p, g of degree <= 1
+        return [sig[2] * (k - 1) + g[1], sig[1] * k + g[0], sig[0] * (k + 1)]
+
+    if op == "raise":
+        g = [(j - ctx.m) * h for h in half]
+        terms = [(-1, 1, lambda k: first(g, k))]
+    elif op == "lower":
+        g = [(j + ctx.m - 1) * h + t for h, t in zip(half, tau)]
+        terms = [(-1, 1, lambda k: [-b for b in first(g, k)])]
+    else:
+        g_q, g_r, pot = [j * h for h in half], [(j - 2) * h + t for h, t in zip(half, tau)], pots[op]
+
+        def row(k):
+            out = [den * pot[2], den * pot[1], den * pot[0], 0, 0]
+            for t, a in enumerate(first(g_r, k)):
+                for s, b in enumerate(first(g_q, k + t - 1)):
+                    out[t + s] -= a * b
+            return out
+        terms = [(-2, 2, row)]
     if ctx.delta is not None:
-        out += [(j, p * ctx.shift_constant) for j, p in u.terms.items()]
-    return KappaForm(ctx.family, out)
+        terms.append((0, 1, lambda k: [0, c, 0]) if op in ("raise", "lower")
+                     else (-1, 1, lambda k: [2 * neg_half_delta * h for h in (half[1], half[0], 0)]))
+    return terms
 
 
-def _apply_h(ctx, m, u):
-    """-sigma D^2 - tau D + v_m (- delta kappa') - lam, for m = ctx.m or ctx.m + 1,
-    with lam the context's factorization energy lambda_(ctx.m).
-
-    Slot by slot: kappa^(j-2) [sigma (v_m - lam) p - sigma q' - (j-2)
-    (sigma'/2) q - tau q] with q = sigma p' + j (sigma'/2) p, so Du =
-    kappa^(j-2) q.  Both passes and the potential term run on numerator
-    lists, reduced once per slot: q is over D p.den, the slot over D^2 p.den.
-    """
-    den, sig, half, tau, pots = ctx.ladder_polys
-    out = []
-    for j, p in u.terms.items():
-        g_q = [j * h for h in half]
-        g_r = [(j - 2) * h + t for h, t in zip(half, tau)]
-        r = _pass(sig, g_r, _pass(sig, g_q, p.nums))
-        out.append((j - 2, Poly._canonical([den * a - b for a, b in zip(_conv(pots[m], p.nums), r)],
-                                           den * den * p.den)))
-        if ctx.delta is not None:
-            out.append((j - 1, (ctx.family.polys[1] * p) * (Fraction(ctx.delta) / -2)))
-    return KappaForm(ctx.family, out)
+def _apply(ctx, bands, op, form):
+    """op on each slot of form.  bands keeps the rows of each (op, j), built
+    on first use and extended to the longest slot seen."""
+    out, sig = {}, ctx.family.sigma_coeffs
+    for j, n in form.items():
+        terms = bands.get((op, j))
+        if terms is None:
+            terms = bands[op, j] = [(dj, h, row, []) for dj, h, row in _terms(ctx, op, j)]
+        for dj, h, row, rows in terms:
+            if len(rows) < len(n) + h:
+                rows += [row(k) for k in range(len(rows), len(n) + h)]
+            z = [0] * h + n + [0] * (2 * h)
+            if h == 1:
+                acc = [a * x + b * y + c * u for (a, b, c), x, y, u in zip(rows, z, z[1:], z[2:])]
+            else:
+                acc = [a * x + b * y + c * u + d * v + e * w for (a, b, c, d, e), x, y, u, v, w
+                       in zip(rows, z, z[1:], z[2:], z[3:], z[4:])]
+            _put(out, j + dj, acc, sig)
+    return out
 
 
 def _check_compatible(ctx, af, expected_m):
@@ -184,8 +164,9 @@ def lower_order(ctx, af):
     _check_compatible(ctx, af, ctx.m + 1)
     if not (ctx.m < af.l and families.below_cutoff(ctx.family, af.l)):
         raise ContextMismatch(f"lowering needs m < l < cutoff, got l={af.l}, m={ctx.m}")
-    out = _apply_lower(ctx, KappaForm.from_assoc(af)).terms.get(ctx.m, Poly())
-    return AssociatedFunction(ctx.family, af.l, ctx.m, out)
+    out = _apply(ctx, {}, "lower", {ctx.m + 1: list(af.poly.nums)}).get(ctx.m, [])
+    return AssociatedFunction(ctx.family, af.l, ctx.m,
+                              Poly._canonical(out, ctx.ladder_polys[0] * af.poly.den))
 
 
 def apply_hamiltonian(ctx, af):
@@ -195,8 +176,9 @@ def apply_hamiltonian(ctx, af):
     once and gets lambda_m p back.  Any remainder raises.
     """
     _check_compatible(ctx, af, ctx.m)
-    out = _apply_h(ctx, ctx.m, KappaForm.from_assoc(af)).terms.get(ctx.m - 2, Poly())
-    q, rem = poly_divmod(out, ctx.family.polys[0])
+    out = _apply(ctx, {}, ctx.m, {ctx.m: list(af.poly.nums)}).get(ctx.m - 2, [])
+    q, rem = poly_divmod(Poly._canonical(out, ctx.ladder_polys[0] ** 2 * af.poly.den),
+                         ctx.family.polys[0])
     if not rem.is_zero:
         raise DivisibilityFailure(f"division by sigma left remainder of size {rem.max_abs():.3e}")
     return AssociatedFunction(ctx.family, af.l, ctx.m,
@@ -204,25 +186,43 @@ def apply_hamiltonian(ctx, af):
 
 
 def _report(ctx, cases):
-    """Residuals of the four relations on each case (key_u, u, key_w, w).
+    """Residuals of the four relations on each case (key_u, p, key_w, pw).
 
-    u has order m and w order m+1 (None skips the two relations on w); a is
-    _apply_raise, a+ is _apply_lower and _apply_h the context's H - lambda_m.
-    Each operator is applied to a given form once.
+    u = kappa^m p and w = kappa^(m+1) pw (pw None skips the two relations on
+    w).  Each operator is applied to a given form once, each (op, j) band is
+    built once, and both sides of a relation sit over one scale: D^2 p.den
+    for the factorizations, D^3 p.den for the intertwinings.
     """
-    m = ctx.m
+    m, den, sig, bands = ctx.m, ctx.ladder_polys[0], ctx.family.sigma_coeffs, {}
+
+    def op(name, form):
+        return _apply(ctx, bands, name, form)
+
     report = {name: {} for name in ("factor_low", "factor_high", "intertwine_h", "intertwine_a")}
-    for key_u, u, key_w, w in cases:
-        au, hu = _apply_raise(ctx, u), _apply_h(ctx, m, u)
-        report["factor_low"][key_u] = residual(_apply_lower(ctx, au), hu)
-        report["intertwine_a"][key_u] = residual(_apply_raise(ctx, hu), _apply_h(ctx, m + 1, au))
-        if w is not None:
-            lw, hw = _apply_lower(ctx, w), _apply_h(ctx, m + 1, w)
-            report["factor_high"][key_w] = residual(_apply_raise(ctx, lw), hw)
-            report["intertwine_h"][key_w] = residual(_apply_h(ctx, m, lw), _apply_lower(ctx, hw))
+    for key_u, p, key_w, pw in cases:
+        u, scale = {m: list(p.nums)}, den * den * p.den
+        au, hu = op("raise", u), op(m, u)
+        report["factor_low"][key_u] = residual(op("lower", au), hu, scale, sig)
+        report["intertwine_a"][key_u] = residual(op("raise", hu), op(m + 1, au), scale * den, sig)
+        if pw is not None:
+            w, scale = {m + 1: list(pw.nums)}, den * den * pw.den
+            lw, hw = op("lower", w), op(m + 1, w)
+            report["factor_high"][key_w] = residual(op("raise", lw), hw, scale, sig)
+            report["intertwine_h"][key_w] = residual(op(m, lw), op("lower", hw), scale * den, sig)
     # np.max, not max: a NaN residual must reach max_residual and fail the check
     report["max_residual"] = float(np.max([0.0, *(r for rel in report.values() for r in rel.values())]))
     return report
+
+
+def _level_cases(ctx, lmax):
+    """(key_u, p, key_w, pw) per level below the cutoff from m to lmax: the
+    level polynomial is built once and both orders taken by differentiation."""
+    fam, m = ctx.family, ctx.m
+    for l in range(m, lmax + 1):
+        if not families.below_cutoff(fam, l):
+            break
+        q = poly_eigenfunction(fam, l).deriv(m)
+        yield f"l={l},m={m}", q, f"l={l},m={m + 1}", q.deriv() if l >= m + 1 else None
 
 
 def check_identities(ctx, lmax):
@@ -235,23 +235,12 @@ def check_identities(ctx, lmax):
       intertwine_a    a H_m          vs  H_{m+1} a
     Residuals are relative max-coefficient deviations, 0 exactly when an
     identity holds; every map is exact, so the "exact" key is always True.
-    Each level builds its polynomial once and takes both orders from it by
-    differentiation.  A shifted context checks the shifted maps against the
-    shifted eigenvalue.  lmax < m raises IndexViolation.
+    A shifted context checks the shifted maps against the shifted
+    eigenvalue.  lmax < m raises IndexViolation.
     """
-    fam, m = ctx.family, ctx.m
-    if lmax < m:
-        raise IndexViolation(f"check_identities needs lmax >= m, got lmax={lmax}, m={m}")
-
-    def cases():
-        for l in range(m, lmax + 1):
-            if not families.below_cutoff(fam, l):
-                break
-            q = poly_eigenfunction(fam, l).deriv(m)
-            w = KappaForm(fam, [(m + 1, q.deriv())]) if l >= m + 1 else None
-            yield f"l={l},m={m}", KappaForm(fam, [(m, q)]), f"l={l},m={m + 1}", w
-
-    return {**_report(ctx, cases()), "exact": True}
+    if lmax < ctx.m:
+        raise IndexViolation(f"check_identities needs lmax >= m, got lmax={lmax}, m={ctx.m}")
+    return {**_report(ctx, _level_cases(ctx, lmax)), "exact": True}
 
 
 def recurrence_residual(fam, l, m, points):

@@ -237,21 +237,23 @@ class Deformation:
 
     @functools.cached_property
     def ladder_polys(self):
-        """(D, sigma, sigma'/2, tau, {k: sigma (v_k - lambda_m) for k = m, m + 1}).
+        """(D, sigma, sigma'/2, tau, {k: sigma (v_k - lambda_m) for k = m, m + 1}, c, -delta/2).
 
-        Built on first use, lambda_m the exact (shifted) factorization energy:
-        width-3 coefficient stencils (degree <= 2), integer numerators over one
-        positive integer D.
+        Built on first use, lambda_m the exact (shifted) factorization energy
+        and c the shift constant: width-3 coefficient stencils (degree <= 2)
+        and two constants (0 without delta), all integer numerators over one
+        positive integer D, so shifted maps stay integer too.
         """
         sig, sp, tau = self.family.polys
         orders = (self.m, self.m + 1)
         lam = families.shifted_eigenvalue(self.family, self.m, self.delta)
         polys = [sig, sp * Fraction(1, 2), tau,
                  *[families.sigma_potential(self.family, k) - sig * lam for k in orders]]
-        den = math.lcm(*[p.den for p in polys])
+        consts = [Fraction(self.shift_constant), -Fraction(self.delta or 0) / 2]
+        den = math.lcm(*[p.den for p in polys], *[c.denominator for c in consts])
         rows = [[x * (den // p.den) for x in p.nums] for p in polys]
         sig, half, tau, *pots = [tuple(r + [0] * (3 - len(r))) for r in rows]
-        return den, sig, half, tau, dict(zip(orders, pots))
+        return den, sig, half, tau, dict(zip(orders, pots)), *[int(c * den) for c in consts]
 
     def eigenvalue(self, level):
         """lambda_level, shift-corrected when delta is active."""

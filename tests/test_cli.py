@@ -205,15 +205,17 @@ _JOB = {"kind": "s2_plus_one", "alpha": "-6", "beta": "0", "x_min": "-1", "x_max
     ("n", "1e3", 0), ("m", "1.0", 0), ("m", "1.5", 2),
     ("kind", "const", 0), ("alpha", "-5", 0), ("alpha", "two", 2), ("beta", "0.5", 0),
     ("gamma", "1e3", 0), ("gamma", "-1e3", 0), ("gamma", "0", 3), ("delta", "1", 0),
-    ("levels", "1:2", 0), ("levels", "2,1", 0), ("levels", "1,1", 2),
+    ("levels", "1:2", 0), ("levels", "2,1", 0), ("levels", "1,1", 2), ("levels", None, 2),
     ("x_min", "-0.5", 0), ("x_max", "0.5", 0), ("format", "json", 0),
-    ("out", "b.csv", 0), ("svg", "b.svg", 0), ("meta", "b.json", 0),
+    ("out", "b.csv", 0), ("svg", "b.svg", 0), ("meta", "b.json", 0), ("delta", None, 2),
 ])
 def test_derive_flag_and_config_read_a_setting_alike(name, value, code, tmp_path, capsys,
                                                      monkeypatch):
     # each setting under both of its spellings, written out here: the flag
     # --x-min and the config key x_min; a job that read neither would write
-    # what the job without the setting writes
+    # what the job without the setting writes.  A config's null (None here),
+    # which no flag spells, is refused and names the setting, while a config
+    # without the key keeps the default.
     def derive(run, settings, config=None):
         run.mkdir()
         monkeypatch.chdir(run)
@@ -226,6 +228,11 @@ def test_derive_flag_and_config_read_a_setting_alike(name, value, code, tmp_path
         return rc, capsys.readouterr(), files
 
     rest = {key: val for key, val in _JOB.items() if key != name}
+    if value is None:
+        rc, captured, files = derive(tmp_path / "config", rest, {name: value})
+        assert (rc, files) == (code, {}) and f"setting '{name}'" in captured.err
+        assert derive(tmp_path / "absent", rest, {}) == derive(tmp_path / "default", _JOB)
+        return
     by_flag = derive(tmp_path / "flag", {**rest, name: value})
     assert by_flag == derive(tmp_path / "config", rest, {name: value})
     assert by_flag[0] == code

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from hypersusy import families, ladder, verify
 from hypersusy.errors import ContextMismatch, CutoffExceeded, DivisibilityFailure, IndexViolation
 from hypersusy.ladder import (
-    KappaForm,
     apply_hamiltonian,
     check_identities,
     lower_order,
@@ -20,7 +19,15 @@ from hypersusy.ladder import (
 )
 from hypersusy.polynomials import AssociatedFunction, Poly, associated_function, poly_eigenfunction
 from hypersusy.verify import FLOAT_MATRIX, TEST_MATRIX
-from oracles import check_shifted_factorization
+import oracles
+from oracles import (
+    KappaForm,
+    check_shifted_factorization,
+    kappa_form,
+    monomial_cases,
+    reference_map,
+    reference_report,
+)
 
 
 def matrix_families(rows=TEST_MATRIX):
@@ -29,6 +36,12 @@ def matrix_families(rows=TEST_MATRIX):
 
 def lmax_for(fam, cap=6):
     return max(l for l in range(cap + 1) if families.below_cutoff(fam, l))
+
+
+def apply_map(ctx, op, j, p):
+    """ladder's map op on the one slot kappa^j p, as a KappaForm of canonical Polys."""
+    scale = ctx.ladder_polys[0] ** (1 if op in ("raise", "lower") else 2) * p.den
+    return kappa_form(ctx, ladder._apply(ctx, {}, op, {j: list(p.nums)}), scale)
 
 
 def test_raise_annihilates_top():
@@ -154,27 +167,31 @@ def test_identities_exact_up_to_level_30(kind, alpha, beta):
 
 
 def test_identities_build_each_level_once(monkeypatch):
-    # one polynomial per level; H is applied to u, a u, w and a+ w only
-    calls = {"poly": [], "h": 0}
-    real_poly, real_h = ladder.poly_eigenfunction, ladder._apply_h
+    # one polynomial per level, and one band table per (map, slot power) per
+    # call: a raises kappa^m and kappa^(m-2), a+ kappa^(m-1) and kappa^(m+1),
+    # H_m kappa^m and H_(m+1) kappa^(m-1) and kappa^(m+1)
+    calls = {"poly": [], "terms": []}
+    real_poly, real_terms = ladder.poly_eigenfunction, ladder._terms
 
     def counting_poly(fam, level):
         calls["poly"].append(level)
         return real_poly(fam, level)
 
-    def counting_h(*args):
-        calls["h"] += 1
-        return real_h(*args)
+    def counting_terms(ctx, op, j):
+        calls["terms"].append((op, j))
+        return real_terms(ctx, op, j)
 
     monkeypatch.setattr(ladder, "poly_eigenfunction", counting_poly)
-    monkeypatch.setattr(ladder, "_apply_h", counting_h)
+    monkeypatch.setattr(ladder, "_terms", counting_terms)
     for fam, m, lmax in ((families.make_family("const", -2, 0), 1, 7),
                          (families.make_family("s2_minus_one", -8, 10), 0, 3)):
-        calls["poly"], calls["h"] = [], 0
+        calls["poly"], calls["terms"] = [], []
         rep = check_identities(make_context(fam, m), lmax)
         assert calls["poly"] == list(range(m, lmax + 1))
         assert len(rep["factor_low"]) == lmax - m + 1
-        assert calls["h"] == 2 + 4 * (lmax - m)
+        want = [("raise", m), ("raise", m - 2), ("lower", m - 1), ("lower", m + 1),
+                (m, m), (m + 1, m - 1), (m + 1, m + 1)]
+        assert sorted(calls["terms"], key=repr) == sorted(want, key=repr)
 
 
 def test_identities_exact_with_fraction_parameters():
@@ -203,9 +220,9 @@ def test_a_nan_residual_reaches_max_residual(monkeypatch):
     assert check_identities(ctx, 4)["max_residual"] == 0
     real, calls = ladder.residual, []
 
-    def nan_once(lhs, rhs):
+    def nan_once(*args):
         calls.append(None)
-        return math.nan if len(calls) == 3 else real(lhs, rhs)
+        return math.nan if len(calls) == 3 else real(*args)
 
     monkeypatch.setattr(ladder, "residual", nan_once)
     rep = check_identities(ctx, 4)
@@ -227,10 +244,13 @@ def test_identities_below_the_order_raise(lmax):
 def test_residual_is_zero_only_for_equal_forms():
     # a difference of 1e-400 relative rounds to 0.0 as a float; an exact check
     # against 0 must still see it
-    f = families.make_family("const", -2, 0)
-    one = KappaForm(f, [(0, Poly([1]))])
-    assert ladder.residual(one, KappaForm(f, [(0, Poly([1]))])) == 0.0
-    assert ladder.residual(one, KappaForm(f, [(0, Poly([1 + Fraction(1, 10 ** 400)]))])) > 0.0
+    sig = families.make_family("one_minus_s2", -4, 0).sigma_coeffs
+    assert ladder.residual({0: [1]}, {0: [1]}, 1, sig) == 0.0
+    big = 10 ** 400
+    assert ladder.residual({0: [big]}, {0: [big + 1]}, big, sig) > 0.0
+    # equal forms on different powers: kappa^2 = sigma = 1 - s^2 folds onto kappa^0
+    assert ladder.residual({0: [1, 0, -1]}, {2: [1]}, 1, sig) == 0.0
+    assert ladder.residual({0: [1, 0, -1]}, {2: [2]}, 1, sig) == 0.5
 
 
 def test_identities_report_shape():
@@ -282,32 +302,35 @@ def test_context_needs_room_below_cutoff():
 
 
 def test_sigma_division_guards_against_a_remainder(monkeypatch):
-    # H lands on kappa^(m-2) sigma q; a stray kappa^(m-2) c s term leaves the
-    # remainder c s on division by 1 - s^2.  Any remainder raises, for float
-    # parameters as for ints.
-    real = ladder._apply_h
+    # H lands on kappa^(m-2) sigma q; a stray kappa^(m-2) s term leaves a
+    # remainder on division by 1 - s^2.  The slot taken big times over plus
+    # one unit of s carries a stray of 1/big of the slot, and any remainder
+    # raises, for float parameters as for ints.
+    real = ladder._apply
     for alpha, beta in ((-4, 1), (-4.3, 0.9)):
         f = families.make_family("one_minus_s2", alpha, beta)
         ctx, af = make_context(f, 1), associated_function(f, 2, 1)
         assert apply_hamiltonian(ctx, af).poly == families.eigenvalue(f, 2) * af.poly
-        for c in (Fraction(1, 10**30), 1e-13, 1.0):
-            stray = KappaForm(f, [(-1, Poly([0, c]))])
-            monkeypatch.setattr(ladder, "_apply_h", lambda ctx, m, u, d=stray: real(ctx, m, u) - d)
+        for big in (10 ** 30, 10 ** 13, 1):
+            def stray(*args, big=big, j=ctx.m - 2):
+                out = real(*args)
+                out[j] = [x * big for x in out[j]]
+                out[j][1] += 1
+                return out
+            monkeypatch.setattr(ladder, "_apply", stray)
             with pytest.raises(DivisibilityFailure, match="remainder"):
                 apply_hamiltonian(ctx, af)
         monkeypatch.undo()
 
 
 def test_kappa_form_derivative_is_product_rule():
-    # (kappa^j p)' = kappa^(j-2) [sigma p' + j (sigma'/2) p], slot by slot
+    # at m = 0, raise sends kappa^j p to kappa^(j-1) [sigma p' + j (sigma'/2) p],
+    # which is kappa (kappa^j p)'
     f = families.make_family("s2_plus_one", -4, 1)
     af = associated_function(f, 2, 1)
-    polys = make_context(f, 1).ladder_polys
-    form = KappaForm(f, [(j - 2, ladder._first_order(polys, p, j))
-                         for j, p in KappaForm.from_assoc(af).terms.items()])
+    form = apply_map(make_context(f, 0), "raise", af.m, af.poly)
     for s in (-1.3, 0.4, 2.2):
-        val = sum(float(f.sigma(s)) ** (j / 2.0) * float(p(s)) for j, p in form.terms.items())
-        assert abs(val - af.eval(s).deriv) < 1e-12
+        assert abs(form.values(s) - float(f.kappa(s)) * af.eval(s).deriv) < 1e-12
 
 
 # --- order recurrence --------------------------------------------------------
@@ -331,11 +354,12 @@ def test_recurrence_hermite_l1_closed_form():
 
 def test_shift_zero_reduces_to_plain():
     f = families.make_family("one_minus_s2", -4, 0)
-    ctx = make_context(f, 0, delta=0)
+    ctx, plain_ctx = make_context(f, 0, delta=0), make_context(f, 0)
     af = associated_function(f, 2, 0)
-    shifted = ladder._apply_raise(ctx, KappaForm.from_assoc(af))
-    plain = raise_order(make_context(f, 0), af)
-    diff = shifted - KappaForm.from_assoc(plain)
+    form = {0: list(af.poly.nums)}
+    assert ladder._apply(ctx, {}, "raise", form) == ladder._apply(plain_ctx, {}, "raise", form)
+    plain = raise_order(plain_ctx, af)
+    diff = apply_map(ctx, "raise", 0, af.poly) - KappaForm(f, [(plain.m, plain.poly)])
     assert diff.max_abs() == 0.0
 
 
@@ -371,18 +395,15 @@ def test_shifted_maps_agree_pointwise_with_deformation_module():
     d = riccati.make_deformation(f, 0, math.inf, delta=1)
     ctx = make_context(f, 0, delta=1)
     af = associated_function(f, 2, 0)
-    form = ladder._apply_raise(ctx, KappaForm.from_assoc(af))
+    form = apply_map(ctx, "raise", af.m, af.poly)
     up = associated_function(f, 2, 1)
-    form_low = ladder._apply_lower(ctx, KappaForm.from_assoc(up))
-
-    def value_at(kform, s):
-        return sum(float(f.sigma(s)) ** (j / 2.0) * float(p(s)) for j, p in kform.terms.items())
+    form_low = apply_map(ctx, "lower", up.m, up.poly)
 
     for s in (-0.7, -0.2, 0.4, 0.85):
         got = riccati.apply_b(d, s, af.derivatives(s), "b").value
-        assert abs(got - value_at(form, s)) < 1e-13
+        assert abs(got - form.values(s)) < 1e-13
         got = riccati.apply_b(d, s, up.derivatives(s), "b_plus").value
-        assert abs(got - value_at(form_low, s)) < 1e-13
+        assert abs(got - form_low.values(s)) < 1e-13
 
 
 def test_shifted_hamiltonian_offset_is_kappa_prime():
@@ -391,12 +412,10 @@ def test_shifted_hamiltonian_offset_is_kappa_prime():
     f = families.make_family("one_minus_s2", -4, 0)
     ctx = make_context(f, 0, delta=1)
     c = float(ctx.shift_constant)
-    u = KappaForm(f, [(0, Poly([Fraction(1), Fraction(2)]))])
-    shifted = ladder._apply_h(ctx, 0, u)
-    plain = ladder._apply_h(make_context(f, 0), 0, u)
-    diff = shifted - plain
+    u = Poly([Fraction(1), Fraction(2)])
+    diff = apply_map(ctx, 0, 0, u) - apply_map(make_context(f, 0), 0, 0, u)
     for s in (-0.6, 0.1, 0.7):
-        val = sum(float(f.sigma(s)) ** (j / 2.0) * float(p(s)) for j, p in diff.terms.items())
+        val = diff.values(s)
         expect = (-1.0 * float(f.kappa_prime(s)) + c * c) * (1.0 + 2.0 * s)
         assert abs(val - expect) < 1e-13
 
@@ -454,43 +473,66 @@ def shifted_contexts():
             for row in POWER_FAMILIES for m in (0, 1)]
 
 
-def slot_form(ctx, u, power_shift, poly_of):
-    """kappa^(j + power_shift) * poly_of(p) for each slot kappa^j p of u."""
-    return KappaForm(ctx.family, [(j + power_shift, poly_of(p)) for j, p in u.terms.items()])
-
-
-def plus(a, b):
-    return KappaForm(a.family, [*a.terms.items(), *b.terms.items()])
-
-
-# Each mutation changes one term of one map; the map stays a wrapper around
-# the real one, so the term is perturbed and nothing else.
+# Each mutation adds one term to one map, (map, power shift, coefficient):
+# the map also sends kappa^j p to kappa^(j + shift) coefficient * p, so one
+# term of it is perturbed and nothing else.  "h" is H_k at both orders.
 MUTATIONS = {
     # lower: -tau p becomes -2 tau p
-    "lower-tau": ("_apply_lower", lambda real: lambda ctx, u: real(ctx, u) - slot_form(
-        ctx, u, -1, lambda p: ctx.family.polys[2] * p)),
+    "lower-tau": ("lower", -1, lambda ctx: -ctx.family.polys[2]),
     # raise: (j - m) sigma'/2 p becomes (j - m + 1) sigma'/2 p
-    "raise-j-minus-m": ("_apply_raise", lambda real: lambda ctx, u: plus(real(ctx, u), slot_form(
-        ctx, u, -1, lambda p: ctx.family.polys[1] * p * Fraction(1, 2)))),
-    # H: the constant of v_m moves by one
-    "h-v-constant": ("_apply_h", lambda real: lambda ctx, m, u: plus(real(ctx, m, u), u)),
+    "raise-j-minus-m": ("raise", -1, lambda ctx: ctx.family.polys[1] * Fraction(1, 2)),
+    # H: the constant of v_m moves by one (u itself, kappa^j p = kappa^(j-2) sigma p)
+    "h-v-constant": ("h", 0, lambda ctx: Poly([1])),
 }
 SHIFT_MUTATIONS = {
     # the first-order maps: c u becomes 2 c u
-    "raise-c": ("_apply_raise", lambda real: lambda ctx, u: plus(
-        real(ctx, u), slot_form(ctx, u, 0, lambda p: p * ctx.shift_constant))),
-    "lower-c": ("_apply_lower", lambda real: lambda ctx, u: plus(
-        real(ctx, u), slot_form(ctx, u, 0, lambda p: p * ctx.shift_constant))),
+    "raise-c": ("raise", 0, lambda ctx: Poly([ctx.shift_constant])),
+    "lower-c": ("lower", 0, lambda ctx: Poly([ctx.shift_constant])),
     # H: -delta kappa' u becomes -2 delta kappa' u
-    "h-delta-kappa-prime": ("_apply_h", lambda real: lambda ctx, m, u: real(ctx, m, u) - slot_form(
-        ctx, u, -1, lambda p: ctx.family.polys[1] * p * (ctx.delta / 2))),
+    "h-delta-kappa-prime": ("h", -1, lambda ctx: ctx.family.polys[1] * (-Fraction(ctx.delta) / 2)),
 }
 
 
-def caught(monkeypatch, name, mutate, runs):
+def _hit(target, op):
+    return op == target or (target == "h" and op not in ("raise", "lower"))
+
+
+def mutate_bands(monkeypatch, target, shift, coeff):
+    """Add the term to ladder's maps: one more band, the coefficient's
+    numerators over the map's scale factor (D, or D^2 for H)."""
+    real = ladder._terms
+
+    def mutated(ctx, op, j):
+        terms = real(ctx, op, j)
+        if _hit(target, op):
+            factor = ctx.ladder_polys[0] ** (2 if target == "h" else 1)
+            scaled = [c * factor for c in coeff(ctx).coeffs] + [0, 0]
+            assert all(c.denominator == 1 for c in scaled)
+            row = [int(scaled[1]), int(scaled[0]), 0]
+            terms = [*terms, (shift, 1, lambda k: row)]
+        return terms
+
+    monkeypatch.setattr(ladder, "_terms", mutated)
+
+
+def mutate_reference(monkeypatch, target, shift, coeff):
+    """Add the same term to the reference maps, on KappaForms."""
+    real = oracles.reference_map
+
+    def mutated(ctx, op, u):
+        out = real(ctx, op, u)
+        if _hit(target, op):
+            extra = [(j + shift, coeff(ctx) * p) for j, p in u.terms.items()]
+            out = KappaForm(ctx.family, [*out.terms.items(), *extra])
+        return out
+
+    monkeypatch.setattr(oracles, "reference_map", mutated)
+
+
+def caught(monkeypatch, mutation, runs):
     """How many of the runs report a nonzero residual with the map mutated."""
     assert all(run()["max_residual"] == 0 for run in runs)
-    monkeypatch.setattr(ladder, name, mutate(getattr(ladder, name)))
+    mutate_bands(monkeypatch, *mutation)
     hits = sum(run()["max_residual"] > 0 for run in runs)
     monkeypatch.undo()
     return hits
@@ -499,20 +541,42 @@ def caught(monkeypatch, name, mutate, runs):
 @pytest.mark.parametrize("mutation", sorted(MUTATIONS))
 def test_identities_catch_a_mutated_term(monkeypatch, mutation):
     runs = [functools.partial(check_identities, ctx, lmax) for ctx, lmax in unshifted_contexts()]
-    assert caught(monkeypatch, *MUTATIONS[mutation], runs) >= 1
+    assert caught(monkeypatch, MUTATIONS[mutation], runs) >= 1
 
 
 @pytest.mark.parametrize("mutation", sorted(SHIFT_MUTATIONS))
 def test_shifted_factorization_catches_a_mutated_shift_term(monkeypatch, mutation):
     runs = [functools.partial(check_shifted_factorization, ctx) for ctx in shifted_contexts()]
-    assert caught(monkeypatch, *SHIFT_MUTATIONS[mutation], runs) >= 1
+    assert caught(monkeypatch, SHIFT_MUTATIONS[mutation], runs) >= 1
+
+
+@pytest.mark.parametrize("mutation", sorted(MUTATIONS) + sorted(SHIFT_MUTATIONS))
+def test_a_failing_relation_reports_the_reference_value(monkeypatch, mutation):
+    # a relation whose two sides differ leaves the integer comparison for the
+    # residual of lhs - rhs: equal, value for value, to that of the reference
+    # maps on KappaForms with the same term added
+    if mutation in MUTATIONS:
+        mutation = MUTATIONS[mutation]
+        runs = [(ctx, list(ladder._level_cases(ctx, lmax))) for ctx, lmax in unshifted_contexts()]
+    else:
+        mutation = SHIFT_MUTATIONS[mutation]
+        runs = [(ctx, monomial_cases()) for ctx in shifted_contexts()]
+    mutate_bands(monkeypatch, *mutation)
+    mutate_reference(monkeypatch, *mutation)
+    failing = 0
+    for ctx, cases in runs:
+        got = ladder._report(ctx, cases)
+        assert list(got.items()) == list(reference_report(ctx, cases).items())
+        failing += sum(r > 0 for name in ("factor_low", "factor_high", "intertwine_h",
+                                          "intertwine_a") for r in got[name].values())
+    assert failing >= 1
 
 
 def test_identities_cost_per_level_is_pinned(monkeypatch):
-    # polynomial products (scalar ones included) and canonical reductions in
-    # check_identities, levels built beforehand so only the ladder maps and
-    # their context are counted; each map reduces each slot once, so a map
-    # that builds its result twice adds reductions
+    # a passing check_identities forms no Poly product and takes no gcd of
+    # its own: with the levels and the context's stencils built beforehand,
+    # its only canonical reductions are the level derivatives', m for the
+    # order-m polynomial and one more for order m + 1
     counts = {"mul": 0, "canonical": 0}
     real_mul, real_canonical = Poly.__mul__, Poly._canonical.__func__
 
@@ -524,35 +588,23 @@ def test_identities_cost_per_level_is_pinned(monkeypatch):
         counts["canonical"] += 1
         return real_canonical(cls, nums, den)
 
-    for fam, m, lmax, pinned in ((families.make_family("const", -2, 0), 1, 7, (13, 114)),
-                                 (families.make_family("s2_minus_one", -8, 10), 0, 4, (13, 81))):
+    for fam, m, lmax, derivatives in ((families.make_family("const", -2, 0), 1, 7, 7 + 6),
+                                      (families.make_family("s2_minus_one", -8, 10), 0, 4, 4)):
         levels = {l: ladder.poly_eigenfunction(fam, l) for l in range(m, lmax + 1)}
+        ctx = make_context(fam, m)
+        assert ctx.ladder_polys
         with monkeypatch.context() as mp:
             mp.setattr(ladder, "poly_eigenfunction", lambda fam, l: levels[l])
             mp.setattr(Poly, "__mul__", counting_mul)
             mp.setattr(Poly, "__rmul__", counting_mul)
             mp.setattr(Poly, "_canonical", classmethod(counting_canonical))
             counts["mul"] = counts["canonical"] = 0
-            rep = check_identities(make_context(fam, m), lmax)
+            rep = check_identities(ctx, lmax)
         assert rep["max_residual"] == 0 and len(rep["factor_low"]) == lmax - m + 1
-        assert (counts["mul"], counts["canonical"]) == pinned
+        assert (counts["mul"], counts["canonical"]) == (0, derivatives)
 
 
-# --- the one-pass kernels against Poly composition ------------------------------
-
-def reference_first_order(fam, p, e, with_tau):
-    """sigma p' + (e sigma'/2 [+ tau]) p in Poly arithmetic."""
-    sig, sp, tau = fam.polys
-    g = sp * Fraction(1, 2) * e
-    return sig * p.deriv() + ((g + tau) if with_tau else g) * p
-
-
-def reference_h_slot(fam, k, lam, j, p):
-    """sigma (v_k - lam) p - sigma q' - (j-2) sigma'/2 q - tau q, q = sigma p' + j sigma'/2 p."""
-    q = reference_first_order(fam, p, j, False)
-    return ((families.sigma_potential(fam, k) - fam.polys[0] * lam) * p
-            - reference_first_order(fam, q, j - 2, True))
-
+# --- the banded maps against Poly composition -----------------------------------
 
 def kernel_slots(fam, m):
     """The level polynomials' order-m parts up to verify._lmax, each with a
@@ -563,21 +615,19 @@ def kernel_slots(fam, m):
 
 
 # of the exact rows only linear has stencils over D > 1; the fractional row
-# takes its D = 2 from tau
-@pytest.mark.parametrize("row", verify.TEST_MATRIX + verify.FLOAT_MATRIX
-                         + (("one_minus_s2", Fraction(-7, 2), Fraction(1, 2)),),
-                         ids=lambda row: f"{row[0]}({row[1]},{row[2]})")
+# takes its D = 2 from tau, and the shifted rows take c and delta/2 into D
+@pytest.mark.parametrize("row", [(*row, None) for row in verify.TEST_MATRIX + verify.FLOAT_MATRIX
+                                 + (("one_minus_s2", Fraction(-7, 2), Fraction(1, 2)),)]
+                         + [(*row, delta) for row in POWER_FAMILIES for delta in (Fraction(3, 2), 0.7)],
+                         ids=lambda row: f"{row[0]}({row[1]},{row[2]})" + (f"d={row[3]}" if row[3] else ""))
 def test_kernels_match_poly_composition(row):
-    fam = families.make_family(*row)
+    *params, delta = row
+    fam = families.make_family(*params)
     for m in verify._orders(fam):
-        ctx = make_context(fam, m)
-        lam = families.eigenvalue(fam, m)
+        ctx = make_context(fam, m, delta)
         for p in kernel_slots(fam, m):
             # u sits at kappa^m, w at kappa^(m+1); the maps take them down to kappa^(m-3)
             for j in range(m - 3, m + 2):
-                for e, with_tau in ((j - m, False), (j + m - 1, True), (j, False), (j - 2, True)):
-                    got = ladder._first_order(ctx.ladder_polys, p, e, with_tau)
-                    assert got == reference_first_order(fam, p, e, with_tau)
-                for k in (m, m + 1):
-                    got = ladder._apply_h(ctx, k, KappaForm(fam, [(j, p)])).terms.get(j - 2, Poly())
-                    assert got == reference_h_slot(fam, k, lam, j, p)
+                for op in ("raise", "lower", m, m + 1):
+                    want = reference_map(ctx, op, KappaForm(fam, [(j, p)]))
+                    assert apply_map(ctx, op, j, p).terms == want.terms
