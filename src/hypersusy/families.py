@@ -163,9 +163,14 @@ def rational(x):
     return x if isinstance(x, (int, Fraction)) else Fraction(x)
 
 
+def is_int(k):
+    """k is an int; a bool is not."""
+    return isinstance(k, int) and not isinstance(k, bool)
+
+
 def is_index(k):
     """k is a non-negative int (a bool is not)."""
-    return isinstance(k, int) and not isinstance(k, bool) and k >= 0
+    return is_int(k) and k >= 0
 
 
 def _finite(x):
@@ -387,8 +392,17 @@ def sigma_m_rho(fam, m, s):
 
     Where rho underflows to 0 the product is 0, however large sigma^m is.
     """
+    fam.require_inside(s)
+    return sigma_m_rho_inside(fam, m, s)
+
+
+def sigma_m_rho_inside(fam, m, s):
+    """sigma_m_rho at points known to be inside, such as quadrature nodes."""
+    s = np.asarray(s, dtype=float)
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        w = weight(fam, s)
+        w = np.exp(fam.spec.log_weight(s, float(fam.alpha), float(fam.beta)))
+        if m == 0:  # sigma^0 rho is rho, bit for bit
+            return np.asarray(w)
         out = fam.sigma(s) ** m * w
     return np.where(w == 0.0, 0.0, out)
 

@@ -236,10 +236,11 @@ def check_identities(ctx, lmax):
     Residuals are relative max-coefficient deviations, 0 exactly when an
     identity holds; every map is exact, so the "exact" key is always True.
     A shifted context checks the shifted maps against the shifted
-    eigenvalue.  lmax < m raises IndexViolation.
+    eigenvalue.  An lmax that is no int, or below m, raises IndexViolation.
     """
-    if lmax < ctx.m:
-        raise IndexViolation(f"check_identities needs lmax >= m, got lmax={lmax}, m={ctx.m}")
+    if not families.is_int(lmax) or lmax < ctx.m:
+        raise IndexViolation(f"check_identities needs an int lmax >= m, "
+                             f"got lmax={lmax!r}, m={ctx.m}")
     return {**_report(ctx, _level_cases(ctx, lmax)), "exact": True}
 
 

@@ -17,15 +17,16 @@ Within the package, tanh-sinh serves the integrals that run to an interval
 end, where integrands may be singular: the endpoint limits of the cumulative
 weight behind the gamma rays, norms and Gram matrices, and the catalog's
 reference integrals (one stacked quad per grid).  The cumulative weight on
-a grid uses Gauss-Legendre on the gaps between grid points instead
-(riccati.cumulative_weight_sorted) and calls quad only for a gap where its
-two Gauss-Legendre orders differ.
+a grid uses a ladder of Gauss-Legendre orders on the gaps between grid
+points instead (riccati.cumulative_weight_sorted) and calls quad only for
+a gap where its two highest orders still differ.
 
 The tanh-sinh levels nest, and quad evaluates each node once: its first
-integrand call takes every node of level 4, which gives the trapezoid sums
-of levels 0-4 as subsets, and each later level evaluates only its new odd
-nodes.  The (a, b)-free parts of each level's nodes are built on first use
-and kept (_table).
+integrand call takes every node of level 4, ordered by the coarsest level
+holding it, so one running sum gives the trapezoid sums of levels 0-4 at
+the ends of their prefixes, and each later level evaluates only its new
+odd nodes.  The (a, b)-free parts of each level's nodes, down to the
+weights of each interval map, are built on first use and kept (_table).
 
 Integrands and potentials are called with numpy arrays and must evaluate
 elementwise.  An integrand may also return stacked rows, shape (k, n) for
@@ -75,7 +76,8 @@ def _table(level):
 
     The levels nest: the nodes of level L-1 are the even k of level L.  The
     table of level _FIRST holds every node of levels 0.._FIRST, a later one
-    only its new odd k; ``first`` is the coarsest level holding each node.
+    only its new odd k; ``first`` is the coarsest level holding each node,
+    and the nodes are ordered by it, so each level's nodes are a prefix.
     """
     k = np.arange(-int(_T_CUT * 2 ** level), int(_T_CUT * 2 ** level) + 1)
     if level > _FIRST:
@@ -83,9 +85,16 @@ def _table(level):
     first = np.full(k.size, level)
     for coarser in range(level - 1, -1, -1):
         first[k % 2 ** (level - coarser) == 0] = coarser
+    order = np.argsort(first, kind="stable")
+    k, first = k[order], first[order]
     t = k / 2 ** level
     y = np.clip(0.5 * math.pi * np.sinh(t), -_Y_CLIP, _Y_CLIP)
-    parts = (t, np.cosh(t), np.sinh(y), np.cosh(y), np.exp(y), np.exp(-y), np.exp(2.0 * y), first)
+    ey, emy, e2y, c = np.exp(y), np.exp(-y), np.exp(2.0 * y), 0.5 * math.pi * np.cosh(t)
+    sech = 2.0 / (ey + emy)
+    # a finite interval's node is its nearer end plus 2*half times this
+    dist = np.where(t > 0, -1.0 / (e2y + 1.0), e2y / (e2y + 1.0))
+    parts = (np.sinh(y), c * np.cosh(y), ey, c * ey, emy, c * emy, t > 0, dist, c * sech * sech,
+             first)
     for p in parts:
         p.flags.writeable = False
     return parts
@@ -99,19 +108,16 @@ def _nodes(a, b, level):
     evaluable; nodes that still round onto one, or whose weight underflows,
     are dropped.
     """
-    t, cosh_t, sinh_y, cosh_y, ey, emy, e2y, first = _table(level)
-    with np.errstate(over="ignore", under="ignore"):
-        if math.isinf(a) and math.isinf(b):
-            x, dxdt = sinh_y, 0.5 * math.pi * cosh_t * cosh_y
-        elif math.isinf(b):
-            x, dxdt = a + ey, 0.5 * math.pi * cosh_t * ey
-        elif math.isinf(a):
-            x, dxdt = b - emy, 0.5 * math.pi * cosh_t * emy
-        else:
-            half = 0.5 * (b - a)
-            x = np.where(t > 0, b - 2.0 * half / (e2y + 1.0), a + 2.0 * half * e2y / (e2y + 1.0))
-            sech = 2.0 / (ey + emy)
-            dxdt = half * 0.5 * math.pi * cosh_t * sech * sech
+    sinh_y, w_both, ey, w_lo, emy, w_hi, upper, dist, w_finite, first = _table(level)
+    if math.isinf(a) and math.isinf(b):
+        x, dxdt = sinh_y, w_both
+    elif math.isinf(b):
+        x, dxdt = a + ey, w_lo
+    elif math.isinf(a):
+        x, dxdt = b - emy, w_hi
+    else:
+        half = 0.5 * (b - a)
+        x, dxdt = np.where(upper, b, a) + 2.0 * half * dist, half * w_finite
     keep = (dxdt > 0.0) & np.isfinite(x) & (x > a) & (x < b)
     return x[keep], dxdt[keep], first[keep]
 
@@ -137,42 +143,42 @@ def quad(f, a, b, tol=1e-12):
     rule, and give one value per row, summed exactly as that row alone.
 
     The levels nest, so no node is evaluated twice: the first integrand call
-    takes every node of level _FIRST, whose subsets give the sums of levels
-    0.._FIRST, and each later level evaluates only its new odd nodes and adds
-    them to the running sum.
+    takes every node of level _FIRST, whose prefixes give the sums of levels
+    0.._FIRST in one running sum, and each later level evaluates only its new
+    odd nodes and adds them to the total.
 
     Raises ValueError for a NaN bound before calling f, NoConvergence when
     _MAX_LEVEL levels do not settle and NonFinite for a non-finite f value.
     """
     if math.isnan(a) or math.isnan(b):
         raise ValueError(f"quad needs bounds that are not NaN, got a={a}, b={b}")
-    if a == b:
-        return QuadratureResult(_as_value(np.zeros(np.shape(f(np.empty(0)))[:-1])), 0.0, 0)
     orient = 1.0
     if a > b:
         a, b, orient = b, a, -1.0
 
     x, dxdt, first = _nodes(a, b, _FIRST)
     terms, evals = _terms(f, x, dxdt), x.size
-    prev = None
-    for level in range(_MAX_LEVEL + 1):
-        with np.errstate(over="ignore", under="ignore"):
-            if level <= _FIRST:
-                # a stack's selection comes F-ordered; in C order rows sum as lone rows
-                total = np.sum(np.ascontiguousarray(terms[..., first <= level]), axis=-1)
-            else:
+    with np.errstate(over="ignore", under="ignore"):
+        # one running sum, read where each level's prefix of the table ends
+        totals = np.zeros((*terms.shape[:-1], x.size + 1))
+        np.cumsum(terms, axis=-1, out=totals[..., 1:])
+        totals = totals[..., np.searchsorted(first, np.arange(_FIRST + 1), side="right")]
+        for level in range(_FIRST, _MAX_LEVEL + 1):
+            if level > _FIRST:  # the previous level's total and this one's
                 x, dxdt, _ = _nodes(a, b, level)
-                total = total + np.sum(_terms(f, x, dxdt), axis=-1)
-                evals += x.size
-            value = total / 2 ** level
-        if prev is not None and np.all(np.isfinite(value)) and np.all(np.isfinite(prev)):
-            diff = np.abs(value - prev)
-            if np.all(diff <= tol * np.maximum(1.0, np.abs(value))):
-                return QuadratureResult(_as_value(orient * value), float(np.max(diff)), evals)
-        prev = value
+                new = totals[..., -1] + np.sum(_terms(f, x, dxdt), axis=-1)
+                totals, evals = np.stack((totals[..., -1], new), axis=-1), evals + x.size
+            values = totals / 2.0 ** np.arange(level + 1 - totals.shape[-1], level + 1)
+            diff = np.abs(values[..., 1:] - values[..., :-1])
+            ok = np.isfinite(diff) & (diff <= tol * np.maximum(1.0, np.abs(values[..., 1:])))
+            ok = ok.reshape(-1, ok.shape[-1]).all(axis=0)  # every row, per level
+            if ok.any():
+                i = int(np.argmax(ok))
+                return QuadratureResult(_as_value(orient * values[..., i + 1]),
+                                        float(np.max(diff[..., i])), evals)
     raise NoConvergence(
         f"tanh-sinh did not converge on ({a}, {b}) after {_MAX_LEVEL} levels "
-        f"(last value {_as_value(value)!r})"
+        f"(last value {_as_value(values[..., -1])!r})"
     )
 
 

@@ -332,4 +332,6 @@ def norm(fam, level, order):
 
 def gram_matrix(fam, order, lmax):
     """Inner products of the order-m associated functions up to level lmax."""
+    if not families.is_int(lmax):
+        raise IndexViolation(f"lmax must be an int, got lmax={lmax!r}")
     return _gram(fam, order, [l for l in range(lmax + 1) if l >= order])

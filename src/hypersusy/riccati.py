@@ -13,8 +13,9 @@ families.  All derivatives here are analytic: I_m' = sigma^m rho needs no
 numeric differentiation.
 
 I_m is one sweep (cumulative_weight_sorted): the base point joins the
-grid, every gap is integrated by Gauss-Legendre at two orders, a gap where
-they disagree goes to tanh-sinh quadrature behind a half-ulp precision
+grid, every gap climbs a ladder of Gauss-Legendre orders (5 and 10 nodes
+in one pass, then 20) until two successive orders agree, a gap where the
+top two disagree goes to tanh-sinh quadrature behind a half-ulp precision
 floor, and the gaps are summed outward from the base point.  The endpoint
 limits behind the gamma rays reach the interval ends, where the integrand
 may be singular, and stay with tanh-sinh quadrature.
@@ -42,13 +43,13 @@ import numpy as np
 from . import families
 from .errors import (CutoffExceeded, InadmissibleGamma, IndexViolation, NoConvergence,
                      NonFinite, OutOfDomain)
-from .families import sigma_m_rho
+from .families import sigma_m_rho_inside
 from .numerics import quad
 from .polynomials import DifferentiableValue, associated_function
 
 _MARGIN = 1e-9
 _TOL = 1e-13           # a gap's allowance, relative to I_m at its far edge
-_GL_ORDERS = (10, 20)  # the two Gauss-Legendre orders compared on each gap
+_GL_ORDERS = (5, 10, 20)  # the Gauss-Legendre ladder each gap climbs until two agree
 _BLOCK = 512           # gaps per vectorized integrand call (bounds peak memory)
 
 
@@ -56,14 +57,12 @@ def cumulative_weight(fam, m, s):
     """I_m(s), the integral of sigma^m rho from the base point to s, at
     points of any shape and order; a float for a scalar s."""
     s = np.asarray(s, dtype=float)
-    fam.require_inside(s)
     order = np.argsort(s, axis=None)
     out = np.empty(s.size)
     out[order] = cumulative_weight_sorted(fam, m, s.ravel()[order])
     return float(out[0]) if s.ndim == 0 else out.reshape(s.shape)
 
 
-@functools.cache
 def _gauss_legendre(n):
     """Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1].
 
@@ -84,19 +83,36 @@ def _gauss_legendre(n):
         if np.max(np.abs(step)) <= 1e-15:
             break
     q = legendre(x)[1]
-    w = 2.0 * (1.0 - x) * (1.0 + x) / (q * q)
-    x.flags.writeable = w.flags.writeable = False
-    return x, w
+    return x, 2.0 * (1.0 - x) * (1.0 + x) / (q * q)
 
 
-def _gauss(fam, m, lo, hi, order):
-    """order-point Gauss-Legendre value of sigma^m rho on each [lo_i, hi_i]."""
-    x, w = _gauss_legendre(order)
-    out = np.empty(lo.size)
-    for i in range(0, lo.size, _BLOCK):
-        a, b = lo[i:i + _BLOCK, None], hi[i:i + _BLOCK, None]
-        half = 0.5 * (b - a)
-        out[i:i + _BLOCK] = (half * sigma_m_rho(fam, m, a + half * (1.0 + x))) @ w
+@functools.cache
+def _gauss_rules(orders):
+    """The Gauss-Legendre rules of the given orders as one table: rows (1, 1 + x),
+    so (a, half) @ table is the nodes on [a, a + 2 half], and one weight column
+    per order, 0 off its own nodes."""
+    x, w = (np.concatenate(p) for p in zip(*map(_gauss_legendre, orders)))
+    cols = np.zeros((x.size, len(orders)))
+    cols[np.arange(x.size), np.repeat(np.arange(len(orders)), orders)] = w
+    nodes = np.stack((np.ones_like(x), 1.0 + x))
+    nodes.flags.writeable = cols.flags.writeable = False
+    return nodes, cols
+
+
+def _gauss(fam, m, lo, hi, orders):
+    """Gauss-Legendre values of sigma^m rho on each [lo_i, hi_i], one row per
+    order, from one integrand call and two small matmuls per block of gaps."""
+    nodes, w = _gauss_rules(orders)
+    out = np.empty((len(orders), lo.size))
+    with np.errstate(invalid="ignore"):  # an inf value meets the 0 weights of the other orders
+        for i in range(0, lo.size, _BLOCK):
+            a = lo[i:i + _BLOCK]
+            half = 0.5 * (hi[i:i + _BLOCK] - a)
+            f = sigma_m_rho_inside(fam, m, np.stack((a, half), axis=1) @ nodes)
+            out[:, i:i + _BLOCK] = (f @ w).T * half
+    bad = ~np.isfinite(out).all(axis=0)
+    if bad.any():
+        raise NonFinite(f"sigma^m rho non-finite in the gaps starting at s={lo[bad][:3]}")
     return out
 
 
@@ -109,35 +125,47 @@ def _outward_sums(gaps, k):
 def cumulative_weight_sorted(fam, m, pts):
     """I_m at an ascending array of interior points, in one sweep.
 
-    The base point joins the grid as one more edge.  A gap is settled when
-    its two Gauss-Legendre values agree to _TOL relative to I_m at its far
-    edge; sigma^m rho > 0, so that is the gap's share of the value returned
-    there and no absolute floor enters.  An unsettled gap goes to quad with
-    that allowance, unless half an ulp at its two ends carries more mass:
-    a tanh-sinh node that close rounds onto the end and is dropped, so it
-    raises NoConvergence first.  Summing outward from the base point adds
-    terms of one sign, so I_m keeps its relative accuracy next to the base
-    point, where a running sum from pts[0] would cancel.
+    m and the points are checked once, here, and the Gauss nodes between
+    them not at all.  The base point joins the grid as one more edge.  Each
+    gap climbs _GL_ORDERS until two successive orders agree to _TOL relative
+    to I_m at its far edge, and keeps the higher; sigma^m rho > 0, so that
+    is the gap's share of the value returned there.  A gap unsettled at the
+    top goes to quad with that allowance, unless half an ulp at its two ends
+    carries more mass: a tanh-sinh node that close rounds onto the end and
+    is dropped, so it raises NoConvergence first.  Summing outward from the
+    base point adds terms of one sign, so I_m keeps its relative accuracy
+    next to the base point, where a running sum from pts[0] would cancel.
     """
+    if not families.is_index(m):
+        raise IndexViolation(f"order must be a non-negative integer, got {m!r}")
     pts = np.asarray(pts, dtype=float)
+    outside = ~((pts > fam.interval[0]) & (pts < fam.interval[1]))
+    if outside.any():
+        raise OutOfDomain(f"s={float(pts[outside][0])!r} outside the open interval {fam.interval}")
+    if np.any(pts[1:] < pts[:-1]):
+        raise ValueError("cumulative_weight_sorted needs ascending points")
     k = int(np.searchsorted(pts, fam.spec.base_point))
-    edges = np.insert(pts, k, fam.spec.base_point)
+    edges = np.concatenate((pts[:k], [fam.spec.base_point], pts[k:]))
     lo, hi = edges[:-1], edges[1:]
-    coarse, fine = (_gauss(fam, m, lo, hi, order) for order in _GL_ORDERS)
-    bad = ~np.isfinite(coarse + fine)
-    if bad.any():
-        raise NonFinite(f"sigma^m rho non-finite in the gaps starting at s={lo[bad][:3]}")
-    room = _TOL * np.abs(_outward_sums(fine, k))
-    for i in np.flatnonzero(np.abs(fine - coarse) > room):
+    low, high = _gauss(fam, m, lo, hi, _GL_ORDERS[:2])
+    todo = np.arange(lo.size)
+    for order in (*_GL_ORDERS[2:], None):  # the gaps still open, then the next rung
+        sums = _outward_sums(high, k)
+        room = _TOL * np.abs(sums)
+        todo = todo[np.abs(high[todo] - low[todo]) > room[todo]]
+        if order is None or not todo.size:
+            break
+        low[todo], high[todo] = high[todo], _gauss(fam, m, lo[todo], hi[todo], (order,))[0]
+    for i in todo:
         ends = edges[i:i + 2]
-        floor = float(sigma_m_rho(fam, m, ends) @ np.abs(np.spacing(ends))) / 2.0
+        floor = float(sigma_m_rho_inside(fam, m, ends) @ np.abs(np.spacing(ends))) / 2.0
         if floor > room[i]:
             raise NoConvergence(f"I_m on the gap [{lo[i]!r}, {hi[i]!r}] must be within "
                                 f"{room[i]:.3g}; half an ulp at its ends holds {floor:.3g}")
         # quad stops at tol * max(1, |value|); scaled so that this is room[i]
-        tol = room[i] / max(1.0, abs(fine[i]))
-        fine[i] = quad(lambda t: sigma_m_rho(fam, m, t), lo[i], hi[i], tol=tol).value
-    return _outward_sums(fine, k)
+        tol = room[i] / max(1.0, abs(high[i]))
+        high[i] = quad(lambda t: sigma_m_rho_inside(fam, m, t), lo[i], hi[i], tol=tol).value
+    return _outward_sums(high, k) if todo.size else sums
 
 
 def _endpoint_diverges(fam, m, endpoint):
@@ -162,7 +190,8 @@ def endpoint_limit(fam, m, endpoint):
     if _endpoint_diverges(fam, m, endpoint):
         return -math.inf if endpoint == "lower" else math.inf
     target = a if endpoint == "lower" else b
-    return quad(lambda t: sigma_m_rho(fam, m, t), fam.spec.base_point, target, tol=1e-12).value
+    return quad(lambda t: sigma_m_rho_inside(fam, m, t), fam.spec.base_point, target,
+                tol=1e-12).value
 
 
 @dataclass(frozen=True)
@@ -322,7 +351,7 @@ def psi_phi_arrays(defm, s):
         if np.any(np.abs(den) < _MARGIN):
             raise InadmissibleGamma("gamma + I_m(s) vanishes within the margin near "
                                     f"gamma={defm.gamma}")
-        g = sigma_m_rho(fam, m, s) / den
+        g = sigma_m_rho_inside(fam, m, s) / den
         gp = g * ((m - 1) * ratio + t) - g * g
     psi = -t - (m - 1) / 2.0 * ratio + g
     psi_p = -(float(fam.alpha) / sig - t * ratio) - (m - 1) / 2.0 * d_ratio + gp

@@ -14,7 +14,7 @@ from scipy.integrate import quad as scipy_quad
 from scipy.special import betainc, erf, gamma, gammainc
 
 from hypersusy import families, riccati
-from hypersusy.errors import NoConvergence
+from hypersusy.errors import IndexViolation, NoConvergence, OutOfDomain
 from hypersusy.verify import TEST_MATRIX
 
 REL = 1e-12
@@ -223,13 +223,39 @@ def test_any_shape_and_order():
     assert_close(got.ravel(), [linear_closed_form(-1.1, 1.2, 1, x) for x in s.ravel()])
 
 
+@pytest.mark.parametrize("pts,bad", [([-0.5, 0.2, 1.0], "1.0"), ([-1.5, 0.2, 2.0], "-1.5"),
+                                     ([0.1, math.nan], "nan")],
+                         ids=["upper-end", "below", "nan"])
+def test_a_point_outside_is_refused_at_entry_by_name(pts, bad):
+    # the check came from inside the integrand, naming a 2-D block of Gauss nodes
+    fam = families.make_family("one_minus_s2", -4, 1)
+    with pytest.raises(OutOfDomain) as err:
+        riccati.cumulative_weight_sorted(fam, 0, pts)
+    assert str(err.value).startswith(f"s={bad} outside") and "[[" not in str(err.value)
+
+
+def test_points_that_descend_are_refused():
+    fam = families.make_family("const", -2, 0)
+    with pytest.raises(ValueError, match="ascending"):
+        riccati.cumulative_weight_sorted(fam, 0, [-1.0, 0.5, 0.4])
+
+
+@pytest.mark.parametrize("m", [1.5, -1, True])
+def test_an_order_that_is_no_index_is_refused(m):
+    # 1.5 and -1 were integrated as sigma^1.5 rho and sigma^-1 rho
+    fam = families.make_family("linear", -1, 1)
+    with pytest.raises(IndexViolation, match="got"):
+        riccati.cumulative_weight_sorted(fam, m, [0.5, 2.0])
+
+
 def spy_gauss(monkeypatch):
+    """(orders, number of gaps) of each _gauss call."""
     sizes = []
     real = riccati._gauss
 
-    def spy(fam, m, lo, hi, order):
-        sizes.append(lo.size)
-        return real(fam, m, lo, hi, order)
+    def spy(fam, m, lo, hi, orders):
+        sizes.append((orders, lo.size))
+        return real(fam, m, lo, hi, orders)
 
     monkeypatch.setattr(riccati, "_gauss", spy)
     return sizes
@@ -248,25 +274,25 @@ def count_quad(monkeypatch):
 
 
 def test_coarse_grid_on_a_narrow_weight_sends_each_unsettled_gap_to_quad(monkeypatch):
-    # exp(-200 s^2), width 0.05, on gaps of 0.32: the two orders disagree
-    # next to the peak, and each such gap goes to quad once
+    # exp(-200 s^2), width 0.05, on gaps of 0.32: next to the peak the 5- and
+    # 10-point values disagree, so do the 10- and 20-point ones, and each
+    # such gap goes to quad once
     fam = families.make_family("const", -400, 0)
     pts = np.linspace(-3.0, 3.0, 20)
-    # the gaps, the base point 0 being one more edge, whose 10- and 20-point
-    # values differ by more than 1e-13 of the closed form at their far edge
+    # the gaps, the base point 0 being one more edge, and the 1e-13 of the
+    # closed form at each one's far edge that two orders may differ by
     edges = np.insert(pts, 10, 0.0)
-    unsettled = []
-    for a, b in zip(edges[:-1], edges[1:]):
-        far = b if b > 0 else a
-        rules = [riccati._gauss(fam, 0, np.array([a]), np.array([b]), n)[0]
-                 for n in riccati._GL_ORDERS]
-        if abs(rules[1] - rules[0]) > 1e-13 * abs(const_closed_form(-400, 0, far)):
-            unsettled.append((a, b))
+    lo, hi = edges[:-1], edges[1:]
+    room = 1e-13 * np.abs([const_closed_form(-400, 0, b if b > 0 else a) for a, b in zip(lo, hi)])
+    v5, v10, v20 = (riccati._gauss(fam, 0, lo, hi, (n,))[0] for n in riccati._GL_ORDERS)
+    climbed = np.flatnonzero(np.abs(v10 - v5) > room)
+    unsettled = np.flatnonzero(np.abs(v20 - v10) > room)
     sizes = spy_gauss(monkeypatch)
     calls = count_quad(monkeypatch)
     got = riccati.cumulative_weight_sorted(fam, 0, pts)
-    assert sizes == [len(pts), len(pts)]
-    assert unsettled and calls == unsettled
+    assert sizes == [((5, 10), len(pts)), ((20,), climbed.size)]
+    assert unsettled.size and set(unsettled) <= set(climbed)
+    assert calls == list(zip(lo[unsettled], hi[unsettled]))
     assert_close(got, [const_closed_form(-400, 0, s) for s in pts])
 
 
@@ -292,12 +318,39 @@ def test_an_unresolvable_gap_raises_at_the_precision_floor():
 
 @pytest.mark.parametrize("kind,a,b", TEST_MATRIX)
 def test_grid_sweep_makes_no_quad_call(monkeypatch, kind, a, b):
+    # every gap of the benchmark grids settles at the first pair: one merged
+    # 5- and 10-point call per sweep, no 20-point rung and no quad
     fam = families.make_family(kind, a, b)
+    sizes = spy_gauss(monkeypatch)
     calls = count_quad(monkeypatch)
     for n in (600, 1601, 4000):
         for m in orders(fam):
+            sizes.clear()
             riccati.cumulative_weight_sorted(fam, m, grid(kind, n))
+            assert sizes == [(riccati._GL_ORDERS[:2], n)]
     assert calls == []
+
+
+def sparse_grids(fam):
+    """The verify suites' grids: 64 sample points, and the catalog's 16-point
+    x-window in s."""
+    return (families.sample_points(fam, 64),
+            np.sort(fam.spec.coords.s_of_x(np.linspace(*fam.spec.x_window, 16))))
+
+
+def test_sparse_grids_climb_the_ladder_and_match_the_references(monkeypatch):
+    sizes = spy_gauss(monkeypatch)
+    calls = count_quad(monkeypatch)
+    for kind, a, b in TEST_MATRIX:
+        fam = families.make_family(kind, a, b)
+        for pts in sparse_grids(fam):
+            for m in orders(fam):
+                got = riccati.cumulative_weight_sorted(fam, m, pts)
+                want = [scipy_reference(kind, a, b, m, fam.spec.base_point, s) for s in pts]
+                nonzero = np.asarray(want) != 0.0
+                assert_close(got[nonzero], np.asarray(want)[nonzero])
+    top = sum(n for orders_, n in sizes if orders_ == riccati._GL_ORDERS[2:])
+    assert top > 0 and calls == []
 
 
 def test_import_leaves_numpy_polynomial_out():
@@ -354,3 +407,17 @@ def test_gauss_legendre_rules_are_exact_on_polynomials():
         for k in range(2 * n):
             want = 0.0 if k % 2 else 2.0 / (k + 1)
             assert abs(float(w @ x ** k) - want) <= 1e-14
+
+
+def test_the_first_pair_shares_one_node_table():
+    # each rule's nodes once, as rows (1, 1 + x), and its weights in its own column
+    pair = riccati._GL_ORDERS[:2]
+    nodes, cols = riccati._gauss_rules(pair)
+    rules = [riccati._gauss_legendre(n) for n in pair]
+    assert np.array_equal(nodes, [np.ones(sum(pair)), 1.0 + np.concatenate([x for x, _ in rules])])
+    start = 0
+    for j, (x, w) in enumerate(rules):
+        want = np.zeros(sum(pair))
+        want[start:start + x.size] = w
+        assert np.array_equal(cols[:, j], want)
+        start += x.size

@@ -179,6 +179,22 @@ def test_fraction_parameters_evaluate_in_float64_as_ints_do():
     assert families.sigma_m_rho(third, 1, s).dtype == np.float64
 
 
+@pytest.mark.parametrize("kind,alpha,beta", TEST_MATRIX)
+def test_sigma_m_rho_is_the_product_written_out_and_checks_its_points(kind, alpha, beta):
+    # the unchecked variant and the order-0 shortcut give the product's bits
+    fam = families.make_family(kind, alpha, beta)
+    s = families.sample_points(fam, 64)
+    for m in range(3):
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            w = families.weight(fam, s)
+            want = np.where(w == 0.0, 0.0, fam.sigma(s) ** m * w)
+        for got in (families.sigma_m_rho(fam, m, s), families.sigma_m_rho_inside(fam, m, s)):
+            assert got.dtype == np.float64 and np.array_equal(got, want)
+        assert np.ndim(families.sigma_m_rho(fam, m, s[3])) == 0
+    with pytest.raises(OutOfDomain):
+        families.sigma_m_rho(fam, 0, [s[0], math.nan])
+
+
 def test_json_number_round_trips_infinities_and_fractions():
     import json
 

@@ -464,6 +464,64 @@ def test_verify_spectrum_trigonometric_pair():
     assert rep.ok and rep.max_residual <= 5e-3
 
 
+# (kind, alpha, beta, m, end) -> (panels, stopping level) of quad on each
+# finite gamma_rays edge of TEST_MATRIX, as per-level sums (stopping_level) give them
+EDGE_LEVELS = {
+    ("const", -2, 0, 0, "lower"): (419, 5),
+    ("const", -2, 0, 0, "upper"): (419, 5),
+    ("const", -2, 0, 1, "lower"): (419, 5),
+    ("const", -2, 0, 1, "upper"): (419, 5),
+    ("linear", -1, 1, 0, "lower"): (155, 4),
+    ("linear", -1, 1, 0, "upper"): (333, 5),
+    ("linear", -1, 1, 1, "lower"): (155, 4),
+    ("linear", -1, 1, 1, "upper"): (333, 5),
+    ("one_minus_s2", -4, 1, 0, "lower"): (155, 3),
+    ("one_minus_s2", -4, 1, 0, "upper"): (155, 4),
+    ("one_minus_s2", -4, 1, 1, "lower"): (155, 4),
+    ("one_minus_s2", -4, 1, 1, "upper"): (155, 4),
+    ("s2_minus_one", -8, 10, 0, "lower"): (101, 4),
+    ("s2_minus_one", -8, 10, 0, "upper"): (166, 3),
+    ("s2_minus_one", -8, 10, 1, "lower"): (101, 4),
+    ("s2_minus_one", -8, 10, 1, "upper"): (166, 3),
+    ("s2", -3, 2, 0, "lower"): (311, 5),
+    ("s2", -3, 2, 0, "upper"): (166, 3),
+    ("s2_plus_one", -4, 1, 0, "lower"): (209, 3),
+    ("s2_plus_one", -4, 1, 0, "upper"): (209, 3),
+    ("s2_plus_one", -4, 1, 1, "lower"): (209, 3),
+    ("s2_plus_one", -4, 1, 1, "upper"): (209, 3),
+}
+
+
+@pytest.mark.parametrize("key", EDGE_LEVELS, ids=lambda k: "-".join(map(str, k)))
+def test_gamma_ray_edges_keep_their_panels_and_stopping_levels(key):
+    from hypersusy import families, riccati
+
+    kind, alpha, beta, m, end = key
+    fam = families.make_family(kind, alpha, beta)
+    assert not riccati._endpoint_diverges(fam, m, end)
+    target = fam.interval[0 if end == "lower" else 1]
+    f = lambda t: families.sigma_m_rho(fam, m, t)
+    g, calls = counting(f)
+    res = quad(g, fam.spec.base_point, target, tol=1e-12)
+    panels, level = EDGE_LEVELS[key]
+    lo, hi = sorted((fam.spec.base_point, target))
+    got_level, fixed = stopping_level(f, lo, hi, 1e-12)
+    assert (res.panels, got_level, len(calls)) == (panels, level, max(1, level - 3))
+    assert abs(abs(res.value) - fixed) <= 4.0 * np.spacing(max(1.0, fixed))
+
+
+def test_every_finite_gamma_ray_edge_is_pinned():
+    from hypersusy import families, riccati
+    from hypersusy.verify import TEST_MATRIX
+
+    edges = set()
+    for kind, alpha, beta in TEST_MATRIX:
+        fam = families.make_family(kind, alpha, beta)
+        edges |= {(kind, alpha, beta, m, end) for m in (0, 1) if families.below_cutoff(fam, m + 1)
+                  for end in ("lower", "upper") if not riccati._endpoint_diverges(fam, m, end)}
+    assert edges == set(EDGE_LEVELS)
+
+
 def test_benchmark_tracer_reads_the_fd_and_quad_spans():
     # perfbench's traced runs read fd_spectrum's 4th argument as n and each
     # QuadratureResult's panels as evals; a change to either call or return

@@ -15,7 +15,7 @@ from hypersusy.errors import (
     QuadratureFailure,
     RecurrenceBreakdown,
 )
-from hypersusy.ladder import make_context
+from hypersusy.ladder import check_identities, make_context
 from hypersusy.numerics import quad
 from hypersusy.polynomials import (
     Poly,
@@ -639,11 +639,17 @@ def test_norm_and_gram_reject_an_order_that_is_not_a_level_index(call):
     (lambda f: families.eigenvalue(f, True), CutoffExceeded),
     (lambda f: make_deformation(f, True, math.inf), IndexViolation),
     (lambda f: make_context(f, True), IndexViolation),
+    (lambda f: gram_matrix(f, 1, 1.5), IndexViolation),
+    (lambda f: gram_matrix(f, 0, True), IndexViolation),
+    (lambda f: check_identities(make_context(f, 1), 2.5), IndexViolation),
+    (lambda f: check_identities(make_context(f, 0), True), IndexViolation),
 ], ids=["gram-1.5-1", "gram-neg1-neg1", "gram-True-2", "assoc-order-True", "poly-level-True",
-        "eigenvalue-level-True", "deformation-order-True", "context-order-True"])
+        "eigenvalue-level-True", "deformation-order-True", "context-order-True",
+        "gram-lmax-1.5", "gram-lmax-True", "identities-lmax-2.5", "identities-lmax-True"])
 def test_an_index_that_is_a_bool_or_no_int_is_refused(call, error):
     # even where no level is in range: gram_matrix returned a (0, 0) matrix
-    # for the first two and a (2, 2) one for the bool order
+    # for the first two and a (2, 2) one for the bool order; a float lmax
+    # ended in a bare TypeError from range, and lmax=True was read as 1
     with pytest.raises(error, match="got"):
         call(families.make_family("const", -2, 0))
 
