@@ -26,11 +26,11 @@ class BoundaryDecayFailure(InvalidParameters):
 
 
 class CutoffExceeded(InvalidParameters):
-    """Level index at or above the family cutoff."""
+    """An int level at or above the family cutoff Lambda."""
 
 
 class OutOfDomain(InvalidParameters):
-    """Point lies outside the family's open interval."""
+    """A point lies outside the open interval or the coordinate domain."""
 
 
 class NoWeightPower(InvalidParameters):
@@ -42,7 +42,7 @@ class DegenerateDenominator(InvalidParameters):
 
 
 class IndexViolation(InvalidParameters):
-    """Order index out of the range 0 <= m <= l."""
+    """An order, level or lmax that is no int (a bool is none) or out of its range."""
 
 
 class RecurrenceBreakdown(InvalidParameters):

@@ -27,6 +27,7 @@ from .errors import (
     BoundaryDecayFailure,
     CutoffExceeded,
     DegenerateDenominator,
+    IndexViolation,
     NoWeightPower,
     OutOfDomain,
     ParameterViolation,
@@ -52,10 +53,7 @@ class CoordinateMap:
         return self.s_fn(np.asarray(x, dtype=float))
 
     def require_inside(self, x):
-        a, b = self.x_domain
-        arr = np.asarray(x, dtype=float)
-        if not np.all((arr > a) & (arr < b)):
-            raise OutOfDomain(f"x={x} outside the coordinate domain {self.x_domain}")
+        require_open("x", x, self.x_domain)
 
 
 # sigma^m rho at one end of the interval: a power |s - end|^p at a finite
@@ -163,14 +161,25 @@ def rational(x):
     return x if isinstance(x, (int, Fraction)) else Fraction(x)
 
 
-def is_int(k):
-    """k is an int; a bool is not."""
-    return isinstance(k, int) and not isinstance(k, bool)
+def require_index(name, k, lo=0, hi=None):
+    """Raise IndexViolation, naming the argument, unless k is an int (a bool is
+    not) in lo..hi: hi=None leaves the top open, lo=None admits any int."""
+    is_int = isinstance(k, int) and not isinstance(k, bool)
+    if not (is_int and (lo is None or (k >= lo and (hi is None or k <= hi)))):
+        rule = ("an integer" if lo is None else f"an integer in {lo}..{hi}" if hi is not None
+                else "a non-negative integer" if lo == 0 else f"an integer >= {lo}")
+        raise IndexViolation(f"{name} must be {rule}, got {name}={k!r}")
 
 
-def is_index(k):
-    """k is a non-negative int (a bool is not)."""
-    return is_int(k) and k >= 0
+def require_open(name, x, interval):
+    """Raise OutOfDomain unless every value of x lies in the open interval,
+    naming the first that does not (NaN included)."""
+    a, b = interval
+    arr = np.asarray(x, dtype=float)
+    inside = (arr > a) & (arr < b)
+    if not inside.all():
+        bad = float(arr.flat[int(np.argmin(inside))])
+        raise OutOfDomain(f"{name}={bad!r} outside the open interval {interval}")
 
 
 def _finite(x):
@@ -275,8 +284,7 @@ class Family:
         return bool(np.all((arr > a) & (arr < b)))
 
     def require_inside(self, s):
-        if not self.contains(s):
-            raise OutOfDomain(f"s={s} outside the open interval {self.interval}")
+        require_open("s", s, self.interval)
 
     def to_json(self):
         return {"kind": self.kind, "alpha": json_number(self.alpha),
@@ -360,9 +368,9 @@ def _shown(fam, x):
 
 
 def require_level(fam, level):
-    """Raise CutoffExceeded unless level is a non-negative int below the cutoff."""
-    if not is_index(level):
-        raise CutoffExceeded(f"level must be a non-negative integer, got {level!r}")
+    """Raise IndexViolation unless level is a non-negative int, and
+    CutoffExceeded unless it lies below the cutoff."""
+    require_index("level", level)
     if not below_cutoff(fam, level):
         raise CutoffExceeded(f"level {level} is not below the cutoff {_shown(fam, cutoff(fam))}")
 
@@ -380,11 +388,8 @@ def weight(fam, s):
     Going through the logarithm turns extreme points into a clean overflow
     or underflow; a product of powers would give inf * 0 = NaN there.
     """
-    arr = np.asarray(s, dtype=float)
-    fam.require_inside(arr)
-    with np.errstate(over="ignore", under="ignore"):
-        out = np.exp(fam.spec.log_weight(arr, float(fam.alpha), float(fam.beta)))
-    return out if arr.ndim else float(out)
+    out = sigma_m_rho(fam, 0, s)
+    return out if out.ndim else float(out)
 
 
 def sigma_m_rho(fam, m, s):
@@ -417,6 +422,7 @@ def sigma_potential(fam, m):
 
 def potential_term(fam, m, s):
     """Zeroth-order term v_m(s) of the m-th operator -sigma D^2 - tau D + v_m."""
+    require_index("order", m)
     fam.require_inside(s)
     return sigma_potential(fam, m).eval_array(s) / fam.sigma(s)
 
@@ -435,6 +441,7 @@ def weight_power(fam):
 
 def _shift_denominator(fam, m):
     """2m + 2k + 1 for the pure-power weight rho = sigma^k, validated."""
+    require_index("order", m)
     k = weight_power(fam)
     if k is None:
         raise NoWeightPower(f"({fam.kind}, beta={fam.beta}) has no pure-power weight")

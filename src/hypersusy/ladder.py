@@ -27,7 +27,7 @@ from itertools import zip_longest
 import numpy as np
 
 from . import families, riccati
-from .errors import ContextMismatch, DivisibilityFailure, IndexViolation
+from .errors import ContextMismatch, DivisibilityFailure
 from .polynomials import (
     AssociatedFunction,
     Poly,
@@ -238,9 +238,7 @@ def check_identities(ctx, lmax):
     A shifted context checks the shifted maps against the shifted
     eigenvalue.  An lmax that is no int, or below m, raises IndexViolation.
     """
-    if not families.is_int(lmax) or lmax < ctx.m:
-        raise IndexViolation(f"check_identities needs an int lmax >= m, "
-                             f"got lmax={lmax!r}, m={ctx.m}")
+    families.require_index("lmax", lmax, ctx.m)
     return {**_report(ctx, _level_cases(ctx, lmax)), "exact": True}
 
 
@@ -253,8 +251,7 @@ def recurrence_residual(fam, l, m, points):
     handles by raising to zero).  Residuals are normalized by the largest
     participating term.
     """
-    if not 1 <= m <= l:
-        raise ValueError("recurrence needs 1 <= m <= l")
+    families.require_index("order", m, 1, l)
     up = associated_function(fam, l, m + 1) if m < l else None
     mid = associated_function(fam, l, m)
     low = associated_function(fam, l, m - 1)

@@ -258,9 +258,10 @@ def _rayleigh(diag, off, v, h, shifts):
     """Rayleigh-quotient iteration by dgtsv on T = -D^2 + diag(v), step h,
     whose diagonal is diag and off-diagonal off: one state per shift, each
     from one fixed seeded start (no symmetry makes it orthogonal to a state)
-    and two inverse-iteration steps at the shift itself, so that a start
-    poor in the wanted state cannot pull the quotient to a neighbour.  The
-    quotient is the cancellation-free form
+    and inverse-iteration steps at the shift itself, at least two and more
+    until the quotient lies nearer the shift than half the distance to the
+    nearest other shift, so that a start poor in the wanted state cannot
+    pull the quotient to a neighbour.  The quotient is the cancellation-free form
     (sum v y^2 + (y_1^2 + y_N^2 + sum (dy)^2)/h^2)/sum y^2.  Returns the
     sorted quotients and twice the worst residual |Ty - rho y|, |y| = 1.
     """
@@ -270,8 +271,10 @@ def _rayleigh(diag, off, v, h, shifts):
     rhos, worst = np.empty(len(shifts)), 0.0
     for i, shift in enumerate(shifts):
         y, rho = start, shift
+        reach = 0.5 * min(np.abs(np.delete(shifts, i) - shift), default=math.inf)
         for step in range(_RQI_STEPS):
-            z, info = dgtsv(off, diag - (rho if step > 1 else shift), off, y)[3:]
+            own = step > 1 and abs(rho - shift) < reach
+            z, info = dgtsv(off, diag - (rho if own else shift), off, y)[3:]
             if info != 0:  # the shift is an eigenvalue to working precision
                 break
             y, prev = z / np.linalg.norm(z), rho

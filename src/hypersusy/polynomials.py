@@ -19,7 +19,7 @@ from itertools import zip_longest
 import numpy as np
 
 from . import families
-from .errors import IndexViolation, RecurrenceBreakdown
+from .errors import RecurrenceBreakdown
 from .numerics import quad
 
 
@@ -288,8 +288,7 @@ def ode_residual(fam, level, p):
 
 def associated_function(fam, level, order):
     """kappa^order * (order-th derivative of the level polynomial)."""
-    if not (families.is_index(order) and order <= level):
-        raise IndexViolation(f"order must satisfy 0 <= m <= l, got m={order}, l={level}")
+    families.require_index("order", order, 0, level)
     return AssociatedFunction(fam, level, order, poly_eigenfunction(fam, level).deriv(order))
 
 
@@ -303,8 +302,7 @@ def _gram(fam, order, levels):
     sigma^m rho p_i p_j as stacked rows.  An order that is not a
     non-negative int raises IndexViolation, even when no level is given.
     """
-    if not families.is_index(order):
-        raise IndexViolation(f"order must satisfy 0 <= m <= l, got m={order!r}")
+    families.require_index("order", order)
     polys = [associated_function(fam, l, order).poly for l in levels]
     iu, ju = np.triu_indices(len(polys))
 
@@ -332,6 +330,5 @@ def norm(fam, level, order):
 
 def gram_matrix(fam, order, lmax):
     """Inner products of the order-m associated functions up to level lmax."""
-    if not families.is_int(lmax):
-        raise IndexViolation(f"lmax must be an int, got lmax={lmax!r}")
+    families.require_index("lmax", lmax, None)
     return _gram(fam, order, [l for l in range(lmax + 1) if l >= order])

@@ -41,8 +41,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import families
-from .errors import (CutoffExceeded, InadmissibleGamma, IndexViolation, NoConvergence,
-                     NonFinite, OutOfDomain)
+from .errors import CutoffExceeded, InadmissibleGamma, NoConvergence, NonFinite
 from .families import sigma_m_rho_inside
 from .numerics import quad
 from .polynomials import DifferentiableValue, associated_function
@@ -136,12 +135,9 @@ def cumulative_weight_sorted(fam, m, pts):
     base point adds terms of one sign, so I_m keeps its relative accuracy
     next to the base point, where a running sum from pts[0] would cancel.
     """
-    if not families.is_index(m):
-        raise IndexViolation(f"order must be a non-negative integer, got {m!r}")
+    families.require_index("order", m)
     pts = np.asarray(pts, dtype=float)
-    outside = ~((pts > fam.interval[0]) & (pts < fam.interval[1]))
-    if outside.any():
-        raise OutOfDomain(f"s={float(pts[outside][0])!r} outside the open interval {fam.interval}")
+    fam.require_inside(pts)
     if np.any(pts[1:] < pts[:-1]):
         raise ValueError("cumulative_weight_sorted needs ascending points")
     k = int(np.searchsorted(pts, fam.spec.base_point))
@@ -230,6 +226,7 @@ class GammaRays:
 def gamma_rays(fam, m):
     """Admissible rays from the endpoint limits of the cumulative weight,
     computed once per Family instance and order (Family.ray_memo)."""
+    families.require_index("order", m)  # before the memo, where True and 1.0 find order 1
     if m not in fam.ray_memo:
         lo = endpoint_limit(fam, m, "lower")
         hi = endpoint_limit(fam, m, "upper")
@@ -310,8 +307,7 @@ class Deformation:
 
 def make_deformation(fam, m, gamma, delta=None):
     """Validated deformation; gamma must avoid the forbidden interval."""
-    if not families.is_index(m):
-        raise IndexViolation(f"order must be a non-negative integer, got {m!r}")
+    families.require_index("order", m)
     if not families.below_cutoff(fam, m + 1):
         raise CutoffExceeded(f"deformation needs m+1 below the cutoff, got m={m}")
     if delta is not None:
@@ -412,7 +408,6 @@ def partner_potential(defm, s):
 def partner_eigenfunction(defm, l):
     """s -> apply_b(..., "b_plus") on the order-(m+1) associated function at
     level l: DifferentiableValue(u, u') shaped like s."""
-    if not (defm.m < l and families.below_cutoff(defm.family, l)):
-        raise OutOfDomain(f"partner eigenfunction needs m < l < cutoff, got l={l}")
+    families.require_index("level", l, defm.m + 1)
     af = associated_function(defm.family, l, defm.m + 1)
     return lambda s: apply_b(defm, s, af.derivatives(s), "b_plus")

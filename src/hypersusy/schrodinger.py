@@ -20,7 +20,7 @@ import math
 import numpy as np
 
 from . import families, riccati
-from .errors import NonFinite, OutOfDomain
+from .errors import NonFinite
 from .polynomials import associated_function
 
 
@@ -103,8 +103,7 @@ def grid_frame(defm, xs, levels=()):
         "W": w,
     }
     for l in levels:
-        if l < defm.m + 1:
-            raise OutOfDomain(f"psi level must be >= m+1, got l={l}")
+        families.require_index("level", l, defm.m + 1)
         frame[f"psi_{l}"] = wavefunction_grid(defm.family, l, defm.m + 1, xs)
     finite = np.logical_and.reduce([np.isfinite(col) for col in frame.values()])
     if not finite.all():

@@ -114,8 +114,12 @@ def test_weight_is_elementwise_over_any_sequence():
 
 def test_weight_out_of_domain():
     f = families.make_family("linear", -1, 1)
-    with pytest.raises(OutOfDomain):
+    with pytest.raises(OutOfDomain, match=r"^s=-0\.5 outside"):
         families.weight(f, -0.5)
+    # the message printed the whole array, and numpy elided this NaN from it
+    s = np.where(np.arange(1201) == 600, math.nan, np.linspace(0.1, 9.0, 1201))
+    with pytest.raises(OutOfDomain, match=r"^s=nan outside the open interval \(0\.0, inf\)$"):
+        families.weight(f, s)
 
 
 def test_potential_term():

@@ -15,7 +15,7 @@ from hypersusy.errors import (
     QuadratureFailure,
     RecurrenceBreakdown,
 )
-from hypersusy.ladder import check_identities, make_context
+from hypersusy.ladder import check_identities, make_context, recurrence_residual
 from hypersusy.numerics import quad
 from hypersusy.polynomials import (
     Poly,
@@ -26,7 +26,9 @@ from hypersusy.polynomials import (
     poly_divmod,
     poly_eigenfunction,
 )
-from hypersusy.riccati import make_deformation
+from hypersusy.riccati import (cumulative_weight_sorted, gamma_rays, make_deformation,
+                               partner_eigenfunction)
+from hypersusy.schrodinger import grid_frame
 from hypersusy.verify import FLOAT_MATRIX, TEST_MATRIX
 from oracles import derivative
 
@@ -626,31 +628,49 @@ def test_gram_matrix_without_levels_makes_no_quadrature(monkeypatch):
 def test_norm_and_gram_reject_an_order_that_is_not_a_level_index(call):
     # a negative order integrated against sigma^-1 rho and returned a number;
     # a fractional one ended in a bare TypeError
-    with pytest.raises(IndexViolation, match="0 <= m <= l"):
+    with pytest.raises(IndexViolation, match="^order must be a non-negative integer, got order="):
         call(families.make_family("const", -2, 0))
 
 
-@pytest.mark.parametrize("call, error", [
-    (lambda f: gram_matrix(f, 1.5, 1), IndexViolation),
-    (lambda f: gram_matrix(f, -1, -1), IndexViolation),
-    (lambda f: gram_matrix(f, True, 2), IndexViolation),
-    (lambda f: associated_function(f, 2, True), IndexViolation),
-    (lambda f: poly_eigenfunction(f, True), CutoffExceeded),
-    (lambda f: families.eigenvalue(f, True), CutoffExceeded),
-    (lambda f: make_deformation(f, True, math.inf), IndexViolation),
-    (lambda f: make_context(f, True), IndexViolation),
-    (lambda f: gram_matrix(f, 1, 1.5), IndexViolation),
-    (lambda f: gram_matrix(f, 0, True), IndexViolation),
-    (lambda f: check_identities(make_context(f, 1), 2.5), IndexViolation),
-    (lambda f: check_identities(make_context(f, 0), True), IndexViolation),
+_PTS = np.array([-0.5, 0.5])
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda f: gram_matrix(f, 1.5, 1), "order"),
+    (lambda f: gram_matrix(f, -1, -1), "order"),
+    (lambda f: gram_matrix(f, True, 2), "order"),
+    (lambda f: associated_function(f, 2, True), "order"),
+    (lambda f: poly_eigenfunction(f, True), "level"),
+    (lambda f: families.eigenvalue(f, True), "level"),
+    (lambda f: make_deformation(f, True, math.inf), "order"),
+    (lambda f: make_context(f, True), "order"),
+    (lambda f: gram_matrix(f, 1, 1.5), "lmax"),
+    (lambda f: gram_matrix(f, 0, True), "lmax"),
+    (lambda f: check_identities(make_context(f, 1), 2.5), "lmax"),
+    (lambda f: check_identities(make_context(f, 0), True), "lmax"),
+    (lambda f: families.potential_term(f, -1, 0.5), "order"),
+    (lambda f: families.potential_term(f, 1.5, 0.5), "order"),
+    (lambda f: recurrence_residual(f, 3, 1.5, _PTS), "order"),
+    (lambda f: recurrence_residual(f, 3, 0, _PTS), "order"),
+    (lambda f: partner_eigenfunction(make_context(f, 1), 1), "level"),
+    (lambda f: grid_frame(make_context(f, 1), _PTS, levels=(1,)), "level"),
+    (lambda f: cumulative_weight_sorted(f, True, _PTS), "order"),
+    (lambda f: gamma_rays(f, 1.5), "order"),
+    (lambda f: (gamma_rays(f, 1), gamma_rays(f, True)), "order"),
+    (lambda f: families.shift_constant(f, -1, 1), "order"),
 ], ids=["gram-1.5-1", "gram-neg1-neg1", "gram-True-2", "assoc-order-True", "poly-level-True",
         "eigenvalue-level-True", "deformation-order-True", "context-order-True",
-        "gram-lmax-1.5", "gram-lmax-True", "identities-lmax-2.5", "identities-lmax-True"])
-def test_an_index_that_is_a_bool_or_no_int_is_refused(call, error):
+        "gram-lmax-1.5", "gram-lmax-True", "identities-lmax-2.5", "identities-lmax-True",
+        "potential-order-neg1", "potential-order-1.5", "recurrence-order-1.5",
+        "recurrence-order-0", "partner-level-m", "psi-level-m", "sweep-order-True",
+        "rays-order-1.5", "rays-order-True-after-1", "shift-order-neg1"])
+def test_an_index_that_is_a_bool_or_no_int_is_refused(call, name):
     # even where no level is in range: gram_matrix returned a (0, 0) matrix
     # for the first two and a (2, 2) one for the bool order; a float lmax
-    # ended in a bare TypeError from range, and lmax=True was read as 1
-    with pytest.raises(error, match="got"):
+    # ended in a bare TypeError from range, and lmax=True was read as 1;
+    # potential_term returned v_{-1}, recurrence_residual took m=1.5, and
+    # gamma_rays and shift_constant integrated or divided at any order
+    with pytest.raises(IndexViolation, match=rf"^{name} must be .*, got {name}="):
         call(families.make_family("const", -2, 0))
 
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from hypersusy import families, ladder, riccati, schrodinger
-from hypersusy.errors import CutoffExceeded, InadmissibleGamma, NonFinite, OutOfDomain
+from hypersusy.errors import CutoffExceeded, InadmissibleGamma, IndexViolation, NonFinite
 from hypersusy.numerics import quad
 from hypersusy.polynomials import associated_function
 from hypersusy.verify import TEST_MATRIX
@@ -406,10 +406,10 @@ def test_partner_eigenfunction_derivative_matches_finite_difference():
 
 def test_partner_eigenfunction_needs_m_below_l_below_cutoff():
     d = riccati.make_deformation(hermite_weight(), 1, 2.0)
-    with pytest.raises(OutOfDomain, match="m < l < cutoff"):
+    with pytest.raises(IndexViolation, match=r"^level must be an integer >= 2, got level=1$"):
         riccati.partner_eigenfunction(d, 1)
     morse = riccati.make_deformation(families.make_family("s2", -3, 2), 0, math.inf)  # cutoff 2
-    with pytest.raises(OutOfDomain, match="m < l < cutoff"):
+    with pytest.raises(CutoffExceeded, match=r"^level 2 is not below the cutoff 2$"):
         riccati.partner_eigenfunction(morse, 2)
 
 

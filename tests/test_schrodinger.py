@@ -9,7 +9,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hypersusy import families, riccati, schrodinger, verify
-from hypersusy.errors import NonFinite, OutOfDomain
+from hypersusy.errors import IndexViolation, NonFinite, OutOfDomain
 from hypersusy.numerics import quad
 from hypersusy.polynomials import DifferentiableValue, associated_function
 from hypersusy.verify import TEST_MATRIX
@@ -321,7 +321,7 @@ def test_non_finite_psi_column_is_refused(monkeypatch):
 def test_psi_level_below_order_rejected():
     f = families.make_family("const", -2, 0)
     d = riccati.make_deformation(f, 1, math.inf)
-    with pytest.raises(OutOfDomain):
+    with pytest.raises(IndexViolation, match=r"^level must be an integer >= 2, got level=1$"):
         schrodinger.grid_frame(d, np.linspace(-1, 1, 5), levels=(1,))
 
 

@@ -1,6 +1,7 @@
 """src/ holds what runs: every module-level function and class of the package
 is referenced somewhere in src/ outside its own definition, or exported from
-hypersusy/__init__.  Test-only references live in tests/oracles.py."""
+hypersusy/__init__.  Test-only references live in tests/oracles.py.  Index
+and point arguments are refused in one place, families."""
 
 import ast
 from pathlib import Path
@@ -24,9 +25,13 @@ def _identifiers(node):
             for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))}
 
 
+def _trees():
+    return {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+
+
 def uncalled_definitions():
     """module.name of each top-level def or class that src/ never references elsewhere."""
-    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    trees = _trees()
     exported = {alias.name for node in trees["__init__"].body
                 if isinstance(node, ast.ImportFrom) and node.module for alias in node.names}
     # (module, index of the top-level statement) -> identifiers it references
@@ -45,3 +50,20 @@ def uncalled_definitions():
 
 def test_every_src_definition_has_a_caller_in_src():
     assert uncalled_definitions() == set(ALLOWED)
+
+
+# raised only by families.require_index and families.require_open
+_ARGUMENT_ERRORS = {"IndexViolation", "OutOfDomain"}
+
+
+def argument_refusals_outside_families():
+    """module:line of each `raise IndexViolation(...)` or `raise OutOfDomain(...)`
+    in src/ outside families.py."""
+    return {f"{mod}:{node.lineno}" for mod, tree in _trees().items() if mod != "families"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+            and _identifiers(node.exc.func) & _ARGUMENT_ERRORS}
+
+
+def test_only_families_refuses_an_index_or_a_point():
+    assert argument_refusals_outside_families() == set()
