@@ -1,7 +1,8 @@
 """Exception types shared across the package.
 
-Each class carries the CLI exit code it maps to: 1 invariant failure,
-2 invalid parameters, 3 inadmissible gamma, 4 numerical non-convergence.
+Each class carries the CLI exit code it maps to: 1 invariant failure (the
+base HypersusyError), 2 invalid parameters, 3 inadmissible gamma, 4
+numerical non-convergence.
 """
 
 
@@ -47,10 +48,6 @@ class IndexViolation(InvalidParameters):
 
 class RecurrenceBreakdown(InvalidParameters):
     """Division by zero in the coefficient recurrence (degenerate parameters)."""
-
-
-class DivisibilityFailure(HypersusyError):
-    """An operator result does not reduce to the kappa^m * polynomial shape."""
 
 
 class ContextMismatch(InvalidParameters):

@@ -415,6 +415,7 @@ def sigma_m_rho_inside(fam, m, s):
 def sigma_potential(fam, m):
     """sigma v_m, exactly: m(m-2)/4 sigma'^2 + m/2 tau sigma'
     - (m(m-2) sigma_lead + m alpha) sigma, v_m from -sigma D^2 - tau D + v_m."""
+    require_index("order", m)
     sig, sp, tau = fam.polys
     return ((sp * sp) * Fraction(m * (m - 2), 4) + (tau * sp) * Fraction(m, 2)
             - sig * (m * (m - 2) * fam.sigma_lead + m * rational(fam.alpha)))
@@ -422,9 +423,9 @@ def sigma_potential(fam, m):
 
 def potential_term(fam, m, s):
     """Zeroth-order term v_m(s) of the m-th operator -sigma D^2 - tau D + v_m."""
-    require_index("order", m)
+    pot = sigma_potential(fam, m)  # refuses the order before the points
     fam.require_inside(s)
-    return sigma_potential(fam, m).eval_array(s) / fam.sigma(s)
+    return pot.eval_array(s) / fam.sigma(s)
 
 
 def weight_power(fam):
@@ -448,7 +449,7 @@ def _shift_denominator(fam, m):
     if not below_cutoff(fam, m + 1):
         raise CutoffExceeded(f"shift needs m+1 below the cutoff, got m={m}")
     den = 2 * m + 2 * k + 1
-    if den == 0 or abs(float(den)) < 1e-12:
+    if den == 0:
         raise DegenerateDenominator(f"2m + 2k + 1 = 0 for m={m}, k={_shown(fam, k)}")
     return den
 

@@ -8,15 +8,15 @@ folding onto the lower power, kappa^(j+2i) p = kappa^j sigma^i p, and
 sigma's coefficients are integers, so the scale stays.  Every map sends a
 slot kappa^j p to fixed powers by banded passes over p's numerators n,
 out_k = sum_t B_t(k) n_(k+t), with integer rows B_t(k) built from the
-context's stencils (Deformation.ladder_polys) over their common
-denominator D: a first-order map multiplies the scale by D and H by D^2.
-No gcd is taken.  The two sides of a relation share their scale, so equal
-trimmed numerator lists decide it exactly; only a relation that fails
-builds Polys for its residual.  The context carries lambda_m, so it
+context's stencils (_stencils, built once per public call) over their
+common denominator D: a first-order map multiplies the scale by D and H
+by D^2.  No gcd is taken.  The two sides of a relation share their scale,
+so equal trimmed numerator lists decide it exactly; only a relation that
+fails builds Polys for its residual.  The context carries lambda_m, so it
 applies H_k - lambda_m and the relations need no lambda term.
-lower_order and apply_hamiltonian canonicalize their one slot at the end;
-H lands on kappa^(m-2) and is divided by sigma once, so a nonzero
-remainder is an algebra bug and raises DivisibilityFailure.
+lower_order canonicalizes its one kappa^m slot at the end, and
+apply_hamiltonian is the factorization a+ a + lambda_m: lowering the
+raised slot kappa^(m+1) p' lands on kappa^m, with no division.
 """
 
 from __future__ import annotations
@@ -27,14 +27,8 @@ from itertools import zip_longest
 import numpy as np
 
 from . import families, riccati
-from .errors import ContextMismatch, DivisibilityFailure
-from .polynomials import (
-    AssociatedFunction,
-    Poly,
-    associated_function,
-    poly_divmod,
-    poly_eigenfunction,
-)
+from .errors import ContextMismatch
+from .polynomials import AssociatedFunction, Poly, associated_function, poly_eigenfunction
 
 
 def make_context(fam, m, delta=None):
@@ -43,6 +37,25 @@ def make_context(fam, m, delta=None):
     delta switches on the constant shift of the pure-power weights.
     """
     return riccati.make_deformation(fam, m, math.inf, delta)
+
+
+def _stencils(ctx):
+    """(D, sigma, sigma'/2, tau, {k: sigma (v_k - lambda_m) for k = m, m + 1}, c, -delta/2).
+
+    lambda_m is the exact (shifted) factorization energy and c the shift
+    constant: width-3 coefficient stencils (degree <= 2) and two constants
+    (0 without delta), all integer numerators over one positive integer D,
+    so shifted maps stay integer too.  A Poly takes 0.5 as exactly 1/2.
+    """
+    fam, m = ctx.family, ctx.m
+    sig, sp, tau = fam.polys
+    lam = families.shifted_eigenvalue(fam, m, ctx.delta)
+    pots = [families.sigma_potential(fam, k) - sig * lam for k in (m, m + 1)]
+    polys = [sig, sp * 0.5, tau, *pots, Poly([ctx.shift_constant]), Poly([ctx.delta or 0]) * -0.5]
+    den = math.lcm(*[p.den for p in polys])
+    rows = [tuple([x * (den // p.den) for x in p.nums] + [0] * (3 - len(p.nums))) for p in polys]
+    sig, half, tau, pot_m, pot_up, c, neg_half_delta = rows
+    return den, sig, half, tau, {m: pot_m, m + 1: pot_up}, c[0], neg_half_delta[0]
 
 
 def _put(form, j, n, sig):
@@ -85,7 +98,7 @@ def residual(lhs, rhs, scale, sig):
 # -delta*kappa'*u = -delta kappa^(j-1) (sigma'/2) p to H, each in the other
 # parity's slot.
 
-def _terms(ctx, op, j):
+def _terms(ctx, st, op, j):
     """What op does to a slot kappa^j p: one (power shift, h, row) per slot it
     lands on, row(k) = [B_-h(k), ..., B_h(k)] (h = 1 or 2) the integers of
     out_k = sum_t B_t(k) n_(k+t) over p's numerators n.
@@ -96,7 +109,7 @@ def _terms(ctx, op, j):
              with q = sigma p' + j (sigma'/2) p, so Du = kappa^(j-2) q: both
              passes and the potential term fused into one width-5 band
     """
-    den, sig, half, tau, pots, c, neg_half_delta = ctx.ladder_polys
+    den, sig, half, tau, pots, c, neg_half_delta = st
 
     def first(g, k):  # sigma p' + g p, g of degree <= 1
         return [sig[2] * (k - 1) + g[1], sig[1] * k + g[0], sig[0] * (k + 1)]
@@ -123,14 +136,14 @@ def _terms(ctx, op, j):
     return terms
 
 
-def _apply(ctx, bands, op, form):
-    """op on each slot of form.  bands keeps the rows of each (op, j), built
-    on first use and extended to the longest slot seen."""
+def _apply(ctx, st, bands, op, form):
+    """op on each slot of form, from the stencils st.  bands keeps the rows
+    of each (op, j), built on first use and extended to the longest slot seen."""
     out, sig = {}, ctx.family.sigma_coeffs
     for j, n in form.items():
         terms = bands.get((op, j))
         if terms is None:
-            terms = bands[op, j] = [(dj, h, row, []) for dj, h, row in _terms(ctx, op, j)]
+            terms = bands[op, j] = [(dj, h, row, []) for dj, h, row in _terms(ctx, st, op, j)]
         for dj, h, row, rows in terms:
             if len(rows) < len(n) + h:
                 rows += [row(k) for k in range(len(rows), len(n) + h)]
@@ -159,44 +172,46 @@ def raise_order(ctx, af):
     return AssociatedFunction(ctx.family, af.l, ctx.m + 1, af.poly.deriv())
 
 
+def _lowered(ctx, p):
+    """The kappa^m slot of a+ on kappa^(m+1) p, canonical."""
+    st = _stencils(ctx)
+    out = _apply(ctx, st, {}, "lower", {ctx.m + 1: list(p.nums)}).get(ctx.m, [])
+    return Poly._canonical(out, st[0] * p.den)
+
+
 def lower_order(ctx, af):
     """Lower m+1 -> m; returns (lambda_l - lambda_m) times the order-m function."""
     _check_compatible(ctx, af, ctx.m + 1)
     if not (ctx.m < af.l and families.below_cutoff(ctx.family, af.l)):
         raise ContextMismatch(f"lowering needs m < l < cutoff, got l={af.l}, m={ctx.m}")
-    out = _apply(ctx, {}, "lower", {ctx.m + 1: list(af.poly.nums)}).get(ctx.m, [])
-    return AssociatedFunction(ctx.family, af.l, ctx.m,
-                              Poly._canonical(out, ctx.ladder_polys[0] * af.poly.den))
+    return AssociatedFunction(ctx.family, af.l, ctx.m, _lowered(ctx, af.poly))
 
 
 def apply_hamiltonian(ctx, af):
-    """Apply -sigma D^2 - tau D + v_m at the context order.
+    """Apply -sigma D^2 - tau D + v_m at the context order, on any polynomial slot.
 
-    The context's H_m - lambda_m lands on kappa^(m-2), is divided by sigma
-    once and gets lambda_m p back.  Any remainder raises.
+    H_m = a+ a + lambda_m: a takes kappa^m p to kappa^(m+1) p', and a+
+    brings that back to kappa^m, so no step divides.
     """
     _check_compatible(ctx, af, ctx.m)
-    out = _apply(ctx, {}, ctx.m, {ctx.m: list(af.poly.nums)}).get(ctx.m - 2, [])
-    q, rem = poly_divmod(Poly._canonical(out, ctx.ladder_polys[0] ** 2 * af.poly.den),
-                         ctx.family.polys[0])
-    if not rem.is_zero:
-        raise DivisibilityFailure(f"division by sigma left remainder of size {rem.max_abs():.3e}")
-    return AssociatedFunction(ctx.family, af.l, ctx.m,
-                              q + af.poly * families.eigenvalue(ctx.family, ctx.m))
+    h = _lowered(ctx, af.poly.deriv()) + af.poly * families.eigenvalue(ctx.family, ctx.m)
+    return AssociatedFunction(ctx.family, af.l, ctx.m, h)
 
 
 def _report(ctx, cases):
     """Residuals of the four relations on each case (key_u, p, key_w, pw).
 
     u = kappa^m p and w = kappa^(m+1) pw (pw None skips the two relations on
-    w).  Each operator is applied to a given form once, each (op, j) band is
-    built once, and both sides of a relation sit over one scale: D^2 p.den
-    for the factorizations, D^3 p.den for the intertwinings.
+    w).  The stencils are built once, each operator is applied to a given
+    form once, each (op, j) band is built once, and both sides of a relation
+    sit over one scale: D^2 p.den for the factorizations, D^3 p.den for the
+    intertwinings.
     """
-    m, den, sig, bands = ctx.m, ctx.ladder_polys[0], ctx.family.sigma_coeffs, {}
+    st, bands = _stencils(ctx), {}
+    m, den, sig = ctx.m, st[0], ctx.family.sigma_coeffs
 
     def op(name, form):
-        return _apply(ctx, bands, name, form)
+        return _apply(ctx, st, bands, name, form)
 
     report = {name: {} for name in ("factor_low", "factor_high", "intertwine_h", "intertwine_a")}
     for key_u, p, key_w, pw in cases:

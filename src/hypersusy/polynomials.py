@@ -164,25 +164,6 @@ def _quotient(n, d):
         return math.inf if n > 0 else -math.inf
 
 
-def poly_divmod(num, den):
-    """Long division num = q*den + r; exact for Fraction coefficients."""
-    if den.is_zero:
-        raise ZeroDivisionError("polynomial division by zero")
-    n = list(num.coeffs)
-    d = den.coeffs
-    if len(n) < len(d):
-        return Poly(), num
-    q = [0] * (len(n) - len(d) + 1)
-    lead = d[-1]
-    for i in range(len(n) - len(d), -1, -1):
-        c = n[i + len(d) - 1] / lead
-        q[i] = c
-        if c != 0:
-            for j, dc in enumerate(d):
-                n[i + j] -= c * dc
-    return Poly(q), Poly(n[: len(d) - 1])
-
-
 @dataclass(frozen=True)
 class DifferentiableValue:
     """Value and first derivative at a point (elementwise at an array of points)."""

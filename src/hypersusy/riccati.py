@@ -23,8 +23,9 @@ may be singular, and stay with tanh-sinh quadrature.
 gamma_rays runs once per Family instance and order, on first use since
 gamma = inf needs none, and the family keeps the result (Family.ray_memo),
 so every deformation of that family and order shares it.  A Deformation
-caches only its shift constant and its ladder stencils; I_m is
-recomputed per call, and the one module cache holds Gauss-Legendre nodes.
+caches only its shift constant (the ladder builds its own stencils per
+call); I_m is recomputed per call, and the one module cache holds
+Gauss-Legendre nodes.
 Threads racing on a cached value at worst compute it twice, so families and
 deformations can be shared freely.
 
@@ -36,7 +37,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -182,6 +182,7 @@ def _endpoint_diverges(fam, m, endpoint):
 
 def endpoint_limit(fam, m, endpoint):
     """Limit of I_m at an endpoint: tail quadrature, or +-inf on divergence."""
+    families.require_index("order", m)
     a, b = fam.interval
     if _endpoint_diverges(fam, m, endpoint):
         return -math.inf if endpoint == "lower" else math.inf
@@ -260,26 +261,6 @@ class Deformation:
         if self.delta is None:
             return 0
         return families.shift_constant(self.family, self.m, self.delta)
-
-    @functools.cached_property
-    def ladder_polys(self):
-        """(D, sigma, sigma'/2, tau, {k: sigma (v_k - lambda_m) for k = m, m + 1}, c, -delta/2).
-
-        Built on first use, lambda_m the exact (shifted) factorization energy
-        and c the shift constant: width-3 coefficient stencils (degree <= 2)
-        and two constants (0 without delta), all integer numerators over one
-        positive integer D, so shifted maps stay integer too.
-        """
-        sig, sp, tau = self.family.polys
-        orders = (self.m, self.m + 1)
-        lam = families.shifted_eigenvalue(self.family, self.m, self.delta)
-        polys = [sig, sp * Fraction(1, 2), tau,
-                 *[families.sigma_potential(self.family, k) - sig * lam for k in orders]]
-        consts = [Fraction(self.shift_constant), -Fraction(self.delta or 0) / 2]
-        den = math.lcm(*[p.den for p in polys], *[c.denominator for c in consts])
-        rows = [[x * (den // p.den) for x in p.nums] for p in polys]
-        sig, half, tau, *pots = [tuple(r + [0] * (3 - len(r))) for r in rows]
-        return den, sig, half, tau, dict(zip(orders, pots)), *[int(c * den) for c in consts]
 
     def eigenvalue(self, level):
         """lambda_level, shift-corrected when delta is active."""

@@ -1,3 +1,4 @@
+import builtins
 import json
 import os
 import re
@@ -655,7 +656,6 @@ EXIT_CODES = {
     errors.DegenerateDenominator: 2,
     errors.IndexViolation: 2,
     errors.RecurrenceBreakdown: 2,
-    errors.DivisibilityFailure: 1,
     errors.ContextMismatch: 2,
     errors.InadmissibleGamma: 3,
     errors.QuadratureFailure: 4,
@@ -676,6 +676,23 @@ def test_every_error_class_has_its_documented_exit_code():
     assert _error_classes() == set(EXIT_CODES)
     for cls, code in EXIT_CODES.items():
         assert cls.exit_code == code, cls.__name__
+
+
+def test_the_readme_exit_code_table_names_each_error_on_its_own_row():
+    # each errors class is named on the row of its exit code and on no other;
+    # any other class named there must be a builtin exception (ValueError,
+    # OSError), so a row naming a removed or renamed class fails too
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    rows = re.findall(r"^\| (\d) \| (.*) \|$", text, flags=re.M)
+    named = {int(code): set(re.findall(r"`([A-Z]\w*)`", cell)) for code, cell in rows}
+    assert sorted(named) == [1, 2, 3, 4]
+    package = {cls.__name__: cls.exit_code for cls in _error_classes()}
+    for code, names in named.items():
+        for name in names - set(package):
+            assert isinstance(getattr(builtins, name, None), type), f"{name} on row {code}"
+            assert issubclass(getattr(builtins, name), Exception), f"{name} on row {code}"
+    for name, code in package.items():
+        assert [c for c, names in named.items() if name in names] == [code], name
 
 
 @pytest.mark.parametrize("cls", sorted(EXIT_CODES, key=lambda c: c.__name__),

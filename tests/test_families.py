@@ -254,6 +254,17 @@ def test_shifted_eigenvalue_errors():
         families.shifted_eigenvalue(g, 0, 1)
 
 
+def test_shift_denominator_refuses_only_an_exact_zero():
+    # 2m + 2k + 1 is an exact rational, so only an exact 0 is degenerate; a
+    # float tolerance of 1e-12 refused 2*10^-13 and called it 0
+    zero = families.make_family("linear", 0, Fraction(1, 2))
+    with pytest.raises(DegenerateDenominator, match=r"^2m \+ 2k \+ 1 = 0 for m=0"):
+        families.shift_constant(zero, 0, 1)
+    near = families.make_family("linear", 0, Fraction(1, 2) + Fraction(1, 10 ** 13))
+    assert families._shift_denominator(near, 0) == Fraction(2, 10 ** 13)
+    assert families.shift_constant(near, 0, 1) == 5 * 10 ** 12
+
+
 def test_eigenvalue_monotone_below_cutoff(fam):
     prev = families.eigenvalue(fam, 0)
     assert prev == 0

@@ -4,11 +4,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hypersusy import families, ladder, verify
-from hypersusy.errors import ContextMismatch, CutoffExceeded, DivisibilityFailure, IndexViolation
+from hypersusy.errors import ContextMismatch, CutoffExceeded, IndexViolation
 from hypersusy.ladder import (
     apply_hamiltonian,
     check_identities,
@@ -40,8 +40,9 @@ def lmax_for(fam, cap=6):
 
 def apply_map(ctx, op, j, p):
     """ladder's map op on the one slot kappa^j p, as a KappaForm of canonical Polys."""
-    scale = ctx.ladder_polys[0] ** (1 if op in ("raise", "lower") else 2) * p.den
-    return kappa_form(ctx, ladder._apply(ctx, {}, op, {j: list(p.nums)}), scale)
+    st = ladder._stencils(ctx)
+    scale = st[0] ** (1 if op in ("raise", "lower") else 2) * p.den
+    return kappa_form(ctx, ladder._apply(ctx, st, {}, op, {j: list(p.nums)}), scale)
 
 
 def test_raise_annihilates_top():
@@ -109,6 +110,20 @@ def test_hamiltonian_eigen_relation():
                 assert out.poly == families.eigenvalue(fam, l) * af.poly
 
 
+@settings(max_examples=60, deadline=None)
+@given(row=st.sampled_from(TEST_MATRIX + FLOAT_MATRIX), m=st.integers(min_value=0, max_value=2),
+       coeffs=st.lists(st.fractions(min_value=-50, max_value=50, max_denominator=20), max_size=9))
+@example(row=TEST_MATRIX[0], m=1, coeffs=[Fraction(1, 3), -2, 0, Fraction(5, 7)])
+def test_hamiltonian_is_h_on_any_polynomial(row, m, coeffs):
+    # not only on level functions: sigma (H p - lambda_m p) is the oracle's
+    # H_m - lambda_m slot on kappa^(m-2), formed by Poly composition
+    fam = families.make_family(*row)
+    assume(families.below_cutoff(fam, m + 1))
+    p, lam = Poly(coeffs), families.eigenvalue(fam, m)
+    got = apply_hamiltonian(make_context(fam, m), AssociatedFunction(fam, m, m, p))
+    assert fam.polys[0] * (got.poly - p * lam) == oracles.reference_h_slot(fam, m, lam, m, p)
+
+
 def test_hamiltonian_zero_mode():
     f = families.make_family("const", -2, 0)
     out = apply_hamiltonian(make_context(f, 0), associated_function(f, 0, 0))
@@ -167,27 +182,34 @@ def test_identities_exact_up_to_level_30(kind, alpha, beta):
 
 
 def test_identities_build_each_level_once(monkeypatch):
-    # one polynomial per level, and one band table per (map, slot power) per
-    # call: a raises kappa^m and kappa^(m-2), a+ kappa^(m-1) and kappa^(m+1),
-    # H_m kappa^m and H_(m+1) kappa^(m-1) and kappa^(m+1)
-    calls = {"poly": [], "terms": []}
-    real_poly, real_terms = ladder.poly_eigenfunction, ladder._terms
+    # one polynomial per level, one set of stencils per call, and one band
+    # table per (map, slot power) per call: a raises kappa^m and kappa^(m-2),
+    # a+ kappa^(m-1) and kappa^(m+1), H_m kappa^m and H_(m+1) kappa^(m-1)
+    # and kappa^(m+1), each on the call's one set of stencils
+    calls = {"poly": [], "terms": [], "stencils": []}
+    real_poly, real_terms, real_stencils = ladder.poly_eigenfunction, ladder._terms, ladder._stencils
 
     def counting_poly(fam, level):
         calls["poly"].append(level)
         return real_poly(fam, level)
 
-    def counting_terms(ctx, op, j):
+    def counting_terms(ctx, st, op, j):
         calls["terms"].append((op, j))
-        return real_terms(ctx, op, j)
+        assert st is calls["stencils"][-1]
+        return real_terms(ctx, st, op, j)
+
+    def counting_stencils(ctx):
+        calls["stencils"].append(real_stencils(ctx))
+        return calls["stencils"][-1]
 
     monkeypatch.setattr(ladder, "poly_eigenfunction", counting_poly)
     monkeypatch.setattr(ladder, "_terms", counting_terms)
+    monkeypatch.setattr(ladder, "_stencils", counting_stencils)
     for fam, m, lmax in ((families.make_family("const", -2, 0), 1, 7),
                          (families.make_family("s2_minus_one", -8, 10), 0, 3)):
-        calls["poly"], calls["terms"] = [], []
+        calls["poly"], calls["terms"], calls["stencils"] = [], [], []
         rep = check_identities(make_context(fam, m), lmax)
-        assert calls["poly"] == list(range(m, lmax + 1))
+        assert calls["poly"] == list(range(m, lmax + 1)) and len(calls["stencils"]) == 1
         assert len(rep["factor_low"]) == lmax - m + 1
         want = [("raise", m), ("raise", m - 2), ("lower", m - 1), ("lower", m + 1),
                 (m, m), (m + 1, m - 1), (m + 1, m + 1)]
@@ -301,28 +323,6 @@ def test_context_needs_room_below_cutoff():
         make_context(f, 1)
 
 
-def test_sigma_division_guards_against_a_remainder(monkeypatch):
-    # H lands on kappa^(m-2) sigma q; a stray kappa^(m-2) s term leaves a
-    # remainder on division by 1 - s^2.  The slot taken big times over plus
-    # one unit of s carries a stray of 1/big of the slot, and any remainder
-    # raises, for float parameters as for ints.
-    real = ladder._apply
-    for alpha, beta in ((-4, 1), (-4.3, 0.9)):
-        f = families.make_family("one_minus_s2", alpha, beta)
-        ctx, af = make_context(f, 1), associated_function(f, 2, 1)
-        assert apply_hamiltonian(ctx, af).poly == families.eigenvalue(f, 2) * af.poly
-        for big in (10 ** 30, 10 ** 13, 1):
-            def stray(*args, big=big, j=ctx.m - 2):
-                out = real(*args)
-                out[j] = [x * big for x in out[j]]
-                out[j][1] += 1
-                return out
-            monkeypatch.setattr(ladder, "_apply", stray)
-            with pytest.raises(DivisibilityFailure, match="remainder"):
-                apply_hamiltonian(ctx, af)
-        monkeypatch.undo()
-
-
 def test_kappa_form_derivative_is_product_rule():
     # at m = 0, raise sends kappa^j p to kappa^(j-1) [sigma p' + j (sigma'/2) p],
     # which is kappa (kappa^j p)'
@@ -357,7 +357,8 @@ def test_shift_zero_reduces_to_plain():
     ctx, plain_ctx = make_context(f, 0, delta=0), make_context(f, 0)
     af = associated_function(f, 2, 0)
     form = {0: list(af.poly.nums)}
-    assert ladder._apply(ctx, {}, "raise", form) == ladder._apply(plain_ctx, {}, "raise", form)
+    assert (ladder._apply(ctx, ladder._stencils(ctx), {}, "raise", form)
+            == ladder._apply(plain_ctx, ladder._stencils(plain_ctx), {}, "raise", form))
     plain = raise_order(plain_ctx, af)
     diff = apply_map(ctx, "raise", 0, af.poly) - KappaForm(f, [(plain.m, plain.poly)])
     assert diff.max_abs() == 0.0
@@ -502,10 +503,10 @@ def mutate_bands(monkeypatch, target, shift, coeff):
     numerators over the map's scale factor (D, or D^2 for H)."""
     real = ladder._terms
 
-    def mutated(ctx, op, j):
-        terms = real(ctx, op, j)
+    def mutated(ctx, st, op, j):
+        terms = real(ctx, st, op, j)
         if _hit(target, op):
-            factor = ctx.ladder_polys[0] ** (2 if target == "h" else 1)
+            factor = st[0] ** (2 if target == "h" else 1)
             scaled = [c * factor for c in coeff(ctx).coeffs] + [0, 0]
             assert all(c.denominator == 1 for c in scaled)
             row = [int(scaled[1]), int(scaled[0]), 0]
@@ -573,10 +574,11 @@ def test_a_failing_relation_reports_the_reference_value(monkeypatch, mutation):
 
 
 def test_identities_cost_per_level_is_pinned(monkeypatch):
-    # a passing check_identities forms no Poly product and takes no gcd of
-    # its own: with the levels and the context's stencils built beforehand,
-    # its only canonical reductions are the level derivatives', m for the
-    # order-m polynomial and one more for order m + 1
+    # a passing check_identities takes no gcd of its own, and its only Poly
+    # products are those of its one stencil build, so they do not grow with
+    # lmax: with the levels built beforehand, its other canonical reductions
+    # are the level derivatives', m for the order-m polynomial and one more
+    # for order m + 1
     counts = {"mul": 0, "canonical": 0}
     real_mul, real_canonical = Poly.__mul__, Poly._canonical.__func__
 
@@ -588,20 +590,26 @@ def test_identities_cost_per_level_is_pinned(monkeypatch):
         counts["canonical"] += 1
         return real_canonical(cls, nums, den)
 
-    for fam, m, lmax, derivatives in ((families.make_family("const", -2, 0), 1, 7, 7 + 6),
-                                      (families.make_family("s2_minus_one", -8, 10), 0, 4, 4)):
-        levels = {l: ladder.poly_eigenfunction(fam, l) for l in range(m, lmax + 1)}
+    def cost(call):
+        counts["mul"] = counts["canonical"] = 0
+        return call(), (counts["mul"], counts["canonical"])
+
+    for fam, m, lmaxes in ((families.make_family("const", -2, 0), 1, (2, 7)),
+                           (families.make_family("s2_minus_one", -8, 10), 0, (1, 4))):
+        levels = {l: ladder.poly_eigenfunction(fam, l) for l in range(m, max(lmaxes) + 1)}
         ctx = make_context(fam, m)
-        assert ctx.ladder_polys
         with monkeypatch.context() as mp:
             mp.setattr(ladder, "poly_eigenfunction", lambda fam, l: levels[l])
             mp.setattr(Poly, "__mul__", counting_mul)
             mp.setattr(Poly, "__rmul__", counting_mul)
             mp.setattr(Poly, "_canonical", classmethod(counting_canonical))
-            counts["mul"] = counts["canonical"] = 0
-            rep = check_identities(ctx, lmax)
-        assert rep["max_residual"] == 0 and len(rep["factor_low"]) == lmax - m + 1
-        assert (counts["mul"], counts["canonical"]) == (0, derivatives)
+            _, (stencil_mul, stencil_canonical) = cost(lambda: ladder._stencils(ctx))
+            runs = {lmax: cost(lambda: check_identities(ctx, lmax)) for lmax in lmaxes}
+        assert stencil_mul > 0
+        for lmax, (rep, counted) in runs.items():
+            derivatives = (lmax - m + 1) * m + (lmax - m)
+            assert rep["max_residual"] == 0 and len(rep["factor_low"]) == lmax - m + 1
+            assert counted == (stencil_mul, stencil_canonical + derivatives)
 
 
 # --- the banded maps against Poly composition -----------------------------------

@@ -23,11 +23,10 @@ from hypersusy.polynomials import (
     gram_matrix,
     norm,
     ode_residual,
-    poly_divmod,
     poly_eigenfunction,
 )
-from hypersusy.riccati import (cumulative_weight_sorted, gamma_rays, make_deformation,
-                               partner_eigenfunction)
+from hypersusy.riccati import (cumulative_weight_sorted, endpoint_limit, gamma_rays,
+                               make_deformation, partner_eigenfunction)
 from hypersusy.schrodinger import grid_frame
 from hypersusy.verify import FLOAT_MATRIX, TEST_MATRIX
 from oracles import derivative
@@ -57,13 +56,6 @@ def test_poly_arithmetic():
 def test_poly_trims_trailing_zeros():
     assert Poly([1, 0, 0]).coeffs == (1,)
     assert Poly([0, 0]).is_zero
-
-
-def test_poly_divmod_exact():
-    num = Poly([Fraction(-1), Fraction(0), Fraction(2)])  # 2s^2 - 1
-    den = Poly([Fraction(1), Fraction(1)])  # s + 1
-    q, r = poly_divmod(num, den)
-    assert (q * den + r).coeffs == num.coeffs
 
 
 @settings(max_examples=50, deadline=None)
@@ -106,16 +98,6 @@ def ref_deriv(a):
     return ref_trim(i * c for i, c in enumerate(a))[1:] if len(a) > 1 else ()
 
 
-def ref_divmod(a, b):
-    n, q = [Fraction(c) for c in a], [Fraction(0)] * max(len(a) - len(b) + 1, 0)
-    for i in range(len(a) - len(b), -1, -1):
-        c = n[i + len(b) - 1] / b[-1]
-        q[i] = c
-        for j, d in enumerate(b):
-            n[i + j] -= c * d
-    return ref_trim(q), ref_trim(n[: len(b) - 1])
-
-
 def ref_horner(a, s, conv=lambda c: c):
     out = 0
     for c in reversed(a):
@@ -152,34 +134,6 @@ def test_exact_poly_matches_fraction_reference(a, b, c):
         assert_canonical(got)
         assert got.coeffs == want
         assert all(type(x) is Fraction for x in got.coeffs)
-
-
-@settings(max_examples=100, deadline=None)
-@given(a=coeff_lists, kind=st.sampled_from([k for k, _, _ in TEST_MATRIX]))
-def test_exact_divmod_by_sigma_matches_reference(a, kind):
-    fam = next(f for f in matrix_families() if f.kind == kind)
-    sig = Poly(fam.sigma_coeffs)
-    q, r = poly_divmod(Poly(a), sig)
-    assert_canonical(q)
-    assert_canonical(r)
-    if len(ref_trim(a)) < len(sig.nums):
-        assert (q.coeffs, r.coeffs) == ((), ref_trim(a))
-    else:
-        assert (q.coeffs, r.coeffs) == ref_divmod(ref_trim(a), sig.coeffs)
-    assert q * sig + r == Poly(a)
-
-
-@settings(max_examples=50, deadline=None)
-@given(a=st.lists(rationals, min_size=2, max_size=9), b=st.lists(rationals, min_size=1, max_size=4))
-def test_exact_divmod_by_any_lead_matches_reference(a, b):
-    # divisors whose leading coefficient is not +-1
-    ra, rb = ref_trim(a), ref_trim(b)
-    if not rb or len(ra) < len(rb):
-        return
-    q, r = poly_divmod(Poly(a), Poly(b))
-    assert_canonical(q)
-    assert_canonical(r)
-    assert (q.coeffs, r.coeffs) == ref_divmod(ra, rb)
 
 
 @settings(max_examples=100, deadline=None)
@@ -658,18 +612,25 @@ _PTS = np.array([-0.5, 0.5])
     (lambda f: gamma_rays(f, 1.5), "order"),
     (lambda f: (gamma_rays(f, 1), gamma_rays(f, True)), "order"),
     (lambda f: families.shift_constant(f, -1, 1), "order"),
+    (lambda f: endpoint_limit(f, -1, "upper"), "order"),
+    (lambda f: endpoint_limit(f, 1.5, "upper"), "order"),
+    (lambda f: families.sigma_potential(f, -1), "order"),
+    (lambda f: families.sigma_potential(f, True), "order"),
 ], ids=["gram-1.5-1", "gram-neg1-neg1", "gram-True-2", "assoc-order-True", "poly-level-True",
         "eigenvalue-level-True", "deformation-order-True", "context-order-True",
         "gram-lmax-1.5", "gram-lmax-True", "identities-lmax-2.5", "identities-lmax-True",
         "potential-order-neg1", "potential-order-1.5", "recurrence-order-1.5",
         "recurrence-order-0", "partner-level-m", "psi-level-m", "sweep-order-True",
-        "rays-order-1.5", "rays-order-True-after-1", "shift-order-neg1"])
+        "rays-order-1.5", "rays-order-True-after-1", "shift-order-neg1",
+        "endpoint-order-neg1", "endpoint-order-1.5", "sigma-potential-order-neg1",
+        "sigma-potential-order-True"])
 def test_an_index_that_is_a_bool_or_no_int_is_refused(call, name):
     # even where no level is in range: gram_matrix returned a (0, 0) matrix
     # for the first two and a (2, 2) one for the bool order; a float lmax
     # ended in a bare TypeError from range, and lmax=True was read as 1;
     # potential_term returned v_{-1}, recurrence_residual took m=1.5, and
-    # gamma_rays and shift_constant integrated or divided at any order
+    # gamma_rays and shift_constant integrated or divided at any order;
+    # endpoint_limit integrated and sigma_potential built v_m at any order
     with pytest.raises(IndexViolation, match=rf"^{name} must be .*, got {name}="):
         call(families.make_family("const", -2, 0))
 
