@@ -56,10 +56,9 @@ _SHIFTS = {
 
 
 def entry(entry_id):
-    for e in CATALOG:
-        if e.entry_id == entry_id:
-            return e
-    raise ParameterViolation(f"catalog entry must be 1..10, got {entry_id}")
+    """The entry numbered entry_id; IndexViolation unless it is an int in 1..10."""
+    families.require_index("entry", entry_id, 1, len(CATALOG))
+    return CATALOG[entry_id - 1]
 
 
 def _deformation_ratio(fam, m, gamma, s):

@@ -155,7 +155,7 @@ def cmd_families(args):
         }
         for e in catalog.CATALOG
     ]
-    if getattr(args, "catalog", None):
+    if args.catalog is not None:
         e = catalog.entry(args.catalog)
         info = entries[e.entry_id - 1]
         sp = families.SPECS[e.kind]

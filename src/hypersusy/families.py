@@ -296,9 +296,17 @@ class Family:
                            from_json_number(obj["beta"]))
 
 
+def _require_real(**values):
+    """Raise ParameterViolation naming a value that is no real number (a bool is none)."""
+    for name, x in values.items():
+        if isinstance(x, bool) or not isinstance(x, (int, float, Fraction, np.integer, np.floating)):
+            raise ParameterViolation(f"{name} must be a real number, got {name}={x!r}")
+
+
 def _check_constraints(kind, alpha, beta):
     if kind not in SPECS:
         raise ParameterViolation(f"unknown kind {kind!r}; expected one of {KINDS}")
+    _require_real(alpha=alpha, beta=beta)
     if not (_finite(alpha) and _finite(beta)):
         raise ParameterViolation(f"alpha and beta must be finite, got alpha={alpha}, beta={beta}")
     spec = SPECS[kind]
@@ -308,12 +316,9 @@ def _check_constraints(kind, alpha, beta):
         )
 
 
-def sample_points(fam, n, rng=None):
-    """n interior points drawn uniformly from a moderate window."""
-    lo, hi = fam.spec.sample_window
-    if rng is None:
-        return np.linspace(lo, hi, n)
-    return rng.uniform(lo, hi, size=n)
+def sample_points(fam, n):
+    """n evenly spaced interior points of a moderate window."""
+    return np.linspace(*fam.spec.sample_window, n)
 
 
 def make_family(kind, alpha, beta):
@@ -456,6 +461,7 @@ def _shift_denominator(fam, m):
 
 def shift_constant(fam, m, delta):
     """c = delta / (2m + 2k + 1), exactly, with c*c finite as a float."""
+    _require_real(delta=delta)
     den = _shift_denominator(fam, m)
     c = Fraction(delta) / den if _finite(delta) else math.nan
     if not (_finite(c) and _finite(c * c)):

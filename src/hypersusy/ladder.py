@@ -28,7 +28,7 @@ import numpy as np
 
 from . import families, riccati
 from .errors import ContextMismatch
-from .polynomials import AssociatedFunction, Poly, associated_function, poly_eigenfunction
+from .polynomials import AssociatedFunction, Poly, poly_eigenfunction
 
 
 def make_context(fam, m, delta=None):
@@ -172,10 +172,9 @@ def raise_order(ctx, af):
     return AssociatedFunction(ctx.family, af.l, ctx.m + 1, af.poly.deriv())
 
 
-def _lowered(ctx, p):
-    """The kappa^m slot of a+ on kappa^(m+1) p, canonical."""
-    st = _stencils(ctx)
-    out = _apply(ctx, st, {}, "lower", {ctx.m + 1: list(p.nums)}).get(ctx.m, [])
+def _lowered(ctx, st, bands, p):
+    """The kappa^m slot of a+ on kappa^(m+1) p, canonical, from the stencils st."""
+    out = _apply(ctx, st, bands, "lower", {ctx.m + 1: list(p.nums)}).get(ctx.m, [])
     return Poly._canonical(out, st[0] * p.den)
 
 
@@ -184,7 +183,7 @@ def lower_order(ctx, af):
     _check_compatible(ctx, af, ctx.m + 1)
     if not (ctx.m < af.l and families.below_cutoff(ctx.family, af.l)):
         raise ContextMismatch(f"lowering needs m < l < cutoff, got l={af.l}, m={ctx.m}")
-    return AssociatedFunction(ctx.family, af.l, ctx.m, _lowered(ctx, af.poly))
+    return AssociatedFunction(ctx.family, af.l, ctx.m, _lowered(ctx, _stencils(ctx), {}, af.poly))
 
 
 def apply_hamiltonian(ctx, af):
@@ -194,7 +193,8 @@ def apply_hamiltonian(ctx, af):
     brings that back to kappa^m, so no step divides.
     """
     _check_compatible(ctx, af, ctx.m)
-    h = _lowered(ctx, af.poly.deriv()) + af.poly * families.eigenvalue(ctx.family, ctx.m)
+    h = (_lowered(ctx, _stencils(ctx), {}, af.poly.deriv())
+         + af.poly * families.eigenvalue(ctx.family, ctx.m))
     return AssociatedFunction(ctx.family, af.l, ctx.m, h)
 
 
@@ -257,25 +257,23 @@ def check_identities(ctx, lmax):
     return {**_report(ctx, _level_cases(ctx, lmax)), "exact": True}
 
 
-def recurrence_residual(fam, l, m, points):
-    """Pointwise residual of the three-term order recurrence.
+def check_recurrence(ctx, lmax):
+    """Residuals of the three-term order recurrence, by "l=<l>,m=<m + 1>".
 
-    Checks Phi_{l,m+1} + (tau/kappa + 2(m-1) kappa') Phi_{l,m}
-    + (lambda_l - lambda_{m-1}) Phi_{l,m-1} = 0 for 1 <= m <= l (the m=l
-    boundary form drops the first term, which the m=l associated function
-    handles by raising to zero).  Residuals are normalized by the largest
-    participating term.
+    At the context order m it is the lowering a+ Phi_{l,m+1} = (lambda_l -
+    lambda_m) Phi_{l,m}, on each level m < l <= lmax below the cutoff (l = m + 1
+    the boundary form); 0 exactly when the two canonical Polys are equal, else
+    their relative max-coefficient deviation.  An lmax that is no int, or below
+    m + 1, raises IndexViolation; a shifted context raises ContextMismatch.
     """
-    families.require_index("order", m, 1, l)
-    up = associated_function(fam, l, m + 1) if m < l else None
-    mid = associated_function(fam, l, m)
-    low = associated_function(fam, l, m - 1)
-    lam = float(families.eigenvalue(fam, l)) - float(families.eigenvalue(fam, m - 1))
-    s = np.asarray(points, dtype=float)
-    fam.require_inside(s)
-    coef = fam.tau(s) / fam.kappa(s) + 2.0 * (m - 1) * fam.kappa_prime(s)
-    t1 = up.values(s) if up is not None else np.zeros_like(s)
-    t2 = coef * mid.values(s)
-    t3 = lam * low.values(s)
-    scale = 1.0 + np.max(np.abs([t1, t2, t3]), axis=0)
-    return float(np.max(np.abs(t1 + t2 + t3) / scale))
+    families.require_index("lmax", lmax, ctx.m + 1)
+    if ctx.delta is not None:
+        raise ContextMismatch("the order recurrence needs an unshifted context")
+    st, bands, fam, out = _stencils(ctx), {}, ctx.family, {}
+    for l, (_, p, key, pw) in enumerate(_level_cases(ctx, lmax), start=ctx.m):
+        if pw is not None:
+            lhs = _lowered(ctx, st, bands, pw)
+            rhs = p * (families.eigenvalue(fam, l) - families.eigenvalue(fam, ctx.m))
+            out[key] = 0.0 if lhs == rhs else max(
+                (lhs - rhs).max_abs() / max(lhs.max_abs(), rhs.max_abs(), 1.0), math.ulp(0.0))
+    return out

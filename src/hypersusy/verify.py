@@ -1,12 +1,12 @@
 """Invariant suites behind `verify` and the acceptance tests.
 
 Every suite runs over the default test matrix (the algebra suite over the
-float matrix too): one parameter choice per family, orders m in {0, 1},
-levels l <= 6 below the cutoff, gamma drawn from {inf} plus one value
-inside each admissible ray.  Suites return plain dicts (JSON-ready) with an
-"ok" flag and per-case residuals; they print nothing.  Every verdict is
-`not r <= tol` against a named tolerance, so a NaN residual fails, and worst
-values propagate it (np.maximum, not max).
+float matrix too): one parameter choice per family, orders m in {0, 1} (the
+recurrence every order below the top), levels l <= 6 below the cutoff, gamma
+drawn from {inf} plus one value inside each admissible ray.  Suites return
+plain dicts (JSON-ready) with an "ok" flag and per-case residuals; they
+print nothing.  Every verdict is `not r <= tol` against a named tolerance,
+so a NaN residual fails, and worst values propagate it (np.maximum, not max).
 """
 
 from __future__ import annotations
@@ -45,8 +45,7 @@ FLOAT_MATRIX = (
 )
 
 # A residual r passes its check iff r <= tol.
-EXACT_TOL = 0.0          # level equations and ladder identities, in exact arithmetic
-RECURRENCE_TOL = 1e-10   # three-term order recurrence
+EXACT_TOL = 0.0          # level equations, ladder identities and the order recurrence
 GRAM_TOL = 1e-8          # normalized Gram off-diagonals
 NORM_RATIO_TOL = 1e-7    # norm-ratio identity between orders
 RICCATI_TOL = 1e-9       # Riccati residual
@@ -118,18 +117,15 @@ def suite_algebra(fams=None):
 
 
 def suite_recurrence(fams=None):
-    """Three-term order recurrence (interior and boundary forms) on the
-    TEST_MATRIX rows (or fams), to RECURRENCE_TOL at 32 seeded random points
-    per case."""
-    rng = np.random.default_rng(7)
-    check = _Check(RECURRENCE_TOL)
+    """Three-term order recurrence on the TEST_MATRIX rows (or fams), to EXACT_TOL:
+    each case (l, m), 1 <= m <= l, is the exact lowering map at order m - 1."""
+    check = _Check(EXACT_TOL)
     for fam in fams or _matrix_families():
         lmax = _lmax(fam)
-        for l in range(1, lmax + 1):
-            for m in range(1, l + 1):
-                pts = families.sample_points(fam, 32, rng)
-                r = ladder.recurrence_residual(fam, l, m, pts)
-                check.add(f"{fam.kind},l={l},m={m}", r, fam.kind, l, m)
+        for m in range(1, lmax + 1):
+            rep = ladder.check_recurrence(ladder.make_context(fam, m - 1), lmax)
+            for l, (key, r) in enumerate(rep.items(), start=m):
+                check.add(f"{fam.kind},{key}", r, fam.kind, l, m)
     return _report(max_residual=check)
 
 

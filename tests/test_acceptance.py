@@ -47,7 +47,7 @@ def test_criterion_2_recurrence():
     rep = verify.suite_recurrence()
     elapsed = time.perf_counter() - t0
     assert rep["ok"], rep["failures"]
-    assert rep["max_residual"] <= 1e-10
+    assert rep["max_residual"] == 0.0 and rep["tol"] == {"max_residual": 0.0}
     assert elapsed < 5.0
     _stamp("criterion 2: three-term order recurrence", t0,
            f"max={rep['max_residual']:.2e}")

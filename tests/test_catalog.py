@@ -6,7 +6,7 @@ import pytest
 from hypersusy import families, riccati, verify
 from hypersusy.catalog import (CATALOG, _deformation_ratio, catalog_reference,
                                compare_with_generic, entry)
-from hypersusy.errors import ParameterViolation
+from hypersusy.errors import IndexViolation, ParameterViolation
 from hypersusy.numerics import quad
 from oracles import deformation_ratio_per_point
 
@@ -177,7 +177,7 @@ def test_catalog_rejects_wrong_tau_shape():
         catalog_reference(1, -2, 0, 0, 1.0, delta=1)  # no shift for entry 1
     with pytest.raises(ParameterViolation):
         catalog_reference(8, -4, 0, 0, 1.0)  # shift entries require delta
-    with pytest.raises(ParameterViolation):
+    with pytest.raises(IndexViolation, match="^entry must be an integer in 1..10, got entry=11"):
         catalog_reference(11, -2, 0, 0, 1.0)
 
 

@@ -45,6 +45,14 @@ def test_families_catalog_entry_text(capsys):
     assert "Coulomb potential" in out and "beta - 1" in out
 
 
+@pytest.mark.parametrize("entry_id", ["0", "11"])
+def test_families_catalog_entry_out_of_range_exits_2(capsys, entry_id):
+    # entry 0 read as "no entry" and printed the whole listing with exit 0
+    assert main(["families", "--catalog", entry_id]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: entry must be an integer in 1..10")
+
+
 def test_derive_writes_csv_and_meta(tmp_path, capsys):
     out = tmp_path / "grid.csv"
     meta = tmp_path / "meta.json"

@@ -245,6 +245,33 @@ def test_non_finite_delta_is_rejected(delta):
             riccati.make_deformation(f, 0, math.inf, delta)
 
 
+@pytest.mark.parametrize("a,b", [
+    (-1, True), (True, 2), (False, 2), ("-1", 1), (-1, "1"), (-1, None), (-1, 1j),
+], ids=["beta-True", "alpha-True", "alpha-False", "alpha-str", "beta-str", "beta-None",
+        "beta-complex"])
+def test_a_parameter_that_is_a_bool_or_no_real_number_is_refused(a, b):
+    # beta=True made a family whose to_json wrote "beta": true, and a string
+    # alpha ended in a bare TypeError
+    name = "alpha" if isinstance(a, (bool, str)) else "beta"
+    with pytest.raises(ParameterViolation, match=f"^{name} must be a real number, got {name}="):
+        families.make_family("linear", a, b)
+
+
+def test_numpy_scalar_parameters_are_real_numbers():
+    f = families.make_family("linear", np.int64(0), np.float64(2.0))
+    assert families.shift_constant(f, 0, np.int64(2)) == Fraction(2, 3)
+
+
+@pytest.mark.parametrize("delta", [True, False, np.bool_(True), "1", 1j])
+def test_a_delta_that_is_a_bool_or_no_real_number_is_refused(delta):
+    # delta=True gave the shift constant 1/3 and a --meta record "delta": true
+    f = families.make_family("linear", 0, 2)
+    for call in (lambda: families.shift_constant(f, 0, delta),
+                 lambda: riccati.make_deformation(f, 0, math.inf, delta)):
+        with pytest.raises(ParameterViolation, match="^delta must be a real number, got delta="):
+            call()
+
+
 def test_shifted_eigenvalue_errors():
     f = families.make_family("const", -2, 0)
     with pytest.raises(NoWeightPower):
@@ -278,7 +305,7 @@ def test_eigenvalue_monotone_below_cutoff(fam):
 def test_log_derivative_identity(fam):
     # (sigma*rho)'/(sigma*rho) == tau/sigma at 100 interior points
     rng = np.random.default_rng(11)
-    pts = families.sample_points(fam, 100, rng)
+    pts = rng.uniform(*fam.spec.sample_window, size=100)
 
     def log_sig_rho(s):
         return math.log(float(fam.sigma(s)) * families.weight(fam, float(s)))

@@ -12,10 +12,10 @@ from hypersusy.errors import ContextMismatch, CutoffExceeded, IndexViolation
 from hypersusy.ladder import (
     apply_hamiltonian,
     check_identities,
+    check_recurrence,
     lower_order,
     make_context,
     raise_order,
-    recurrence_residual,
 )
 from hypersusy.polynomials import AssociatedFunction, Poly, associated_function, poly_eigenfunction
 from hypersusy.verify import FLOAT_MATRIX, TEST_MATRIX
@@ -336,18 +336,33 @@ def test_kappa_form_derivative_is_product_rule():
 # --- order recurrence --------------------------------------------------------
 
 def test_recurrence_interior_and_boundary():
-    rng = np.random.default_rng(3)
+    # each case (l, m), 1 <= m <= l, lowers Phi_{l,m} at order m - 1: the
+    # interior m < l and the boundary m = l alike hold exactly
     for fam in matrix_families():
         lmax = lmax_for(fam)
-        for l in range(1, lmax + 1):
-            for m in range(1, l + 1):
-                pts = families.sample_points(fam, 32, rng)
-                assert recurrence_residual(fam, l, m, pts) <= 1e-10
+        for m in range(1, lmax + 1):
+            rep = check_recurrence(make_context(fam, m - 1), lmax)
+            assert rep == {f"l={l},m={m}": 0.0 for l in range(m, lmax + 1)}
 
 
 def test_recurrence_hermite_l1_closed_form():
     f = families.make_family("const", -2, 0)
-    assert recurrence_residual(f, 1, 1, np.linspace(-3, 3, 11)) <= 1e-14
+    assert check_recurrence(make_context(f, 0), 1) == {"l=1,m=1": 0.0}
+
+
+@pytest.mark.parametrize("kind, alpha, beta", TEST_MATRIX + FLOAT_MATRIX)
+def test_recurrence_is_exact_up_to_level_12(kind, alpha, beta):
+    fam = families.make_family(kind, alpha, beta)
+    lmax = lmax_for(fam, cap=12)
+    for m in range(min(2, lmax - 1) + 1):
+        rep = check_recurrence(make_context(fam, m), lmax)
+        assert rep == {f"l={l},m={m + 1}": 0.0 for l in range(m + 1, lmax + 1)}
+
+
+def test_recurrence_refuses_a_shifted_context():
+    f = families.make_family("linear", 0, 2)
+    with pytest.raises(ContextMismatch, match="shifted"):
+        check_recurrence(make_context(f, 0, delta=2), 3)
 
 
 # --- shifted (delta) variants -------------------------------------------------

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from hypersusy import families, polynomials
+from hypersusy import catalog, families, polynomials
 from hypersusy.errors import (
     CutoffExceeded,
     IndexViolation,
@@ -15,7 +15,7 @@ from hypersusy.errors import (
     QuadratureFailure,
     RecurrenceBreakdown,
 )
-from hypersusy.ladder import check_identities, make_context, recurrence_residual
+from hypersusy.ladder import check_identities, check_recurrence, make_context
 from hypersusy.numerics import quad
 from hypersusy.polynomials import (
     Poly,
@@ -386,7 +386,7 @@ def test_eval_derivative_matches_finite_difference():
         l = min(3, lmax_for(fam))
         for m in range(0, l + 1):
             af = associated_function(fam, l, m)
-            for s in families.sample_points(fam, 5, rng):
+            for s in rng.uniform(*fam.spec.sample_window, size=5):
                 fd = derivative(lambda t: np.vectorize(lambda u: af.eval(float(u)).value)(t),
                                 float(s), order=1, h0=1e-2)
                 an = af.eval(float(s)).deriv
@@ -604,8 +604,12 @@ _PTS = np.array([-0.5, 0.5])
     (lambda f: check_identities(make_context(f, 0), True), "lmax"),
     (lambda f: families.potential_term(f, -1, 0.5), "order"),
     (lambda f: families.potential_term(f, 1.5, 0.5), "order"),
-    (lambda f: recurrence_residual(f, 3, 1.5, _PTS), "order"),
-    (lambda f: recurrence_residual(f, 3, 0, _PTS), "order"),
+    (lambda f: check_recurrence(make_context(f, 0), 1.5), "lmax"),
+    (lambda f: check_recurrence(make_context(f, 0), True), "lmax"),
+    (lambda f: check_recurrence(make_context(f, 1), 1), "lmax"),
+    (lambda f: catalog.entry(0), "entry"),
+    (lambda f: catalog.entry(True), "entry"),
+    (lambda f: catalog.entry(1.0), "entry"),
     (lambda f: partner_eigenfunction(make_context(f, 1), 1), "level"),
     (lambda f: grid_frame(make_context(f, 1), _PTS, levels=(1,)), "level"),
     (lambda f: cumulative_weight_sorted(f, True, _PTS), "order"),
@@ -619,8 +623,9 @@ _PTS = np.array([-0.5, 0.5])
 ], ids=["gram-1.5-1", "gram-neg1-neg1", "gram-True-2", "assoc-order-True", "poly-level-True",
         "eigenvalue-level-True", "deformation-order-True", "context-order-True",
         "gram-lmax-1.5", "gram-lmax-True", "identities-lmax-2.5", "identities-lmax-True",
-        "potential-order-neg1", "potential-order-1.5", "recurrence-order-1.5",
-        "recurrence-order-0", "partner-level-m", "psi-level-m", "sweep-order-True",
+        "potential-order-neg1", "potential-order-1.5", "recurrence-lmax-1.5",
+        "recurrence-lmax-True", "recurrence-lmax-below-m", "entry-0", "entry-True", "entry-1.0",
+        "partner-level-m", "psi-level-m", "sweep-order-True",
         "rays-order-1.5", "rays-order-True-after-1", "shift-order-neg1",
         "endpoint-order-neg1", "endpoint-order-1.5", "sigma-potential-order-neg1",
         "sigma-potential-order-True"])
@@ -628,7 +633,7 @@ def test_an_index_that_is_a_bool_or_no_int_is_refused(call, name):
     # even where no level is in range: gram_matrix returned a (0, 0) matrix
     # for the first two and a (2, 2) one for the bool order; a float lmax
     # ended in a bare TypeError from range, and lmax=True was read as 1;
-    # potential_term returned v_{-1}, recurrence_residual took m=1.5, and
+    # potential_term returned v_{-1}, catalog.entry read True and 1.0 as 1, and
     # gamma_rays and shift_constant integrated or divided at any order;
     # endpoint_limit integrated and sigma_potential built v_m at any order
     with pytest.raises(IndexViolation, match=rf"^{name} must be .*, got {name}="):

@@ -55,7 +55,7 @@ def test_cumulative_weight_elementary():
 def test_cumulative_weight_strictly_increasing():
     rng = np.random.default_rng(9)
     for fam in matrix_families():
-        pts = np.sort(families.sample_points(fam, 12, rng))
+        pts = np.sort(rng.uniform(*fam.spec.sample_window, size=12))
         vals = riccati.cumulative_weight_sorted(fam, 0, pts)
         assert np.all(np.diff(vals) > 0)
 
@@ -210,7 +210,7 @@ def test_phi_minus_psi_identity():
     for fam in matrix_families():
         for gamma in [math.inf] + finite_gammas(fam, 0):
             d = riccati.make_deformation(fam, 0, gamma)
-            for s in families.sample_points(fam, 8, rng):
+            for s in rng.uniform(*fam.spec.sample_window, size=8):
                 s = float(s)
                 p, _, q, _ = riccati.psi_phi_arrays(d, s)
                 lhs = q - p
@@ -302,14 +302,14 @@ def test_b_matches_ladder_at_gamma_inf():
         for l in range(1, lmax + 1):
             af = associated_function(fam, l, 0)
             raised = ladder.raise_order(ctx, af)
-            for s in families.sample_points(fam, 6, rng):
+            for s in rng.uniform(*fam.spec.sample_window, size=6):
                 s = float(s)
                 got = riccati.apply_b(d, s, af.derivatives(s), "b").value
                 want = raised.eval(s).value
                 assert abs(got - want) <= 1e-11 * (1.0 + abs(want))
             up = associated_function(fam, l, 1)
             lowered = ladder.lower_order(ctx, up)
-            for s in families.sample_points(fam, 6, rng):
+            for s in rng.uniform(*fam.spec.sample_window, size=6):
                 s = float(s)
                 got = riccati.apply_b(d, s, up.derivatives(s), "b_plus").value
                 want = lowered.eval(s).value

@@ -1,7 +1,8 @@
-"""src/ holds what runs: every module-level function and class of the package
-is referenced somewhere in src/ outside its own definition, or exported from
-hypersusy/__init__.  Test-only references live in tests/oracles.py.  Index
-and point arguments are refused in one place, families."""
+"""src/ holds what runs: every module-level function, class and assigned
+constant of the package (dunder names aside) is referenced somewhere in src/
+outside its own definition, or exported from hypersusy/__init__.  Test-only
+references live in tests/oracles.py.  Index and point arguments are refused
+in one place, families."""
 
 import ast
 from pathlib import Path
@@ -29,8 +30,20 @@ def _trees():
     return {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
 
 
+def _defined_names(stmt):
+    """The names a top-level statement defines: a def or class, or each name
+    an assignment binds, dunder names (such as __version__) exempt."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [stmt.name]
+    targets = (stmt.targets if isinstance(stmt, ast.Assign)
+               else [stmt.target] if isinstance(stmt, ast.AnnAssign) else [])
+    return [n.id for t in targets for n in ast.walk(t)
+            if isinstance(n, ast.Name) and not (n.id.startswith("__") and n.id.endswith("__"))]
+
+
 def uncalled_definitions():
-    """module.name of each top-level def or class that src/ never references elsewhere."""
+    """module.name of each top-level def, class or assigned constant that src/
+    never references elsewhere."""
     trees = _trees()
     exported = {alias.name for node in trees["__init__"].body
                 if isinstance(node, ast.ImportFrom) and node.module for alias in node.names}
@@ -40,11 +53,10 @@ def uncalled_definitions():
     dead = set()
     for mod, tree in trees.items():
         for i, stmt in enumerate(tree.body):
-            if not isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                continue
-            used = any(stmt.name in ids for key, ids in refs.items() if key != (mod, i))
-            if not used and stmt.name not in exported:
-                dead.add(f"{mod}.{stmt.name}")
+            for name in _defined_names(stmt):
+                used = any(name in ids for key, ids in refs.items() if key != (mod, i))
+                if not used and name not in exported:
+                    dead.add(f"{mod}.{name}")
     return dead
 
 

@@ -140,8 +140,8 @@ NAN_SOURCES = {
     "algebra": (verify.ladder, "check_identities", lambda real: lambda ctx, lmax: {
         **real(ctx, lmax), "max_residual": math.nan},
         verify.suite_algebra, ("max_residual",), ("identities",)),
-    "recurrence": (verify.ladder, "recurrence_residual", lambda real: lambda *a: math.nan,
-                   verify.suite_recurrence, ("max_residual",), ()),
+    "recurrence": (verify.ladder, "check_recurrence", lambda real: lambda ctx, lmax: dict.fromkeys(
+        real(ctx, lmax), math.nan), verify.suite_recurrence, ("max_residual",), ()),
     "orthogonality": (verify, "gram_matrix", lambda real: lambda fam, m, lmax: np.full(
         (lmax - m + 1,) * 2, math.nan), verify.suite_orthogonality, ("max_gram", "max_ratio"),
         ("gram", "norm-ratio")),
@@ -215,6 +215,29 @@ def test_algebra_suite_catches_an_error_below_the_old_float_tolerance(monkeypatc
     assert rep["ok"] is False and 0.0 < rep["max_residual"] <= 1e-12
     assert {k for k, r in rep["details"].items() if r} == {key}
     assert [f[:3] for f in rep["failures"]] == [("s2_plus_one", -4.1, 0.7)]
+
+
+def _tweak_const_level_3(real):
+    def recurrence(fam, level):
+        p = real(fam, level)
+        if (fam.kind, fam.alpha, level) != ("const", -2, 3):
+            return p
+        cs = list(p.coeffs)
+        cs[1] *= _TWEAK
+        return polynomials.Poly(cs)
+    return recurrence
+
+
+def test_recurrence_suite_catches_an_error_below_the_old_float_tolerance(monkeypatch):
+    # const(-2, 0)'s level-3 polynomial s^3/6 - s/4 with its s coefficient off
+    # by a relative 2^-80: Phi_{3,1} and Phi_{3,2} carry it, Phi_{3,3} does not.
+    # The 1e-10 float check at 32 random points passed it; the exact one does not
+    assert verify.suite_recurrence()["ok"]
+    monkeypatch.setattr(polynomials, "_recurrence", _tweak_const_level_3(polynomials._recurrence))
+    rep = verify.suite_recurrence()
+    assert rep["ok"] is False and 0.0 < rep["max_residual"] <= 1e-12
+    assert {k for k, r in rep["details"].items() if r} == {"const,l=3,m=1", "const,l=3,m=2"}
+    assert [f[:3] for f in rep["failures"]] == [("const", 3, 1), ("const", 3, 2)]
 
 
 def test_each_norm_ratio_detail_is_its_own_familys_worst(monkeypatch):
