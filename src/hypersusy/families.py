@@ -254,9 +254,14 @@ class Family:
     # sigma, tau and their kin evaluate elementwise in floats; Fraction
     # parameters enter rounded, as Fraction-float arithmetic would round them
     def sigma(self, s):
+        """c0 + c1 s + c2 s^2 over the kind's nonzero terms (no kind has both c1
+        and c2): the same bits as all three terms at every finite s in its interval."""
         c0, c1, c2 = self.spec.sigma
         s = np.asarray(s, dtype=float)
-        return c0 + c1 * s + c2 * s * s
+        if not (c1 or c2):
+            return np.full_like(s, c0)
+        out = c1 * s if c1 else c2 * s * s
+        return out + c0 if c0 else out
 
     def sigma_prime(self, s):
         c0, c1, c2 = self.spec.sigma

@@ -10,10 +10,13 @@ slot kappa^j p to fixed powers by banded passes over p's numerators n,
 out_k = sum_t B_t(k) n_(k+t), with integer rows B_t(k) built from the
 context's stencils (_stencils, built once per public call) over their
 common denominator D: a first-order map multiplies the scale by D and H
-by D^2.  No gcd is taken.  The two sides of a relation share their scale,
-so equal trimmed numerator lists decide it exactly; only a relation that
-fails builds Polys for its residual.  The context carries lambda_m, so it
-applies H_k - lambda_m and the relations need no lambda term.
+by D^2.  No gcd is taken.  check_identities composes each relation's two
+sides into integer bands and compares their entries for the input degrees
+0..d of its levels' slots, which decides every level at once, exactly; only
+when they differ are the levels measured, each relation's sides then sharing
+one scale, so equal trimmed numerator lists decide it and only a failing one
+builds Polys for its residual.  The context carries lambda_m, so it applies
+H_k - lambda_m and the relations need no lambda term.
 lower_order canonicalizes its one kappa^m slot at the end, and
 apply_hamiltonian is the factorization a+ a + lambda_m: lowering the
 raised slot kappa^(m+1) p' lands on kappa^m, with no division.
@@ -136,17 +139,22 @@ def _terms(ctx, st, op, j):
     return terms
 
 
+def _rows(ctx, st, bands, op, j, n):
+    """(power shift, h, row, rows) per term of op on a slot kappa^j of n numerators,
+    rows the row(k) of outputs k < n + h, kept in bands per (op, j) and extended."""
+    terms = bands.get((op, j))
+    if terms is None:
+        terms = bands[op, j] = [(dj, h, row, []) for dj, h, row in _terms(ctx, st, op, j)]
+    for dj, h, row, rows in terms:
+        rows += [row(k) for k in range(len(rows), n + h)]
+    return terms
+
+
 def _apply(ctx, st, bands, op, form):
-    """op on each slot of form, from the stencils st.  bands keeps the rows
-    of each (op, j), built on first use and extended to the longest slot seen."""
+    """op on each slot of form, from the stencils st and the rows in bands."""
     out, sig = {}, ctx.family.sigma_coeffs
     for j, n in form.items():
-        terms = bands.get((op, j))
-        if terms is None:
-            terms = bands[op, j] = [(dj, h, row, []) for dj, h, row in _terms(ctx, st, op, j)]
-        for dj, h, row, rows in terms:
-            if len(rows) < len(n) + h:
-                rows += [row(k) for k in range(len(rows), len(n) + h)]
+        for dj, h, row, rows in _rows(ctx, st, bands, op, j, len(n)):
             z = [0] * h + n + [0] * (2 * h)
             if h == 1:
                 acc = [a * x + b * y + c * u for (a, b, c), x, y, u in zip(rows, z, z[1:], z[2:])]
@@ -157,7 +165,62 @@ def _apply(ctx, st, bands, op, form):
     return out
 
 
+# --- composed bands ------------------------------------------------------------
+#
+# A band maps each t to its diagonal, the list of B_t(k) over the outputs k:
+# the degree-i numerator reaches output k = i - t.
+
+def _compose(b2, b1):
+    """b2 after b1: C_T(k) = sum over t2 + t1 = T of B2_t2(k) B1_t1(k + t2),
+    B1 zero beyond its outputs; b2 must reach every output of the composite."""
+    out = {}
+    for t2, c2 in b2.items():
+        for t1, c1 in b1.items():
+            at = [0] * -t2 + c1 if t2 < 0 else c1[t2:]  # at[k] = B1_t1(k + t2)
+            acc = out.get(t1 + t2, ())
+            out[t1 + t2] = [a + x * y for a, x, y in zip_longest(acc, c2, at, fillvalue=0)]
+    return out
+
+
+def _side(ctx, st, bands, ops, j, d):
+    """(power, band) per path of ops (the first applied first) through their
+    terms, on a slot kappa^j of degree <= d."""
+    side = [(j, None)]
+    for op in ops:
+        out = []
+        for p, b in side:
+            top = d - min(b or [0])  # the degree the slot kappa^p reaches
+            for dj, h, _, rows in _rows(ctx, st, bands, op, p, top + 1):
+                b2 = dict(enumerate(map(list, zip(*rows[:top + h + 1])), -h))
+                out.append((p + dj, _compose(b2, b) if b else b2))
+        side = out
+    return side
+
+
+def _agree(ctx, st, bands, lhs, rhs, j, d):
+    """Whether the ops lhs and rhs agree on every slot kappa^j p of degree <= d:
+    with each path folded onto the lowest power of its parity (kappa^2 is the
+    sigma band), their difference's entries for the input degrees 0..d are 0."""
+    sig, diff = ctx.family.sigma_coeffs, {}
+    paths = _side(ctx, st, bands, lhs, j, d) + [
+        (p, {t: [-x for x in c] for t, c in b.items()}) for p, b in _side(ctx, st, bands, rhs, j, d)]
+    for p, band in paths:
+        base = min(q for q, _ in paths if (q - p) % 2 == 0)
+        for _ in range((p - base) // 2):
+            n = max(map(len, band.values())) + 2
+            band = _compose({t: [c] * n for t, c in zip((-2, -1, 0), sig[::-1])}, band)
+        for t, c in band.items():
+            diff[base, t] = [x + y for x, y in zip_longest(diff.get((base, t), ()), c, fillvalue=0)]
+    return not any(any(c[max(0, -t):max(0, d - t + 1)]) for (_, t), c in diff.items())
+
+
+def _require_undeformed(ctx):
+    if ctx.gamma != math.inf:
+        raise ContextMismatch(f"the ladder maps are the undeformed ones, got gamma={ctx.gamma}")
+
+
 def _check_compatible(ctx, af, expected_m):
+    _require_undeformed(ctx)
     if ctx.delta is not None:
         raise ContextMismatch("shifted maps do not reduce to one kappa^m slot")
     if af.family != ctx.family:
@@ -250,11 +313,33 @@ def check_identities(ctx, lmax):
       intertwine_a    a H_m          vs  H_{m+1} a
     Residuals are relative max-coefficient deviations, 0 exactly when an
     identity holds; every map is exact, so the "exact" key is always True.
-    A shifted context checks the shifted maps against the shifted
-    eigenvalue.  An lmax that is no int, or below m, raises IndexViolation.
+
+    Every map is linear and banded, so each relation is decided for all levels
+    at once: both sides are composed into integer bands (a shifted context's
+    other-parity band folded onto its lower power by the sigma band) and their
+    entries compared for the input degrees 0..d, d = top level - m for the
+    order-m relations and d - 1 for the order-(m+1) ones.  The levels' slots
+    have exactly these degrees, so they span the slots compared: equal bands
+    make every level's residual exactly 0.0, and only unequal ones, which
+    leave some level's nonzero, have _report measure every level.  A shifted
+    context checks the shifted maps against the shifted eigenvalue.  An lmax
+    that is no int, or below m, raises IndexViolation; a context at finite
+    gamma raises ContextMismatch.
     """
     families.require_index("lmax", lmax, ctx.m)
-    return {**_report(ctx, _level_cases(ctx, lmax)), "exact": True}
+    _require_undeformed(ctx)
+    fam, m = ctx.family, ctx.m
+    levels = [l for l in range(m, lmax + 1) if families.below_cutoff(fam, l)]
+    for l in levels:
+        poly_eigenfunction(fam, l)  # a family whose recurrence breaks down raises here
+    st, bands, d = _stencils(ctx), {}, len(levels) - 1
+    relations = ((("raise", "lower"), (m,), m, d), (("lower", "raise"), (m + 1,), m + 1, d - 1),
+                 (("lower", m), (m + 1, "lower"), m + 1, d - 1), ((m, "raise"), ("raise", m + 1), m, d))
+    if not all(dd < 0 or _agree(ctx, st, bands, lhs, rhs, j, dd) for lhs, rhs, j, dd in relations):
+        return {**_report(ctx, _level_cases(ctx, lmax)), "exact": True}
+    u, w = ({f"l={l},m={k}": 0.0 for l in levels[k - m:]} for k in (m, m + 1))
+    return {"factor_low": u, "factor_high": w, "intertwine_h": dict(w), "intertwine_a": dict(u),
+            "max_residual": 0.0, "exact": True}
 
 
 def check_recurrence(ctx, lmax):
@@ -267,6 +352,7 @@ def check_recurrence(ctx, lmax):
     m + 1, raises IndexViolation; a shifted context raises ContextMismatch.
     """
     families.require_index("lmax", lmax, ctx.m + 1)
+    _require_undeformed(ctx)
     if ctx.delta is not None:
         raise ContextMismatch("the order recurrence needs an unshifted context")
     st, bands, fam, out = _stencils(ctx), {}, ctx.family, {}

@@ -25,6 +25,27 @@ def fam(request):
     return families.make_family(kind, a, b)
 
 
+def test_sigma_skips_zero_coefficients_with_the_same_bits(fam):
+    # sigma evaluates only the kind's nonzero terms; at finite points inside the
+    # interval, tiny and huge ones included (up to where s s overflows), it has
+    # the bits, shape and dtype of c0 + c1 s + c2 s s
+    c0, c1, c2 = fam.sigma_coeffs
+    lo, hi = (min(max(x, -1e150), 1e150) for x in fam.interval)
+    rng = np.random.default_rng(7)
+    edges = [x for x in (np.nextafter(lo, hi), np.nextafter(hi, lo), 0.0, -0.0, 1e-300, -1e-300,
+                         5e-324, 0.5, 1.5, 1e100, -1e100) if lo < x < hi]
+    block = lo + (hi - lo) * rng.uniform(size=(512, 15))
+    block.flat[:len(edges)] = edges
+    near = np.clip(rng.normal(size=(512, 15)) * 3, np.nextafter(lo, hi), np.nextafter(hi, lo))
+    for s in (0.3 if lo < 0.3 < hi else hi / 2, np.float64(edges[-1]), np.asarray(edges[0]),
+              *edges, block, near):
+        got, x = fam.sigma(s), np.asarray(s, dtype=float)
+        want = c0 + c1 * x + c2 * x * x
+        assert isinstance(got, np.ndarray | np.generic) and np.shape(got) == np.shape(want)
+        assert np.asarray(got).dtype == np.asarray(want).dtype == np.float64
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
 def test_make_family_gaussian_weight():
     f = families.make_family("const", -2, 0)
     assert f.interval == (-math.inf, math.inf)

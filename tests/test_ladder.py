@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from hypersusy import families, ladder, verify
+from hypersusy import families, ladder, riccati, verify
 from hypersusy.errors import ContextMismatch, CutoffExceeded, IndexViolation
 from hypersusy.ladder import (
     apply_hamiltonian,
@@ -236,10 +236,12 @@ def test_identities_exact_for_float_parameters():
 
 
 def test_a_nan_residual_reaches_max_residual(monkeypatch):
-    # (alpha, beta) = (-1e155, 1e155) overflowed floats, and is exact now; one
-    # NaN among the zeros must still reach max_residual, where max() drops it
+    # (alpha, beta) = (-1e155, 1e155) overflowed floats, and is exact now; with a
+    # mutated H the bands differ, so the levels are measured, and one NaN among
+    # their residuals must still reach max_residual, where max() drops it
     ctx = make_context(families.make_family("s2_minus_one", -1e155, 1e155), 0)
     assert check_identities(ctx, 4)["max_residual"] == 0
+    mutate_bands(monkeypatch, *MUTATIONS["h-v-constant"])
     real, calls = ladder.residual, []
 
     def nan_once(*args):
@@ -251,7 +253,7 @@ def test_a_nan_residual_reaches_max_residual(monkeypatch):
     values = [r for name in ("factor_low", "factor_high", "intertwine_h", "intertwine_a")
               for r in rep[name].values()]
     assert sum(math.isnan(r) for r in values) == 1 and len(values) > 1
-    assert math.isnan(rep["max_residual"])
+    assert any(r > 0 for r in values) and math.isnan(rep["max_residual"])
 
 
 @pytest.mark.parametrize("lmax", [-1, 0, 1])
@@ -590,10 +592,9 @@ def test_a_failing_relation_reports_the_reference_value(monkeypatch, mutation):
 
 def test_identities_cost_per_level_is_pinned(monkeypatch):
     # a passing check_identities takes no gcd of its own, and its only Poly
-    # products are those of its one stencil build, so they do not grow with
-    # lmax: with the levels built beforehand, its other canonical reductions
-    # are the level derivatives', m for the order-m polynomial and one more
-    # for order m + 1
+    # products and canonical reductions are those of its one stencil build, so
+    # they do not grow with lmax: the relations are decided on integer bands,
+    # with no level derivative and no per-level form
     counts = {"mul": 0, "canonical": 0}
     real_mul, real_canonical = Poly.__mul__, Poly._canonical.__func__
 
@@ -618,13 +619,123 @@ def test_identities_cost_per_level_is_pinned(monkeypatch):
             mp.setattr(Poly, "__mul__", counting_mul)
             mp.setattr(Poly, "__rmul__", counting_mul)
             mp.setattr(Poly, "_canonical", classmethod(counting_canonical))
-            _, (stencil_mul, stencil_canonical) = cost(lambda: ladder._stencils(ctx))
+            _, stencil_cost = cost(lambda: ladder._stencils(ctx))
             runs = {lmax: cost(lambda: check_identities(ctx, lmax)) for lmax in lmaxes}
-        assert stencil_mul > 0
+        assert stencil_cost[0] > 0
         for lmax, (rep, counted) in runs.items():
-            derivatives = (lmax - m + 1) * m + (lmax - m)
             assert rep["max_residual"] == 0 and len(rep["factor_low"]) == lmax - m + 1
-            assert counted == (stencil_mul, stencil_canonical + derivatives)
+            assert counted == stencil_cost
+
+
+def per_level(ctx, lmax):
+    """check_identities as the per-level measurement alone would report it."""
+    return {**ladder._report(ctx, list(ladder._level_cases(ctx, lmax))), "exact": True}
+
+
+@pytest.mark.parametrize("row", [(*row, 20, None) for row in TEST_MATRIX]
+                         + [(*row, 12, None) for row in FLOAT_MATRIX]
+                         + [(*row, 20, delta) for row in POWER_FAMILIES
+                            for delta in (None, Fraction(3, 2), 0.7)],
+                         ids=lambda row: f"{row[0]}({row[1]},{row[2]})" + (f"d={row[4]}" if row[4] else ""))
+def test_identities_equal_the_per_level_report(monkeypatch, row):
+    # the band decision returns, key for key and in the same order, what
+    # measuring every level returns, without measuring them: each lmax from m
+    # up to the cap, m <= 2
+    *params, cap, delta = row
+    fam = families.make_family(*params)
+    for m in range(3):
+        if families.below_cutoff(fam, m + 1):
+            ctx = make_context(fam, m, delta)
+            for lmax in range(m, lmax_for(fam, cap) + 1):
+                want = per_level(ctx, lmax)
+                with monkeypatch.context() as mp:
+                    mp.setattr(ladder, "_report", lambda *args: pytest.fail("a passing call measured"))
+                    got = check_identities(ctx, lmax)
+                assert list(got.items()) == list(want.items())
+                assert got["max_residual"] == 0.0
+
+
+@pytest.mark.parametrize("mutation", sorted(MUTATIONS) + sorted(SHIFT_MUTATIONS))
+def test_identities_equal_the_per_level_report_under_a_mutation(monkeypatch, mutation):
+    # a mutated term makes some relations' bands differ; the report is then the
+    # per-level one, value for value, and where the bands still agree, so do
+    # all the levels
+    if mutation in MUTATIONS:
+        mutation, runs = MUTATIONS[mutation], unshifted_contexts()
+    else:
+        mutation = SHIFT_MUTATIONS[mutation]
+        runs = [(ctx, lmax_for(ctx.family)) for ctx in shifted_contexts()]
+    mutate_bands(monkeypatch, *mutation)
+    failing = 0
+    for ctx, lmax in runs:
+        got = check_identities(ctx, lmax)
+        assert list(got.items()) == list(per_level(ctx, lmax).items())
+        failing += got["max_residual"] > 0
+    assert failing >= 1
+
+
+def edge_term(monkeypatch, target, j, degree):
+    """Add to the map target on the slot kappa^j a term that reads only the
+    input numerator of the given degree: out_(degree+1) += n_degree, on the
+    map's first landing power (s^(degree+1), so no ground state absorbs it)."""
+    real = ladder._terms
+
+    def mutated(ctx, st, op, jj):
+        terms = real(ctx, st, op, jj)
+        if op == target and jj == j:
+            terms = [*terms, (terms[0][0], 1, lambda k: [int(k == degree + 1), 0, 0])]
+        return terms
+
+    monkeypatch.setattr(ladder, "_terms", mutated)
+
+
+@pytest.mark.parametrize("target", ["raise", "h", "lower"])
+@pytest.mark.parametrize("fam_m_delta", [(("const", -2, 0), 1, None), (("s2_minus_one", -8, 10), 0, None),
+                                         (("one_minus_s2", -4, 0), 1, Fraction(3, 2))],
+                         ids=["const", "s2_minus_one", "one_minus_s2-shifted"])
+def test_a_term_on_the_top_degree_fails_and_one_above_passes(monkeypatch, target, fam_m_delta):
+    # with d = top level - m, raise and H_m on kappa^m only ever see slots of
+    # degree <= d (u itself, or a+ w in factor_high and intertwine_h), and a+
+    # on kappa^(m+1) only w, of degree <= d - 1: a term reading the top degree
+    # must fail and one reading the degree above must pass, for the band
+    # decision (which measures the levels only when the bands differ) and for
+    # the per-level report alike; lmax = m + 1 leaves w only degree 0
+    row, m, delta = fam_m_delta
+    fam = families.make_family(*row)
+    op, j, below = {"raise": ("raise", m, 0), "h": (m, m, 0), "lower": ("lower", m + 1, 1)}[target]
+    measured, real_report = [], ladder._report
+
+    def recording_report(*args):
+        measured.append(None)
+        return real_report(*args)
+
+    for lmax in (m + 1, lmax_for(fam, 5)):
+        ctx, top = make_context(fam, m, delta), lmax - m - below
+        for degree, fails in ((top, True), (top + 1, False)):
+            with monkeypatch.context() as mp:
+                edge_term(mp, op, j, degree)
+                want = per_level(ctx, lmax)
+                mp.setattr(ladder, "_report", recording_report)
+                measured.clear()
+                got = check_identities(ctx, lmax)
+            assert list(got.items()) == list(want.items())
+            assert (want["max_residual"] > 0) is fails and measured == [None] * fails
+
+
+def test_a_finite_gamma_context_is_refused():
+    # the maps are the undeformed ones: at finite gamma b b+ is the partner
+    # operator, not H_(m+1) - lambda_m, so no entry point may report on it
+    f = families.make_family("const", -2, 0)
+    ctx = riccati.make_deformation(f, 0, 2.0)
+    calls = (lambda: check_identities(ctx, 3), lambda: check_recurrence(ctx, 3),
+             lambda: raise_order(ctx, associated_function(f, 2, 0)),
+             lambda: lower_order(ctx, associated_function(f, 2, 1)),
+             lambda: apply_hamiltonian(ctx, associated_function(f, 2, 0)))
+    for call in calls:
+        with pytest.raises(ContextMismatch, match="gamma=2.0"):
+            call()
+    undeformed = riccati.make_deformation(f, 0, math.inf)
+    assert check_identities(undeformed, 3)["max_residual"] == 0.0
 
 
 # --- the banded maps against Poly composition -----------------------------------
